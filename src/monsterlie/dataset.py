@@ -75,9 +75,6 @@ class Dataset:
             )
         return hits[0]
 
-    def square_of(self, name):
-        return self.by_name[self.by_name[name].power2]
-
 
 def _parse_int(value, where):
     if isinstance(value, int):
@@ -165,13 +162,11 @@ def validate_dataset(dataset):
     if dataset.group_order != sum(r.class_size for r in dataset.classes):
         out.append("group_order is not the sum of the class sizes")
 
-    identity_candidates = [r for r in dataset.classes if r.class_size == 1]
-    if len(identity_candidates) != 1:
-        out.append(
-            f"expected exactly one class of size 1, found {len(identity_candidates)}"
-        )
+    try:
+        identity = dataset.identity_class()
+    except DatasetError as exc:
+        out.extend(exc.violations)
     else:
-        identity = identity_candidates[0]
         if identity.power2 != identity.name:
             out.append(f"identity class {identity.name} must square to itself")
         for k in SEED_INDICES:

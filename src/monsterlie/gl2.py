@@ -36,7 +36,7 @@ from .lattice import (
     vertex_iota_coeff,
     weight_of,
 )
-from .qseries import j_series
+from .qseries import _frac, j_series
 
 
 class Gl2ValidationError(ValueError):
@@ -57,10 +57,6 @@ class PairingNormalizationError(Gl2ValidationError):
 
 class UnsupportedBracketError(ValueError):
     """The bracket lands outside the supported normal-form span."""
-
-
-def _frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 VACUUM_LABEL = "1"
@@ -126,15 +122,20 @@ def vacuum_vector():
     )
 
 
+def _table_pairing(u, v):
+    """The unscaled (u, v) recorded in either symbol's table, else None."""
+    key = _pair_key(u.label, v.label)
+    return u.pairings.get(key, v.pairings.get(key))
+
+
 def pairing_value(u, v):
     """(u, v) from the shared tables; raises when the entry is missing."""
-    key = _pair_key(u.label, v.label)
-    table = u.pairings if key in u.pairings else v.pairings
-    if key not in table:
+    value = _table_pairing(u, v)
+    if value is None:
         raise PairingNormalizationError(
             f"pairing ({u.label}, {v.label}) is not defined"
         )
-    return u.scale * v.scale * table[key]
+    return u.scale * v.scale * value
 
 
 def normalize_partner(j, u, uu_pairing):
@@ -248,8 +249,8 @@ class MElement:
         if not isinstance(other, MElement):
             return NotImplemented
         return MElement(
-            _merge(self.e_part, other.e_part, 1),
-            _merge(self.f_part, other.f_part, 1),
+            _merge(self.e_part, other.e_part),
+            _merge(self.f_part, other.f_part),
             self.cartan + other.cartan,
             _merge_symbols(self.symbols, other.symbols),
         )
@@ -292,10 +293,10 @@ def _clean(part):
     return out
 
 
-def _merge(a, b, sign):
+def _merge(a, b):
     out = dict(a)
     for key, value in b.items():
-        out[key] = out.get(key, Fraction(0)) + sign * value
+        out[key] = out.get(key, Fraction(0)) + value
         if not out[key]:
             del out[key]
     return out
@@ -433,15 +434,12 @@ def _cartan_of_state(state):
 
 def _natural_contraction(symbols, label_u, label_v, j):
     """The scalar s with u_{2j+1} v = s * vacuum for weight-(j+1) symbols."""
-    u = symbols[label_u]
-    v = symbols[label_v]
-    key = _pair_key(label_u, label_v)
-    table = u.pairings if key in u.pairings else v.pairings
-    if key not in table:
+    value = _table_pairing(symbols[label_u], symbols[label_v])
+    if value is None:
         raise UnsupportedBracketError(
             f"pairing ({label_u}, {label_v}) is not defined"
         )
-    return Fraction((-1) ** (j % 2)) * table[key]
+    return Fraction((-1) ** (j % 2)) * value
 
 
 def _bracket_h_on_root(lam, kind, j, label, coeff):

@@ -39,18 +39,12 @@ from fractions import Fraction
 from itertools import product
 from math import comb, ceil
 
+from .qseries import _frac
+
 
 class UnsupportedStateError(ValueError):
     """A vertex-operator coefficient was requested on a state shape the
     expansion does not cover."""
-
-
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 class LatticeVector:
@@ -197,14 +191,10 @@ class FockState:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                c = _frac(coeff)
-                if c:
-                    clean[key] = clean.get(key, Fraction(0)) + c
-                    if not clean[key]:
-                        del clean[key]
+        # the one place that checks exactness and drops zero coefficients
+        clean = {
+            key: c for key, coeff in (terms or {}).items() if (c := _frac(coeff))
+        }
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -235,10 +225,7 @@ class FockState:
     def __add__(self, other):
         if not isinstance(other, FockState):
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return FockState(out)
+        return _sum((self, other))
 
     def __sub__(self, other):
         return self + (-other)
@@ -264,15 +251,24 @@ class FockState:
         return "FockState(" + " + ".join(parts) + ")"
 
 
+def _sum(states):
+    """Add states term by term into one dict and build the result once."""
+    out = {}
+    for state in states:
+        for key, c in state.terms.items():
+            out[key] = out.get(key, 0) + c
+    return FockState(out)
+
+
 def _create(axis, depth, state):
     """Append the creation factor u_axis(-depth) to every term."""
     if depth <= 0:
         raise ValueError("creation depth must be positive")
-    out = {}
-    for (mono, abar), c in state.terms.items():
-        key = (tuple(sorted(mono + ((axis, depth),))), abar)
-        out[key] = out.get(key, Fraction(0)) + c
-    return FockState(out)
+    # one more factor keeps distinct monomials distinct: no keys collide
+    return FockState({
+        (tuple(sorted(mono + ((axis, depth),))), abar): c
+        for (mono, abar), c in state.terms.items()
+    })
 
 
 def heisenberg_apply(lam, n, state):
@@ -284,34 +280,28 @@ def heisenberg_apply(lam, n, state):
     term by <lam, abar>.
     """
     if n == 0:
-        out = {}
-        for (mono, abar), c in state.terms.items():
-            scale = pairing(lam, LatticeVector(*abar))
-            if scale:
-                out[(mono, abar)] = c * scale
-        return FockState(out)
+        # the zero mode rescales each term in place: no keys collide
+        return FockState({
+            (mono, abar): c * pairing(lam, LatticeVector(*abar))
+            for (mono, abar), c in state.terms.items()
+        })
     if n < 0:
-        result = FockState.zero()
-        if lam.m:
-            result = result + lam.m * _create(0, -n, state)
-        if lam.n:
-            result = result + lam.n * _create(1, -n, state)
-        return result
+        return _sum(
+            c * _create(axis, -n, state)
+            for axis, c in enumerate((lam.m, lam.n))
+            if c
+        )
     # annihilation: contract against each creation factor of depth n
-    out = FockState.zero()
+    contracted = []
     for (mono, abar), c in state.terms.items():
-        counts = Counter(mono)
-        for (axis, depth), count in counts.items():
+        for (axis, depth), count in Counter(mono).items():
             if depth != n:
                 continue
             scale = pairing(lam, _AXIS_VECTORS[axis]) * n * count
-            if not scale:
-                continue
             reduced = list(mono)
             reduced.remove((axis, depth))
-            key = (tuple(reduced), abar)
-            out = out + FockState({key: c * scale})
-    return out
+            contracted.append(FockState({(tuple(reduced), abar): c * scale}))
+    return _sum(contracted)
 
 
 def schur_apply(lam, r, state):
@@ -325,9 +315,7 @@ def schur_apply(lam, r, state):
         raise ValueError("Schur index must be nonnegative")
     levels = [state]
     for k in range(1, r + 1):
-        acc = FockState.zero()
-        for n in range(1, k + 1):
-            acc = acc + heisenberg_apply(lam, -n, levels[k - n])
+        acc = _sum(heisenberg_apply(lam, -n, levels[k - n]) for n in range(1, k + 1))
         levels.append(Fraction(1, k) * acc)
     return levels[r]
 
@@ -343,7 +331,7 @@ def vertex_iota_coeff(a, b_state, power):
     """
     if not isinstance(a, HatLatticeElement):
         raise UnsupportedStateError("the operator argument must cover a lattice point")
-    out = FockState.zero()
+    pieces = []
     for (mono, abar), c in b_state.terms.items():
         b_hat = HatLatticeElement(LatticeVector(*abar), 1)
         ab = hat_multiply(a, b_hat)
@@ -368,8 +356,8 @@ def vertex_iota_coeff(a, b_state, power):
             if r < 0:
                 continue
             target = FockState({(tuple(sorted(remaining)), ab.vector.int_pair()): factor})
-            out = out + schur_apply(a.vector, r, target)
-    return out
+            pieces.append(schur_apply(a.vector, r, target))
+    return _sum(pieces)
 
 
 # -- Virasoro action -----------------------------------------------------
@@ -384,10 +372,9 @@ def virasoro_apply(n, state):
     plus (for n <= -2) the normal-ordered quadratic tail in the dual
     coordinate modes.
     """
-    out = FockState.zero()
-    for (mono, abar), c in state.terms.items():
-        out = out + _virasoro_term(n, mono, abar, c)
-    return out
+    return _sum(
+        _virasoro_term(n, mono, abar, c) for (mono, abar), c in state.terms.items()
+    )
 
 
 def _virasoro_term(n, mono, abar, coeff):
@@ -404,13 +391,12 @@ def _virasoro_term(n, mono, abar, coeff):
         return FockState.zero()
     if n == 0:
         return (pairing(abar_vec, abar_vec) / 2) * term
-    result = heisenberg_apply(abar_vec, n, term)
     # dual-basis quadratic tail: the dual of u1 is -u2 and vice versa
+    tail = []
     for k in range(n + 1, 0):
-        t1 = _create(0, -k, _create(1, -(n - k), term))
-        t2 = _create(1, -k, _create(0, -(n - k), term))
-        result = result + Fraction(-1, 2) * (t1 + t2)
-    return result
+        tail.append(_create(0, -k, _create(1, -(n - k), term)))
+        tail.append(_create(1, -k, _create(0, -(n - k), term)))
+    return heisenberg_apply(abar_vec, n, term) + Fraction(-1, 2) * _sum(tail)
 
 
 def conformal_vector():

@@ -33,7 +33,7 @@ class IntegralityError(ArithmeticError):
     """An exactness tripwire fired: a value that must be an integer is not."""
 
 
-def _as_fraction(value):
+def _frac(value):
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -53,7 +53,7 @@ class QSeries:
     __slots__ = ("valuation", "coeffs", "order")
 
     def __init__(self, valuation, coeffs, order=None):
-        coeffs = [_as_fraction(c) for c in coeffs]
+        coeffs = [_frac(c) for c in coeffs]
         if order is None:
             order = valuation + len(coeffs)
         if order - valuation != len(coeffs):
@@ -75,7 +75,7 @@ class QSeries:
         if order <= exponent:
             raise ValueError("order must exceed the monomial exponent")
         coeffs = [Fraction(0)] * (order - exponent)
-        coeffs[0] = _as_fraction(coefficient)
+        coeffs[0] = _frac(coefficient)
         return cls(exponent, coeffs, order)
 
     @classmethod
@@ -135,7 +135,7 @@ class QSeries:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._add_scalar(_as_fraction(other))
+            return self._add_scalar(_frac(other))
         if not isinstance(other, QSeries):
             return NotImplemented
         val, order = self._binary_window(other)
@@ -149,7 +149,7 @@ class QSeries:
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._add_scalar(-_as_fraction(other))
+            return self._add_scalar(-_frac(other))
         if not isinstance(other, QSeries):
             return NotImplemented
         return self + (-other)
@@ -169,7 +169,7 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _frac(other)
             return QSeries(self.valuation, [c * a for a in self.coeffs], self.order)
         if not isinstance(other, QSeries):
             return NotImplemented

@@ -91,7 +91,7 @@ def test_two_class_toy_with_zero_seeds_is_valid():
     obj["group_order"] = "6"
     d = parse_dataset(obj)
     assert d.group_order == 6
-    assert d.square_of("2Z").name == "2Z"
+    assert d.by_name["2Z"].power2 == "2Z"
 
 
 def test_multiple_identity_sized_classes_rejected():

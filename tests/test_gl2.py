@@ -22,7 +22,8 @@ from monsterlie.gl2 import (
     vacuum_vector,
     verify_relations,
 )
-from monsterlie.lattice import LatticeVector, pairing
+from monsterlie.lattice import FockState, LatticeVector, pairing
+from monsterlie.qseries import QSeries
 
 
 # -- Cartan matrix -------------------------------------------------------
@@ -188,6 +189,15 @@ def test_bracket_outside_span_raises():
         bracket(real.e, gens2.e)
 
 
+def test_bracket_against_unpaired_symbol_names_both_labels():
+    gens_u = make_gl2(1, *primary_pair(1, label="u"))
+    gens_w = make_gl2(1, *primary_pair(1, label="w"))
+    with pytest.raises(UnsupportedBracketError, match=r"pairing \(u, w\)"):
+        bracket(gens_u.e, gens_w.f)
+    with pytest.raises(UnsupportedBracketError, match=r"pairing \(w, u\)"):
+        bracket(gens_w.f, gens_u.e)
+
+
 def test_antisymmetry_on_computable_pairs():
     for j in (-1, 1, 2):
         gens = make_gl2(j, *primary_pair(j))
@@ -240,6 +250,28 @@ def test_bracket_scales_with_pairing_value():
     f_w = MElement(f_part={(j, "w"): Fraction(-1)}, symbols={"w": w, "u": u})
     got = bracket(e_u, f_w)
     assert got == 2 * bracket(gens_u.e, gens_u.f)
+
+
+# -- exact inputs --------------------------------------------------------------
+
+
+EXACT_ENTRY_POINTS = {
+    "QSeries": lambda x: QSeries(0, [1, x]),
+    "LatticeVector": lambda x: LatticeVector(x, 0),
+    "FockState": lambda x: FockState({((), (0, 0)): x}),
+    "FockState.__rmul__": lambda x: x * FockState.vacuum(),
+    "primary_pair": lambda x: primary_pair(3, norm=x),
+    "FormalNaturalVector": lambda x: FormalNaturalVector("u", 2, scale=x),
+    "normalize_partner": lambda x: normalize_partner(1, FormalNaturalVector("u", 2), x),
+    "MElement.__rmul__": lambda x: x * MElement.cartan_vector(1, 2),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, 0.1, "1/2"])
+@pytest.mark.parametrize("entry", sorted(EXACT_ENTRY_POINTS))
+def test_exact_entry_points_reject_inexact_numbers(entry, value):
+    with pytest.raises(TypeError):
+        EXACT_ENTRY_POINTS[entry](value)
 
 
 # -- relation reports ----------------------------------------------------------

@@ -46,6 +46,14 @@ def rand_state(rng, max_degree=5):
     return FockState(terms)
 
 
+def assert_exact_nonzero(state):
+    """Every stored coefficient is a nonzero Fraction, so the public type is
+    unchanged and structural equality is equality of states."""
+    for key, c in state.terms.items():
+        assert type(c) is Fraction, (key, c)
+        assert c != 0, key
+
+
 # -- pairing and reflection ----------------------------------------------
 
 
@@ -159,6 +167,8 @@ def test_heisenberg_bracket_identity():
             for n in (-2, -1, 1, 2):
                 left = heisenberg_apply(lam, m, heisenberg_apply(mu, n, s))
                 right = heisenberg_apply(mu, n, heisenberg_apply(lam, m, s))
+                assert_exact_nonzero(left)
+                assert_exact_nonzero(right)
                 expected = FockState.zero()
                 if m + n == 0:
                     expected = (pairing(lam, mu) * m) * s
@@ -228,6 +238,7 @@ def test_vertex_coeff_matches_brute_force_expansion():
         got = vertex_iota_coeff(a, b_state, base + r)
         want = brute_vertex_coeff(a, b_state, base + r)
         assert got == want, f"mismatch at Schur order {r}"
+        assert_exact_nonzero(got)
 
 
 def test_vertex_coeff_examples():
@@ -236,6 +247,8 @@ def test_vertex_coeff_examples():
     # <abar, -abar> = -2 puts the first Schur term at x**-1
     got = vertex_iota_coeff(a, inv_state, -1)
     assert got == heisenberg_apply(a.vector, -1, FockState.vacuum())
+    assert_exact_nonzero(got)
+    assert_exact_nonzero(vertex_iota_coeff(a, inv_state, -2))
     # the r = 0 term is exactly the vacuum
     assert vertex_iota_coeff(a, inv_state, -2) == FockState.vacuum()
     # below the pairing exponent the series has no terms
@@ -257,6 +270,7 @@ def test_vertex_coeff_on_single_creation_target():
     got = vertex_iota_coeff(a, target, -1)
     expected = (-pairing(a.vector, t)) * FockState.iota(a)
     assert got == expected
+    assert_exact_nonzero(got)
     assert vertex_iota_coeff(a, target, -2).is_zero()
 
 
@@ -325,6 +339,8 @@ def test_virasoro_bracket_identity_central_charge_2():
                     n, virasoro_apply(m, s)
                 )
                 right = (m - n) * virasoro_apply(m + n, s)
+                assert_exact_nonzero(left)
+                assert_exact_nonzero(right)
                 if m + n == 0:
                     right = right + Fraction(m ** 3 - m, 12) * central_charge * s
                 assert left == right, f"[L({m}),L({n})] failed"
