@@ -14,7 +14,7 @@ from .dataset import DatasetError, load_dataset, validate_dataset
 from .gl2 import (
     Gl2ValidationError,
     UnsupportedBracketError,
-    cartan_block_size,
+    cartan_block_sizes,
     cartan_entry,
     primary_pair,
     vacuum_vector,
@@ -116,10 +116,19 @@ def build_parser():
     return parser
 
 
+class _OutputPathError(Exception):
+    """The --out path cannot be written (a usage error, exit code 2)."""
+
+
 def _emit(args, text):
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _OutputPathError(
+                f"cannot write --out {args.out}: {exc.strerror or exc}"
+            ) from exc
     else:
         sys.stdout.write(text)
 
@@ -148,16 +157,18 @@ def _cmd_eta(args):
 def _cmd_cartan(args):
     labels = [-1] + list(range(1, args.depth + 1))
     columns = ["i", "block_size"] + [f"A(i,{j})" for j in labels]
-    rows = []
-    for i in labels:
-        rows.append([i, cartan_block_size(i)] + [cartan_entry(i, j) for j in labels])
+    sizes = cartan_block_sizes(labels)
+    rows = [
+        [i, size] + [cartan_entry(i, j) for j in labels]
+        for i, size in zip(labels, sizes)
+    ]
     _emit(args, OutputTable.build(columns, rows).render(args.format))
     return EXIT_OK
 
 
 def _cmd_replicate(args):
     dataset = load_dataset(args.data)
-    table = replicate_extend(dataset, args.max)
+    table = replicate_extend(dataset, max(args.max, 5))
     names = [r.name for r in dataset.classes]
     if args.only_class:
         if args.only_class not in table.rows:
@@ -273,6 +284,9 @@ def run(argv):
     except IntegralityError as exc:
         print(f"integrality failure: {exc}", file=sys.stderr)
         return EXIT_DATASET
+    except _OutputPathError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main():

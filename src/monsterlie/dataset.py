@@ -90,7 +90,7 @@ def _parse_int(value, where):
 
 def _identity_seed_expectations():
     j = j_series(5)
-    return {k: int(j.coeff(k)) for k in SEED_INDICES}
+    return {k: j.coeff(k) for k in SEED_INDICES}
 
 
 def parse_dataset(obj):

@@ -196,13 +196,20 @@ def cartan_entry(i, j):
     return -(i + j)
 
 
+def cartan_block_sizes(labels):
+    """Multiplicities of the blocks with the given labels, in order: 1 for
+    the real label -1, otherwise the modular-invariant coefficient c(i).
+    One expansion of the invariant, to the largest label, serves them all."""
+    for i in labels:
+        _check_root_index(i)
+    top = max(labels, default=-1)
+    j = j_series(top) if top > 0 else None
+    return [1 if i == -1 else j.coeff(i) for i in labels]
+
+
 def cartan_block_size(i):
-    """Multiplicity of the block labeled i: 1 for the real label -1,
-    otherwise the modular-invariant coefficient c(i)."""
-    _check_root_index(i)
-    if i == -1:
-        return 1
-    return int(j_series(i).coeff(i))
+    """Multiplicity of the block labeled i (see `cartan_block_sizes`)."""
+    return cartan_block_sizes([i])[0]
 
 
 # -- normal-form elements --------------------------------------------------

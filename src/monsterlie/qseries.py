@@ -1,24 +1,28 @@
 """Exact truncated Laurent series in q and the named modular series.
 
-Coefficients are exact rationals (`fractions.Fraction`); the integer-valued
-named series (the normalized modular invariant, the Euler product, partition
-numbers, primary-subspace dimensions) are integrality-checked at their
-boundary.  A series knows its `valuation` (lowest represented exponent) and
-an exclusive precision bound `order`: the coefficient of q**n is exact for
-valuation <= n < order, and arithmetic never claims precision the operands
-cannot support.
+Coefficients are exact rationals, stored as plain `int` where integral and
+as `fractions.Fraction` otherwise; the integer-valued named series (the
+normalized modular invariant, the Euler product, partition numbers,
+primary-subspace dimensions) stay in `int` throughout and are
+integrality-checked at their boundary.  A series knows its `valuation`
+(lowest represented exponent) and an exclusive precision bound `order`: the
+coefficient of q**n is exact for valuation <= n < order, and arithmetic
+never claims precision the operands cannot support.
 
 The fractional power q**(1/24) of the Dedekind eta function is never
 materialized.  `euler_product` returns the integral-exponent combination
 q**(-1/24) * eta(q) = prod_{j>=1} (1 - q**j), which is the only form the
 named series here ever need: it enters the modular invariant through its
 24th power and the primary-dimension series through a single factor, where
-the fractional prefactors cancel.
+the fractional prefactors cancel.  The modular invariant divides by that
+24th power through its inverse prod(1-q**n)**-24, computed by an exact
+integer recurrence on the divisor sums sigma(m).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 
 class NotInvertibleError(ValueError):
@@ -41,6 +45,14 @@ def _frac(value):
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _coeff(value):
+    """`_frac`, then an integral value as a plain `int` (the coefficient form)."""
+    if type(value) is int:
+        return value
+    value = _frac(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class QSeries:
     """Truncated Laurent series sum of coeffs[i] * q**(valuation + i).
 
@@ -53,7 +65,7 @@ class QSeries:
     __slots__ = ("valuation", "coeffs", "order")
 
     def __init__(self, valuation, coeffs, order=None):
-        coeffs = [_frac(c) for c in coeffs]
+        coeffs = [_coeff(c) for c in coeffs]
         if order is None:
             order = valuation + len(coeffs)
         if order - valuation != len(coeffs):
@@ -74,8 +86,8 @@ class QSeries:
             order = exponent + 1
         if order <= exponent:
             raise ValueError("order must exceed the monomial exponent")
-        coeffs = [Fraction(0)] * (order - exponent)
-        coeffs[0] = _frac(coefficient)
+        coeffs = [0] * (order - exponent)
+        coeffs[0] = coefficient
         return cls(exponent, coeffs, order)
 
     @classmethod
@@ -91,7 +103,7 @@ class QSeries:
                 f"coefficient of q^{n} is not determined (order {self.order})"
             )
         if n < self.valuation:
-            return Fraction(0)
+            return 0
         return self.coeffs[n - self.valuation]
 
     def coefficients(self, lo, hi):
@@ -135,7 +147,7 @@ class QSeries:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._add_scalar(_frac(other))
+            return self._add_scalar(_coeff(other))
         if not isinstance(other, QSeries):
             return NotImplemented
         val, order = self._binary_window(other)
@@ -149,7 +161,7 @@ class QSeries:
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._add_scalar(-_frac(other))
+            return self._add_scalar(-_coeff(other))
         if not isinstance(other, QSeries):
             return NotImplemented
         return self + (-other)
@@ -169,7 +181,7 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
+            c = _coeff(other)
             return QSeries(self.valuation, [c * a for a in self.coeffs], self.order)
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -185,16 +197,16 @@ class QSeries:
         n = order - val
         if n <= 0:
             return QSeries(val, [], val)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            ei = self.valuation + i
-            jmax = min(len(other.coeffs), order - ei - other.valuation)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if b:
-                    out[ei + other.valuation + j - val] += a * b
+        a, b = self.coeffs, other.coeffs
+        rb = b[::-1]
+        out = []
+        for k in range(n):
+            # a[i] * b[k - i] over every i that indexes both windows; in the
+            # reversed copy rb, b[k - i] sits at len(b) - 1 - k + i.
+            lo = max(0, k - len(b) + 1)
+            hi = min(k, len(a) - 1)
+            shift = len(b) - 1 - k
+            out.append(sum(map(mul, a[lo : hi + 1], rb[shift + lo : shift + hi + 1])))
         return QSeries(val, out, order)
 
     __rmul__ = __mul__
@@ -226,17 +238,14 @@ class QSeries:
             raise NotInvertibleError(
                 "series is not invertible: zero series or zero leading coefficient"
             )
-        p = len(self.coeffs)
-        a0 = self.coeffs[0]
-        inv = [Fraction(0)] * p
-        inv[0] = 1 / a0
+        a = self.coeffs
+        p = len(a)
+        # an int when a[0] is +-1, so unit series never leave int
+        inv0 = _coeff(Fraction(1) / a[0])
+        inv = [inv0]
         for k in range(1, p):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                ai = self.coeffs[i]
-                if ai:
-                    acc += ai * inv[k - i]
-            inv[k] = -acc / a0
+            # sum_{i=1..k} a[i] * inv[k - i]
+            inv.append(-sum(map(mul, a[1 : k + 1], reversed(inv))) * inv0)
         return QSeries(-self.valuation, inv, -self.valuation + p)
 
     # -- comparison / display -----------------------------------------
@@ -272,14 +281,19 @@ def sigma3(k):
     """Sum of the cubes of the positive divisors of k."""
     if not isinstance(k, int) or k <= 0:
         raise ValueError(f"sigma3 requires a positive integer, got {k!r}")
+    return _divisor_sum(k, 3)
+
+
+def _divisor_sum(k, power):
+    """Sum of d**power over the positive divisors d of the positive int k."""
     total = 0
     d = 1
     while d * d <= k:
         if k % d == 0:
-            total += d ** 3
+            total += d ** power
             e = k // d
             if e != d:
-                total += e ** 3
+                total += e ** power
         d += 1
     return total
 
@@ -288,7 +302,7 @@ def eisenstein_e4(order):
     """Weight-4 Eisenstein series 1 + 240 * sum sigma3(k) q**k, exact below q**order."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    coeffs = [Fraction(1)] + [Fraction(240 * sigma3(k)) for k in range(1, order)]
+    coeffs = [1] + [240 * sigma3(k) for k in range(1, order)]
     return QSeries(0, coeffs, order)
 
 
@@ -300,15 +314,15 @@ def euler_product(order):
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    coeffs = [Fraction(0)] * order
-    coeffs[0] = Fraction(1)
+    coeffs = [0] * order
+    coeffs[0] = 1
     j = 1
     while True:
         lo = j * (3 * j - 1) // 2
         hi = j * (3 * j + 1) // 2
         if lo >= order and hi >= order:
             break
-        sign = Fraction(-1 if j % 2 else 1)
+        sign = -1 if j % 2 else 1
         if lo < order:
             coeffs[lo] = sign
         if hi < order:
@@ -322,18 +336,38 @@ def partition_series(order):
     return euler_product(order).invert().require_integral("partition_series")
 
 
+def _euler_product_power_minus_24(order):
+    """prod_{n>=1} (1 - q**n)**-24 = sum a_n q**n, exact below q**order.
+
+    The logarithmic derivative of the product is 24 * sum sigma(m) q**(m-1)
+    (sigma the divisor sum), so n * a_n = 24 * sum_{m=1..n} sigma(m) a_{n-m}.
+    Every a_n is an integer; each exact division is checked.
+    """
+    sigma = [0] + [_divisor_sum(m, 1) for m in range(1, order)]
+    a = [1]
+    for n in range(1, order):
+        # sigma[m] * a[n - m] for m = 1..n
+        a_n, rem = divmod(24 * sum(map(mul, sigma[1 : n + 1], reversed(a))), n)
+        if rem:
+            raise IntegralityError(
+                f"prod(1-q^n)^-24: coefficient of q^{n} is non-integral; "
+                "this signals an arithmetic bug"
+            )
+        a.append(a_n)
+    return QSeries(0, a, order)
+
+
 def j_series(order):
     """The normalized modular invariant with zero constant term.
 
     Returns the Laurent expansion q**-1 + 0 + 196884 q + ... exact through
-    q**order, computed as E4(q)**3 / (q * prod(1-q**k)**24) - 744.
+    q**order, computed as q**-1 * E4(q)**3 * prod(1-q**k)**-24 - 744.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     work = order + 2
     numerator = eisenstein_e4(work) ** 3
-    denominator = (euler_product(work) ** 24).shift(1)
-    series = numerator * denominator.invert() - 744
+    series = (numerator * _euler_product_power_minus_24(work)).shift(-1) - 744
     series.require_integral("j_series")
     if series.valuation != -1 or series.coeff(-1) != 1 or series.coeff(0) != 0:
         raise IntegralityError("j_series: leading terms are inconsistent")

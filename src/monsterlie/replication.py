@@ -214,7 +214,7 @@ def nontriviality_report(dataset, max_j):
     dims = primary_dim_series(max_j + 1)
     out = []
     for j in range(1, max_j + 1):
-        dim = int(dims.coeff(j))
+        dim = dims.coeff(j)
         mult = multiplicity(dataset, table, 1, j)
         verdict = "non-trivial" if dim > mult else "inconclusive"
         out.append(NontrivialityRow(j, dim, mult, verdict))

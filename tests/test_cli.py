@@ -83,6 +83,17 @@ def test_replicate_identity_row(capsys, toy_data):
     assert as_dict["8"] == "401490886656000"
 
 
+def test_replicate_below_seed_order_prints_requested_rows(capsys, toy_data):
+    # the recursions need order 5; smaller --max still prints just 1..--max
+    assert run(["replicate", "--data", toy_data, "--max", "3"]) == 0
+    _, rows = table_from(capsys)
+    assert rows == [
+        ["1A", "1", "196884"],
+        ["1A", "2", "21493760"],
+        ["1A", "3", "864299970"],
+    ]
+
+
 def test_replicate_unknown_class(capsys, toy_data):
     assert run(["replicate", "--data", toy_data, "--class", "9Z"]) == 3
 
@@ -153,3 +164,13 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     table = OutputTable.parse_csv(target.read_text())
     assert table.rows[-1] == ["1", "196884"]
+
+
+def test_out_flag_unwritable_path_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    assert run(["--out", str(target), "jcoeffs", "--max", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(target) in captured.err
+    assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1

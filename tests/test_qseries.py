@@ -84,14 +84,18 @@ def test_invert_rejects_zero_leading_coefficient():
 
 def test_invert_is_two_sided_inverse_on_random_unit_series():
     rng = random.Random(20240131)
-    for _ in range(25):
+    # units stay in int; the other leading coefficients take the Fraction path
+    leading = [1, -1, 2, -3, Fraction(1, 2)]
+    for _ in range(25 * len(leading)):
         n = rng.randint(3, 12)
-        coeffs = [1] + [rng.randint(-9, 9) for _ in range(n - 1)]
+        coeffs = [rng.choice(leading)] + [rng.randint(-9, 9) for _ in range(n - 1)]
         a = series(0, coeffs)
         inv = a.invert()
         assert a * inv == QSeries.one(n)
         assert inv * a == QSeries.one(n)
         assert inv.invert() == a
+        if coeffs[0] in (1, -1):
+            assert all(type(c) is int for c in inv.coeffs)
 
 
 # -- divisor sums and Eisenstein ---------------------------------------
@@ -163,11 +167,14 @@ def test_j_series_fourth_coefficient_by_quadrisection():
     # c(3) + (c(1)**2 - c(1)) / 2 (quadrisection of the series).
     j = j_series(4)
     c1, c3, c4 = j.coeff(1), j.coeff(3), j.coeff(4)
-    assert c4 == c3 + (c1 * c1 - c1) / 2
+    half, remainder = divmod(c1 * c1 - c1, 2)
+    assert remainder == 0
+    assert c4 == c3 + half
 
 
 def test_j_series_times_denominator_reproduces_numerator():
-    for order in (5, 20):
+    # the power-and-invert route is independent of the recurrence in j_series
+    for order in (5, 20, 150):
         work = order + 2
         denominator = (euler_product(work) ** 24).shift(1)
         numerator = eisenstein_e4(work) ** 3
@@ -196,6 +203,13 @@ def test_discriminant_identity_cross_checks_both_routes():
 
 def test_j_series_coefficients_are_integral():
     assert j_series(30).is_integral()
+
+
+def test_integer_series_store_plain_ints():
+    for s in (j_series(30), primary_dim_series(30), euler_product(30)):
+        assert all(type(c) is int for c in s.coeffs)
+    assert QSeries(0, [Fraction(4, 2), Fraction(1, 2)]).coeffs == [2, Fraction(1, 2)]
+    assert type(QSeries(0, [Fraction(4, 2)]).coeffs[0]) is int
 
 
 # -- primary-dimension series --------------------------------------------
