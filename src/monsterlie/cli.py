@@ -22,7 +22,7 @@ from .gl2 import (
 )
 from .output import FORMATS, OutputTable
 from .qseries import IntegralityError, euler_product, j_series, primary_dim_series
-from .replication import multiplicity, nontriviality_report, replicate_extend
+from .replication import character, multiplicity, nontriviality_report, replicate_extend
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -168,12 +168,12 @@ def _cmd_cartan(args):
 
 def _cmd_replicate(args):
     dataset = load_dataset(args.data)
-    table = replicate_extend(dataset, max(args.max, 5))
     names = [r.name for r in dataset.classes]
     if args.only_class:
-        if args.only_class not in table.rows:
+        if args.only_class not in dataset.by_name:
             raise DatasetError(f"unknown class {args.only_class!r}")
         names = [args.only_class]
+    table = replicate_extend(dataset, max(args.max, 5))
     rows = [
         (name, j, table.value(name, j))
         for name in names
@@ -185,6 +185,10 @@ def _cmd_replicate(args):
 
 def _cmd_mult(args):
     dataset = load_dataset(args.data)
+    try:
+        character(dataset, args.k)
+    except KeyError as exc:
+        raise DatasetError(exc.args[0]) from exc
     table = replicate_extend(dataset, max(args.max, 5))
     rows = [
         (j, multiplicity(dataset, table, args.k, j)) for j in range(1, args.max + 1)

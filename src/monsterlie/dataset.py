@@ -76,8 +76,19 @@ class Dataset:
         return hits[0]
 
 
+_SHAPES = {str: "a string", dict: "an object", list: "an array"}
+
+
+def _expect(value, shape, where):
+    """`value` if it is a `shape` (str, dict or list), else a DatasetError
+    naming the field."""
+    if not isinstance(value, shape):
+        raise DatasetError(f"{where}: expected {_SHAPES[shape]}, got {value!r}")
+    return value
+
+
 def _parse_int(value, where):
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
         text = value.strip().replace("−", "-")
@@ -101,15 +112,19 @@ def parse_dataset(obj):
     records = []
     problems = []
     seen = set()
-    for idx, raw in enumerate(obj["classes"]):
+    for idx, raw in enumerate(_expect(obj["classes"], list, "classes")):
         where = f"classes[{idx}]"
         try:
-            name = raw["name"]
+            _expect(raw, dict, where)
+            name = _expect(raw["name"], str, f"{where}.name")
             size = _parse_int(raw["class_size"], f"{where}.class_size")
-            power2 = raw["power2"]
-            seeds_raw = raw["seeds"]
-        except (KeyError, TypeError) as exc:
+            power2 = _expect(raw["power2"], str, f"{where}.power2")
+            seeds_raw = _expect(raw["seeds"], dict, f"{where}.seeds")
+        except KeyError as exc:
             problems.append(f"{where}: missing field {exc}")
+            continue
+        except DatasetError as exc:
+            problems.extend(exc.violations)
             continue
         if name in seen:
             problems.append(f"{where}: duplicate class name {name!r}")
@@ -139,11 +154,11 @@ def parse_dataset(obj):
     characters = None
     if obj.get("characters") is not None:
         characters = {}
-        for k_raw, per_class in obj["characters"].items():
+        for k_raw, per_class in _expect(obj["characters"], dict, "characters").items():
             k = _parse_int(k_raw, "character index")
             characters[k] = {
                 cls: _parse_int(val, f"character {k} on class {cls}")
-                for cls, val in per_class.items()
+                for cls, val in _expect(per_class, dict, f"characters[{k_raw!r}]").items()
             }
     dataset = Dataset(records, total, characters)
     violations = validate_dataset(dataset)

@@ -26,6 +26,11 @@ C(g,5) = C(g,5)), which is why 5 is a seed.  Every halving must be exact;
 an odd numerator names the class and index and aborts, since it can only
 mean inconsistent seed data.
 
+Each class row is a list with row[i-1] = C(g,i).  Every sum above is one
+dot product of two row slices, the second one reversed (with stride 4
+against C(g^2,i)); the alternating sums take the products once and
+subtract the even-i terms from the odd-i ones.
+
 Multiplicities come from character orthogonality: the multiplicity of
 the k-th irreducible in the weight-(j+1) piece is
 (1/|G|) sum over classes of size * chi_k * C(class, j), which must be a
@@ -35,6 +40,7 @@ nonnegative integer.  The trivial character needs no character table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .qseries import IntegralityError, primary_dim_series
 
@@ -89,84 +95,62 @@ def replicate_extend(dataset, order):
         rows[record.name] = row
     square = {r.name: r.power2 for r in dataset.classes}
 
-    def c(name, i):
-        if i < 1:
-            raise IndexError(f"recursions never reference index {i}")
-        value = rows[name][i - 1]
-        if value is None:
-            raise IndexError(f"index {i} for class {name} used before computed")
-        return value
-
-    def c2(name, i):
-        return c(square[name], i)
-
-    for n in [4] + list(range(6, order + 1)):
-        for name in rows:
-            q, rem = divmod(n, 4)
+    for n in [4, *range(6, order + 1)]:
+        j, rem = divmod(n, 4)
+        # the case for n reads indices min(j, 1) .. top of r and s; one
+        # bounds check per entry stands in for a check on every term
+        top = (2 * j + 1, max(2 * j + 3, 4 * j - 1), 2 * j + 2, max(2 * j + 4, 4 * j + 1))[rem]
+        for name, r in rows.items():
+            if j < 1:
+                raise IndexError(f"recursions never reference index {j}")
+            if top >= n:
+                raise IndexError(f"index {top} for class {name} used before computed")
+            s = rows[square[name]]  # r[i-1] is C(g,i), s[i-1] is C(g^2,i)
             if rem == 0:
-                j = q
-                total = c(name, 2 * j + 1)
-                total += _halve(c(name, j) ** 2 - c2(name, j), name, n)
-                total += sum(c(name, i) * c(name, 2 * j - i) for i in range(1, j))
+                total = r[2 * j] + _halve(r[j - 1] ** 2 - s[j - 1], name, n)
+                total += sum(map(mul, r[: j - 1], reversed(r[j : 2 * j - 1])))
             elif rem == 1:
-                j = q
-                total = c(name, 2 * j + 3) - c(name, 2) * c(name, 2 * j)
-                total += _halve(c(name, 2 * j) ** 2 + c2(name, 2 * j), name, n)
-                total += _halve(c(name, j + 1) ** 2 - c2(name, j + 1), name, n)
-                total += sum(
-                    c(name, i) * c(name, 2 * j - i + 2) for i in range(1, j + 1)
-                )
-                total += sum(
-                    c2(name, i) * c(name, 4 * j - 4 * i) for i in range(1, j)
-                )
-                total += sum(
-                    (-1) ** i * c(name, i) * c(name, 4 * j - i)
-                    for i in range(1, 2 * j)
-                )
+                total = r[2 * j + 2] - r[1] * r[2 * j - 1]
+                total += _halve(r[2 * j - 1] ** 2 + s[2 * j - 1], name, n)
+                total += _halve(r[j] ** 2 - s[j], name, n)
+                total += sum(map(mul, r[:j], reversed(r[j + 1 : 2 * j + 1])))
+                total += sum(map(mul, s[: j - 1], reversed(r[3 : 4 * j - 4 : 4])))
+                p = list(map(mul, r[: 2 * j - 1], reversed(r[2 * j : 4 * j - 1])))
+                total += sum(p[1::2]) - sum(p[0::2])
             elif rem == 2:
-                j = q
-                total = c(name, 2 * j + 2)
-                total += sum(
-                    c(name, i) * c(name, 2 * j - i + 1) for i in range(1, j + 1)
-                )
+                total = r[2 * j + 1]
+                total += sum(map(mul, r[:j], reversed(r[j : 2 * j])))
             else:
-                j = q
-                total = c(name, 2 * j + 4) - c(name, 2) * c(name, 2 * j + 1)
-                total -= _halve(
-                    c(name, 2 * j + 1) ** 2 - c2(name, 2 * j + 1), name, n
-                )
-                total += sum(
-                    c(name, i) * c(name, 2 * j - i + 3) for i in range(1, j + 2)
-                )
-                total += sum(
-                    c2(name, i) * c(name, 4 * j - 4 * i + 2)
-                    for i in range(1, j + 1)
-                )
-                total += sum(
-                    (-1) ** i * c(name, i) * c(name, 4 * j - i + 2)
-                    for i in range(1, 2 * j + 1)
-                )
-            rows[name][n - 1] = total
+                total = r[2 * j + 3] - r[1] * r[2 * j]
+                total -= _halve(r[2 * j] ** 2 - s[2 * j], name, n)
+                total += sum(map(mul, r[: j + 1], reversed(r[j + 1 : 2 * j + 2])))
+                total += sum(map(mul, s[:j], reversed(r[1 : 4 * j - 2 : 4])))
+                p = list(map(mul, r[: 2 * j], reversed(r[2 * j + 1 : 4 * j + 1])))
+                total += sum(p[1::2]) - sum(p[0::2])
+            r[n - 1] = total
     return CoefficientTable(order, rows)
+
+
+def character(dataset, k):
+    """{class name: value} of the k-th irreducible; k = 1 (the trivial
+    character) always exists, others only in the dataset's character block."""
+    if k == 1:
+        return {record.name: 1 for record in dataset.classes}
+    if k not in (dataset.characters or {}):
+        raise KeyError(f"character values for irreducible {k} are not in the dataset")
+    return dataset.characters[k]
 
 
 def multiplicity(dataset, table, k, j):
     """Multiplicity of the k-th irreducible in the weight-(j+1) piece.
 
-    k = 1 (the trivial character) is always available; other indices need
-    the dataset's optional character block.  The orthogonality sum must
-    land on a nonnegative integer or the dataset is inconsistent.
+    The character comes from `character` (KeyError when the dataset has
+    none for k).  The orthogonality sum must land on a nonnegative integer
+    or the dataset is inconsistent.
     """
     if not 1 <= j <= table.order:
         raise IndexError(f"index {j} outside the computed order {table.order}")
-    if k == 1:
-        chi = {record.name: 1 for record in dataset.classes}
-    else:
-        if dataset.characters is None or k not in dataset.characters:
-            raise KeyError(
-                f"character values for irreducible {k} are not in the dataset"
-            )
-        chi = dataset.characters[k]
+    chi = character(dataset, k)
     total = 0
     for record in dataset.classes:
         total += record.class_size * chi[record.name] * table.value(record.name, j)

@@ -94,8 +94,26 @@ def test_replicate_below_seed_order_prints_requested_rows(capsys, toy_data):
     ]
 
 
-def test_replicate_unknown_class(capsys, toy_data):
-    assert run(["replicate", "--data", toy_data, "--class", "9Z"]) == 3
+def _never_build_the_table(*args):
+    raise AssertionError("the replication table was built before the check")
+
+
+def test_replicate_unknown_class(monkeypatch, capsys, toy_data):
+    # the class is checked before the (here costly) table is built
+    monkeypatch.setattr("monsterlie.cli.replicate_extend", _never_build_the_table)
+    argv = ["replicate", "--data", toy_data, "--class", "9Z", "--max", "4000"]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == "dataset error: unknown class '9Z'\n"
+
+
+def test_mult_without_character_is_dataset_error(monkeypatch, capsys, toy_data):
+    monkeypatch.setattr("monsterlie.cli.replicate_extend", _never_build_the_table)
+    assert run(["mult", "--data", toy_data, "--k", "5", "--max", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "dataset error: character values for irreducible 5 are not in the dataset\n"
+    )
 
 
 def test_mult_on_trivial_group(capsys, toy_data):
@@ -129,6 +147,17 @@ def test_validate_data_rejects_corruption(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     assert run(["validate-data", "--data", str(path)]) == 3
     assert "seed 1" in capsys.readouterr().err
+
+
+def test_validate_data_rejects_malformed_shape(tmp_path, capsys):
+    obj = to_jsonable(trivial_dataset())
+    obj["classes"][0]["seeds"] = "12345"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert run(["validate-data", "--data", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "dataset error: classes[0].seeds: expected an object, got '12345'\n"
+    )
 
 
 def test_verify_gl2_passes(capsys):

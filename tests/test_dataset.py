@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monsterlie.dataset import (
+    SEED_INDICES,
     DatasetError,
     load_dataset,
     parse_dataset,
@@ -147,3 +150,127 @@ def test_unreadable_file_raises_dataset_error(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(DatasetError, match="not valid JSON"):
         load_dataset(bad)
+
+
+def _set_class_field(field, value):
+    def mutate(obj):
+        obj["classes"][0][field] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda obj: obj.update(characters={"2": "oops"}),
+            "characters['2']: expected an object, got 'oops'",
+        ),
+        (
+            lambda obj: obj.update(characters=["2"]),
+            "characters: expected an object, got ['2']",
+        ),
+        (
+            _set_class_field("seeds", "12345"),
+            "classes[0].seeds: expected an object, got '12345'",
+        ),
+        (
+            _set_class_field("name", ["1A"]),
+            "classes[0].name: expected a string, got ['1A']",
+        ),
+        (
+            _set_class_field("power2", {"1A": 1}),
+            "classes[0].power2: expected a string, got {'1A': 1}",
+        ),
+        (
+            _set_class_field("class_size", True),
+            "classes[0].class_size: expected a decimal integer, got True",
+        ),
+        (
+            lambda obj: obj.update(classes={"1A": {}}),
+            "classes: expected an array, got {'1A': {}}",
+        ),
+        (
+            lambda obj: obj["classes"].append("2B"),
+            "classes[1]: expected an object, got '2B'",
+        ),
+    ],
+    ids=[
+        "character-not-object",
+        "characters-not-object",
+        "seeds-not-object",
+        "name-not-string",
+        "power2-not-string",
+        "class-size-bool",
+        "classes-not-array",
+        "class-record-not-object",
+    ],
+)
+def test_malformed_shape_is_a_dataset_error_naming_the_field(mutate, message):
+    obj = toy_object()
+    mutate(obj)
+    with pytest.raises(DatasetError) as err:
+        parse_dataset(obj)
+    assert message in err.value.violations
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["0", "1", "-3", "1A", "2Z"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+SEED_KEYS = st.sampled_from([str(k) for k in SEED_INDICES] + ["4", "x"])
+FIELD_PATHS = ("name", "class_size", "power2", "seeds") + tuple(
+    f"seeds.{k}" for k in SEED_INDICES
+)
+
+
+@st.composite
+def class_records(draw):
+    """A valid zero-seeded class record with up to two fields (or seeds)
+    replaced by arbitrary JSON values or dropped."""
+    record = {
+        "name": "2Z",
+        "class_size": "5",
+        "power2": "2Z",
+        "seeds": {str(k): "1" if k == -1 else "0" for k in SEED_INDICES},
+    }
+    for path in draw(st.lists(st.sampled_from(FIELD_PATHS), max_size=2)):
+        field, _, seed = path.partition(".")
+        target = record[field] if seed else record
+        key = seed or field
+        if not isinstance(target, dict):
+            continue
+        if draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = draw(JSON_VALUES)
+    return record
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    record=class_records() | JSON_VALUES,
+    replace_identity=st.booleans(),
+    characters=st.none() | JSON_VALUES | st.dictionaries(SEED_KEYS, JSON_VALUES),
+)
+def test_fuzzed_class_records_raise_only_dataset_error(
+    record, replace_identity, characters
+):
+    obj = toy_object()
+    if replace_identity:
+        obj["classes"][0] = record
+    else:
+        obj["classes"].append(record)
+        obj.pop("group_order")
+    obj["characters"] = characters
+    try:
+        parse_dataset(obj)
+    except DatasetError:
+        pass

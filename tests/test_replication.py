@@ -3,7 +3,7 @@ import json
 import pytest
 
 from monsterlie.dataset import parse_dataset, to_jsonable, trivial_dataset
-from monsterlie.qseries import IntegralityError, j_series
+from monsterlie.qseries import IntegralityError, QSeries, euler_product, j_series
 from monsterlie.replication import (
     multiplicity,
     nontriviality_report,
@@ -23,6 +23,61 @@ def two_class_dataset(seeds_b, power2_b="2Z"):
     )
     obj["group_order"] = "8"
     return parse_dataset(obj)
+
+
+def thompson_eta_quotient(d, order):
+    """T = eta(t)^r / eta(dt)^r + r with r = 24/(d-1), exact through q^order.
+
+    For d = 2 and d = 3 these are the McKay-Thompson series T_2B and T_3B
+    (Conway-Norton 1979, Table 2): q^-1 prod(1-q^n)^r / prod(1-q^dn)^r + r.
+    """
+    r = 24 // (d - 1)
+    e = euler_product(order + 2)
+    lifted = [0] * e.order  # prod(1-q^dn), i.e. e at q^d
+    lifted[::d] = e.coeffs[: len(lifted[::d])]
+    quotient = e**r * (QSeries(0, lifted, e.order) ** r).invert()
+    return quotient.shift(-1) + r
+
+
+def s3_dataset(traces):
+    """S3 acting through 1A, 2B (squares to 1A) and 3B (squares to 3B),
+    seeded from the given series."""
+    classes = [("1A", 1, "1A"), ("2B", 3, "1A"), ("3B", 2, "3B")]
+    return parse_dataset(
+        {
+            "classes": [
+                {
+                    "name": name,
+                    "class_size": str(size),
+                    "power2": square,
+                    "seeds": {
+                        str(k): str(traces[name].coeff(k)) for k in (-1, 1, 2, 3, 5)
+                    },
+                }
+                for name, size, square in classes
+            ]
+        }
+    )
+
+
+def test_cross_class_rows_match_eta_quotients():
+    # 2B squares into another class and 3B into itself, so both the
+    # stride-4 C(g^2, i) sums and the alternating sums see real data
+    order = 300
+    traces = {
+        "1A": j_series(order),
+        "2B": thompson_eta_quotient(2, order),
+        "3B": thompson_eta_quotient(3, order),
+    }
+    assert [traces["2B"].coeff(n) for n in (-1, 0, 1, 2)] == [1, 0, 276, -2048]
+    assert [traces["3B"].coeff(n) for n in (-1, 0, 1, 2)] == [1, 0, 54, -76]
+    d = s3_dataset(traces)
+    table = replicate_extend(d, order)
+    for name, series in traces.items():
+        row = [series.coeff(n) for n in range(1, order + 1)]
+        assert table.rows[name] == row, f"class {name} differs from its series"
+    for j in range(1, order + 1):
+        assert multiplicity(d, table, 1, j) >= 0
 
 
 def test_identity_row_matches_modular_invariant():
