@@ -36,7 +36,7 @@ from .lattice import (
     vertex_iota_coeff,
     weight_of,
 )
-from .qseries import _frac, j_series
+from .qseries import _coeff, _frac, j_series
 
 
 class Gl2ValidationError(ValueError):
@@ -78,11 +78,11 @@ class FormalNaturalVector:
         table = {}
         if pairings:
             for (la, lb), value in pairings.items():
-                table[_pair_key(la, lb)] = _frac(value)
+                table[_pair_key(la, lb)] = _coeff(value)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "primary", bool(primary))
-        object.__setattr__(self, "scale", _frac(scale))
+        object.__setattr__(self, "scale", _coeff(scale))
         object.__setattr__(self, "pairings", table)
 
     def __setattr__(self, name, value):
@@ -90,12 +90,12 @@ class FormalNaturalVector:
 
     def rescaled(self, factor):
         out = FormalNaturalVector(self.label, self.weight, self.primary)
-        object.__setattr__(out, "scale", self.scale * _frac(factor))
+        object.__setattr__(out, "scale", _coeff(self.scale * _frac(factor)))
         object.__setattr__(out, "pairings", self.pairings)
         return out
 
     def base(self):
-        return self if self.scale == 1 else self.rescaled(1 / self.scale)
+        return self if self.scale == 1 else self.rescaled(Fraction(1) / self.scale)
 
     def __eq__(self, other):
         return (
@@ -118,7 +118,7 @@ def _pair_key(la, lb):
 def vacuum_vector():
     """The vacuum symbol: weight 0, primary, and (1, 1) = -1."""
     return FormalNaturalVector(
-        VACUUM_LABEL, 0, True, 1, {(VACUUM_LABEL, VACUUM_LABEL): Fraction(-1)}
+        VACUUM_LABEL, 0, True, 1, {(VACUUM_LABEL, VACUUM_LABEL): -1}
     )
 
 
@@ -146,13 +146,13 @@ def normalize_partner(j, u, uu_pairing):
     nonvacuum part); the resulting pair always satisfies the pairing
     condition of `make_gl2`.
     """
-    uu = _frac(uu_pairing)
+    uu = _coeff(uu_pairing)
     if uu <= 0:
         raise Gl2ValidationError(
             f"(u,u) must be positive for a positive-definite form, got {uu}"
         )
     key = _pair_key(u.label, u.label)
-    base_value = uu / (u.scale * u.scale)
+    base_value = _coeff(Fraction(uu) / (u.scale * u.scale))
     if key in u.pairings and u.pairings[key] != base_value:
         raise Gl2ValidationError(
             f"(u,u) = {uu} contradicts the recorded pairing table"
@@ -172,7 +172,7 @@ def primary_pair(j, norm=1, label="u"):
     if j == -1:
         vac = vacuum_vector()
         return vac, vac
-    u = FormalNaturalVector(label, j + 1, True, 1, {(label, label): _frac(norm)})
+    u = FormalNaturalVector(label, j + 1, True, 1, {(label, label): norm})
     return u, normalize_partner(j, u, norm)
 
 
@@ -269,7 +269,7 @@ class MElement:
         return (-1) * self
 
     def __rmul__(self, scalar):
-        c = _frac(scalar)
+        c = _coeff(scalar)
         return MElement(
             {k: c * v for k, v in self.e_part.items()},
             {k: c * v for k, v in self.f_part.items()},
@@ -294,7 +294,7 @@ def _clean(part):
     out = {}
     if part:
         for key, value in part.items():
-            v = _frac(value)
+            v = _coeff(value)
             if v:
                 out[key] = v
     return out
@@ -303,7 +303,7 @@ def _clean(part):
 def _merge(a, b):
     out = dict(a)
     for key, value in b.items():
-        out[key] = out.get(key, Fraction(0)) + value
+        out[key] = out.get(key, 0) + value
         if not out[key]:
             del out[key]
     return out
@@ -364,7 +364,7 @@ def make_gl2(j, u, v, section_sign=1):
             f"{u.weight} and {v.weight}"
         )
     value = pairing_value(u, v)
-    expected = Fraction((-1) ** (j % 2))
+    expected = (-1) ** (j % 2)
     if value != expected:
         raise PairingNormalizationError(
             f"(u,v) must be {expected} for root index {j}, got {value}"
@@ -409,13 +409,13 @@ def _iota_state(root):
 def _scalar_against(state, base):
     """Express state as a rational multiple of the given nonzero base state."""
     if state.is_zero():
-        return Fraction(0)
+        return 0
     if set(state.terms) != set(base.terms):
         raise UnsupportedBracketError(
             f"state {state!r} is not proportional to {base!r}"
         )
     key = next(iter(base.terms))
-    ratio = state.terms[key] / base.terms[key]
+    ratio = _coeff(Fraction(state.terms[key]) / base.terms[key])
     if state != ratio * base:
         raise UnsupportedBracketError(
             f"state {state!r} is not proportional to {base!r}"
@@ -425,8 +425,7 @@ def _scalar_against(state, base):
 
 def _cartan_of_state(state):
     """Read a Cartan vector off a state of the shape lam(-1) iota(1)."""
-    m = Fraction(0)
-    n = Fraction(0)
+    m = n = 0
     for (mono, abar), c in state.terms.items():
         if abar != (0, 0) or len(mono) != 1 or mono[0][1] != 1:
             raise UnsupportedBracketError(
@@ -446,7 +445,7 @@ def _natural_contraction(symbols, label_u, label_v, j):
         raise UnsupportedBracketError(
             f"pairing ({label_u}, {label_v}) is not defined"
         )
-    return Fraction((-1) ** (j % 2)) * value
+    return (-1) ** (j % 2) * value
 
 
 def _bracket_h_on_root(lam, kind, j, label, coeff):
@@ -538,7 +537,7 @@ def _split(el):
     for (j, label), c in el.f_part.items():
         parts.append(("f", (j, label), c))
     if not el.cartan.is_zero():
-        parts.append(("h", el.cartan, Fraction(1)))
+        parts.append(("h", el.cartan, 1))
     return parts
 
 
@@ -551,10 +550,10 @@ def _bracket_terms(symbols, kx, keyx, cx, ky, keyy, cy):
         return MElement.zero()
     if kx == "h":
         j, label = keyy
-        return cy * _bracket_h_on_root(keyx, ky, j, label, Fraction(1))
+        return cy * _bracket_h_on_root(keyx, ky, j, label, 1)
     if ky == "h":
         j, label = keyx
-        return cx * _bracket_root_on_h(kx, j, label, Fraction(1), keyy)
+        return cx * _bracket_root_on_h(kx, j, label, 1, keyy)
     jx, lx = keyx
     jy, ly = keyy
     if kx != ky:

@@ -21,6 +21,14 @@ one the central extension prescribes; any other bilinear choice differs
 only by a rescaling of the iota map, and results downstream are checked
 to be invariant under the flip.
 
+Coefficients and coordinates are exact rationals in the coefficient form
+of `qseries._coeff`: a plain `int` where integral, a `Fraction` otherwise.
+The mode actions run on plain term dictionaries {(mono, abar): coeff}
+(`_create`, `_heisenberg`, `_schur_levels`, `_virasoro_term`), which
+accumulate through the one helper `_add`; each public function wraps its
+result in one `FockState`, whose constructor is the one place that checks
+exactness and drops zero coefficients.
+
 Virasoro modes act through the commutation rules
 
     [L(n), lam(-k)] = k lam(n-k),       L(n) iota(a) = 0        (n >= 1),
@@ -39,7 +47,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, ceil
 
-from .qseries import _frac
+from .qseries import _coeff
 
 
 class UnsupportedStateError(ValueError):
@@ -58,8 +66,8 @@ class LatticeVector:
     __slots__ = ("m", "n")
 
     def __init__(self, m, n):
-        object.__setattr__(self, "m", _frac(m))
-        object.__setattr__(self, "n", _frac(n))
+        object.__setattr__(self, "m", _coeff(m))
+        object.__setattr__(self, "n", _coeff(n))
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticeVector is immutable")
@@ -84,7 +92,7 @@ class LatticeVector:
         return LatticeVector(-self.m, -self.n)
 
     def __rmul__(self, scalar):
-        c = _frac(scalar)
+        c = _coeff(scalar)
         return LatticeVector(c * self.m, c * self.n)
 
     def is_integral(self):
@@ -193,7 +201,7 @@ class FockState:
     def __init__(self, terms=None):
         # the one place that checks exactness and drops zero coefficients
         clean = {
-            key: c for key, coeff in (terms or {}).items() if (c := _frac(coeff))
+            key: c for key, coeff in (terms or {}).items() if (c := _coeff(coeff))
         }
         object.__setattr__(self, "terms", clean)
 
@@ -207,7 +215,7 @@ class FockState:
     @classmethod
     def iota(cls, a):
         """State iota(a) for a double-cover element; kappa acts as -1."""
-        return cls({((), a.vector.int_pair()): Fraction(a.sign)})
+        return cls({((), a.vector.int_pair()): a.sign})
 
     @classmethod
     def vacuum(cls):
@@ -225,7 +233,9 @@ class FockState:
     def __add__(self, other):
         if not isinstance(other, FockState):
             return NotImplemented
-        return _sum((self, other))
+        out = dict(self.terms)
+        _add(out, other.terms)
+        return FockState(out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -234,7 +244,7 @@ class FockState:
         return FockState({k: -c for k, c in self.terms.items()})
 
     def __rmul__(self, scalar):
-        c = _frac(scalar)
+        c = _coeff(scalar)
         if not c:
             return FockState.zero()
         return FockState({k: c * v for k, v in self.terms.items()})
@@ -251,24 +261,21 @@ class FockState:
         return "FockState(" + " + ".join(parts) + ")"
 
 
-def _sum(states):
-    """Add states term by term into one dict and build the result once."""
-    out = {}
-    for state in states:
-        for key, c in state.terms.items():
-            out[key] = out.get(key, 0) + c
-    return FockState(out)
+def _add(out, terms, scale=1):
+    """Add scale * terms into the term dict out: the one term accumulator."""
+    for key, c in terms.items():
+        out[key] = out.get(key, 0) + scale * c
 
 
-def _create(axis, depth, state):
+def _create(axis, depth, terms):
     """Append the creation factor u_axis(-depth) to every term."""
     if depth <= 0:
         raise ValueError("creation depth must be positive")
     # one more factor keeps distinct monomials distinct: no keys collide
-    return FockState({
+    return {
         (tuple(sorted(mono + ((axis, depth),))), abar): c
-        for (mono, abar), c in state.terms.items()
-    })
+        for (mono, abar), c in terms.items()
+    }
 
 
 def heisenberg_apply(lam, n, state):
@@ -279,29 +286,32 @@ def heisenberg_apply(lam, n, state):
     [lam(m), mu(k)] = <lam,mu> m delta(m+k), and lam(0) multiplies each
     term by <lam, abar>.
     """
+    return FockState(_heisenberg(lam, n, state.terms))
+
+
+def _heisenberg(lam, n, terms):
     if n == 0:
         # the zero mode rescales each term in place: no keys collide
-        return FockState({
+        return {
             (mono, abar): c * pairing(lam, LatticeVector(*abar))
-            for (mono, abar), c in state.terms.items()
-        })
+            for (mono, abar), c in terms.items()
+        }
+    out = {}
     if n < 0:
-        return _sum(
-            c * _create(axis, -n, state)
-            for axis, c in enumerate((lam.m, lam.n))
-            if c
-        )
+        for axis, c in enumerate((lam.m, lam.n)):
+            if c:
+                _add(out, _create(axis, -n, terms), c)
+        return out
     # annihilation: contract against each creation factor of depth n
-    contracted = []
-    for (mono, abar), c in state.terms.items():
+    for (mono, abar), c in terms.items():
         for (axis, depth), count in Counter(mono).items():
             if depth != n:
                 continue
             scale = pairing(lam, _AXIS_VECTORS[axis]) * n * count
             reduced = list(mono)
             reduced.remove((axis, depth))
-            contracted.append(FockState({(tuple(reduced), abar): c * scale}))
-    return _sum(contracted)
+            _add(out, {(tuple(reduced), abar): c}, scale)
+    return out
 
 
 def schur_apply(lam, r, state):
@@ -313,11 +323,19 @@ def schur_apply(lam, r, state):
     """
     if r < 0:
         raise ValueError("Schur index must be nonnegative")
-    levels = [state]
+    return FockState(_schur_levels(lam, r, state.terms)[r])
+
+
+def _schur_levels(lam, r, terms):
+    """The term dicts of p_0 ... p_r applied to terms."""
+    levels = [terms]
     for k in range(1, r + 1):
-        acc = _sum(heisenberg_apply(lam, -n, levels[k - n]) for n in range(1, k + 1))
-        levels.append(Fraction(1, k) * acc)
-    return levels[r]
+        acc = {}
+        for n in range(1, k + 1):
+            _add(acc, _heisenberg(lam, -n, levels[k - n]))
+        # coefficient form: integral values go back to int
+        levels.append({key: _coeff(Fraction(c, k)) for key, c in acc.items()})
+    return levels
 
 
 def vertex_iota_coeff(a, b_state, power):
@@ -331,7 +349,7 @@ def vertex_iota_coeff(a, b_state, power):
     """
     if not isinstance(a, HatLatticeElement):
         raise UnsupportedStateError("the operator argument must cover a lattice point")
-    pieces = []
+    targets = []  # (Schur order, remaining factors, lattice point, coefficient)
     for (mono, abar), c in b_state.terms.items():
         b_hat = HatLatticeElement(LatticeVector(*abar), 1)
         ab = hat_multiply(a, b_hat)
@@ -342,7 +360,7 @@ def vertex_iota_coeff(a, b_state, power):
         entries = sorted(Counter(mono).items())
         ranges = [range(count + 1) for _, count in entries]
         for chosen in product(*ranges):
-            factor = Fraction(c) * ab.sign
+            factor = c * ab.sign
             depth = 0
             remaining = []
             for ((axis, mode), count), s in zip(entries, chosen):
@@ -350,14 +368,21 @@ def vertex_iota_coeff(a, b_state, power):
                     factor *= comb(count, s) * (-pairing(a.vector, _AXIS_VECTORS[axis])) ** s
                     depth += mode * s
                 remaining.extend([(axis, mode)] * (count - s))
-            if not factor:
-                continue
             r = power - base + depth
-            if r < 0:
-                continue
-            target = FockState({(tuple(sorted(remaining)), ab.vector.int_pair()): factor})
-            pieces.append(schur_apply(a.vector, r, target))
-    return _sum(pieces)
+            if factor and r >= 0:
+                targets.append((r, tuple(remaining), ab.vector.int_pair(), factor))
+    # p_r(a(-1), a(-2), ...) depends on a alone: expand it once, on the
+    # empty monomial, and merge each order into the targets that need it
+    top = max((r for r, *_ in targets), default=0)
+    levels = _schur_levels(a.vector, top, {((), None): 1})
+    out = {}
+    for r, remaining, abar, factor in targets:
+        merged = {
+            (tuple(sorted(remaining + mono)), abar): c
+            for (mono, _), c in levels[r].items()
+        }
+        _add(out, merged, factor)
+    return FockState(out)
 
 
 # -- Virasoro action -----------------------------------------------------
@@ -372,31 +397,29 @@ def virasoro_apply(n, state):
     plus (for n <= -2) the normal-ordered quadratic tail in the dual
     coordinate modes.
     """
-    return _sum(
-        _virasoro_term(n, mono, abar, c) for (mono, abar), c in state.terms.items()
-    )
+    out = {}
+    for (mono, abar), c in state.terms.items():
+        _add(out, _virasoro_term(n, mono, abar, c))
+    return FockState(out)
 
 
 def _virasoro_term(n, mono, abar, coeff):
     if mono:
         (axis, k), rest = mono[0], mono[1:]
-        rest_state = FockState({(rest, abar): coeff})
-        moved = heisenberg_apply(_AXIS_VECTORS[axis], n - k, rest_state)
-        result = k * moved
-        deeper = _virasoro_term(n, rest, abar, coeff)
-        return result + _create(axis, k, deeper)
+        out = {}
+        _add(out, _heisenberg(_AXIS_VECTORS[axis], n - k, {(rest, abar): coeff}), k)
+        _add(out, _create(axis, k, _virasoro_term(n, rest, abar, coeff)))
+        return out
     abar_vec = LatticeVector(*abar)
-    term = FockState({((), abar): coeff})
     if n >= 1:
-        return FockState.zero()
+        return {}
     if n == 0:
-        return (pairing(abar_vec, abar_vec) / 2) * term
-    # dual-basis quadratic tail: the dual of u1 is -u2 and vice versa
-    tail = []
-    for k in range(n + 1, 0):
-        tail.append(_create(0, -k, _create(1, -(n - k), term)))
-        tail.append(_create(1, -k, _create(0, -(n - k), term)))
-    return heisenberg_apply(abar_vec, n, term) + Fraction(-1, 2) * _sum(tail)
+        return {((), abar): coeff * _coeff(Fraction(pairing(abar_vec, abar_vec), 2))}
+    # dual-basis quadratic tail -1/2 sum_{n<k<0} (u1(k)u2(n-k) + u2(k)u1(n-k)),
+    # the dual of u1 being -u2 and vice versa; each monomial occurs twice
+    out = {(((0, -k), (1, k - n)), abar): -coeff for k in range(n + 1, 0)}
+    _add(out, _heisenberg(abar_vec, n, {((), abar): coeff}))
+    return out
 
 
 def conformal_vector():
@@ -418,7 +441,7 @@ def weight_of(state):
     weights = set()
     for (mono, abar), _ in state.terms.items():
         v = LatticeVector(*abar)
-        weights.add(pairing(v, v) / 2 + sum(n for _, n in mono))
+        weights.add(Fraction(pairing(v, v), 2) + sum(n for _, n in mono))
     if len(weights) != 1:
         return None
     return weights.pop()

@@ -140,6 +140,25 @@ def test_validate_data_ok(capsys, toy_data):
     assert "dataset valid" in capsys.readouterr().out
 
 
+def test_validate_data_validates_once(monkeypatch, capsys, toy_data):
+    import monsterlie.cli
+    import monsterlie.dataset
+
+    calls = []
+    original = monsterlie.dataset.validate_dataset
+
+    def counting(dataset):
+        calls.append(dataset)
+        return original(dataset)
+
+    monkeypatch.setattr(monsterlie.dataset, "validate_dataset", counting)
+    # a copy of the name imported into the CLI module would bypass the patch
+    monkeypatch.setattr(monsterlie.cli, "validate_dataset", counting, raising=False)
+    assert run(["validate-data", "--data", toy_data]) == 0
+    assert "dataset valid" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_validate_data_rejects_corruption(tmp_path, capsys):
     obj = to_jsonable(trivial_dataset())
     obj["classes"][0]["seeds"]["1"] = "196885"

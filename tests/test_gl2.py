@@ -274,6 +274,63 @@ def test_exact_entry_points_reject_inexact_numbers(entry, value):
         EXACT_ENTRY_POINTS[entry](value)
 
 
+# -- coefficient form ------------------------------------------------------------
+
+
+def assert_coefficient_form(value):
+    """A plain int, or a Fraction only when not integral; never a float."""
+    assert type(value) is int or (type(value) is Fraction and value.denominator > 1), value
+
+
+def assert_element_coefficient_form(x):
+    for c in [*x.e_part.values(), *x.f_part.values()]:
+        assert c != 0
+        assert_coefficient_form(c)
+    assert_coefficient_form(x.cartan.m)
+    assert_coefficient_form(x.cartan.n)
+
+
+def test_gl2_values_are_in_coefficient_form():
+    for j in (-1, 1, 2, 3, 7):
+        for norm in (1, 2, Fraction(1, 3), Fraction(5, 2)):
+            u, v = primary_pair(j, norm)
+            for symbol in (u, v):
+                assert_coefficient_form(symbol.scale)
+                for value in symbol.pairings.values():
+                    assert_coefficient_form(value)
+            gens = make_gl2(j, u, v)
+            elements = (gens.e, gens.f, gens.h1, gens.h2, gens.h, gens.z)
+            for x in elements:
+                assert_element_coefficient_form(x)
+            for x, y in itertools.product(elements, repeat=2):
+                if x is y and x in (gens.e, gens.f):
+                    continue  # lands outside the modeled span for j >= 1
+                assert_element_coefficient_form(bracket(x, y))
+            assert verify_relations(j, u, v).all_passed
+
+
+def test_base_of_negated_symbol_is_exact():
+    base = FormalNaturalVector("w", 2, scale=-1).base()
+    assert base.scale == 1
+    assert type(base.scale) is int
+
+
+def test_normalize_partner_with_int_scale():
+    u = FormalNaturalVector("u", 3, scale=2)
+    v = normalize_partner(2, u, 4)
+    entry = u.pairings[("u", "u")]
+    assert entry == 1 and type(entry) is int  # (u,u) = scale**2 * entry
+    assert v.scale == Fraction(1, 2)
+    assert pairing_value(u, v) == 1
+
+
+def test_verify_relations_on_unit_scales():
+    for j in (-1, *range(1, 41)):
+        u, v = primary_pair(j, norm=1)
+        assert type(v.scale) is int and abs(v.scale) == 1
+        assert verify_relations(j, u, v).all_passed, j
+
+
 # -- relation reports ----------------------------------------------------------
 
 

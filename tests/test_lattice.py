@@ -31,27 +31,40 @@ def rand_vector(rng, lo=-6, hi=6):
     return LatticeVector(rng.randint(lo, hi), rng.randint(lo, hi))
 
 
+def rand_key(rng, max_degree):
+    """Random term key: a monomial of creation degree <= max_degree on a
+    small lattice point."""
+    mono = []
+    degree = 0
+    while degree < max_degree and rng.random() < 0.7:
+        n = rng.randint(1, max_degree - degree)
+        mono.append((rng.randint(0, 1), n))
+        degree += n
+    return (tuple(sorted(mono)), (rng.randint(-2, 2), rng.randint(-2, 2)))
+
+
 def rand_state(rng, max_degree=5):
     """Random small Fock state: up to three terms of creation degree <= max_degree."""
     terms = {}
     for _ in range(rng.randint(1, 3)):
-        mono = []
-        degree = 0
-        while degree < max_degree and rng.random() < 0.7:
-            n = rng.randint(1, max_degree - degree)
-            mono.append((rng.randint(0, 1), n))
-            degree += n
-        key = (tuple(sorted(mono)), (rng.randint(-2, 2), rng.randint(-2, 2)))
+        key = rand_key(rng, max_degree)
         terms[key] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return FockState(terms)
 
 
 def assert_exact_nonzero(state):
-    """Every stored coefficient is a nonzero Fraction, so the public type is
-    unchanged and structural equality is equality of states."""
+    """Every stored coefficient is nonzero and in coefficient form (a plain
+    int, or a Fraction that is not integral), so structural equality is
+    equality of states."""
     for key, c in state.terms.items():
-        assert type(c) is Fraction, (key, c)
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (key, c)
         assert c != 0, key
+
+
+def test_fock_state_stores_integral_coefficients_as_int():
+    key = ((), (0, 0))
+    c = FockState({key: Fraction(6, 3)}).terms[key]
+    assert type(c) is int and c == 2
 
 
 # -- pairing and reflection ----------------------------------------------
@@ -255,6 +268,44 @@ def test_vertex_coeff_examples():
     assert vertex_iota_coeff(a, inv_state, -3).is_zero()
 
 
+def rand_fractional_state(rng, n_terms, max_degree=4):
+    """n_terms distinct terms of creation degree <= max_degree, each with a
+    non-integral coefficient."""
+    terms = {}
+    while len(terms) < n_terms:
+        key = rand_key(rng, max_degree)
+        terms[key] = Fraction(rng.choice((-5, -3, -1, 1, 3, 5)), rng.choice((2, 3)))
+    return FockState(terms)
+
+
+def test_vertex_coeff_translation_identity_and_weights():
+    # L(-1) c_p(b) - c_p(L(-1) b) = (p+1) c_{p+1}(b), with c_p(b) the x**p
+    # coefficient of Y(iota(a), x) b; each c_p(b) has weight wt(a)+wt(b)+p
+    rng = random.Random(47)
+    lifts = [section(1, -1), section(1, 2), section(-2, 1, sign=-1), section(0, 1)]
+    for a in lifts + [section(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(4)]:
+        wt_a = weight_of(FockState.iota(a))
+        for n_terms in (2, 3, 2, 3):
+            b = rand_fractional_state(rng, n_terms)
+            lowest = min(
+                int(pairing(a.vector, LatticeVector(*abar))) - sum(n for _, n in mono)
+                for mono, abar in b.terms
+            )
+            assert vertex_iota_coeff(a, b, lowest - 1).is_zero()
+            b_moved = virasoro_apply(-1, b)
+            coeffs = {p: vertex_iota_coeff(a, b, p) for p in range(lowest - 1, lowest + 7)}
+            for p in range(lowest - 1, lowest + 6):
+                lhs = virasoro_apply(-1, coeffs[p]) - vertex_iota_coeff(a, b_moved, p)
+                assert lhs == (p + 1) * coeffs[p + 1], (a, b, p)
+                assert_exact_nonzero(coeffs[p])
+            for key, c in b.terms.items():
+                term = FockState({key: c})
+                wt = wt_a + weight_of(term)
+                for p in range(lowest, lowest + 6):
+                    got = vertex_iota_coeff(a, term, p)
+                    assert got.is_zero() or weight_of(got) == wt + p, (a, key, p)
+
+
 def test_vertex_coeff_degree_argument_kills_cross_terms():
     a = section(1, -1)
     for j in (1, 2, 5):
@@ -303,6 +354,17 @@ def test_weight_examples():
     assert weight_of(s) == 2
     mixed = FockState.vacuum() + FockState.iota(section(1, 1))
     assert weight_of(mixed) is None
+
+
+def test_weight_is_exact():
+    rng = random.Random(53)
+    for _ in range(60):
+        s = rand_state(rng, max_degree=4)
+        for key, c in s.terms.items():
+            w = weight_of(FockState({key: c}))
+            assert type(w) in (int, Fraction), (key, w)
+        w = weight_of(s)
+        assert w is None or type(w) in (int, Fraction)
 
 
 def test_weight_additivity_under_creation():
