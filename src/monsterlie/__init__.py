@@ -48,6 +48,7 @@ from .qseries import (
     QSeries,
     eisenstein_e4,
     euler_product,
+    eta_quotient,
     j_series,
     partition_series,
     primary_dim_series,

@@ -11,18 +11,20 @@ never claims precision the operands cannot support.
 
 The fractional power q**(1/24) of the Dedekind eta function is never
 materialized.  `euler_product` returns the integral-exponent combination
-q**(-1/24) * eta(q) = prod_{j>=1} (1 - q**j), which is the only form the
-named series here ever need: it enters the modular invariant through its
-24th power and the primary-dimension series through a single factor, where
-the fractional prefactors cancel.  The modular invariant divides by that
-24th power through its inverse prod(1-q**n)**-24, computed by an exact
-integer recurrence on the divisor sums sigma(m).
+q**(-1/24) * eta(q) = prod_{j>=1} (1 - q**j), and `eta_quotient` the
+general product prod_d prod_k (1 - q**(d*k))**r_d by an exact integer
+recurrence on the divisor sums sigma(m).  The modular invariant is one
+exact division: 691 * q * (J + 744) = 691 * E12 / prod(1-q**n)**24 +
+432000 * q, with E12 read off its divisor sums sigma11 and no series
+product.  The primary-dimension series multiplies J by prod(1-q**n) as a
+signed sum over the generalized pentagonal numbers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from math import isqrt
+from operator import add, mul, sub
 
 
 class NotInvertibleError(ValueError):
@@ -229,24 +231,29 @@ class QSeries:
                 base = base * base
         return result
 
-    def invert(self):
-        """Multiplicative inverse: self * invert(self) = 1 + O(q**precision).
-
-        Requires a nonzero leading (lowest represented) coefficient.
-        """
-        if not self.coeffs or self.coeffs[0] == 0:
+    def __truediv__(self, other):
+        """Exact quotient by back-substitution on the window both operands
+        determine; the divisor needs a nonzero leading coefficient."""
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        b = other.coeffs
+        if not b or b[0] == 0:
             raise NotInvertibleError(
                 "series is not invertible: zero series or zero leading coefficient"
             )
         a = self.coeffs
-        p = len(a)
-        # an int when a[0] is +-1, so unit series never leave int
-        inv0 = _coeff(Fraction(1) / a[0])
-        inv = [inv0]
-        for k in range(1, p):
-            # sum_{i=1..k} a[i] * inv[k - i]
-            inv.append(-sum(map(mul, a[1 : k + 1], reversed(inv))) * inv0)
-        return QSeries(-self.valuation, inv, -self.valuation + p)
+        # an int when b[0] is +-1, so unit divisors never leave int
+        inv0 = _coeff(Fraction(1) / b[0])
+        x = []
+        for k in range(min(len(a), len(b))):
+            # a[k] - sum_{m=1..k} b[m] * x[k - m]
+            x.append((a[k] - sum(map(mul, b[1 : k + 1], reversed(x)))) * inv0)
+        val = self.valuation - other.valuation
+        return QSeries(val, x, val + len(x))
+
+    def invert(self):
+        """Multiplicative inverse: self * invert(self) = 1 + O(q**precision)."""
+        return QSeries.one(max(len(self.coeffs), 1)) / self
 
     # -- comparison / display -----------------------------------------
 
@@ -281,28 +288,25 @@ def sigma3(k):
     """Sum of the cubes of the positive divisors of k."""
     if not isinstance(k, int) or k <= 0:
         raise ValueError(f"sigma3 requires a positive integer, got {k!r}")
-    return _divisor_sum(k, 3)
+    small = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
+    return sum(d ** 3 for d in set(small + [k // d for d in small]))
 
 
-def _divisor_sum(k, power):
-    """Sum of d**power over the positive divisors d of the positive int k."""
-    total = 0
-    d = 1
-    while d * d <= k:
-        if k % d == 0:
-            total += d ** power
-            e = k // d
-            if e != d:
-                total += e ** power
-        d += 1
-    return total
+def _divisor_sums(limit, power):
+    """[0, sigma_power(1), ..., sigma_power(limit - 1)] by a divisor sieve."""
+    sums = [0] * limit
+    for d in range(1, limit):
+        dp = d ** power
+        for m in range(d, limit, d):
+            sums[m] += dp
+    return sums
 
 
 def eisenstein_e4(order):
     """Weight-4 Eisenstein series 1 + 240 * sum sigma3(k) q**k, exact below q**order."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    coeffs = [1] + [240 * sigma3(k) for k in range(1, order)]
+    coeffs = [1] + [240 * s for s in _divisor_sums(order, 3)[1:]]
     return QSeries(0, coeffs, order)
 
 
@@ -336,21 +340,33 @@ def partition_series(order):
     return euler_product(order).invert().require_integral("partition_series")
 
 
-def _euler_product_power_minus_24(order):
-    """prod_{n>=1} (1 - q**n)**-24 = sum a_n q**n, exact below q**order.
+def eta_quotient(exponents, order):
+    """prod_d prod_{k>=1} (1 - q**(d*k))**r_d for exponents {d: r_d}, exact
+    below q**order (the eta quotient prod eta(d*t)**r_d without its power of
+    q**(1/24)).
 
-    The logarithmic derivative of the product is 24 * sum sigma(m) q**(m-1)
-    (sigma the divisor sum), so n * a_n = 24 * sum_{m=1..n} sigma(m) a_{n-m}.
-    Every a_n is an integer; each exact division is checked.
+    The logarithmic derivative gives n * a_n = sum_{m=1..n} B_m a_{n-m} with
+    B_m = -sum_{d | m} r_d * d * sigma(m/d) (sigma the divisor sum).  Every
+    a_n is an integer; each exact division is checked.
     """
-    sigma = [0] + [_divisor_sum(m, 1) for m in range(1, order)]
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    sigma = _divisor_sums(order, 1)
+    b = [0] * order
+    for d, r in exponents.items():
+        if type(d) is not int or d < 1 or type(r) is not int:
+            raise ValueError(
+                f"eta_quotient: exponent {d!r}: {r!r} needs int d >= 1 and int r"
+            )
+        for m in range(d, order, d):
+            b[m] -= r * d * sigma[m // d]
     a = [1]
     for n in range(1, order):
-        # sigma[m] * a[n - m] for m = 1..n
-        a_n, rem = divmod(24 * sum(map(mul, sigma[1 : n + 1], reversed(a))), n)
+        # B_m * a[n - m] for m = 1..n
+        a_n, rem = divmod(sum(map(mul, b[1 : n + 1], reversed(a))), n)
         if rem:
             raise IntegralityError(
-                f"prod(1-q^n)^-24: coefficient of q^{n} is non-integral; "
+                f"eta_quotient {exponents}: coefficient of q^{n} is non-integral; "
                 "this signals an arithmetic bug"
             )
         a.append(a_n)
@@ -361,17 +377,40 @@ def j_series(order):
     """The normalized modular invariant with zero constant term.
 
     Returns the Laurent expansion q**-1 + 0 + 196884 q + ... exact through
-    q**order, computed as q**-1 * E4(q)**3 * prod(1-q**k)**-24 - 744.
+    q**order.  E4**3 = E12 + (432000/691) * Delta in weight 12, so 691 * q *
+    (J + 744) = 691 * E12 / prod(1-q**k)**24 + 432000 * q, with 691 * E12 =
+    691 + 65520 * sum sigma11(k) q**k; every division by 691 is checked.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     work = order + 2
-    numerator = eisenstein_e4(work) ** 3
-    series = (numerator * _euler_product_power_minus_24(work)).shift(-1) - 744
+    e12 = QSeries(0, [691] + [65520 * s for s in _divisor_sums(work, 11)[1:]])
+    qj = (e12 / eta_quotient({1: 24}, work)).coeffs
+    qj[1] += 432000
+    for n, c in enumerate(qj):
+        qj[n], rem = divmod(c, 691)
+        if rem:
+            raise IntegralityError(
+                f"j_series: coefficient of q^{n - 1} is non-integral; "
+                "this signals an arithmetic bug"
+            )
+    qj[1] -= 744
+    series = QSeries(-1, qj, order + 1)
     series.require_integral("j_series")
-    if series.valuation != -1 or series.coeff(-1) != 1 or series.coeff(0) != 0:
+    if series.coeff(-1) != 1 or series.coeff(0) != 0:
         raise IntegralityError("j_series: leading terms are inconsistent")
     return series
+
+
+def _times_euler_product(series):
+    """series * prod(1 - q**n) on the window of series, as a signed sum of
+    shifted copies over the generalized pentagonal numbers: O(n**1.5)."""
+    c = series.coeffs
+    out = list(c)
+    for p, sign in enumerate(euler_product(len(c)).coeffs):
+        if p and sign:
+            out[p:] = map(add if sign > 0 else sub, out[p:], c)
+    return QSeries(series.valuation, out, series.order)
 
 
 def primary_dim_series(order):
@@ -384,7 +423,7 @@ def primary_dim_series(order):
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    series = j_series(order) * euler_product(order + 2) + 1
+    series = _times_euler_product(j_series(order)) + 1
     series = series.truncate(order)
     series.require_integral("primary_dim_series")
     if order > 0 and series.coeff(0) != 0:

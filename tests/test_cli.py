@@ -5,6 +5,7 @@ import pytest
 from monsterlie.cli import run
 from monsterlie.dataset import save_dataset, to_jsonable, trivial_dataset
 from monsterlie.output import OutputTable
+from monsterlie.qseries import eta_quotient
 
 
 @pytest.fixture
@@ -157,6 +158,30 @@ def test_validate_data_validates_once(monkeypatch, capsys, toy_data):
     assert run(["validate-data", "--data", toy_data]) == 0
     assert "dataset valid" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_abelian_dataset_loads(tmp_path, capsys):
+    # Z/2: both classes have size 1, only 1A squares to itself
+    t2b = eta_quotient({1: 24, 2: -24}, 7).shift(-1) + 24
+    obj = to_jsonable(trivial_dataset())
+    obj["classes"].append(
+        {
+            "name": "2B",
+            "class_size": "1",
+            "power2": "1A",
+            "seeds": {str(k): str(t2b.coeff(k)) for k in (-1, 1, 2, 3, 5)},
+        }
+    )
+    obj["group_order"] = "2"
+    obj["characters"] = {"2": {"1A": "1", "2B": "-1"}}
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(obj))
+    assert run(["validate-data", "--data", str(path)]) == 0
+    assert "dataset valid" in capsys.readouterr().out
+    assert run(["mult", "--data", str(path), "--k", "2", "--max", "2"]) == 0
+    _, rows = table_from(capsys)
+    # (196884 - 276) / 2 and (21493760 + 2048) / 2
+    assert [row[-1] for row in rows] == ["98304", "10747904"]
 
 
 def test_validate_data_rejects_corruption(tmp_path, capsys):

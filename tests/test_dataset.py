@@ -112,6 +112,22 @@ def test_multiple_identity_sized_classes_rejected():
         parse_dataset(obj)
 
 
+def test_identity_must_square_to_itself():
+    obj = toy_object()
+    obj["classes"][0]["power2"] = "2Z"
+    obj["classes"].append(
+        {
+            "name": "2Z",
+            "class_size": "5",
+            "power2": "2Z",
+            "seeds": {"-1": "1", "1": "0", "2": "0", "3": "0", "5": "0"},
+        }
+    )
+    obj.pop("group_order")
+    with pytest.raises(DatasetError, match="exactly one class of size 1"):
+        parse_dataset(obj)
+
+
 def test_trivial_character_must_be_one():
     obj = toy_object()
     obj["characters"] = {"1": {"1A": "3"}}

@@ -9,6 +9,7 @@ from monsterlie.qseries import (
     PrecisionError,
     QSeries,
     eisenstein_e4,
+    eta_quotient,
     euler_product,
     j_series,
     partition_series,
@@ -98,6 +99,39 @@ def test_invert_is_two_sided_inverse_on_random_unit_series():
             assert all(type(c) is int for c in inv.coeffs)
 
 
+def test_division_undoes_multiplication_on_random_series():
+    rng = random.Random(20240601)
+    # unit divisors keep int quotients; the others take the Fraction path
+    leading = [1, -1, 2, -3, Fraction(1, 2)]
+    for _ in range(25 * len(leading)):
+        n = rng.randint(1, 12)
+        a = QSeries(0, [rng.randint(-9, 9) for _ in range(n)])
+        lead_b = rng.choice(leading)
+        b = QSeries(0, [lead_b] + [rng.randint(-9, 9) for _ in range(n - 1)])
+        quotient = (a * b) / b
+        assert (quotient.valuation, quotient.order) == (0, n)
+        assert quotient == a
+        s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+        assert a.shift(s) / b.shift(t) == (a / b).shift(s - t)
+        if lead_b in (1, -1):
+            assert all(type(c) is int for c in quotient.coeffs)
+
+
+def test_division_windows_and_errors():
+    # the quotient is exact only as far as both operands are known
+    a = QSeries(1, [1, 2, 3, 4, 5])
+    b = QSeries(-1, [1, -1, 0])
+    quotient = a / b
+    assert (quotient.valuation, quotient.order) == (2, 5)
+    assert quotient.coeffs == [1, 3, 6]
+    with pytest.raises(NotInvertibleError):
+        a / QSeries(0, [0, 1, 1])
+    with pytest.raises(NotInvertibleError):
+        a / QSeries(0, [], 0)
+    with pytest.raises(TypeError):
+        a / 2
+
+
 # -- divisor sums and Eisenstein ---------------------------------------
 
 
@@ -149,6 +183,43 @@ def test_partition_series_small_values():
     assert p.coefficients(0, 6) == [1, 1, 2, 3, 5, 7, 11]
 
 
+# -- eta products ----------------------------------------------------------
+
+
+def test_eta_quotient_matches_euler_product_and_partitions():
+    for order in (1, 2, 7, 120):
+        assert eta_quotient({1: 1}, order) == euler_product(order)
+    assert eta_quotient({1: -1}, 120) == partition_series(120)
+
+
+def test_eta_quotient_inverse_24th_power_pinned():
+    # prod(1-q^n)^-24 = q / Delta
+    inverse = eta_quotient({1: -24}, 300)
+    assert inverse.coefficients(0, 5) == [1, 24, 324, 3200, 25650, 176256]
+    assert inverse.coeff(50) == 167884450803343339733543652
+    assert inverse.coeff(299) == int(
+        "155030114833895249231181805649725828345683242629876581404002613402789501280000"
+    )
+
+
+def test_eta_quotient_general_exponents_match_products():
+    order = 60
+    e = euler_product(order)
+    lifted = [0] * order  # prod(1-q^(2n)), i.e. e at q^2
+    lifted[::2] = e.coeffs[: len(lifted[::2])]
+    e2 = QSeries(0, lifted, order)
+    assert eta_quotient({1: 3, 2: -2}, order) == e ** 3 * (e2 ** 2).invert()
+    assert eta_quotient({1: 1, 2: 0}, order) == e
+
+
+def test_eta_quotient_rejects_bad_exponents():
+    for bad in ({0: 1}, {-2: 1}, {1: Fraction(1, 2)}, {1.0: 1}, {1: 0.5}):
+        with pytest.raises(ValueError):
+            eta_quotient(bad, 10)
+    with pytest.raises(ValueError):
+        eta_quotient({1: 24}, 0)
+
+
 # -- the modular invariant ----------------------------------------------
 
 
@@ -174,7 +245,7 @@ def test_j_series_fourth_coefficient_by_quadrisection():
 
 def test_j_series_times_denominator_reproduces_numerator():
     # the power-and-invert route is independent of the recurrence in j_series
-    for order in (5, 20, 150):
+    for order in (5, 20, 150, 300):
         work = order + 2
         denominator = (euler_product(work) ** 24).shift(1)
         numerator = eisenstein_e4(work) ** 3
@@ -197,6 +268,21 @@ def test_discriminant_identity_cross_checks_both_routes():
     )
     lhs = e4 ** 3 - e6 ** 2
     rhs = 1728 * (euler_product(order) ** 24).shift(1)
+    window = min(lhs.order, rhs.order)
+    assert lhs.truncate(window) == rhs.truncate(window)
+
+
+def test_weight_twelve_identity():
+    # M_12 = <E12, Delta>: 691 E4^3 = 691 E12 + 432000 q prod(1-q^n)^24, the
+    # identity j_series rests on, from E4 and the Euler product alone
+    order = 300
+
+    def sigma11(k):
+        return sum(d ** 11 for d in range(1, k + 1) if k % d == 0)
+
+    e12 = QSeries(0, [691] + [65520 * sigma11(k) for k in range(1, order)])
+    lhs = 691 * eisenstein_e4(order) ** 3
+    rhs = e12 + 432000 * (euler_product(order) ** 24).shift(1)
     window = min(lhs.order, rhs.order)
     assert lhs.truncate(window) == rhs.truncate(window)
 
@@ -246,6 +332,30 @@ def test_primary_dim_series_positivity():
     assert dims.coeff(0) == 0
     for j in range(2, order + 1):
         assert dims.coeff(j - 1) > 0, f"weight {j} has no primary vectors?"
+
+
+def test_recurrence_and_691_tripwires_name_the_exponent(monkeypatch):
+    import monsterlie.qseries as qs
+
+    divisor_sums, quotient = qs._divisor_sums, qs.eta_quotient
+
+    def bad_sums(limit, power):
+        sums = divisor_sums(limit, power)
+        sums[2] += 1  # makes 2 * a_2 odd for prod(1 - q^n)
+        return sums
+
+    monkeypatch.setattr(qs, "_divisor_sums", bad_sums)
+    with pytest.raises(IntegralityError, match=r"q\^2 is non-integral"):
+        eta_quotient({1: 1}, 5)
+    monkeypatch.setattr(qs, "_divisor_sums", divisor_sums)
+
+    def bad_quotient(exponents, order):
+        # one unit off at q^5 shifts 691 * q * J at q^6 by a non-multiple of 691
+        return quotient(exponents, order) + QSeries.monomial(5, 1, order)
+
+    monkeypatch.setattr(qs, "eta_quotient", bad_quotient)
+    with pytest.raises(IntegralityError, match=r"j_series: coefficient of q\^5 "):
+        j_series(10)
 
 
 def test_series_integrity_tripwire_message():

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from monsterlie.dataset import parse_dataset, to_jsonable, trivial_dataset
-from monsterlie.qseries import IntegralityError, QSeries, euler_product, j_series
+from monsterlie.qseries import IntegralityError, eta_quotient, j_series
 from monsterlie.replication import (
     multiplicity,
     nontriviality_report,
@@ -23,20 +23,6 @@ def two_class_dataset(seeds_b, power2_b="2Z"):
     )
     obj["group_order"] = "8"
     return parse_dataset(obj)
-
-
-def thompson_eta_quotient(d, order):
-    """T = eta(t)^r / eta(dt)^r + r with r = 24/(d-1), exact through q^order.
-
-    For d = 2 and d = 3 these are the McKay-Thompson series T_2B and T_3B
-    (Conway-Norton 1979, Table 2): q^-1 prod(1-q^n)^r / prod(1-q^dn)^r + r.
-    """
-    r = 24 // (d - 1)
-    e = euler_product(order + 2)
-    lifted = [0] * e.order  # prod(1-q^dn), i.e. e at q^d
-    lifted[::d] = e.coeffs[: len(lifted[::d])]
-    quotient = e**r * (QSeries(0, lifted, e.order) ** r).invert()
-    return quotient.shift(-1) + r
 
 
 def s3_dataset(traces):
@@ -64,10 +50,12 @@ def test_cross_class_rows_match_eta_quotients():
     # 2B squares into another class and 3B into itself, so both the
     # stride-4 C(g^2, i) sums and the alternating sums see real data
     order = 300
+    # T_2B = q^-1 prod(1-q^n)^24 / prod(1-q^2n)^24 + 24 and T_3B likewise
+    # with 3 and 12 (Conway-Norton 1979, Table 2)
     traces = {
         "1A": j_series(order),
-        "2B": thompson_eta_quotient(2, order),
-        "3B": thompson_eta_quotient(3, order),
+        "2B": eta_quotient({1: 24, 2: -24}, order + 2).shift(-1) + 24,
+        "3B": eta_quotient({1: 12, 3: -12}, order + 2).shift(-1) + 12,
     }
     assert [traces["2B"].coeff(n) for n in (-1, 0, 1, 2)] == [1, 0, 276, -2048]
     assert [traces["3B"].coeff(n) for n in (-1, 0, 1, 2)] == [1, 0, 54, -76]
@@ -80,8 +68,41 @@ def test_cross_class_rows_match_eta_quotients():
         assert multiplicity(d, table, 1, j) >= 0
 
 
+def test_cyclic_group_of_order_two_has_integral_multiplicities():
+    # Z/2 = {1A, 2B}: two classes of size 1, told apart by 2B squaring to
+    # 1A; the +-1 eigenspaces of 2B have dimensions (d + t)/2 and (d - t)/2
+    order = 300
+    traces = {
+        "1A": j_series(order),
+        "2B": eta_quotient({1: 24, 2: -24}, order + 2).shift(-1) + 24,
+    }
+    d = parse_dataset(
+        {
+            "classes": [
+                {
+                    "name": name,
+                    "class_size": "1",
+                    "power2": "1A",
+                    "seeds": {
+                        str(k): str(traces[name].coeff(k)) for k in (-1, 1, 2, 3, 5)
+                    },
+                }
+                for name in ("1A", "2B")
+            ],
+            "characters": {"2": {"1A": 1, "2B": -1}},
+        }
+    )
+    assert d.identity_class().name == "1A"
+    table = replicate_extend(d, order)
+    for j in range(1, order + 1):
+        dim, trace = traces["1A"].coeff(j), traces["2B"].coeff(j)
+        assert table.value("2B", j) == trace
+        assert 2 * multiplicity(d, table, 1, j) == dim + trace
+        assert 2 * multiplicity(d, table, 2, j) == dim - trace
+
+
 def test_identity_row_matches_modular_invariant():
-    order = 60
+    order = 600
     table = replicate_extend(trivial_dataset(), order)
     j = j_series(order)
     for n in range(1, order + 1):
