@@ -50,6 +50,7 @@ from .qseries import (
     euler_product,
     eta_quotient,
     j_series,
+    mckay_thompson,
     partition_series,
     primary_dim_series,
     sigma3,

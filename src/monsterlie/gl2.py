@@ -255,9 +255,12 @@ class MElement:
     def __add__(self, other):
         if not isinstance(other, MElement):
             return NotImplemented
+        e_part, f_part = dict(self.e_part), dict(self.f_part)
+        _accumulate(e_part, other.e_part)
+        _accumulate(f_part, other.f_part)
         return MElement(
-            _merge(self.e_part, other.e_part),
-            _merge(self.f_part, other.f_part),
+            e_part,
+            f_part,
             self.cartan + other.cartan,
             _merge_symbols(self.symbols, other.symbols),
         )
@@ -300,13 +303,11 @@ def _clean(part):
     return out
 
 
-def _merge(a, b):
-    out = dict(a)
-    for key, value in b.items():
+def _accumulate(out, part):
+    """Add an e- or f-part into the dict out: the one part accumulator
+    (the MElement built from out drops the zeros)."""
+    for key, value in part.items():
         out[key] = out.get(key, 0) + value
-        if not out[key]:
-            del out[key]
-    return out
 
 
 def _merge_symbols(a, b):
@@ -505,7 +506,7 @@ def _bracket_e_f(symbols, je, label_e, ce, jf, label_f, cf, e_first):
     power = int(pairing(a_root, b_root)) + 1  # Schur order r = 1
     state = vertex_iota_coeff(section(*a_root.int_pair()), _iota_state(b_root), power)
     lam = _cartan_of_state(state)
-    return (ce * cf * scal) * MElement(cartan=lam)
+    return MElement(cartan=(ce * cf * scal) * lam)
 
 
 def bracket(x, y):
@@ -519,15 +520,18 @@ def bracket(x, y):
     if not isinstance(x, MElement) or not isinstance(y, MElement):
         raise TypeError("bracket expects MElement arguments")
     symbols = _merge_symbols(x.symbols, y.symbols)
-    acc = MElement(symbols=symbols)
-
-    x_parts = _split(x)
+    # every term pair's parts accumulate here; one MElement is built at the end
+    e_part, f_part = {}, {}
+    m = n = 0
     y_parts = _split(y)
-    for kind_x, key_x, cx in x_parts:
+    for kind_x, key_x, cx in _split(x):
         for kind_y, key_y, cy in y_parts:
             term = _bracket_terms(symbols, kind_x, key_x, cx, kind_y, key_y, cy)
-            acc = acc + term
-    return acc
+            _accumulate(e_part, term.e_part)
+            _accumulate(f_part, term.f_part)
+            m += term.cartan.m
+            n += term.cartan.n
+    return MElement(e_part, f_part, LatticeVector(m, n), symbols)
 
 
 def _split(el):
@@ -550,10 +554,10 @@ def _bracket_terms(symbols, kx, keyx, cx, ky, keyy, cy):
         return MElement.zero()
     if kx == "h":
         j, label = keyy
-        return cy * _bracket_h_on_root(keyx, ky, j, label, 1)
+        return _bracket_h_on_root(keyx, ky, j, label, cy)
     if ky == "h":
         j, label = keyx
-        return cx * _bracket_root_on_h(kx, j, label, 1, keyy)
+        return _bracket_root_on_h(kx, j, label, cx, keyy)
     jx, lx = keyx
     jy, ly = keyy
     if kx != ky:

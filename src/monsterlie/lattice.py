@@ -24,10 +24,18 @@ to be invariant under the flip.
 Coefficients and coordinates are exact rationals in the coefficient form
 of `qseries._coeff`: a plain `int` where integral, a `Fraction` otherwise.
 The mode actions run on plain term dictionaries {(mono, abar): coeff}
-(`_create`, `_heisenberg`, `_schur_levels`, `_virasoro_term`), which
+(`_create`, `_heisenberg`, `_schur_numerators`, `_virasoro_term`), which
 accumulate through the one helper `_add`; each public function wraps its
 result in one `FockState`, whose constructor is the one place that checks
 exactness and drops zero coefficients.
+
+The actions are linear, so `virasoro_apply`, `schur_apply` and
+`vertex_iota_coeff` clear denominators once per call: `_numerators` scales
+the input by d, the lcm of its coefficient denominators, the kernels run
+on those integer numerators, and `_over` divides the result by d (times
+r! for a Schur term) in one step.  Schur terms are carried as
+q_k = k! p_k, whose recurrence q_k = sum_n (k-1)!/(k-n)! lam(-n) q_{k-n}
+has integer coefficients, so a lattice point lam never sees a fraction.
 
 Virasoro modes act through the commutation rules
 
@@ -45,7 +53,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb, ceil
+from math import ceil, comb, factorial, lcm, perm
 
 from .qseries import _coeff
 
@@ -267,6 +275,18 @@ def _add(out, terms, scale=1):
         out[key] = out.get(key, 0) + scale * c
 
 
+def _numerators(terms):
+    """(d, terms * d) with d the lcm of the coefficient denominators, so
+    every scaled coefficient is an `int`: the input of the linear kernels."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, {key: c.numerator * (d // c.denominator) for key, c in terms.items()}
+
+
+def _over(terms, d):
+    """The state terms / d: the one division of a kernel call."""
+    return FockState({key: Fraction(c, d) for key, c in terms.items()})
+
+
 def _create(axis, depth, terms):
     """Append the creation factor u_axis(-depth) to every term."""
     if depth <= 0:
@@ -317,25 +337,43 @@ def _heisenberg(lam, n, terms):
 def schur_apply(lam, r, state):
     """Apply the r-th Schur polynomial p_r(lam(-1), lam(-2), ...).
 
-    The p_r are defined by exp(sum_n x_n y**n / n) = sum_r p_r y**r and
-    satisfy r p_r = sum_{n=1}^{r} x_n p_{r-n}; the modes lam(-n) commute,
-    so the scalar recursion applies verbatim.
+    The p_r are defined by exp(sum_n x_n y**n / n) = sum_r p_r y**r; the
+    modes lam(-n) commute, so r! p_r is expanded once on the empty monomial
+    (`_schur_numerators`) and multiplied onto each term of the state.
     """
     if r < 0:
         raise ValueError("Schur index must be nonnegative")
-    return FockState(_schur_levels(lam, r, state.terms)[r])
+    d, terms = _numerators(state.terms)
+    q_r = _schur_numerators(lam, r)[r]
+    out = {}
+    for (mono, abar), c in terms.items():
+        _add(out, _times_monomials(q_r, mono, abar), c)
+    return _over(out, d * factorial(r))
 
 
-def _schur_levels(lam, r, terms):
-    """The term dicts of p_0 ... p_r applied to terms."""
-    levels = [terms]
+def _schur_numerators(lam, r):
+    """The term dicts of q_k = k! p_k(lam(-1), lam(-2), ...) for k = 0 ... r,
+    on the empty monomial (lattice point None).
+
+    r p_r = sum_{n=1}^{r} x_n p_{r-n} becomes
+    q_k = sum_{n=1}^{k} (k-1)!/(k-n)! x_n q_{k-n}: integral for a lattice
+    point lam, exact rationals otherwise.
+    """
+    levels = [{((), None): 1}]
     for k in range(1, r + 1):
         acc = {}
+        falling = 1  # (k-1)!/(k-n)!
         for n in range(1, k + 1):
-            _add(acc, _heisenberg(lam, -n, levels[k - n]))
-        # coefficient form: integral values go back to int
-        levels.append({key: _coeff(Fraction(c, k)) for key, c in acc.items()})
+            _add(acc, _heisenberg(lam, -n, levels[k - n]), falling)
+            falling *= k - n
+        levels.append(acc)
     return levels
+
+
+def _times_monomials(q, mono, abar):
+    """The creation factors mono and lattice point abar put onto every term
+    of a `_schur_numerators` level."""
+    return {(tuple(sorted(mono + extra)), abar): c for (extra, _), c in q.items()}
 
 
 def vertex_iota_coeff(a, b_state, power):
@@ -349,8 +387,9 @@ def vertex_iota_coeff(a, b_state, power):
     """
     if not isinstance(a, HatLatticeElement):
         raise UnsupportedStateError("the operator argument must cover a lattice point")
-    targets = []  # (Schur order, remaining factors, lattice point, coefficient)
-    for (mono, abar), c in b_state.terms.items():
+    d, terms = _numerators(b_state.terms)
+    targets = []  # (Schur order, remaining factors, lattice point, numerator)
+    for (mono, abar), c in terms.items():
         b_hat = HatLatticeElement(LatticeVector(*abar), 1)
         ab = hat_multiply(a, b_hat)
         base = pairing(a.vector, b_hat.vector)
@@ -371,18 +410,15 @@ def vertex_iota_coeff(a, b_state, power):
             r = power - base + depth
             if factor and r >= 0:
                 targets.append((r, tuple(remaining), ab.vector.int_pair(), factor))
-    # p_r(a(-1), a(-2), ...) depends on a alone: expand it once, on the
-    # empty monomial, and merge each order into the targets that need it
+    # p_r(a(-1), a(-2), ...) depends on a alone: expand r! p_r once, on the
+    # empty monomial, and merge each order over the one denominator d top!
     top = max((r for r, *_ in targets), default=0)
-    levels = _schur_levels(a.vector, top, {((), None): 1})
+    levels = _schur_numerators(a.vector, top)
     out = {}
     for r, remaining, abar, factor in targets:
-        merged = {
-            (tuple(sorted(remaining + mono)), abar): c
-            for (mono, _), c in levels[r].items()
-        }
-        _add(out, merged, factor)
-    return FockState(out)
+        weight = factor * perm(top, top - r)  # p_r = q_r top!/r! over top!
+        _add(out, _times_monomials(levels[r], remaining, abar), weight)
+    return _over(out, d * factorial(top))
 
 
 # -- Virasoro action -----------------------------------------------------
@@ -397,10 +433,11 @@ def virasoro_apply(n, state):
     plus (for n <= -2) the normal-ordered quadratic tail in the dual
     coordinate modes.
     """
+    d, terms = _numerators(state.terms)
     out = {}
-    for (mono, abar), c in state.terms.items():
+    for (mono, abar), c in terms.items():
         _add(out, _virasoro_term(n, mono, abar, c))
-    return FockState(out)
+    return _over(out, d)
 
 
 def _virasoro_term(n, mono, abar, coeff):
@@ -414,7 +451,8 @@ def _virasoro_term(n, mono, abar, coeff):
     if n >= 1:
         return {}
     if n == 0:
-        return {((), abar): coeff * _coeff(Fraction(pairing(abar_vec, abar_vec), 2))}
+        # <abar,abar> = -2 m n is even
+        return {((), abar): coeff * (pairing(abar_vec, abar_vec) // 2)}
     # dual-basis quadratic tail -1/2 sum_{n<k<0} (u1(k)u2(n-k) + u2(k)u1(n-k)),
     # the dual of u1 being -u2 and vice versa; each monomial occurs twice
     out = {(((0, -k), (1, k - n)), abar): -coeff for k in range(n + 1, 0)}

@@ -13,7 +13,9 @@ The fractional power q**(1/24) of the Dedekind eta function is never
 materialized.  `euler_product` returns the integral-exponent combination
 q**(-1/24) * eta(q) = prod_{j>=1} (1 - q**j), and `eta_quotient` the
 general product prod_d prod_k (1 - q**(d*k))**r_d by an exact integer
-recurrence on the divisor sums sigma(m).  The modular invariant is one
+recurrence on the divisor sums sigma(m); `mckay_thompson` reads the
+McKay-Thompson series of the classes 2B, 3B, 4C, 5B, 7B and 13B off a
+table of such quotients.  The modular invariant is one
 exact division: 691 * q * (J + 744) = 691 * E12 / prod(1-q**n)**24 +
 432000 * q, with E12 read off its divisor sums sigma11 and no series
 product.  The primary-dimension series multiplies J by prod(1-q**n) as a
@@ -42,7 +44,7 @@ class IntegralityError(ArithmeticError):
 def _frac(value):
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -371,6 +373,34 @@ def eta_quotient(exponents, order):
             )
         a.append(a_n)
     return QSeries(0, a, order)
+
+
+# Eta-quotient McKay-Thompson series T_g = q**-1 prod_d prod_k
+# (1 - q**(d*k))**r_d + r_1 (Conway-Norton 1979, "Monstrous Moonshine",
+# Table 2); adding r_1 makes the constant term zero.
+_MCKAY_THOMPSON = {
+    "2B": {1: 24, 2: -24},
+    "3B": {1: 12, 3: -12},
+    "4C": {1: 8, 4: -8},
+    "5B": {1: 6, 5: -6},
+    "7B": {1: 4, 7: -4},
+    "13B": {1: 2, 13: -2},
+}
+
+
+def mckay_thompson(name, order):
+    """The McKay-Thompson series q**-1 + 0 + ... of the Monster class `name`,
+    exact through q**order like `j_series`, for the classes whose series is
+    an eta quotient: 2B, 3B, 4C, 5B, 7B and 13B."""
+    if name not in _MCKAY_THOMPSON:
+        raise ValueError(
+            f"no eta-quotient McKay-Thompson series for class {name!r}; "
+            f"known: {', '.join(_MCKAY_THOMPSON)}"
+        )
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    exponents = _MCKAY_THOMPSON[name]
+    return eta_quotient(exponents, order + 2).shift(-1) + exponents[1]
 
 
 def j_series(order):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,54 @@ def test_bracket_outside_span_raises():
         bracket(real.e, gens2.e)
 
 
+def single_terms(x):
+    """x as a list of one-term elements: each e- and f-entry and each
+    Cartan coordinate on its own."""
+    terms = [MElement(e_part={k: c}, symbols=x.symbols) for k, c in x.e_part.items()]
+    terms += [MElement(f_part={k: c}, symbols=x.symbols) for k, c in x.f_part.items()]
+    m, n = x.cartan.m, x.cartan.n
+    return terms + [MElement.cartan_vector(m, 0), MElement.cartan_vector(0, n)]
+
+
+def test_bracket_is_bilinear_on_multi_term_elements():
+    # two raising (or two lowering) generators over an imaginary root leave
+    # the span, so x carries e and y carries f; real-root generators meet
+    # everything in a zero or spanned root space
+    rng = random.Random(61)
+    real = make_gl2(-1, vacuum_vector(), vacuum_vector())
+
+    def combination(members):
+        scalars = [Fraction(rng.choice((-5, -1, 1, 3)), rng.randint(1, 4)) for _ in members]
+        return sum((c * g for c, g in zip(scalars, members)), MElement.zero())
+
+    for j, norm in ((-1, 1), (1, Fraction(5, 3)), (2, 1), (5, Fraction(2, 7))):
+        gens = real if j == -1 else make_gl2(j, *primary_pair(j, norm))
+        extra = [real.e, real.f] if j in (-1, 1) else []
+        for _ in range(3):
+            x = combination([gens.e, gens.h1, gens.h2] + extra)
+            y = combination([gens.f, gens.h1, gens.h2] + extra)
+            assert x.e_part and y.f_part and not x.cartan.is_zero()
+            for left, right in ((x, y), (y, x)):
+                want = MElement.zero()
+                for a, b in itertools.product(single_terms(left), single_terms(right)):
+                    want = want + bracket(a, b)
+                got = bracket(left, right)
+                assert got == want, (j, left, right)
+                assert not got.is_zero()
+                assert_element_coefficient_form(got)
+
+
+def test_multi_term_bracket_outside_span_raises():
+    gens2 = make_gl2(2, *primary_pair(2, label="u"))
+    gens3 = make_gl2(3, *primary_pair(3, label="w"))
+    x = Fraction(1, 2) * gens2.e + gens2.f + Fraction(2, 3) * gens2.h1
+    y = gens3.h2 + Fraction(3, 4) * gens3.e
+    with pytest.raises(UnsupportedBracketError):
+        bracket(x, y)
+    with pytest.raises(UnsupportedBracketError):
+        bracket(y, x)
+
+
 def test_bracket_against_unpaired_symbol_names_both_labels():
     gens_u = make_gl2(1, *primary_pair(1, label="u"))
     gens_w = make_gl2(1, *primary_pair(1, label="w"))
@@ -267,7 +316,7 @@ EXACT_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("value", [0.5, 0.1, "1/2"])
+@pytest.mark.parametrize("value", [0.5, 0.1, "1/2", True])
 @pytest.mark.parametrize("entry", sorted(EXACT_ENTRY_POINTS))
 def test_exact_entry_points_reject_inexact_numbers(entry, value):
     with pytest.raises(TypeError):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -16,6 +17,7 @@ from monsterlie.lattice import (
     is_primary,
     pairing,
     schur_apply,
+    _schur_numerators,
     section,
     vertex_iota_coeff,
     virasoro_apply,
@@ -202,6 +204,42 @@ def test_schur_small_orders():
     assert schur_apply(lam, 2, vac) == expected
 
 
+def schur_oracle(lam, r, state):
+    """p_r(lam(-1), lam(-2), ...) on state by the Fraction recurrence
+    r p_r = sum_{n=1}^{r} lam(-n) p_{r-n}, one level at a time."""
+    levels = [state]
+    for k in range(1, r + 1):
+        acc = FockState.zero()
+        for n in range(1, k + 1):
+            acc = acc + heisenberg_apply(lam, -n, levels[k - n])
+        levels.append(Fraction(1, k) * acc)
+    return levels[r]
+
+
+def test_schur_apply_matches_fraction_recurrence_on_rational_points():
+    rng = random.Random(53)
+    dressed = FockState({(((0, 1), (1, 2)), (1, -1)): Fraction(1, 6)})
+    for _ in range(10):
+        lam = LatticeVector(
+            Fraction(rng.choice((-3, -1, 1, 5)), 2), Fraction(rng.choice((-2, 1, 4)), 3)
+        )
+        for state in (rand_state(rng, max_degree=4) + dressed, dressed):
+            for r in range(7):
+                got = schur_apply(lam, r, state)
+                assert got == schur_oracle(lam, r, state), (lam, r)
+                assert_exact_nonzero(got)
+
+
+def test_schur_numerators_of_lattice_points_are_integers():
+    # q_k = k! p_k has integer coefficients on a lattice point
+    vac = FockState.vacuum()
+    for lam in (LatticeVector(1, -1), LatticeVector(2, 3), LatticeVector(-3, 0)):
+        for k, level in enumerate(_schur_numerators(lam, 8)):
+            assert all(type(c) is int for c in level.values()), (lam, k)
+            q_k = FockState({(mono, (0, 0)): c for (mono, _), c in level.items()})
+            assert Fraction(1, factorial(k)) * q_k == schur_oracle(lam, k, vac), (lam, k)
+
+
 def brute_vertex_coeff(a, b_state, power, r_max=8):
     """Independent expansion of the vertex operator on a pure iota state:
     multiply out exp(sum abar(-n)/n x**n) term by term."""
@@ -323,6 +361,41 @@ def test_vertex_coeff_on_single_creation_target():
     assert got == expected
     assert_exact_nonzero(got)
     assert vertex_iota_coeff(a, target, -2).is_zero()
+
+
+# -- one denominator per call ------------------------------------------------
+
+
+def test_kernels_are_linear_over_mixed_denominators():
+    # the two terms meet in u1(-2)u2(-2) under L(-1), at 1/4 + 1/6 = 5/12:
+    # the common denominator 12 exceeds every input denominator
+    quarter_sixth = FockState(
+        {
+            (((0, 1), (1, 2)), (0, 0)): Fraction(1, 4),
+            (((0, 2), (1, 1)), (0, 0)): Fraction(1, 6),
+        }
+    )
+    moved = virasoro_apply(-1, quarter_sixth)
+    assert moved.terms[(((0, 2), (1, 2)), (0, 0))] == Fraction(5, 12)
+    rng = random.Random(59)
+    states = [quarter_sixth] + [rand_state(rng, max_degree=4) for _ in range(8)]
+    for s in states:
+        a = section(rng.randint(-2, 2), rng.randint(-2, 2), rng.choice((1, -1)))
+        lowest = min(
+            int(pairing(a.vector, LatticeVector(*abar))) - sum(n for _, n in mono)
+            for mono, abar in s.terms
+        )
+        for q in range(2, 8):
+            c = Fraction(rng.choice((-5, -1, 1, 3)), q)
+            cs = c * s
+            for n in (-3, -1, 0, 1, 2):
+                got = virasoro_apply(n, cs)
+                assert got == c * virasoro_apply(n, s), (s, c, n)
+                assert_exact_nonzero(got)
+            for p in range(lowest, lowest + 4):
+                got = vertex_iota_coeff(a, cs, p)
+                assert got == c * vertex_iota_coeff(a, s, p), (s, c, p)
+                assert_exact_nonzero(got)
 
 
 # -- Virasoro ----------------------------------------------------------------

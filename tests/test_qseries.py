@@ -12,6 +12,7 @@ from monsterlie.qseries import (
     eta_quotient,
     euler_product,
     j_series,
+    mckay_thompson,
     partition_series,
     primary_dim_series,
     sigma3,
@@ -218,6 +219,45 @@ def test_eta_quotient_rejects_bad_exponents():
             eta_quotient(bad, 10)
     with pytest.raises(ValueError):
         eta_quotient({1: 24}, 0)
+
+
+# q^-1 ... q^4 of the eta-quotient McKay-Thompson series
+MCKAY_THOMPSON_HEADS = {
+    "2B": [1, 0, 276, -2048, 11202, -49152],
+    "3B": [1, 0, 54, -76, -243, 1188],
+    "4C": [1, 0, 20, 0, -62, 0],
+    "5B": [1, 0, 9, 10, -30, 6],
+    "7B": [1, 0, 2, 8, -5, -4],
+    "13B": [1, 0, -1, 2, 1, 2],
+}
+
+
+def test_mckay_thompson_first_coefficients():
+    for name, head in MCKAY_THOMPSON_HEADS.items():
+        t = mckay_thompson(name, 4)
+        assert (t.valuation, t.order) == (-1, 5)
+        assert [t.coeff(n) for n in range(-1, 5)] == head, name
+        assert all(type(c) is int for c in t.coeffs)
+    for order in (0, 1, 60):
+        assert mckay_thompson("13B", order).order == j_series(order).order
+
+
+def test_mckay_thompson_4c_squares_to_2b():
+    # T_4C(q)^2 - 40 = T_2B(q^2): two different eta quotients of the table
+    order = 120
+    square = mckay_thompson("4C", order) ** 2 - 40
+    t2b = mckay_thompson("2B", order)
+    assert square.valuation == -2
+    for n in range(-2, square.order):
+        assert square.coeff(n) == (t2b.coeff(n // 2) if n % 2 == 0 else 0), n
+
+
+def test_mckay_thompson_rejects_unknown_classes():
+    for bad in ("1A", "2A", "2b", "4c", ""):
+        with pytest.raises(ValueError, match="known: 2B"):
+            mckay_thompson(bad, 5)
+    with pytest.raises(ValueError):
+        mckay_thompson("2B", -1)
 
 
 # -- the modular invariant ----------------------------------------------

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from monsterlie.dataset import parse_dataset, to_jsonable, trivial_dataset
-from monsterlie.qseries import IntegralityError, eta_quotient, j_series
+from monsterlie.qseries import IntegralityError, j_series, mckay_thompson
 from monsterlie.replication import (
     multiplicity,
     nontriviality_report,
@@ -50,12 +50,10 @@ def test_cross_class_rows_match_eta_quotients():
     # 2B squares into another class and 3B into itself, so both the
     # stride-4 C(g^2, i) sums and the alternating sums see real data
     order = 300
-    # T_2B = q^-1 prod(1-q^n)^24 / prod(1-q^2n)^24 + 24 and T_3B likewise
-    # with 3 and 12 (Conway-Norton 1979, Table 2)
     traces = {
         "1A": j_series(order),
-        "2B": eta_quotient({1: 24, 2: -24}, order + 2).shift(-1) + 24,
-        "3B": eta_quotient({1: 12, 3: -12}, order + 2).shift(-1) + 12,
+        "2B": mckay_thompson("2B", order),
+        "3B": mckay_thompson("3B", order),
     }
     assert [traces["2B"].coeff(n) for n in (-1, 0, 1, 2)] == [1, 0, 276, -2048]
     assert [traces["3B"].coeff(n) for n in (-1, 0, 1, 2)] == [1, 0, 54, -76]
@@ -74,7 +72,7 @@ def test_cyclic_group_of_order_two_has_integral_multiplicities():
     order = 300
     traces = {
         "1A": j_series(order),
-        "2B": eta_quotient({1: 24, 2: -24}, order + 2).shift(-1) + 24,
+        "2B": mckay_thompson("2B", order),
     }
     d = parse_dataset(
         {
