@@ -30,22 +30,29 @@ EXIT_DATASET = 3
 EXIT_VERIFY = 4
 
 
+def _int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _positive_int(text):
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
 def _nonneg_int(text):
-    value = int(text)
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
     return value
 
 
 def _root_index(text):
-    value = int(text)
+    value = _int(text)
     if value == 0 or value < -1:
         raise argparse.ArgumentTypeError("root index must be -1 or a positive integer")
     return value

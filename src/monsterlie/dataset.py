@@ -234,6 +234,10 @@ def load_dataset(path):
         raise DatasetError(f"cannot read dataset: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DatasetError(f"dataset is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"dataset is not valid UTF-8 JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DatasetError("dataset is nested too deeply") from exc
     return parse_dataset(obj)
 
 

@@ -12,12 +12,14 @@ for primary u, v of weight j+1, together with the vanishing of every
 contraction that lands in the weight-1 subspace (which is zero) or in a
 negative weight.  No basis of the moonshine module is ever materialized.
 
-Brackets delegate the rank-2 lattice factor to the `lattice` module
-(vertex-operator coefficients and Heisenberg zero modes) and reassemble
-the result in normal form.  A bracket whose target root space is zero
-(its root (m, n) has m*n = 0 away from the origin, or m*n < -1) is zero;
-a bracket landing in a genuinely nonzero root space outside the modeled
-span raises rather than ever returning a wrong answer.
+A Cartan vector lam brackets with a raising or lowering term over the
+root r by the number +-<lam, r> of the lattice pairing; only a raising
+term against a lowering term over the opposite root needs the `lattice`
+module, for one vertex-operator contraction.  A bracket whose target
+root space is zero (its root (m, n) has m*n = 0 away from the origin, or
+m*n < -1) is zero; a bracket landing in a genuinely nonzero root space
+outside the modeled span raises rather than ever returning a wrong
+answer.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import NamedTuple
 from .lattice import (
     FockState,
     LatticeVector,
-    heisenberg_apply,
     is_primary,
     pairing,
     section,
@@ -397,31 +398,12 @@ def _root_of(kind, j):
 def _is_zero_root_space(root):
     """Root spaces away from the origin vanish exactly when the graded
     dimension c(m*n) does: at m*n = 0 or m*n <= -2."""
-    if root.is_zero():
-        return False
     mn = root.m * root.n
     return mn == 0 or mn <= -2
 
 
 def _iota_state(root):
     return FockState.iota(section(*root.int_pair()))
-
-
-def _scalar_against(state, base):
-    """Express state as a rational multiple of the given nonzero base state."""
-    if state.is_zero():
-        return 0
-    if set(state.terms) != set(base.terms):
-        raise UnsupportedBracketError(
-            f"state {state!r} is not proportional to {base!r}"
-        )
-    key = next(iter(base.terms))
-    ratio = _coeff(Fraction(state.terms[key]) / base.terms[key])
-    if state != ratio * base:
-        raise UnsupportedBracketError(
-            f"state {state!r} is not proportional to {base!r}"
-        )
-    return ratio
 
 
 def _cartan_of_state(state):
@@ -441,7 +423,11 @@ def _cartan_of_state(state):
 
 def _natural_contraction(symbols, label_u, label_v, j):
     """The scalar s with u_{2j+1} v = s * vacuum for weight-(j+1) symbols."""
-    value = _table_pairing(symbols[label_u], symbols[label_v])
+    try:
+        u, v = symbols[label_u], symbols[label_v]
+    except KeyError as exc:
+        raise UnsupportedBracketError(f"no symbol for label {exc.args[0]!r}") from None
+    value = _table_pairing(u, v)
     if value is None:
         raise UnsupportedBracketError(
             f"pairing ({label_u}, {label_v}) is not defined"
@@ -449,92 +435,60 @@ def _natural_contraction(symbols, label_u, label_v, j):
     return (-1) ** (j % 2) * value
 
 
-def _bracket_h_on_root(lam, kind, j, label, coeff):
-    """Zero mode of a Cartan representative on a raising/lowering term."""
-    root = _root_of(kind, j)
-    base = _iota_state(root)
-    scal = _scalar_against(heisenberg_apply(lam, 0, base), base)
-    part = {(j, label): coeff * scal}
-    if kind == "e":
-        return MElement(e_part=part)
-    return MElement(f_part=part)
-
-
-def _bracket_root_on_h(kind, j, label, coeff, lam):
-    """Zero mode of a raising/lowering term on a Cartan representative.
-
-    The moonshine factor contributes only its (-1)-mode (the symbol
-    itself); deeper modes would need lattice-side terms below the
-    expansion floor, and the floor is checked, not assumed.
-    """
-    root = _root_of(kind, j)
-    target = heisenberg_apply(lam, -1, FockState.vacuum())
-    base = _iota_state(root)
-    coeff_m1 = vertex_iota_coeff(section(*root.int_pair()), target, -1)
-    floor_check = vertex_iota_coeff(section(*root.int_pair()), target, -2)
-    if not floor_check.is_zero():
-        raise UnsupportedBracketError(
-            "descendant modes of the tensor factor would be required"
-        )
-    scal = _scalar_against(coeff_m1, base)
-    part = {(j, label): coeff * scal}
-    if kind == "e":
-        return MElement(e_part=part)
-    return MElement(f_part=part)
-
-
-def _bracket_e_f(symbols, je, label_e, ce, jf, label_f, cf, e_first):
-    """Bracket of a raising term against a lowering term (either order).
-
-    Only the first Schur order can survive: order r lands the moonshine
-    contraction in weight 1 - r, which vanishes for r = 0 (zero weight-1
-    subspace) and for r >= 2 (negative weight).  With matching root
-    indices the surviving term is a Cartan vector; with distinct indices
-    the target root space is zero.
-    """
-    if je != jf:
-        return MElement.zero()  # target root (0, +-(je - jf)): zero root space
-    j = je
-    if e_first:
-        a_root = LatticeVector(1, j)
-        b_root = LatticeVector(-1, -j)
-        scal = _natural_contraction(symbols, label_e, label_f, j)
-    else:
-        a_root = LatticeVector(-1, -j)
-        b_root = LatticeVector(1, j)
-        scal = _natural_contraction(symbols, label_f, label_e, j)
-    power = int(pairing(a_root, b_root)) + 1  # Schur order r = 1
-    state = vertex_iota_coeff(section(*a_root.int_pair()), _iota_state(b_root), power)
-    lam = _cartan_of_state(state)
-    return MElement(cartan=(ce * cf * scal) * lam)
-
-
 def bracket(x, y):
     """Lie bracket on the modeled slice.
 
-    Raises UnsupportedBracketError when a term pair lands in a nonzero
-    root space outside the e/f/Cartan span (for instance two raising
-    generators over imaginary roots); never returns a silently wrong
-    answer.
+    A Cartan vector lam acts on a raising or lowering term by its zero
+    mode, the number <lam, root>: [h, t] = <lam, root> t = -[t, h].  Two
+    Cartan vectors commute, as a Cartan representative lies over the
+    lattice point 0.  A raising term against a lowering term over one
+    root index is the one vertex-operator contraction
+    u_{2j+1} v (x) Y(iota(a), x) iota(-a), of which only the first Schur
+    order survives: order r lands the moonshine contraction in weight
+    1 - r, which vanishes for r = 0 (zero weight-1 subspace) and for
+    r >= 2 (negative weight).  Every other pair of terms lands in a zero
+    root space, or raises UnsupportedBracketError when it lands in a
+    nonzero root space outside the e/f/Cartan span (for instance two
+    raising generators over imaginary roots); never returns a silently
+    wrong answer.
     """
     if not isinstance(x, MElement) or not isinstance(y, MElement):
         raise TypeError("bracket expects MElement arguments")
     symbols = _merge_symbols(x.symbols, y.symbols)
-    # every term pair's parts accumulate here; one MElement is built at the end
-    e_part, f_part = {}, {}
-    m = n = 0
-    y_parts = _split(y)
+    # every term pair adds into these; one MElement is built at the end
+    parts = {"e": {}, "f": {}}
+    cartan = LatticeVector(0, 0)
+    y_terms = _split(y)
     for kind_x, key_x, cx in _split(x):
-        for kind_y, key_y, cy in y_parts:
-            term = _bracket_terms(symbols, kind_x, key_x, cx, kind_y, key_y, cy)
-            _accumulate(e_part, term.e_part)
-            _accumulate(f_part, term.f_part)
-            m += term.cartan.m
-            n += term.cartan.n
-    return MElement(e_part, f_part, LatticeVector(m, n), symbols)
+        for kind_y, key_y, cy in y_terms:
+            if kind_x == "h" and kind_y == "h":
+                continue
+            if kind_x == "h" or kind_y == "h":
+                if kind_x == "h":
+                    lam, kind, key, c = key_x, kind_y, key_y, cy
+                else:
+                    lam, kind, key, c = key_y, kind_x, key_x, -cx
+                term = {key: c * pairing(lam, _root_of(kind, key[0]))}
+                _accumulate(parts[kind], term)
+                continue
+            (jx, label_x), (jy, label_y) = key_x, key_y
+            a, b = _root_of(kind_x, jx), _root_of(kind_y, jy)
+            root = a + b
+            if root.is_zero():
+                scal = cx * cy * _natural_contraction(symbols, label_x, label_y, jx)
+                power = int(pairing(a, b)) + 1  # Schur order r = 1
+                state = vertex_iota_coeff(section(*a.int_pair()), _iota_state(b), power)
+                cartan = cartan + scal * _cartan_of_state(state)
+            elif not _is_zero_root_space(root):
+                raise UnsupportedBracketError(
+                    f"bracket lands in root space {root!r}, outside the supported span"
+                )
+    return MElement(parts["e"], parts["f"], cartan, symbols)
 
 
 def _split(el):
+    """The terms of el as (kind, key, coefficient): kind "e" or "f" keyed by
+    (root index, label), and one "h" term keyed by the Cartan vector."""
     parts = []
     for (j, label), c in el.e_part.items():
         parts.append(("e", (j, label), c))
@@ -543,34 +497,6 @@ def _split(el):
     if not el.cartan.is_zero():
         parts.append(("h", el.cartan, 1))
     return parts
-
-
-def _bracket_terms(symbols, kx, keyx, cx, ky, keyy, cy):
-    if kx == "h" and ky == "h":
-        # zero modes of Cartan representatives commute; verified cheaply
-        target = heisenberg_apply(keyy, -1, FockState.vacuum())
-        if not heisenberg_apply(keyx, 0, target).is_zero():
-            raise UnsupportedBracketError("Cartan vectors failed to commute")
-        return MElement.zero()
-    if kx == "h":
-        j, label = keyy
-        return _bracket_h_on_root(keyx, ky, j, label, cy)
-    if ky == "h":
-        j, label = keyx
-        return _bracket_root_on_h(kx, j, label, cx, keyy)
-    jx, lx = keyx
-    jy, ly = keyy
-    if kx != ky:
-        if kx == "e":
-            return _bracket_e_f(symbols, jx, lx, cx, jy, ly, cy, e_first=True)
-        return _bracket_e_f(symbols, jy, ly, cy, jx, lx, cx, e_first=False)
-    # like kinds: target root (+-2, ...) -- zero root space or out of span
-    root = _root_of(kx, jx) + _root_of(ky, jy)
-    if _is_zero_root_space(root):
-        return MElement.zero()
-    raise UnsupportedBracketError(
-        f"bracket lands in root space {root!r}, outside the supported span"
-    )
 
 
 # -- verification ------------------------------------------------------------

@@ -204,6 +204,23 @@ def test_validate_data_rejects_malformed_shape(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{}", "dataset is not valid UTF-8 JSON: "),
+        (b"[" * 100_000 + b"]" * 100_000, "dataset is nested too deeply"),
+    ],
+)
+def test_validate_data_rejects_undecodable_file(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert run(["validate-data", "--data", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"dataset error: {message}")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_verify_gl2_passes(capsys):
     for j in ("-1", "1", "2", "10"):
         assert run(["verify-gl2", "--j", j]) == 0
@@ -225,6 +242,17 @@ def test_verify_gl2_explicit_sign_accepted(capsys):
 
 def test_unknown_command_is_usage_error(capsys):
     assert run(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["jcoeffs", "--max", "abc"], ["verify-gl2", "--j", "x"], ["eta", "--max", "1.5"]],
+)
+def test_non_integer_argument_is_usage_error(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{argv[-2]}: expected an integer, got {argv[-1]!r}" in err
+    assert "_int" not in err and "_root_index" not in err
 
 
 def test_missing_required_data_flag_is_usage_error(capsys):

@@ -168,6 +168,21 @@ def test_unreadable_file_raises_dataset_error(tmp_path):
         load_dataset(bad)
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{}", "dataset is not valid UTF-8 JSON: "),
+        (b"[" * 100_000 + b"]" * 100_000, "dataset is nested too deeply"),
+    ],
+)
+def test_undecodable_file_raises_dataset_error(tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(DatasetError) as info:
+        load_dataset(path)
+    assert str(info.value).startswith(message)
+
+
 def _set_class_field(field, value):
     def mutate(obj):
         obj["classes"][0][field] = value

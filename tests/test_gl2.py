@@ -23,7 +23,14 @@ from monsterlie.gl2 import (
     vacuum_vector,
     verify_relations,
 )
-from monsterlie.lattice import FockState, LatticeVector, pairing
+from monsterlie.lattice import (
+    FockState,
+    LatticeVector,
+    heisenberg_apply,
+    pairing,
+    section,
+    vertex_iota_coeff,
+)
 from monsterlie.qseries import QSeries
 
 
@@ -245,6 +252,68 @@ def test_bracket_against_unpaired_symbol_names_both_labels():
         bracket(gens_u.e, gens_w.f)
     with pytest.raises(UnsupportedBracketError, match=r"pairing \(w, u\)"):
         bracket(gens_w.f, gens_u.e)
+
+
+def test_bracket_without_symbol_names_the_label():
+    with pytest.raises(UnsupportedBracketError, match=r"no symbol for label 'u'"):
+        bracket(MElement(e_part={(1, "u"): 1}), MElement(f_part={(1, "u"): 1}))
+
+
+def lattice_ratio(state, base):
+    """The rational r with state == r * base (0 for the zero state)."""
+    if state.is_zero():
+        return 0
+    key = next(iter(base.terms))
+    ratio = Fraction(state.terms[key]) / base.terms[key]
+    assert state == ratio * base, (state, base)
+    return ratio
+
+
+ORACLE_CARTANS = (
+    LatticeVector(0, -1),
+    LatticeVector(-1, 0),
+    LatticeVector(3, 1),
+    LatticeVector(Fraction(2, 3), Fraction(-5, 7)),
+)
+
+
+@pytest.mark.parametrize("j", [-1, *range(1, 21)])
+def test_cartan_brackets_match_lattice_modes(j):
+    # oracle: lam(0) on iota(root) for [h, x], and the x**-1 coefficient of
+    # Y(iota(root), x) lam(-1)|0> for [x, h], whose x**-2 coefficient is zero
+    gens = make_gl2(j, *primary_pair(j))
+    for x, root in ((gens.e, LatticeVector(1, j)), (gens.f, LatticeVector(-1, -j))):
+        a = section(*root.int_pair())
+        iota = FockState.iota(a)
+        for lam in ORACLE_CARTANS:
+            h = MElement.cartan_vector(lam.m, lam.n)
+            zero_mode = lattice_ratio(heisenberg_apply(lam, 0, iota), iota)
+            assert bracket(h, x) == zero_mode * x
+            cartan_state = heisenberg_apply(lam, -1, FockState.vacuum())
+            coeff = vertex_iota_coeff(a, cartan_state, -1)
+            assert bracket(x, h) == lattice_ratio(coeff, iota) * x
+            assert vertex_iota_coeff(a, cartan_state, -2).is_zero()
+            for mu in ORACLE_CARTANS:
+                assert heisenberg_apply(mu, 0, cartan_state).is_zero()
+
+
+def test_bracket_builds_one_melement(monkeypatch):
+    gens = make_gl2(1, *primary_pair(1))
+    real = make_gl2(-1, vacuum_vector(), vacuum_vector())
+    x = Fraction(1, 2) * gens.e + gens.h1 + Fraction(-3, 4) * real.f
+    y = gens.f + Fraction(2, 5) * gens.h2 + real.e
+    calls = []
+    original = MElement.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(MElement, "__init__", counting)
+    for left, right in ((gens.e, gens.f), (gens.h1, gens.e), (x, y)):
+        calls.clear()
+        bracket(left, right)
+        assert len(calls) == 1, (left, right)
 
 
 def test_antisymmetry_on_computable_pairs():
