@@ -220,6 +220,11 @@ def validate_dataset(dataset):
                     f"character {k}: missing values for classes "
                     f"{sorted(missing)}"
                 )
+            unknown = set(per_class) - names
+            if unknown:
+                out.append(
+                    f"character {k}: values for unknown classes {sorted(unknown)}"
+                )
             if k == 1 and any(v != 1 for v in per_class.values()):
                 out.append("character 1 must be identically 1")
     return out

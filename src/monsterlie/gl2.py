@@ -386,6 +386,10 @@ def make_gl2(j, u, v, section_sign=1):
     return Gl2Generators(e, f, h1, h2, j, u, v)
 
 
+# the real-root subalgebra every j >= 1 is checked against; MElement is immutable
+_REAL_ROOT_GL2 = make_gl2(-1, vacuum_vector(), vacuum_vector())
+
+
 # -- the bracket ------------------------------------------------------------
 
 
@@ -574,7 +578,7 @@ def verify_relations(j, u, v, section_sign=1):
             _check("[h, f] == -2*f", "sl2", bracket(h, f), -2 * f),
         ]
     else:
-        real = make_gl2(-1, vacuum_vector(), vacuum_vector())
+        real = _REAL_ROOT_GL2
         checks += [
             _check("[e(-1), f] == 0", "cross", bracket(real.e, f), MElement.zero()),
             _check("[e, f(-1)] == 0", "cross", bracket(e, real.f), MElement.zero()),

@@ -31,6 +31,12 @@ dot product of two row slices, the second one reversed (with stride 4
 against C(g^2,i)); the alternating sums take the products once and
 subtract the even-i terms from the odd-i ones.
 
+The square-class reads for C(g,n) stop at index (n-1)/2 (C(g^2,2j) for
+n = 4j+1, C(g^2,2j+1) for n = 4j+3), so a row filled to k needs the row of
+its square class only to k/2.  A caller that reads some classes only
+fills those, each square class to half of its class, down the power2
+chain.
+
 Multiplicities come from character orthogonality: the multiplicity of
 the k-th irreducible in the weight-(j+1) piece is
 (1/|G|) sum over classes of size * chi_k * C(class, j), which must be a
@@ -47,7 +53,8 @@ from .qseries import IntegralityError, primary_dim_series
 
 @dataclass
 class CoefficientTable:
-    """Per-class coefficient rows C(g, j) for 1 <= j <= order."""
+    """Per-class coefficient rows C(g, j), each for 1 <= j <= the length of
+    its row: `order` unless only some classes were asked for."""
 
     order: int
     rows: dict  # class name -> list, index j-1
@@ -64,9 +71,12 @@ class CoefficientTable:
     def _at(self, name, j):
         if j < 1:
             raise IndexError(f"recursions never reference index {j}")
-        if j > self.order:
-            raise IndexError(f"index {j} beyond computed order {self.order}")
-        return self.rows[name][j - 1]
+        row = self.rows.get(name, ())
+        if j > len(row):
+            raise IndexError(
+                f"index {j} of class {name} beyond the order {len(row)} it was filled to"
+            )
+        return row[j - 1]
 
 
 def _halve(numerator, name, j):
@@ -78,22 +88,44 @@ def _halve(numerator, name, j):
     return half
 
 
-def replicate_extend(dataset, order):
-    """Fill every class row through the given order using the recursions.
+def _fill_orders(dataset, order, classes):
+    """{class name: the order its row is filled to}.  Each class in `classes`
+    (every class when None) is filled to `order`; the square class of a
+    class filled to k is filled to max(5, k // 2), along the power2 chains
+    until no order grows (an order only grows, up to `order`, so cycles end)."""
+    if classes is None:
+        return {record.name: order for record in dataset.classes}
+    fill = {}
+    pending = [(name, order) for name in classes]
+    while pending:
+        name, k = pending.pop()
+        if fill.get(name, 0) < k:
+            fill[name] = k
+            pending.append((dataset.by_name[name].power2, max(5, k // 2)))
+    return fill
 
-    Rows are filled in lockstep across classes in increasing index, so the
+
+def replicate_extend(dataset, order, classes=None):
+    """Fill class rows through the given order using the recursions.
+
+    `classes` names the rows the caller reads (None: every class).  Those
+    are filled to `order` and their square chains as far as they are read
+    (see `_fill_orders`); the table holds only the filled rows.  Rows are
+    filled in lockstep across classes in increasing index, so the
     squared-class references (which only reach strictly smaller indices)
     are always available.
     """
     if order < 5:
         raise ValueError("order must be at least 5 (indices 1,2,3,5 are seeds)")
+    fill = _fill_orders(dataset, order, classes)
     rows = {}
     for record in dataset.classes:
-        row = [None] * order
-        for k in (1, 2, 3, 5):
-            row[k - 1] = record.seeds[k]
-        rows[record.name] = row
-    square = {r.name: r.power2 for r in dataset.classes}
+        if record.name in fill:
+            row = [None] * fill[record.name]
+            for k in (1, 2, 3, 5):
+                row[k - 1] = record.seeds[k]
+            rows[record.name] = row
+    square = {name: dataset.by_name[name].power2 for name in rows}
 
     for n in [4, *range(6, order + 1)]:
         j, rem = divmod(n, 4)
@@ -101,11 +133,19 @@ def replicate_extend(dataset, order):
         # bounds check per entry stands in for a check on every term
         top = (2 * j + 1, max(2 * j + 3, 4 * j - 1), 2 * j + 2, max(2 * j + 4, 4 * j + 1))[rem]
         for name, r in rows.items():
+            if n > len(r):
+                continue
             if j < 1:
                 raise IndexError(f"recursions never reference index {j}")
             if top >= n:
                 raise IndexError(f"index {top} for class {name} used before computed")
             s = rows[square[name]]  # r[i-1] is C(g,i), s[i-1] is C(g^2,i)
+            if (n - 1) // 2 > len(s):
+                # a slice past the end would truncate a sum silently
+                raise IndexError(
+                    f"class {name} reads index {(n - 1) // 2} of square class "
+                    f"{square[name]}, filled only to {len(s)}"
+                )
             if rem == 0:
                 total = r[2 * j] + _halve(r[j - 1] ** 2 - s[j - 1], name, n)
                 total += sum(map(mul, r[: j - 1], reversed(r[j : 2 * j - 1])))

@@ -5,7 +5,7 @@ import pytest
 from monsterlie.cli import run
 from monsterlie.dataset import save_dataset, to_jsonable, trivial_dataset
 from monsterlie.output import OutputTable
-from monsterlie.qseries import eta_quotient
+from monsterlie.qseries import eta_quotient, j_series, mckay_thompson
 
 
 @pytest.fixture
@@ -182,6 +182,53 @@ def test_abelian_dataset_loads(tmp_path, capsys):
     _, rows = table_from(capsys)
     # (196884 - 276) / 2 and (21493760 + 2048) / 2
     assert [row[-1] for row in rows] == ["98304", "10747904"]
+
+
+def test_character_values_for_unknown_classes_are_dataset_errors(tmp_path, capsys):
+    obj = to_jsonable(trivial_dataset())
+    obj["characters"] = {"2": {"1A": "1", "9Z": "7"}}
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(obj))
+    for argv in (["validate-data"], ["mult", "--k", "2", "--max", "3"]):
+        assert run([*argv, "--data", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "dataset error: character 2: values for unknown classes ['9Z']\n"
+        )
+
+
+def _s3_file(tmp_path, name, seed_2b_1=None):
+    """S3 acting through 1A, 2B (squares to 1A) and 3B (squares to 3B);
+    seed_2b_1 overrides C(2B, 1)."""
+    traces = {"1A": j_series(6), "2B": mckay_thompson("2B", 6), "3B": mckay_thompson("3B", 6)}
+    classes = []
+    for cls, size, square in (("1A", 1, "1A"), ("2B", 3, "1A"), ("3B", 2, "3B")):
+        seeds = {str(k): str(traces[cls].coeff(k)) for k in (-1, 1, 2, 3, 5)}
+        classes.append({"name": cls, "class_size": str(size), "power2": square, "seeds": seeds})
+    if seed_2b_1 is not None:
+        classes[1]["seeds"]["1"] = str(seed_2b_1)
+    path = tmp_path / name
+    path.write_text(json.dumps({"classes": classes}))
+    return str(path)
+
+
+def test_replicate_class_computes_only_its_square_chain(tmp_path, capsys):
+    # C(2B,1) = 277 makes the first 2B halving odd: (277^2 - 196884)/2;
+    # the 3B chain never reads 2B, so --class 3B prints the consistent rows
+    good = _s3_file(tmp_path, "good.json")
+    bad = _s3_file(tmp_path, "bad.json", seed_2b_1=277)
+    assert run(["replicate", "--data", good, "--class", "3B", "--max", "40"]) == 0
+    expected = capsys.readouterr()
+    assert run(["replicate", "--data", bad, "--class", "3B", "--max", "40"]) == 0
+    assert capsys.readouterr() == expected
+    for extra in (["--class", "2B"], []):
+        assert run(["replicate", "--data", bad, *extra, "--max", "40"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "integrality failure: replication: odd halving for class 2B at index 4\n"
+        )
 
 
 def test_validate_data_rejects_corruption(tmp_path, capsys):

@@ -151,6 +151,14 @@ def test_character_block_must_cover_all_classes():
         parse_dataset(obj)
 
 
+def test_character_values_for_unknown_classes_are_named():
+    obj = toy_object()
+    obj["characters"] = {"2": {"1A": "196883", "9Z": "7"}}
+    with pytest.raises(DatasetError) as err:
+        parse_dataset(obj)
+    assert err.value.violations == ["character 2: values for unknown classes ['9Z']"]
+
+
 def test_parse_accepts_plain_json_integers():
     obj = toy_object()
     obj["classes"][0]["class_size"] = 1

@@ -477,6 +477,24 @@ def test_verify_relations_cross_relations():
     assert len(cross) == 4 and all(c.passed for c in cross)
 
 
+def test_verify_relations_builds_one_gl2_per_call(monkeypatch):
+    # the real-root generators of the cross-relations are built once
+    import monsterlie.gl2
+
+    calls = []
+    original = monsterlie.gl2.make_gl2
+
+    def counting(j, *args, **kwargs):
+        calls.append(j)
+        return original(j, *args, **kwargs)
+
+    monkeypatch.setattr(monsterlie.gl2, "make_gl2", counting)
+    for j in (1, 2, 5):
+        calls.clear()
+        assert verify_relations(j, *primary_pair(j)).all_passed
+        assert calls == [j]
+
+
 def test_relations_hold_under_flipped_section():
     for j in (-1, 2, 3):
         report = verify_relations(j, *primary_pair(j), section_sign=-1)

@@ -66,6 +66,96 @@ def test_cross_class_rows_match_eta_quotients():
         assert multiplicity(d, table, 1, j) >= 0
 
 
+def z4_dataset(traces):
+    """Z/4 = {1, g, g^2, g^3} through 1A, 2B (g^2, squares to 1A) and 4C
+    (g and g^3, squares to 2B); character 2 sends g to -1."""
+    classes = [("1A", 1, "1A"), ("2B", 1, "1A"), ("4C", 2, "2B")]
+    return parse_dataset(
+        {
+            "classes": [
+                {
+                    "name": name,
+                    "class_size": str(size),
+                    "power2": square,
+                    "seeds": {
+                        str(k): str(traces[name].coeff(k)) for k in (-1, 1, 2, 3, 5)
+                    },
+                }
+                for name, size, square in classes
+            ],
+            "characters": {"2": {"1A": 1, "2B": 1, "4C": -1}},
+        }
+    )
+
+
+def test_cyclic_group_of_order_four_fills_its_square_chain():
+    # 4C -> 2B -> 1A is a two-step square chain: a 4C row filled to k reads
+    # 2B to k/2, which reads 1A to k/4
+    order = 400
+    traces = {
+        "1A": j_series(order),
+        "2B": mckay_thompson("2B", order),
+        "4C": mckay_thompson("4C", order),
+    }
+    d = z4_dataset(traces)
+    table = replicate_extend(d, order)
+    for name, series in traces.items():
+        assert table.rows[name] == [series.coeff(n) for n in range(1, order + 1)], name
+    for j in range(1, order + 1):
+        dim, t2, t4 = (traces[name].coeff(j) for name in ("1A", "2B", "4C"))
+        assert 4 * multiplicity(d, table, 1, j) == dim + t2 + 2 * t4
+        assert 4 * multiplicity(d, table, 2, j) == dim + t2 - 2 * t4
+
+    chain = replicate_extend(d, order, ["4C"])
+    assert {name: len(row) for name, row in chain.rows.items()} == {
+        "1A": 100,
+        "2B": 200,
+        "4C": 400,
+    }
+    for name, row in chain.rows.items():
+        assert row == table.rows[name][: len(row)], name
+
+
+def test_class_subsets_match_the_full_table():
+    top = 911
+    traces = {
+        "1A": j_series(top),
+        "2B": mckay_thompson("2B", top),
+        "3B": mckay_thompson("3B", top),
+    }
+    d = s3_dataset(traces)
+    for order in (*range(5, 14), 50, 200, top):
+        full = replicate_extend(d, order)
+        for name in traces:
+            table = replicate_extend(d, order, [name])
+            assert table.rows[name] == full.rows[name], (name, order)
+            for j in (1, order):
+                assert table.value(name, j) == full.value(name, j)
+
+
+def test_lookups_outside_the_filled_rows_name_the_class():
+    traces = {"1A": j_series(50), "2B": mckay_thompson("2B", 50), "3B": mckay_thompson("3B", 50)}
+    table = replicate_extend(s3_dataset(traces), 40, ["2B"])
+    assert table.value("1A", 20) == traces["1A"].coeff(20)
+    with pytest.raises(IndexError, match="index 21 of class 1A beyond the order 20"):
+        table.value("1A", 21)
+    with pytest.raises(IndexError, match="index 1 of class 3B beyond the order 0"):
+        table.value("3B", 1)
+
+
+def test_short_square_row_is_an_error_not_a_truncated_sum(monkeypatch):
+    # a 2B row filled to 40 reads 1A to index 19 at n = 39; a 1A row cut
+    # at 18 must stop the fill rather than shorten a slice
+    import monsterlie.replication
+
+    traces = {"1A": j_series(50), "2B": mckay_thompson("2B", 50), "3B": mckay_thompson("3B", 50)}
+    monkeypatch.setattr(
+        monsterlie.replication, "_fill_orders", lambda *args: {"1A": 18, "2B": 40}
+    )
+    with pytest.raises(IndexError, match="class 2B reads index 19 of square class 1A"):
+        replicate_extend(s3_dataset(traces), 40, ["2B"])
+
+
 def test_cyclic_group_of_order_two_has_integral_multiplicities():
     # Z/2 = {1A, 2B}: two classes of size 1, told apart by 2B squaring to
     # 1A; the +-1 eigenspaces of 2B have dimensions (d + t)/2 and (d - t)/2
