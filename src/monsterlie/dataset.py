@@ -30,6 +30,7 @@ Expected shape:
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .qseries import j_series
@@ -97,7 +98,12 @@ def _parse_int(value, where):
         try:
             return int(text, 10)
         except ValueError:
-            pass
+            if len(text) > 40:  # name the digit limit; echo only the start
+                raise DatasetError(
+                    f"{where}: expected a decimal integer of at most "
+                    f"{sys.get_int_max_str_digits()} digits, got {value[:20]!r}... "
+                    f"({len(value)} characters)"
+                ) from None
     raise DatasetError(f"{where}: expected a decimal integer, got {value!r}")
 
 
@@ -243,6 +249,9 @@ def load_dataset(path):
         raise DatasetError(f"dataset is not valid UTF-8 JSON: {exc}") from exc
     except RecursionError as exc:
         raise DatasetError("dataset is nested too deeply") from exc
+    except ValueError as exc:  # a JSON number past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise DatasetError(f"dataset holds a number of more than {limit} digits") from exc
     return parse_dataset(obj)
 
 

@@ -31,6 +31,8 @@ from typing import NamedTuple
 from .lattice import (
     FockState,
     LatticeVector,
+    _add,
+    _exact,
     is_primary,
     pairing,
     section,
@@ -223,8 +225,8 @@ class MElement:
     __slots__ = ("e_part", "f_part", "cartan", "symbols")
 
     def __init__(self, e_part=None, f_part=None, cartan=None, symbols=None):
-        object.__setattr__(self, "e_part", _clean(e_part))
-        object.__setattr__(self, "f_part", _clean(f_part))
+        object.__setattr__(self, "e_part", _exact(e_part))
+        object.__setattr__(self, "f_part", _exact(f_part))
         object.__setattr__(
             self, "cartan", cartan if cartan is not None else LatticeVector(0, 0)
         )
@@ -257,8 +259,8 @@ class MElement:
         if not isinstance(other, MElement):
             return NotImplemented
         e_part, f_part = dict(self.e_part), dict(self.f_part)
-        _accumulate(e_part, other.e_part)
-        _accumulate(f_part, other.f_part)
+        _add(e_part, other.e_part)
+        _add(f_part, other.f_part)
         return MElement(
             e_part,
             f_part,
@@ -292,23 +294,6 @@ class MElement:
         if not self.cartan.is_zero():
             parts.append(f"cartan{self.cartan!r}")
         return "MElement(" + (" + ".join(parts) if parts else "0") + ")"
-
-
-def _clean(part):
-    out = {}
-    if part:
-        for key, value in part.items():
-            v = _coeff(value)
-            if v:
-                out[key] = v
-    return out
-
-
-def _accumulate(out, part):
-    """Add an e- or f-part into the dict out: the one part accumulator
-    (the MElement built from out drops the zeros)."""
-    for key, value in part.items():
-        out[key] = out.get(key, 0) + value
 
 
 def _merge_symbols(a, b):
@@ -394,24 +379,11 @@ _REAL_ROOT_GL2 = make_gl2(-1, vacuum_vector(), vacuum_vector())
 
 
 def _root_of(kind, j):
-    if kind == "e":
-        return LatticeVector(1, j)
-    return LatticeVector(-1, -j)
-
-
-def _is_zero_root_space(root):
-    """Root spaces away from the origin vanish exactly when the graded
-    dimension c(m*n) does: at m*n = 0 or m*n <= -2."""
-    mn = root.m * root.n
-    return mn == 0 or mn <= -2
-
-
-def _iota_state(root):
-    return FockState.iota(section(*root.int_pair()))
+    return (1, j) if kind == "e" else (-1, -j)
 
 
 def _cartan_of_state(state):
-    """Read a Cartan vector off a state of the shape lam(-1) iota(1)."""
+    """Read the coordinates (m, n) of lam off a state lam(-1) iota(1)."""
     m = n = 0
     for (mono, abar), c in state.terms.items():
         if abar != (0, 0) or len(mono) != 1 or mono[0][1] != 1:
@@ -422,7 +394,7 @@ def _cartan_of_state(state):
             m += c
         else:
             n += c
-    return LatticeVector(m, n)
+    return m, n
 
 
 def _natural_contraction(symbols, label_u, label_v, j):
@@ -461,7 +433,7 @@ def bracket(x, y):
     symbols = _merge_symbols(x.symbols, y.symbols)
     # every term pair adds into these; one MElement is built at the end
     parts = {"e": {}, "f": {}}
-    cartan = LatticeVector(0, 0)
+    cartan_m = cartan_n = 0
     y_terms = _split(y)
     for kind_x, key_x, cx in _split(x):
         for kind_y, key_y, cy in y_terms:
@@ -472,22 +444,25 @@ def bracket(x, y):
                     lam, kind, key, c = key_x, kind_y, key_y, cy
                 else:
                     lam, kind, key, c = key_y, kind_x, key_x, -cx
-                term = {key: c * pairing(lam, _root_of(kind, key[0]))}
-                _accumulate(parts[kind], term)
+                _add(parts[kind], {key: c}, pairing(lam, _root_of(kind, key[0])))
                 continue
             (jx, label_x), (jy, label_y) = key_x, key_y
             a, b = _root_of(kind_x, jx), _root_of(kind_y, jy)
-            root = a + b
-            if root.is_zero():
+            m, n = a[0] + b[0], a[1] + b[1]
+            if m == n == 0:
                 scal = cx * cy * _natural_contraction(symbols, label_x, label_y, jx)
-                power = int(pairing(a, b)) + 1  # Schur order r = 1
-                state = vertex_iota_coeff(section(*a.int_pair()), _iota_state(b), power)
-                cartan = cartan + scal * _cartan_of_state(state)
-            elif not _is_zero_root_space(root):
+                power = pairing(a, b) + 1  # Schur order r = 1
+                state = vertex_iota_coeff(section(*a), FockState({((), b): 1}), power)
+                hm, hn = _cartan_of_state(state)
+                cartan_m += scal * hm
+                cartan_n += scal * hn
+            elif m * n == -1 or m * n >= 1:
+                # away from the origin a root space is zero exactly when the
+                # graded dimension c(m*n) is: at m*n = 0 or m*n <= -2
                 raise UnsupportedBracketError(
-                    f"bracket lands in root space {root!r}, outside the supported span"
+                    f"bracket lands in root space ({m},{n}), outside the supported span"
                 )
-    return MElement(parts["e"], parts["f"], cartan, symbols)
+    return MElement(parts["e"], parts["f"], LatticeVector(cartan_m, cartan_n), symbols)
 
 
 def _split(el):
@@ -591,19 +566,16 @@ def verify_relations(j, u, v, section_sign=1):
 def primality_of_representatives(j, u):
     """Check that the tensor representative of e(j,u) is primary of weight 1.
 
-    The moonshine factor contributes its declared weight and primality;
-    the lattice factor is checked by the Fock-space Virasoro action, and
-    the weights sum to (j+1) + (-j) = 1.
+    L(n)(x (x) y) = L(n)x (x) y + x (x) L(n)y: the first summand vanishes
+    by the primality flag of u, the second by the Fock-space Virasoro
+    action on iota(1, j), and the weights sum to (j + 1) + (-j) = 1.
     """
     _check_root_index(j)
     if not u.primary:
         return False
     if u.weight != j + 1:
         return False
-    # L(n)(x (x) y) = L(n)x (x) y + x (x) L(n)y: the first summand vanishes
-    # by the primality flag, the second by the Fock-space Virasoro action,
-    # and the weights sum to (j + 1) + (-j) = 1.
-    state = _iota_state(LatticeVector(1, j))
+    state = FockState.iota(section(1, j))
     if weight_of(state) != -j:
         return False
-    return is_primary(state, depth=max(2 * abs(j) + 2, 4))
+    return is_primary(state)

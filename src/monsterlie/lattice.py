@@ -26,8 +26,11 @@ of `qseries._coeff`: a plain `int` where integral, a `Fraction` otherwise.
 The mode actions run on plain term dictionaries {(mono, abar): coeff}
 (`_create`, `_heisenberg`, `_schur_numerators`, `_virasoro_term`), which
 accumulate through the one helper `_add`; each public function wraps its
-result in one `FockState`, whose constructor is the one place that checks
-exactness and drops zero coefficients.
+result in one `FockState`, whose constructor checks exactness and drops
+zero coefficients through `_exact`.  `gl2.MElement` keeps its raising and
+lowering parts through the same `_add` and `_exact`.  A key's abar, an
+integer pair, is used as it is: `pairing` and `cocycle_sign` take
+coordinate pairs as well as vectors.
 
 The actions are linear, so `virasoro_apply`, `schur_apply` and
 `vertex_iota_coeff` clear denominators once per call: `_numerators` scales
@@ -53,7 +56,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import ceil, comb, factorial, lcm, perm
+from math import comb, factorial, lcm, perm
 
 from .qseries import _coeff
 
@@ -90,6 +93,9 @@ class LatticeVector:
     def __hash__(self):
         return hash((self.m, self.n))
 
+    def __iter__(self):
+        return iter((self.m, self.n))
+
     def __add__(self, other):
         return LatticeVector(self.m + other.m, self.n + other.n)
 
@@ -119,8 +125,9 @@ class LatticeVector:
 
 
 def pairing(u, v):
-    """Bilinear form <u,v> = -u.m*v.n - u.n*v.m (symmetric, even, unimodular)."""
-    return -(u.m * v.n) - (u.n * v.m)
+    """<u,v> = -u.m*v.n - u.n*v.m (symmetric, even, unimodular); u, v may be pairs."""
+    (um, un), (vm, vn) = u, v
+    return -(um * vn) - (un * vm)
 
 
 def weyl_reflect(v):
@@ -130,8 +137,7 @@ def weyl_reflect(v):
 
 def cocycle_sign(lam, mu):
     """The chosen bilinear 2-cocycle (-1)**(lam.m * mu.n) on lattice points."""
-    m = lam.m
-    n = mu.n
+    (m, _), (_, n) = lam, mu
     if m.denominator != 1 or n.denominator != 1:
         raise ValueError("cocycle is defined on lattice points only")
     return -1 if (m.numerator % 2) and (n.numerator % 2) else 1
@@ -197,7 +203,7 @@ def section(m, n, sign=1):
 # and abar the integer coordinate pair under the covering element, whose
 # sign is folded into the coefficient.
 
-_AXIS_VECTORS = (LatticeVector(1, 0), LatticeVector(0, 1))
+_AXIS_VECTORS = ((1, 0), (0, 1))
 _AXIS_NAMES = ("u1", "u2")
 
 
@@ -207,11 +213,7 @@ class FockState:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # the one place that checks exactness and drops zero coefficients
-        clean = {
-            key: c for key, coeff in (terms or {}).items() if (c := _coeff(coeff))
-        }
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _exact(terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("FockState is immutable")
@@ -269,6 +271,14 @@ class FockState:
         return "FockState(" + " + ".join(parts) + ")"
 
 
+def _exact(terms):
+    """The terms with every coefficient in coefficient form and the zeros
+    dropped: the one exactness gate of `FockState` and `gl2.MElement`."""
+    if not terms:
+        return {}
+    return {key: c for key, coeff in terms.items() if (c := _coeff(coeff))}
+
+
 def _add(out, terms, scale=1):
     """Add scale * terms into the term dict out: the one term accumulator."""
     for key, c in terms.items():
@@ -313,12 +323,12 @@ def _heisenberg(lam, n, terms):
     if n == 0:
         # the zero mode rescales each term in place: no keys collide
         return {
-            (mono, abar): c * pairing(lam, LatticeVector(*abar))
+            (mono, abar): c * pairing(lam, abar)
             for (mono, abar), c in terms.items()
         }
     out = {}
     if n < 0:
-        for axis, c in enumerate((lam.m, lam.n)):
+        for axis, c in enumerate(lam):
             if c:
                 _add(out, _create(axis, -n, terms), c)
         return out
@@ -387,33 +397,35 @@ def vertex_iota_coeff(a, b_state, power):
     """
     if not isinstance(a, HatLatticeElement):
         raise UnsupportedStateError("the operator argument must cover a lattice point")
+    point = a.vector.int_pair()
     d, terms = _numerators(b_state.terms)
     targets = []  # (Schur order, remaining factors, lattice point, numerator)
     for (mono, abar), c in terms.items():
-        b_hat = HatLatticeElement(LatticeVector(*abar), 1)
-        ab = hat_multiply(a, b_hat)
-        base = pairing(a.vector, b_hat.vector)
-        if base.denominator != 1:
-            raise UnsupportedStateError("non-integral pairing exponent")
-        base = int(base)
+        m, n = abar
+        if m.denominator != 1 or n.denominator != 1:
+            raise ValueError("double-cover elements sit over lattice points")
+        # a times the sign-1 lift of abar, as in the group law `hat_multiply`
+        sign = a.sign * cocycle_sign(point, abar)
+        target = (point[0] + m, point[1] + n)
+        base = pairing(point, abar)
         entries = sorted(Counter(mono).items())
         ranges = [range(count + 1) for _, count in entries]
         for chosen in product(*ranges):
-            factor = c * ab.sign
+            factor = c * sign
             depth = 0
             remaining = []
             for ((axis, mode), count), s in zip(entries, chosen):
                 if s:
-                    factor *= comb(count, s) * (-pairing(a.vector, _AXIS_VECTORS[axis])) ** s
+                    factor *= comb(count, s) * (-pairing(point, _AXIS_VECTORS[axis])) ** s
                     depth += mode * s
                 remaining.extend([(axis, mode)] * (count - s))
             r = power - base + depth
             if factor and r >= 0:
-                targets.append((r, tuple(remaining), ab.vector.int_pair(), factor))
+                targets.append((r, tuple(remaining), target, factor))
     # p_r(a(-1), a(-2), ...) depends on a alone: expand r! p_r once, on the
     # empty monomial, and merge each order over the one denominator d top!
     top = max((r for r, *_ in targets), default=0)
-    levels = _schur_numerators(a.vector, top)
+    levels = _schur_numerators(point, top)
     out = {}
     for r, remaining, abar, factor in targets:
         weight = factor * perm(top, top - r)  # p_r = q_r top!/r! over top!
@@ -447,16 +459,15 @@ def _virasoro_term(n, mono, abar, coeff):
         _add(out, _heisenberg(_AXIS_VECTORS[axis], n - k, {(rest, abar): coeff}), k)
         _add(out, _create(axis, k, _virasoro_term(n, rest, abar, coeff)))
         return out
-    abar_vec = LatticeVector(*abar)
     if n >= 1:
         return {}
     if n == 0:
         # <abar,abar> = -2 m n is even
-        return {((), abar): coeff * (pairing(abar_vec, abar_vec) // 2)}
+        return {((), abar): coeff * (pairing(abar, abar) // 2)}
     # dual-basis quadratic tail -1/2 sum_{n<k<0} (u1(k)u2(n-k) + u2(k)u1(n-k)),
     # the dual of u1 being -u2 and vice versa; each monomial occurs twice
     out = {(((0, -k), (1, k - n)), abar): -coeff for k in range(n + 1, 0)}
-    _add(out, _heisenberg(abar_vec, n, {((), abar): coeff}))
+    _add(out, _heisenberg(abar, n, {((), abar): coeff}))
     return out
 
 
@@ -477,27 +488,19 @@ def weight_of(state):
     weights (inhomogeneous).
     """
     weights = set()
-    for (mono, abar), _ in state.terms.items():
-        v = LatticeVector(*abar)
-        weights.add(Fraction(pairing(v, v), 2) + sum(n for _, n in mono))
+    for mono, abar in state.terms:
+        weights.add(Fraction(pairing(abar, abar), 2) + sum(n for _, n in mono))
     if len(weights) != 1:
         return None
     return weights.pop()
 
 
-def is_primary(state, depth):
-    """True when every positive Virasoro mode annihilates the state.
+def is_primary(state):
+    """True when every positive Virasoro mode annihilates the state; exact.
 
-    `depth` bounds the modes checked; for a state of creation degree d and
-    homogeneous weight w, modes beyond d + |w| can contribute nothing, so
-    the scan stops there when depth exceeds it.
+    L(n) annihilates iota vectors for n >= 1 and lowers the creation depth
+    of every term by exactly n, so all modes beyond the largest depth d of
+    a term vanish and checking L(1) ... L(d) decides primality.
     """
-    if depth < 1:
-        raise ValueError("depth must be a positive integer")
-    if state.is_zero():
-        return True
-    max_degree = max(sum(n for _, n in mono) for (mono, _) in state.terms)
-    w = weight_of(state)
-    sufficient = max_degree + (ceil(abs(w)) if w is not None else 0)
-    bound = min(depth, sufficient)
-    return all(virasoro_apply(j, state).is_zero() for j in range(1, bound + 1))
+    top = max((sum(n for _, n in mono) for mono, _ in state.terms), default=0)
+    return all(virasoro_apply(n, state).is_zero() for n in range(1, top + 1))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import monsterlie
 from monsterlie.cli import run
 from monsterlie.dataset import save_dataset, to_jsonable, trivial_dataset
 from monsterlie.output import OutputTable
@@ -266,6 +271,107 @@ def test_validate_data_rejects_undecodable_file(tmp_path, capsys, content, messa
     assert err.startswith(f"dataset error: {message}")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_check_nontrivial_holds_on_s3(tmp_path, capsys):
+    data = _s3_file(tmp_path, "s3.json")
+    assert run(["check-nontrivial", "--data", data, "--max", "80"]) == 0
+    captured = capsys.readouterr()
+    rows = [line.split() for line in captured.out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [str(j) for j in range(1, 81)]
+    assert "inconclusive" not in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda obj: obj["classes"].append(dict(obj["classes"][0])),
+            "classes[1]: duplicate class name '1A'",
+        ),
+        (
+            lambda obj: obj["classes"][0].update(class_size="-1"),
+            "class 1A: negative class size",
+        ),
+        (lambda obj: [obj], "top-level object must contain a 'classes' array"),
+    ],
+    ids=["duplicate-name", "negative-size", "top-level-array"],
+)
+def test_validate_data_rejects_bad_records(tmp_path, capsys, mutate, message):
+    obj = to_jsonable(trivial_dataset())
+    obj = mutate(obj) or obj
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert run(["validate-data", "--data", str(path)]) == 3
+    assert capsys.readouterr().err == f"dataset error: {message}\n"
+
+
+@pytest.mark.parametrize("as_number", [False, True], ids=["string", "number"])
+def test_integers_past_the_digit_limit_exit_3(tmp_path, capsys, as_number):
+    digits = "9" * 5000
+    text = json.dumps(to_jsonable(trivial_dataset()))
+    value = digits if as_number else f'"{digits}"'
+    path = tmp_path / "big.json"
+    path.write_text(text.replace('"class_size": "1"', f'"class_size": {value}'))
+    for argv in (["validate-data"], ["mult", "--max", "3"]):
+        assert run([*argv, "--data", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("dataset error: ")
+        assert f"{sys.get_int_max_str_digits()} digits" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert digits not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["jcoeffs", "--max", "-1"], "argument --max: must be nonnegative"),
+        (["eta", "--max", "0"], "argument --max: must be a positive integer"),
+        (["verify-gl2", "--j", "0"], "argument --j: root index must be -1 or a positive integer"),
+        (["verify-gl2", "--j", "-2"], "argument --j: root index must be -1 or a positive integer"),
+    ],
+)
+def test_out_of_range_argument_is_usage_error(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
+
+
+def test_verify_gl2_vacuum_pair_sign(capsys):
+    assert run(["verify-gl2", "--j", "-1", "--pairing-sign", "+1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification error: the vacuum pair has pairing -1\n"
+    assert run(["verify-gl2", "--j", "-1", "--pairing-sign", "-1"]) == 0
+    assert "6/6 relations pass" in capsys.readouterr().out
+
+
+def _module_run(*argv):
+    """Run `python -m monsterlie` in a fresh interpreter on this checkout."""
+    src = str(Path(monsterlie.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "monsterlie", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+
+
+def test_console_entry_point():
+    done = _module_run("jcoeffs", "--max", "1")
+    assert done.returncode == 0
+    assert done.stdout == "n   c(n)\n-1       1\n 0       0\n 1  196884\n"
+    assert done.stderr == ""
+    done = _module_run("verify-gl2", "--j", "0")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage: monsterlie verify-gl2")
+    assert "root index must be -1 or a positive integer" in done.stderr
 
 
 def test_verify_gl2_passes(capsys):

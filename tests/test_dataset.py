@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -189,6 +190,26 @@ def test_undecodable_file_raises_dataset_error(tmp_path, content, message):
     with pytest.raises(DatasetError) as info:
         load_dataset(path)
     assert str(info.value).startswith(message)
+
+
+def test_integers_past_the_digit_limit_are_dataset_errors(tmp_path):
+    limit = sys.get_int_max_str_digits()
+    digits = "9" * 5000
+    obj = toy_object()
+    obj["classes"][0]["class_size"] = digits
+    with pytest.raises(DatasetError) as err:
+        parse_dataset(obj)
+    (message,) = err.value.violations
+    assert message == (
+        f"classes[0].class_size: expected a decimal integer of at most {limit} "
+        f"digits, got '99999999999999999999'... (5000 characters)"
+    )
+    # the same value as a JSON number fails inside the JSON decoder
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(toy_object()).replace('"class_size": "1"', f'"class_size": {digits}'))
+    with pytest.raises(DatasetError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"dataset holds a number of more than {limit} digits"
 
 
 def _set_class_field(field, value):

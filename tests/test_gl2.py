@@ -106,6 +106,11 @@ def test_make_gl2_validation_errors_are_distinct():
     not_primary = FormalNaturalVector("u", 2, primary=False, pairings={("u", "u"): 1})
     with pytest.raises(NotPrimaryError):
         make_gl2(1, not_primary, v)
+    not_primary_v = FormalNaturalVector("v", 2, primary=False)
+    with pytest.raises(NotPrimaryError, match=r"v\[wt 2\] is not primary"):
+        make_gl2(1, u, not_primary_v)
+    with pytest.raises(Gl2ValidationError, match="section_sign"):
+        make_gl2(1, u, v, section_sign=2)
     wrong_weight = FormalNaturalVector("u", 3, True, 1, {("u", "u"): 1})
     with pytest.raises(WeightMismatchError):
         make_gl2(1, wrong_weight, v)
@@ -113,6 +118,16 @@ def test_make_gl2_validation_errors_are_distinct():
     plus = FormalNaturalVector("u", 2, True, 1, {("u", "u"): 1})
     with pytest.raises(PairingNormalizationError):
         make_gl2(1, plus, plus)
+
+
+def test_symbol_inputs_are_checked():
+    with pytest.raises(ValueError, match="nonnegative"):
+        FormalNaturalVector("u", -1)
+    # one label may not name symbols of two weights within an element
+    e1 = make_gl2(1, *primary_pair(1, label="u")).e
+    e2 = make_gl2(2, *primary_pair(2, label="u")).e
+    with pytest.raises(Gl2ValidationError, match="conflicting symbols for label 'u'"):
+        e1 + e2
 
 
 def test_vacuum_pair_degenerates_at_minus_one():
@@ -134,6 +149,8 @@ def test_bracket_e_f_gives_cartan():
         got = bracket(gens.e, gens.f)
         assert got == -1 * (j * gens.h1 + gens.h2)
         assert got.cartan == LatticeVector(1, j)
+    with pytest.raises(TypeError, match="MElement"):
+        bracket(1, gens.e)
 
 
 def test_bracket_real_pair():

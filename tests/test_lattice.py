@@ -9,6 +9,7 @@ from monsterlie.lattice import (
     HAT_IDENTITY,
     HatLatticeElement,
     LatticeVector,
+    UnsupportedStateError,
     cocycle_sign,
     conformal_vector,
     hat_inverse,
@@ -83,6 +84,9 @@ def test_pairing_is_symmetric_bilinear_and_even():
     for _ in range(100):
         u, v, w = (rand_vector(rng) for _ in range(3))
         assert pairing(u, v) == pairing(v, u)
+        # coordinate pairs pair like the vectors they unpack from
+        assert pairing(tuple(u), v) == pairing(u, tuple(v)) == pairing(u, v)
+        assert cocycle_sign(tuple(u), tuple(v)) == cocycle_sign(u, v)
         assert pairing(u + v, w) == pairing(u, w) + pairing(v, w)
         assert pairing(u, u) % 2 == 0
 
@@ -196,6 +200,8 @@ def test_heisenberg_bracket_identity():
 def test_schur_small_orders():
     lam = LatticeVector(1, 2)
     vac = FockState.vacuum()
+    with pytest.raises(ValueError, match="nonnegative"):
+        schur_apply(lam, -1, vac)
     assert schur_apply(lam, 0, vac) == vac
     assert schur_apply(lam, 1, vac) == heisenberg_apply(lam, -1, vac)
     expected = Fraction(1, 2) * heisenberg_apply(
@@ -363,6 +369,18 @@ def test_vertex_coeff_on_single_creation_target():
     assert vertex_iota_coeff(a, target, -2).is_zero()
 
 
+@pytest.mark.parametrize("abar", [(Fraction(1, 2), 0), (0, Fraction(1, 2))])
+def test_vertex_coeff_rejects_keys_off_the_lattice(abar):
+    state = FockState({((), abar): 1})
+    with pytest.raises(ValueError, match="double-cover elements sit over lattice points"):
+        vertex_iota_coeff(section(1, 0), state, 0)
+
+
+def test_vertex_coeff_needs_a_double_cover_element():
+    with pytest.raises(UnsupportedStateError):
+        vertex_iota_coeff(LatticeVector(1, 0), FockState.vacuum(), 0)
+
+
 # -- one denominator per call ------------------------------------------------
 
 
@@ -518,18 +536,36 @@ def test_virasoro_matches_mode_expansion_oracle():
 
 def test_iota_vectors_are_primary():
     for j in (-1, 1, 2, 7, 10):
-        assert is_primary(FockState.iota(section(1, j)), depth=12)
+        assert is_primary(FockState.iota(section(1, j)))
 
 
 def test_single_creation_on_vacuum_is_primary():
     state = heisenberg_apply(LatticeVector(3, -2), -1, FockState.vacuum())
-    assert is_primary(state, depth=8)
+    assert is_primary(state)
 
 
 def test_conformal_vector_is_not_primary():
-    assert not is_primary(conformal_vector(), depth=4)
+    assert not is_primary(conformal_vector())
 
 
-def test_is_primary_rejects_bad_depth():
-    with pytest.raises(ValueError):
-        is_primary(FockState.vacuum(), depth=0)
+def test_is_primary_checks_every_mode_up_to_the_creation_depth():
+    # L(2) omega = |0> though L(1) omega = 0; (1,1)(-1)(0,1)(-1)|0> meets
+    # its first nonzero mode only at L(2) as well
+    omega = conformal_vector()
+    assert virasoro_apply(1, omega).is_zero()
+    assert virasoro_apply(2, omega) == FockState.vacuum()
+    vac = FockState.vacuum()
+    state = heisenberg_apply(ALPHA, -1, heisenberg_apply(LatticeVector(0, 1), -1, vac))
+    assert virasoro_apply(1, state).is_zero()
+    assert not is_primary(omega)
+    assert not is_primary(state)
+    assert is_primary(FockState.zero())
+
+
+def test_modes_above_the_creation_depth_vanish():
+    rng = random.Random(53)
+    for _ in range(40):
+        s = rand_state(rng, max_degree=6)
+        top = max((sum(n for _, n in mono) for mono, _ in s.terms), default=0)
+        for n in range(top + 1, top + 4):
+            assert virasoro_apply(n, s).is_zero(), (s, n)
