@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 usage errors (argparse), 3 dataset problems,
 4 verification failures (a subalgebra relation or the non-triviality
-criterion failed), so CI can gate on the distinction.
+criterion failed), so CI can gate on the distinction.  Each command
+returns its result (an OutputTable or text) and its exit code; `run` alone
+renders, writes and turns exceptions into exit codes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .gl2 import (
     cartan_block_sizes,
     cartan_entry,
     primary_pair,
-    vacuum_vector,
     verify_relations,
 )
 from .output import FORMATS, OutputTable
@@ -30,32 +31,28 @@ EXIT_DATASET = 3
 EXIT_VERIFY = 4
 
 
-def _int(text):
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+def _int_arg(holds, message):
+    """An argparse type: an integer for which `holds` is true, else `message`."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if not holds(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    return parse
 
 
-def _positive_int(text):
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
-def _nonneg_int(text):
-    value = _int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
-
-
-def _root_index(text):
-    value = _int(text)
-    if value == 0 or value < -1:
-        raise argparse.ArgumentTypeError("root index must be -1 or a positive integer")
-    return value
+_nonneg = _int_arg(lambda n: n >= 0, "must be nonnegative")
+_positive = _int_arg(lambda n: n >= 1, "must be a positive integer")
+_root_index = _int_arg(
+    lambda n: n == -1 or n >= 1, "root index must be -1 or a positive integer"
+)
 
 
 def build_parser():
@@ -80,33 +77,33 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("jcoeffs", help="coefficients of the modular invariant")
-    p.add_argument("--max", type=_nonneg_int, default=100)
+    p.add_argument("--max", type=_nonneg, default=100)
 
     p = sub.add_parser("dims", help="dimensions of the primary-vector subspaces")
-    p.add_argument("--max", type=_nonneg_int, default=100)
+    p.add_argument("--max", type=_nonneg, default=100)
 
     p = sub.add_parser("eta", help="pentagonal-number expansion of prod(1-q^j)")
-    p.add_argument("--max", type=_positive_int, default=100)
+    p.add_argument("--max", type=_positive, default=100)
 
     p = sub.add_parser("cartan", help="Cartan matrix blocks with multiplicities")
-    p.add_argument("--depth", type=_positive_int, default=3)
+    p.add_argument("--depth", type=_positive, default=3)
 
     p = sub.add_parser("replicate", help="extend trace coefficients per class")
     p.add_argument("--data", required=True, metavar="PATH")
-    p.add_argument("--max", type=_positive_int, default=100)
+    p.add_argument("--max", type=_positive, default=100)
     p.add_argument("--class", dest="only_class", metavar="NAME")
 
     p = sub.add_parser("mult", help="irreducible multiplicities by orthogonality")
     p.add_argument("--data", required=True, metavar="PATH")
-    p.add_argument("--max", type=_positive_int, default=100)
-    p.add_argument("--k", type=_positive_int, default=1, help="irreducible index")
+    p.add_argument("--max", type=_positive, default=100)
+    p.add_argument("--k", type=_positive, default=1, help="irreducible index")
 
     p = sub.add_parser(
         "check-nontrivial",
         help="compare primary dimensions against trivial multiplicities",
     )
     p.add_argument("--data", required=True, metavar="PATH")
-    p.add_argument("--max", type=_positive_int, default=100)
+    p.add_argument("--max", type=_positive, default=100)
 
     p = sub.add_parser("verify-gl2", help="verify the gl2 subalgebra relations")
     p.add_argument("--j", type=_root_index, required=True)
@@ -123,42 +120,22 @@ def build_parser():
     return parser
 
 
-class _OutputPathError(Exception):
-    """The --out path cannot be written (a usage error, exit code 2)."""
-
-
-def _emit(args, text):
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise _OutputPathError(
-                f"cannot write --out {args.out}: {exc.strerror or exc}"
-            ) from exc
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_jcoeffs(args):
     series = j_series(args.max)
     rows = [(n, series.coeff(n)) for n in range(-1, args.max + 1)]
-    _emit(args, OutputTable.build(["n", "c(n)"], rows).render(args.format))
-    return EXIT_OK
+    return OutputTable.build(["n", "c(n)"], rows), EXIT_OK
 
 
 def _cmd_dims(args):
     dims = primary_dim_series(args.max)
     rows = [(j, dims.coeff(j - 1)) for j in range(0, args.max + 1)]
-    _emit(args, OutputTable.build(["weight", "dim_primary"], rows).render(args.format))
-    return EXIT_OK
+    return OutputTable.build(["weight", "dim_primary"], rows), EXIT_OK
 
 
 def _cmd_eta(args):
     series = euler_product(args.max + 1)
     rows = [(n, series.coeff(n)) for n in range(0, args.max + 1)]
-    _emit(args, OutputTable.build(["n", "coefficient"], rows).render(args.format))
-    return EXIT_OK
+    return OutputTable.build(["n", "coefficient"], rows), EXIT_OK
 
 
 def _cmd_cartan(args):
@@ -169,15 +146,14 @@ def _cmd_cartan(args):
         [i, size] + [cartan_entry(i, j) for j in labels]
         for i, size in zip(labels, sizes)
     ]
-    _emit(args, OutputTable.build(columns, rows).render(args.format))
-    return EXIT_OK
+    return OutputTable.build(columns, rows), EXIT_OK
 
 
 def _cmd_replicate(args):
     dataset = load_dataset(args.data)
     names = [r.name for r in dataset.classes]
     only = None
-    if args.only_class:
+    if args.only_class is not None:
         if args.only_class not in dataset.by_name:
             raise DatasetError(f"unknown class {args.only_class!r}")
         names = only = [args.only_class]
@@ -187,8 +163,7 @@ def _cmd_replicate(args):
         for name in names
         for j in range(1, args.max + 1)
     ]
-    _emit(args, OutputTable.build(["class", "j", "C(class,j)"], rows).render(args.format))
-    return EXIT_OK
+    return OutputTable.build(["class", "j", "C(class,j)"], rows), EXIT_OK
 
 
 def _cmd_mult(args):
@@ -201,64 +176,42 @@ def _cmd_mult(args):
     rows = [
         (j, multiplicity(dataset, table, args.k, j)) for j in range(1, args.max + 1)
     ]
-    _emit(
-        args,
-        OutputTable.build(["j", f"mult_{args.k}(j+1)"], rows).render(args.format),
-    )
-    return EXIT_OK
+    return OutputTable.build(["j", f"mult_{args.k}(j+1)"], rows), EXIT_OK
 
 
 def _cmd_check_nontrivial(args):
+    """The table, and a verdict note that `run` writes after it."""
     dataset = load_dataset(args.data)
     report = nontriviality_report(dataset, args.max)
-    rows = [
-        (r.j, r.dim_primary, r.trivial_multiplicity, r.verdict) for r in report
-    ]
-    table = OutputTable.build(
-        ["j", "dim_primary(j+1)", "mult_1(j+1)", "verdict"], rows
-    )
-    _emit(args, table.render(args.format))
-    failures = [r for r in report if not r.holds]
-    if failures:
-        print(
-            f"non-triviality criterion failed at {len(failures)} of "
-            f"{len(report)} indices",
-            file=sys.stderr,
-        )
-        return EXIT_VERIFY
-    return EXIT_OK
+    rows = [(r.j, r.dim_primary, r.trivial_multiplicity, r.verdict) for r in report]
+    table = OutputTable.build(["j", "dim_primary(j+1)", "mult_1(j+1)", "verdict"], rows)
+    failures = sum(not r.holds for r in report)
+    note = f"non-triviality criterion failed at {failures} of {len(report)} indices"
+    return (table, EXIT_VERIFY, note) if failures else (table, EXIT_OK)
 
 
 def _cmd_verify_gl2(args):
     j = args.j
-    if args.pairing_sign == "auto":
-        u, v = primary_pair(j)
-    elif j == -1:
-        u = v = vacuum_vector()  # the vacuum pairing is fixed at -1
-        if args.pairing_sign == "+1":
+    u, v = primary_pair(j)  # (u, v) = (-1)**j
+    if args.pairing_sign != "auto":
+        sign = int(args.pairing_sign)
+        if j == -1 and sign == 1:
             raise Gl2ValidationError("the vacuum pair has pairing -1")
-    else:
-        u, _ = primary_pair(j)
-        sign = 1 if args.pairing_sign == "+1" else -1
-        v = u.rescaled(sign)  # (u,v) = sign; rejected unless sign == (-1)**j
+        v = v.rescaled(sign * (-1) ** (j % 2))  # (u, v) = sign; make_gl2 checks it
     report = verify_relations(j, u, v)
     lines = []
     for check in report.checks:
         status = "pass" if check.passed else f"FAIL ({check.detail})"
         lines.append(f"{check.name}: {status}")
     lines.extend(report.summary_lines())
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if report.all_passed else EXIT_VERIFY
+    return "\n".join(lines) + "\n", EXIT_OK if report.all_passed else EXIT_VERIFY
 
 
 def _cmd_validate_data(args):
     dataset = load_dataset(args.data)  # raises DatasetError on any violation
-    _emit(
-        args,
-        f"dataset valid: {len(dataset.classes)} classes, "
-        f"group order {dataset.group_order}\n",
-    )
-    return EXIT_OK
+    order = dataset.group_order
+    text = f"dataset valid: {len(dataset.classes)} classes, group order {order}\n"
+    return text, EXIT_OK
 
 
 _COMMANDS = {
@@ -275,14 +228,14 @@ _COMMANDS = {
 
 
 def run(argv):
-    """Parse argv and run one subcommand; returns the process exit code."""
+    """Parse argv, run one subcommand, write its result; returns the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        result, code, *notes = _COMMANDS[args.command](args)
     except DatasetError as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return EXIT_DATASET
@@ -292,9 +245,20 @@ def run(argv):
     except IntegralityError as exc:
         print(f"integrality failure: {exc}", file=sys.stderr)
         return EXIT_DATASET
-    except _OutputPathError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    text = result if isinstance(result, str) else result.render(args.format)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            message = f"cannot write --out {args.out}: {exc.strerror or exc}"
+            print(f"usage error: {message}", file=sys.stderr)
+            return EXIT_USAGE
+    else:
+        sys.stdout.write(text)
+    for note in notes:
+        print(note, file=sys.stderr)
+    return code
 
 
 def main():

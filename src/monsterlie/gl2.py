@@ -300,7 +300,9 @@ def _merge_symbols(a, b):
     out = dict(a)
     for label, vec in b.items():
         if label in out and (
-            out[label].weight != vec.weight or out[label].primary != vec.primary
+            out[label].weight != vec.weight
+            or out[label].primary != vec.primary
+            or out[label].pairings != vec.pairings  # equal for rescaled copies
         ):
             raise Gl2ValidationError(f"conflicting symbols for label {label!r}")
         out[label] = vec

@@ -107,9 +107,12 @@ def _never_build_the_table(*args):
 def test_replicate_unknown_class(monkeypatch, capsys, toy_data):
     # the class is checked before the (here costly) table is built
     monkeypatch.setattr("monsterlie.cli.replicate_extend", _never_build_the_table)
-    argv = ["replicate", "--data", toy_data, "--class", "9Z", "--max", "4000"]
-    assert run(argv) == 3
-    assert capsys.readouterr().err == "dataset error: unknown class '9Z'\n"
+    for name in ("9Z", ""):
+        argv = ["replicate", "--data", toy_data, "--class", name, "--max", "4000"]
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dataset error: unknown class {name!r}\n"
 
 
 def test_mult_without_character_is_dataset_error(monkeypatch, capsys, toy_data):

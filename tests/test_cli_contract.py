@@ -1,0 +1,193 @@
+"""The CLI contract: pinned outputs for fixed argv, and an argv fuzz.
+
+The golden matrix pins the SHA-256 of (exit code, stdout, stderr) of each
+command line, so any change to what a command prints, where, or with which
+exit code shows up as one changed digest.  Each line runs in a directory
+that holds the trivial dataset as `classes.json`, so no message carries a
+temporary path.
+"""
+
+import hashlib
+import io
+import json
+import shlex
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from monsterlie.cli import run
+from monsterlie.dataset import save_dataset, trivial_dataset
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def in_data_dir(tmp_path, monkeypatch):
+    save_dataset(trivial_dataset(), tmp_path / "classes.json")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to it
+
+
+GOLDEN = {
+    "jcoeffs --max 5":
+        "b31df710637044943250e4472405a38934ac7c608f57d94e5e8f73869612d3ff",
+    "--format csv jcoeffs --max 5":
+        "cf71bc8b93d45f9f9dad0c7d4ffb6cb4d3aba2505f2350fa9cc99b7611f51aae",
+    "--format json jcoeffs --max 3":
+        "8ba28e2190aad41f12cf73c4c2e7832d37d8c4ef6d6d4acee4947201bb55c59e",
+    "dims --max 10":
+        "8ee23c097f8c2767095d63e86f9e52a178d6c749994326f0d8e83c95c4879db8",
+    "--format csv dims --max 5":
+        "c94ceb08b27e94c4ac14969643c9b29f79f7ff4384d13cb014dbdff0d39ccf67",
+    "eta --max 12":
+        "2f87606e2a52ad3f45f39d0c7b2250abf3233bb9bb04addb1ee587344c5c7a1f",
+    "--format json eta --max 4":
+        "c1de4f2a3e33b1da1ebc4196b57a3e10806c64e9120c2338e4d96f4303750d1d",
+    "cartan --depth 3":
+        "128660dad7e6a2cfd4902abdeb0dce858126eb28598c41c6edadd7e3e4bfa4a0",
+    "--format csv cartan --depth 2":
+        "cba0e8de8923ae896dcbce89761b6989dd9973b1023818203efe522637d9c32c",
+    "replicate --data classes.json --max 6":
+        "e54bf1f5f125f933cc1c05bd98854d4519977e7f76e5601c25a23b794f7d7924",
+    "replicate --data classes.json --max 6 --class 1A":
+        "e54bf1f5f125f933cc1c05bd98854d4519977e7f76e5601c25a23b794f7d7924",
+    "replicate --data classes.json --max 6 --class 9Z":
+        "7dc9d387fe0cf2ff131e36aa1cc6ebce2919537d374d5ad7ec74b7d5a7d7898f",
+    "replicate --data classes.json --max 6 --class ''":
+        "b0967a81a5a85d4df38f2ae6f17873bf87cc2c6d2d50d4d0a562ec19f7daa014",
+    "--format json replicate --data classes.json --max 3 --class 1A":
+        "12928ac5311ca1b1167f0f40691d8e967488465ba932d5605be644ea86721d7e",
+    "mult --data classes.json --max 6":
+        "3d14a37b3fd9f975c067bcfa485b1434b16731864c25017796962c01cc0dac95",
+    "mult --data classes.json --max 6 --k 3":
+        "7e6c38d78cb415830851368c569d8de62ff815568d111f8169304922f6d68899",
+    "check-nontrivial --data classes.json --max 5":
+        "3847d0e229cd0fbee1ec95cb1e5d188060bfbe2657a0b54a83582e199a396db0",
+    "--format csv check-nontrivial --data classes.json --max 3":
+        "cf9194a5980c3bd9473c29efdd43a1b28cfeac8edecf1c59d86e5317fb10c285",
+    "validate-data --data classes.json":
+        "78b1cd042b79d5e184e2b40b70c3eadc87de8ab12a76b961a648a59f622f9c49",
+    "--format json validate-data --data classes.json":
+        "78b1cd042b79d5e184e2b40b70c3eadc87de8ab12a76b961a648a59f622f9c49",
+    "verify-gl2 --j -1":
+        "a32c82c5934cde5a61de740825ccbd509bed42c6a21eb6cde882c0622491ccdc",
+    "verify-gl2 --j -1 --pairing-sign +1":
+        "fcda9a80004b597fadd3b1d03c77d36762628c5065969fc33224e779901488f0",
+    "verify-gl2 --j -1 --pairing-sign -1":
+        "a32c82c5934cde5a61de740825ccbd509bed42c6a21eb6cde882c0622491ccdc",
+    "verify-gl2 --j 0":
+        "adfefe2e10d72c0aaae5187480699aa42745b5652489b93f175855594e61f3e7",
+    "verify-gl2 --j 0 --pairing-sign +1":
+        "adfefe2e10d72c0aaae5187480699aa42745b5652489b93f175855594e61f3e7",
+    "verify-gl2 --j 0 --pairing-sign -1":
+        "adfefe2e10d72c0aaae5187480699aa42745b5652489b93f175855594e61f3e7",
+    "verify-gl2 --j 3":
+        "b13e8e4be42f0a10a0e6bc5281dabd1280029bcde752c6ca2e0ef0d70303d5e8",
+    "verify-gl2 --j 3 --pairing-sign +1":
+        "8398fb9ee974825b010f509f7ef45ee6645ce159e25aeb886e87e8e9a5c9ad7d",
+    "verify-gl2 --j 3 --pairing-sign -1":
+        "b13e8e4be42f0a10a0e6bc5281dabd1280029bcde752c6ca2e0ef0d70303d5e8",
+    "jcoeffs --max -1":
+        "69f1257020f70ba36434d96e77000069cc96d69a98481e6b84a467a21d670909",
+    "jcoeffs --max x":
+        "5892f97a9dff4fdfc653a09ab0e21e28022cc4b766cd5dd85d4fc6f1ab87f517",
+    "frobnicate":
+        "9fe198d2b569e325d932236fbfc02ace66c8a758f0b673a65578a30a3b5dcc17",
+    "--out missing/x jcoeffs --max 1":
+        "37bdf664e05bb52ea6a687aa9e1f7ea630bb5599630f6249aa9081e5971c0857",
+    "--out missing/x check-nontrivial --data classes.json --max 5":
+        "37bdf664e05bb52ea6a687aa9e1f7ea630bb5599630f6249aa9081e5971c0857",
+}
+
+
+@pytest.mark.parametrize("line", list(GOLDEN))
+def test_golden_cli_matrix(in_data_dir, line):
+    outcome = _outcome(shlex.split(line))
+    digest = hashlib.sha256(json.dumps(outcome).encode()).hexdigest()
+    assert digest == GOLDEN[line], outcome
+
+
+# -- argv fuzz ----------------------------------------------------------------
+
+_INT_TOKENS = st.one_of(
+    st.none(), st.integers(-3, 60).map(str), st.sampled_from(["", "x", "1.5", "0x10"])
+)
+_VALUES = {  # None leaves the option out
+    "--max": _INT_TOKENS,
+    "--depth": _INT_TOKENS,
+    "--k": _INT_TOKENS,
+    "--j": _INT_TOKENS,
+    "--class": st.sampled_from([None, "1A", "9Z", ""]),
+    "--pairing-sign": st.sampled_from([None, "auto", "+1", "-1", "0"]),
+    "--data": st.sampled_from([None, "DATA", "DATA", "DATA", "MISSING", "DIR"]),
+    "--format": st.sampled_from([None, None, "table", "csv", "json", "xml"]),
+    "--out": st.sampled_from([None, None, None, "OUT", "MISSING_DIR_OUT", "DIR"]),
+}
+_FLAGS = {
+    "jcoeffs": ["--max"],
+    "dims": ["--max"],
+    "eta": ["--max"],
+    "cartan": ["--depth"],
+    "replicate": ["--data", "--max", "--class"],
+    "mult": ["--data", "--max", "--k"],
+    "check-nontrivial": ["--data", "--max"],
+    "verify-gl2": ["--j", "--pairing-sign"],
+    "validate-data": ["--data"],
+    "frobnicate": [],
+}
+
+
+@st.composite
+def _argvs(draw):
+    """Argv with the placeholders of `fuzz_paths` for paths."""
+    command = draw(st.sampled_from(list(_FLAGS)))
+    argv = []
+    for flag in ["--format", "--out", command] + _FLAGS[command]:
+        if flag == command:
+            argv.append(command)
+        elif (value := draw(_VALUES[flag])) is not None:
+            argv += [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    save_dataset(trivial_dataset(), root / "classes.json")
+    return {
+        "DATA": str(root / "classes.json"),
+        "MISSING": str(root / "missing"),
+        "DIR": str(root),
+        "OUT": str(root / "out.txt"),
+        "MISSING_DIR_OUT": str(root / "missing" / "out.txt"),
+    }
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(argv=_argvs())
+def test_cli_argv_fuzz_keeps_the_exit_code_contract(fuzz_paths, argv):
+    argv = [fuzz_paths.get(token, token) for token in argv]
+    code, out, err = _outcome(argv)
+    lines = err.splitlines()
+    assert code in (0, 2, 3, 4)
+    if code in (2, 3):
+        assert out == ""
+    if code == 0:
+        assert err == ""
+        if "--class" in argv:  # the trivial dataset has the one class 1A
+            assert argv[argv.index("--class") + 1] == "1A"
+    elif code == 3:
+        assert len(lines) == 1
+        assert lines[0].startswith(("dataset error:", "integrality failure:"))
+    elif code == 4:
+        assert len(lines) <= 1
+        assert not lines or lines[0].startswith(
+            ("verification error:", "non-triviality criterion failed")
+        )

@@ -130,6 +130,24 @@ def test_symbol_inputs_are_checked():
         e1 + e2
 
 
+def test_symbols_with_one_label_and_two_pairing_tables_conflict():
+    # the norms differ, so merging the symbols would pick one table and
+    # give [a.e, b.f] a different value in each bracket order
+    a = make_gl2(1, *primary_pair(1, norm=1))
+    b = make_gl2(1, *primary_pair(1, norm=4))
+    conflict = "conflicting symbols for label 'u'"
+    with pytest.raises(Gl2ValidationError, match=conflict):
+        bracket(a.e, b.f)
+    with pytest.raises(Gl2ValidationError, match=conflict):
+        bracket(b.f, a.e)
+    with pytest.raises(Gl2ValidationError, match=conflict):
+        a.e + b.e
+    # pairs built apart with equal tables still meet
+    c = make_gl2(1, *primary_pair(1, norm=1))
+    assert bracket(a.e, c.f) == MElement.cartan_vector(1, 1)
+    assert a.e + 2 * c.e == 3 * a.e
+
+
 def test_vacuum_pair_degenerates_at_minus_one():
     vac = vacuum_vector()
     assert pairing_value(vac, vac) == -1
