@@ -232,6 +232,8 @@ def run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.format != "table" and args.command in ("validate-data", "verify-gl2"):
+            parser.error(f"--format {args.format} does not apply to {args.command}")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

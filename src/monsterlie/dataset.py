@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .qseries import j_series
 
@@ -48,24 +48,22 @@ class DatasetError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass
-class ClassRecord:
+class ClassRecord(NamedTuple):
     name: str
     class_size: int
     power2: str
     seeds: dict  # index in SEED_INDICES -> exact integer
 
 
-@dataclass
-class Dataset:
+class Dataset(NamedTuple):
     classes: list
     group_order: int
     characters: dict | None = None  # irreducible index -> {class name -> int}
-    by_name: dict = field(default_factory=dict, repr=False)
 
-    def __post_init__(self):
-        if not self.by_name:
-            self.by_name = {record.name: record for record in self.classes}
+    @property
+    def by_name(self):
+        """{class name: record}, built from `classes` on each access."""
+        return {record.name: record for record in self.classes}
 
     def identity_class(self):
         """The unique class of size 1 that squares to itself (an abelian
@@ -207,16 +205,6 @@ def validate_dataset(dataset):
             out.append(
                 f"class {record.name}: unknown square class {record.power2!r}"
             )
-
-    # the recursions reach the classes of g**2 and g**4; both must resolve
-    for record in dataset.classes:
-        if record.power2 in names:
-            square = dataset.by_name[record.power2]
-            if square.power2 not in names:
-                out.append(
-                    f"class {record.name}: fourth-power class unreachable via "
-                    f"{record.power2!r}"
-                )
 
     if dataset.characters is not None:
         for k, per_class in dataset.characters.items():

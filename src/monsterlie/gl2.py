@@ -24,7 +24,6 @@ answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -483,16 +482,14 @@ def _split(el):
 # -- verification ------------------------------------------------------------
 
 
-@dataclass
-class RelationCheck:
+class RelationCheck(NamedTuple):
     name: str
     category: str  # "core", "sl2", or "cross"
     passed: bool
     detail: str = ""
 
 
-@dataclass
-class RelationReport:
+class RelationReport(NamedTuple):
     j: int
     checks: list
 
@@ -501,6 +498,7 @@ class RelationReport:
         return all(c.passed for c in self.checks)
 
     def count(self, category):
+        """(passed, total) of the checks in `category`; shadows tuple.count."""
         members = [c for c in self.checks if c.category == category]
         return sum(c.passed for c in members), len(members)
 

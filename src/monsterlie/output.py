@@ -10,13 +10,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 FORMATS = ("table", "csv", "json")
 
 
-@dataclass
-class OutputTable:
+class OutputTable(NamedTuple):
     columns: list
     rows: list  # lists of str, same width as columns
 

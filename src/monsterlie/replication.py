@@ -45,14 +45,13 @@ nonnegative integer.  The trivial character needs no character table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .qseries import IntegralityError, primary_dim_series
 
 
-@dataclass
-class CoefficientTable:
+class CoefficientTable(NamedTuple):
     """Per-class coefficient rows C(g, j), each for 1 <= j <= the length of
     its row: `order` unless only some classes were asked for."""
 
@@ -95,13 +94,14 @@ def _fill_orders(dataset, order, classes):
     until no order grows (an order only grows, up to `order`, so cycles end)."""
     if classes is None:
         return {record.name: order for record in dataset.classes}
+    by_name = dataset.by_name
     fill = {}
     pending = [(name, order) for name in classes]
     while pending:
         name, k = pending.pop()
         if fill.get(name, 0) < k:
             fill[name] = k
-            pending.append((dataset.by_name[name].power2, max(5, k // 2)))
+            pending.append((by_name[name].power2, max(5, k // 2)))
     return fill
 
 
@@ -125,20 +125,17 @@ def replicate_extend(dataset, order, classes=None):
             for k in (1, 2, 3, 5):
                 row[k - 1] = record.seeds[k]
             rows[record.name] = row
-    square = {name: dataset.by_name[name].power2 for name in rows}
+    by_name = dataset.by_name
+    square = {name: by_name[name].power2 for name in rows}
 
+    # the case for n = 4j + rem (j >= 1) reads r up to index 2j+1, 4j-1
+    # (j >= 2, as 5 is a seed), 2j+2 or max(2j+4, 4j+1): always below n.
+    # An entry not yet filled is None, so a read out of order fails loudly.
     for n in [4, *range(6, order + 1)]:
         j, rem = divmod(n, 4)
-        # the case for n reads indices min(j, 1) .. top of r and s; one
-        # bounds check per entry stands in for a check on every term
-        top = (2 * j + 1, max(2 * j + 3, 4 * j - 1), 2 * j + 2, max(2 * j + 4, 4 * j + 1))[rem]
         for name, r in rows.items():
             if n > len(r):
                 continue
-            if j < 1:
-                raise IndexError(f"recursions never reference index {j}")
-            if top >= n:
-                raise IndexError(f"index {top} for class {name} used before computed")
             s = rows[square[name]]  # r[i-1] is C(g,i), s[i-1] is C(g^2,i)
             if (n - 1) // 2 > len(s):
                 # a slice past the end would truncate a sum silently
@@ -207,8 +204,7 @@ def multiplicity(dataset, table, k, j):
     return mult
 
 
-@dataclass
-class NontrivialityRow:
+class NontrivialityRow(NamedTuple):
     j: int
     dim_primary: int
     trivial_multiplicity: int

@@ -423,6 +423,28 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert table.rows[-1] == ["1", "196884"]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv", [["validate-data", "--data", "DATA"], ["verify-gl2", "--j", "3"]]
+)
+def test_format_applies_only_to_table_commands(tmp_path, capsys, toy_data, fmt, argv):
+    # these commands print text, not a table; a csv or json caller gets a
+    # usage error rather than text it cannot parse
+    target = tmp_path / "out.txt"
+    argv = [toy_data if a == "DATA" else a for a in argv]
+    assert run(["--format", fmt, "--out", str(target), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"monsterlie: error: --format {fmt} does not apply to {argv[0]}\n"
+    )
+    assert not target.exists()
+    assert run(["--format", "table", *argv]) == 0
+    table_out = capsys.readouterr().out
+    assert run(argv) == 0
+    assert capsys.readouterr().out == table_out
+
+
 def test_out_flag_unwritable_path_is_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x"
     assert run(["--out", str(target), "jcoeffs", "--max", "1"]) == 2

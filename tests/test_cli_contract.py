@@ -75,7 +75,7 @@ GOLDEN = {
     "validate-data --data classes.json":
         "78b1cd042b79d5e184e2b40b70c3eadc87de8ab12a76b961a648a59f622f9c49",
     "--format json validate-data --data classes.json":
-        "78b1cd042b79d5e184e2b40b70c3eadc87de8ab12a76b961a648a59f622f9c49",
+        "cbebff030afb6fe52c438909df488f2e52797b7161ad474699506da9aea1e554",
     "verify-gl2 --j -1":
         "a32c82c5934cde5a61de740825ccbd509bed42c6a21eb6cde882c0622491ccdc",
     "verify-gl2 --j -1 --pairing-sign +1":
@@ -94,6 +94,8 @@ GOLDEN = {
         "8398fb9ee974825b010f509f7ef45ee6645ce159e25aeb886e87e8e9a5c9ad7d",
     "verify-gl2 --j 3 --pairing-sign -1":
         "b13e8e4be42f0a10a0e6bc5281dabd1280029bcde752c6ca2e0ef0d70303d5e8",
+    "--format csv verify-gl2 --j 3":
+        "447d8f94a1a24fc7d129acb545a195509a2cdb4f2fdc621c22db2689dc11296c",
     "jcoeffs --max -1":
         "69f1257020f70ba36434d96e77000069cc96d69a98481e6b84a467a21d670909",
     "jcoeffs --max x":

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monsterlie.cli import run
 from monsterlie.dataset import (
     SEED_INDICES,
     DatasetError,
@@ -127,6 +128,26 @@ def test_identity_must_square_to_itself():
     obj.pop("group_order")
     with pytest.raises(DatasetError, match="exactly one class of size 1"):
         parse_dataset(obj)
+
+
+def test_unknown_square_class_is_the_one_violation(tmp_path, capsys):
+    # 4Z squares to 2Z, which squares to an unknown 9Z: the one fault is 2Z's
+    zero = {"-1": "1", "1": "0", "2": "0", "3": "0", "5": "0"}
+    obj = toy_object()
+    obj.pop("group_order")
+    obj["classes"] += [
+        {"name": "4Z", "class_size": "2", "power2": "2Z", "seeds": zero},
+        {"name": "2Z", "class_size": "1", "power2": "9Z", "seeds": zero},
+    ]
+    with pytest.raises(DatasetError) as info:
+        parse_dataset(obj)
+    assert info.value.violations == ["class 2Z: unknown square class '9Z'"]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(obj))
+    assert run(["validate-data", "--data", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dataset error: class 2Z: unknown square class '9Z'\n"
 
 
 def test_trivial_character_must_be_one():
