@@ -152,12 +152,11 @@ def _cmd_cartan(args):
 def _cmd_replicate(args):
     dataset = load_dataset(args.data)
     names = [r.name for r in dataset.classes]
-    only = None
     if args.only_class is not None:
         if args.only_class not in dataset.by_name:
             raise DatasetError(f"unknown class {args.only_class!r}")
-        names = only = [args.only_class]
-    table = replicate_extend(dataset, max(args.max, 5), only)
+        names = [args.only_class]
+    table = replicate_extend(dataset, max(args.max, 5), names)
     rows = [
         (name, j, table.value(name, j))
         for name in names

@@ -117,7 +117,6 @@ def parse_dataset(obj):
         raise DatasetError("top-level object must contain a 'classes' array")
     records = []
     problems = []
-    seen = set()
     for idx, raw in enumerate(_expect(obj["classes"], list, "classes")):
         where = f"classes[{idx}]"
         try:
@@ -132,31 +131,18 @@ def parse_dataset(obj):
         except DatasetError as exc:
             problems.extend(exc.violations)
             continue
-        if name in seen:
-            problems.append(f"{where}: duplicate class name {name!r}")
-        seen.add(name)
-        if size < 0:
-            problems.append(f"class {name}: negative class size")
-        seeds = {}
-        for k in SEED_INDICES:
-            key = str(k)
-            if key not in seeds_raw:
-                problems.append(f"class {name}: missing seed index {k}")
-                continue
-            seeds[k] = _parse_int(seeds_raw[key], f"class {name} seed {k}")
+        seeds = {
+            k: _parse_int(seeds_raw[str(k)], f"class {name} seed {k}")
+            for k in SEED_INDICES
+            if str(k) in seeds_raw
+        }
         records.append(ClassRecord(name, size, power2, seeds))
     if problems:
         raise DatasetError(problems)
 
-    declared = obj.get("group_order")
-    total = sum(r.class_size for r in records)
-    if declared is not None:
-        declared = _parse_int(declared, "group_order")
-        if declared != total:
-            raise DatasetError(
-                f"declared group_order {declared} does not equal the sum of "
-                f"class sizes {total}"
-            )
+    group_order = sum(r.class_size for r in records)
+    if obj.get("group_order") is not None:
+        group_order = _parse_int(obj["group_order"], "group_order")
     characters = None
     if obj.get("characters") is not None:
         characters = {}
@@ -166,7 +152,7 @@ def parse_dataset(obj):
                 cls: _parse_int(val, f"character {k} on class {cls}")
                 for cls, val in _expect(per_class, dict, f"characters[{k_raw!r}]").items()
             }
-    dataset = Dataset(records, total, characters)
+    dataset = Dataset(records, group_order, characters)
     violations = validate_dataset(dataset)
     if violations:
         raise DatasetError(violations)
@@ -174,14 +160,31 @@ def parse_dataset(obj):
 
 
 def validate_dataset(dataset):
-    """Re-run every schema invariant; returns the list of violations
-    (empty when the dataset is consistent)."""
+    """Check every schema invariant; returns the list of violations (empty
+    when the dataset is consistent).  Violations within the records (a
+    duplicate name, a negative size, a missing seed) come alone, since the
+    checks after them read the records; a group order that is not the sum
+    of the class sizes comes next, also alone."""
     out = []
-    names = {r.name for r in dataset.classes}
+    names = set()
+    for idx, record in enumerate(dataset.classes):
+        if record.name in names:
+            out.append(f"classes[{idx}]: duplicate class name {record.name!r}")
+        names.add(record.name)
+        if record.class_size < 0:
+            out.append(f"class {record.name}: negative class size")
+        for k in SEED_INDICES:
+            if k not in record.seeds:
+                out.append(f"class {record.name}: missing seed index {k}")
+    total = sum(r.class_size for r in dataset.classes)
+    if not out and dataset.group_order != total:
+        out.append(
+            f"declared group_order {dataset.group_order} does not equal the sum "
+            f"of class sizes {total}"
+        )
+    if out:
+        return out
     expected = _identity_seed_expectations()
-
-    if dataset.group_order != sum(r.class_size for r in dataset.classes):
-        out.append("group_order is not the sum of the class sizes")
 
     try:
         identity = dataset.identity_class()
@@ -189,17 +192,17 @@ def validate_dataset(dataset):
         out.extend(exc.violations)
     else:
         for k in SEED_INDICES:
-            if identity.seeds.get(k) != expected[k]:
+            if identity.seeds[k] != expected[k]:
                 out.append(
                     f"identity class {identity.name}: seed {k} is "
-                    f"{identity.seeds.get(k)}, expected {expected[k]}"
+                    f"{identity.seeds[k]}, expected {expected[k]}"
                 )
 
     for record in dataset.classes:
-        if record.seeds.get(-1) != 1:
+        if record.seeds[-1] != 1:
             out.append(
                 f"class {record.name}: seed -1 must be 1 (normalized series), "
-                f"got {record.seeds.get(-1)}"
+                f"got {record.seeds[-1]}"
             )
         if record.power2 not in names:
             out.append(

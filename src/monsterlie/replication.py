@@ -2,40 +2,39 @@
 trivial-multiplicity computation, and the non-triviality report.
 
 Writing C(g, j) for the trace of g on the weight-(j+1) graded piece of
-the moonshine module, the four recursions determine C(g, 4) and every
-C(g, j) for j > 5 from the seeds at 1, 2, 3, 5 and the squared class:
+the moonshine module, f_g = sum_{i>=1} C(g,i) q^i, and S(k) for the q^k
+coefficient of the symmetric square (f_g(q)^2 - f_{g^2}(q^2))/2,
 
-  C(g,4j)   = C(g,2j+1) + (C(g,j)^2 - C(g^2,j))/2
-              + sum_{i=1}^{j-1} C(g,i) C(g,2j-i)
+  S(k) = sum_{1<=i<k/2} C(g,i) C(g,k-i)
+         [+ (C(g,k/2)^2 - C(g^2,k/2))/2 when k is even],
 
-  C(g,4j+1) = C(g,2j+3) - C(g,2) C(g,2j)
-              + (C(g,2j)^2 + C(g^2,2j))/2 + (C(g,j+1)^2 - C(g^2,j+1))/2
-              + sum_{i=1}^{j}    C(g,i)   C(g,2j-i+2)
-              + sum_{i=1}^{j-1}  C(g^2,i) C(g,4j-4i)
-              + sum_{i=1}^{2j-1} (-1)^i C(g,i) C(g,4j-i)
+two recursions determine C(g, 4) and every C(g, n) for n > 5 from the
+seeds at 1, 2, 3, 5 and the squared class:
 
-  C(g,4j+2) = C(g,2j+2) + sum_{i=1}^{j} C(g,i) C(g,2j-i+1)
+  C(g,2m)   = C(g,m+1) + S(m)                                    (m >= 2)
 
-  C(g,4j+3) = C(g,2j+4) - C(g,2) C(g,2j+1) - (C(g,2j+1)^2 - C(g^2,2j+1))/2
-              + sum_{i=1}^{j+1} C(g,i)   C(g,2j-i+3)
-              + sum_{i=1}^{j}   C(g^2,i) C(g,4j-4i+2)
-              + sum_{i=1}^{2j}  (-1)^i C(g,i) C(g,4j-i+2).
+  C(g,2m+1) = C(g,m+3) - C(g,2) C(g,m) + S(m+2)
+              + ((-1)^m C(g,m)^2 + C(g^2,m))/2
+              + sum_{1<=i<m/2} C(g^2,i) C(g,2m-4i)
+              + sum_{i=1}^{m-1} (-1)^i C(g,i) C(g,2m-i)           (m >= 3)
 
-At index 5 the first recursion instance is vacuous (it reduces to
-C(g,5) = C(g,5)), which is why 5 is a seed.  Every halving must be exact;
-an odd numerator names the class and index and aborts, since it can only
-mean inconsistent seed data.
+Putting m = 2j and m = 2j+1 gives back, term by term, the four cases
+n = 4j, 4j+1, 4j+2, 4j+3 of Alexander, Cummins, McKay and Simons,
+"Completely replicable functions" (1992).  At n = 5 the odd recursion is
+vacuous (it reduces to C(g,5) = C(g,5)), which is why 5 is a seed.  Each
+new entry takes (1, 2, 0, 1) halvings for n mod 4 = 0, 1, 2, 3, and every
+halving must be exact; an odd numerator names the class and index and
+aborts, since it can only mean inconsistent seed data.
 
 Each class row is a list with row[i-1] = C(g,i).  Every sum above is one
-dot product of two row slices, the second one reversed (with stride 4
-against C(g^2,i)); the alternating sums take the products once and
-subtract the even-i terms from the odd-i ones.
+dot product of two row slices, the second one read backwards (with
+stride 4 against C(g^2,i)); the alternating sum takes the products once and
+subtracts the even-i terms from the odd-i ones.
 
-The square-class reads for C(g,n) stop at index (n-1)/2 (C(g^2,2j) for
-n = 4j+1, C(g^2,2j+1) for n = 4j+3), so a row filled to k needs the row of
-its square class only to k/2.  A caller that reads some classes only
-fills those, each square class to half of its class, down the power2
-chain.
+The square-class reads for C(g,n) stop at index (n-1)/2 (C(g^2,m) for
+n = 2m+1), so a row filled to k needs the row of its square class only to
+k/2.  A caller that reads some classes only fills those, each square
+class to half of its class, down the power2 chain.
 
 Multiplicities come from character orthogonality: the multiplicity of
 the k-th irreducible in the weight-(j+1) piece is
@@ -89,11 +88,9 @@ def _halve(numerator, name, j):
 
 def _fill_orders(dataset, order, classes):
     """{class name: the order its row is filled to}.  Each class in `classes`
-    (every class when None) is filled to `order`; the square class of a
-    class filled to k is filled to max(5, k // 2), along the power2 chains
-    until no order grows (an order only grows, up to `order`, so cycles end)."""
-    if classes is None:
-        return {record.name: order for record in dataset.classes}
+    is filled to `order`; the square class of a class filled to k is filled
+    to max(5, k // 2), along the power2 chains until no order grows (an
+    order only grows, up to `order`, so cycles end)."""
     by_name = dataset.by_name
     fill = {}
     pending = [(name, order) for name in classes]
@@ -103,6 +100,16 @@ def _fill_orders(dataset, order, classes):
             fill[name] = k
             pending.append((by_name[name].power2, max(5, k // 2)))
     return fill
+
+
+def _symmetric_square(r, s, k, name, n):
+    """S(k), the q^k coefficient of (f_g(q)^2 - f_{g^2}(q^2))/2, from the rows
+    r of g and s of g^2; an odd halving names class `name` and index `n`."""
+    h = (k - 1) // 2
+    total = sum(map(mul, r[:h], reversed(r[k - h - 1 : k - 1])))
+    if k % 2 == 0:
+        total += _halve(r[h] ** 2 - s[h], name, n)
+    return total
 
 
 def replicate_extend(dataset, order, classes=None):
@@ -117,22 +124,22 @@ def replicate_extend(dataset, order, classes=None):
     """
     if order < 5:
         raise ValueError("order must be at least 5 (indices 1,2,3,5 are seeds)")
+    if classes is None:
+        classes = [record.name for record in dataset.classes]
     fill = _fill_orders(dataset, order, classes)
-    rows = {}
+    rows, square = {}, {}
     for record in dataset.classes:
         if record.name in fill:
-            row = [None] * fill[record.name]
+            row = rows[record.name] = [None] * fill[record.name]
             for k in (1, 2, 3, 5):
                 row[k - 1] = record.seeds[k]
-            rows[record.name] = row
-    by_name = dataset.by_name
-    square = {name: by_name[name].power2 for name in rows}
+            square[record.name] = record.power2
 
-    # the case for n = 4j + rem (j >= 1) reads r up to index 2j+1, 4j-1
-    # (j >= 2, as 5 is a seed), 2j+2 or max(2j+4, 4j+1): always below n.
-    # An entry not yet filled is None, so a read out of order fails loudly.
+    # n = 2m reads r up to index m+1, and n = 2m+1 (m >= 3, as 5 is a seed)
+    # up to max(m+3, 2m-1): always below n.  An entry not yet filled is
+    # None, so a read out of order fails loudly.
     for n in [4, *range(6, order + 1)]:
-        j, rem = divmod(n, 4)
+        m, odd = divmod(n, 2)
         for name, r in rows.items():
             if n > len(r):
                 continue
@@ -143,26 +150,15 @@ def replicate_extend(dataset, order, classes=None):
                     f"class {name} reads index {(n - 1) // 2} of square class "
                     f"{square[name]}, filled only to {len(s)}"
                 )
-            if rem == 0:
-                total = r[2 * j] + _halve(r[j - 1] ** 2 - s[j - 1], name, n)
-                total += sum(map(mul, r[: j - 1], reversed(r[j : 2 * j - 1])))
-            elif rem == 1:
-                total = r[2 * j + 2] - r[1] * r[2 * j - 1]
-                total += _halve(r[2 * j - 1] ** 2 + s[2 * j - 1], name, n)
-                total += _halve(r[j] ** 2 - s[j], name, n)
-                total += sum(map(mul, r[:j], reversed(r[j + 1 : 2 * j + 1])))
-                total += sum(map(mul, s[: j - 1], reversed(r[3 : 4 * j - 4 : 4])))
-                p = list(map(mul, r[: 2 * j - 1], reversed(r[2 * j : 4 * j - 1])))
-                total += sum(p[1::2]) - sum(p[0::2])
-            elif rem == 2:
-                total = r[2 * j + 1]
-                total += sum(map(mul, r[:j], reversed(r[j : 2 * j])))
+            if not odd:
+                total = r[m] + _symmetric_square(r, s, m, name, n)
             else:
-                total = r[2 * j + 3] - r[1] * r[2 * j]
-                total -= _halve(r[2 * j] ** 2 - s[2 * j], name, n)
-                total += sum(map(mul, r[: j + 1], reversed(r[j + 1 : 2 * j + 2])))
-                total += sum(map(mul, s[:j], reversed(r[1 : 4 * j - 2 : 4])))
-                p = list(map(mul, r[: 2 * j], reversed(r[2 * j + 1 : 4 * j + 1])))
+                total = r[m + 2] - r[1] * r[m - 1]
+                total += _symmetric_square(r, s, m + 2, name, n)
+                total += _halve((-1) ** m * r[m - 1] ** 2 + s[m - 1], name, n)
+                h = (m - 1) // 2  # sum C(g^2,i) C(g,2m-4i) over 1 <= i < m/2
+                total += sum(map(mul, s[:h], r[2 * m - 5 : 2 * m - 4 * h - 2 : -4]))
+                p = list(map(mul, r[: m - 1], reversed(r[m : 2 * m - 1])))
                 total += sum(p[1::2]) - sum(p[0::2])
             r[n - 1] = total
     return CoefficientTable(order, rows)

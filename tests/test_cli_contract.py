@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monsterlie.cli import run
-from monsterlie.dataset import save_dataset, trivial_dataset
+from monsterlie.dataset import save_dataset, to_jsonable, trivial_dataset
+from monsterlie.qseries import j_series, mckay_thompson
+from test_replication import S3_CLASSES, Z4_CHARACTERS, Z4_CLASSES, group_object
 
 
 def _outcome(argv):
@@ -193,3 +195,110 @@ def test_cli_argv_fuzz_keeps_the_exit_code_contract(fuzz_paths, argv):
         assert not lines or lines[0].startswith(
             ("verification error:", "non-triviality criterion failed")
         )
+
+
+# -- dataset-file fuzz --------------------------------------------------------
+
+
+_TRACES = {
+    "1A": j_series(5),
+    **{name: mckay_thompson(name, 5) for name in ("2B", "3B", "4C")},
+}
+_GROUPS = {
+    "trivial": to_jsonable(trivial_dataset()),
+    "S3": group_object(S3_CLASSES, _TRACES),
+    "Z4": group_object(Z4_CLASSES, _TRACES, Z4_CHARACTERS),
+}
+_SEED_KEYS = st.sampled_from(["-1", "1", "2", "3", "5"])
+_BAD_VALUES = st.sampled_from(
+    [None, True, 1.5, [], {}, "", "x", "-1", "-7", "9" * 5000, 0, -3]
+)
+
+
+@st.composite
+def _mutated_groups(draw):
+    """One of the trivial, S3 and Z/4 dataset objects, with up to two
+    mutations."""
+    obj = json.loads(json.dumps(_GROUPS[draw(st.sampled_from(list(_GROUPS)))]))
+    classes = obj["classes"]
+    names = [c["name"] for c in classes]
+    for _ in range(draw(st.integers(0, 2))):
+        record = draw(st.sampled_from(classes))
+        kind = draw(
+            st.sampled_from(
+                ["drop", "bad", "seed", "power2", "duplicate", "characters"]
+            )
+        )
+        if kind == "drop":
+            field = draw(st.sampled_from(["name", "class_size", "power2", "seeds"]))
+            if draw(st.booleans()):
+                record.pop(field, None)
+            elif isinstance(record.get("seeds"), dict):
+                record["seeds"].pop(draw(_SEED_KEYS), None)
+            else:
+                obj.pop("group_order", None)
+        elif kind == "bad":
+            fields = ["class_size", "power2", "name", "seed", "group_order"]
+            field = draw(st.sampled_from(fields))
+            if field == "group_order":
+                obj["group_order"] = draw(_BAD_VALUES)
+            elif field == "seed" and isinstance(record.get("seeds"), dict):
+                record["seeds"][draw(_SEED_KEYS)] = draw(_BAD_VALUES)
+            else:
+                record[field] = draw(_BAD_VALUES)
+        elif kind == "seed" and isinstance(record.get("seeds"), dict):
+            key = draw(_SEED_KEYS)
+            try:
+                value = int(record["seeds"].get(key, "0"))
+            except (TypeError, ValueError):
+                continue
+            record["seeds"][key] = str(value + draw(st.integers(-4, 4)))
+        elif kind == "power2":
+            record["power2"] = draw(st.sampled_from(names + ["9Z"]))
+        elif kind == "duplicate":
+            classes.append(json.loads(json.dumps(record)))
+        elif kind == "characters":
+            values = {name: "1" for name in names}
+            if draw(st.booleans()):
+                values.pop(draw(st.sampled_from(names)))
+            else:
+                values["9Z"] = "1"
+            k = draw(st.sampled_from(["1", "2", "3"]))
+            obj.setdefault("characters", {})[k] = values
+    return obj
+
+
+_DATA_COMMANDS = st.sampled_from(
+    [
+        ["validate-data"],
+        ["replicate"],
+        ["replicate", "--class", "1A"],
+        ["replicate", "--class", "2B"],
+        ["mult", "--k", "1"],
+        ["mult", "--k", "2"],
+        ["check-nontrivial"],
+    ]
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(obj=_mutated_groups(), command=_DATA_COMMANDS, top=st.integers(1, 40))
+def test_cli_dataset_fuzz_keeps_the_exit_code_contract(
+    tmp_path_factory, obj, command, top
+):
+    path = tmp_path_factory.mktemp("data") / "classes.json"
+    path.write_text(json.dumps(obj))
+    argv = [*command, "--data", str(path)]
+    if command[0] != "validate-data":
+        argv += ["--max", str(top)]
+    code, out, err = _outcome(argv)
+    lines = err.splitlines()
+    assert code in (0, 3, 4), (argv, code, err)
+    if code == 0:
+        assert err == ""
+    elif code == 3:
+        assert out == ""
+        assert len(lines) == 1, err
+        assert lines[0].startswith(("dataset error:", "integrality failure:"))
+    else:
+        assert len(lines) <= 1, err

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from monsterlie.cli import run
 from monsterlie.dataset import (
     SEED_INDICES,
+    ClassRecord,
+    Dataset,
     DatasetError,
     load_dataset,
     parse_dataset,
@@ -29,6 +31,42 @@ def test_trivial_dataset_is_valid():
     assert d.identity_class().name == "1A"
     assert d.identity_class().seeds[1] == 196884
     assert d.identity_class().seeds[5] == 333202640600
+
+
+def test_datasets_built_in_code_get_the_record_checks():
+    identity = trivial_dataset().classes[0]
+    short = ClassRecord("2B", 1, "1A", {-1: 1, 1: 276})
+    assert validate_dataset(Dataset([identity, short], 2)) == [
+        f"class 2B: missing seed index {k}" for k in (2, 3, 5)
+    ]
+    negative = ClassRecord("2B", -1, "1A", identity.seeds)
+    # record violations come alone: no identity or group-order line after them
+    assert validate_dataset(Dataset([identity, identity, negative], 5)) == [
+        "classes[1]: duplicate class name '1A'",
+        "class 2B: negative class size",
+    ]
+    no_identity_seed = ClassRecord("1A", 1, "1A", {-1: 1, 1: 196884})
+    assert validate_dataset(Dataset([no_identity_seed], 1)) == [
+        f"class 1A: missing seed index {k}" for k in (2, 3, 5)
+    ]
+    # a group order off the sum comes next, alone: no identity line after it
+    assert validate_dataset(Dataset([identity._replace(class_size=2)], 1)) == [
+        "declared group_order 1 does not equal the sum of class sizes 2"
+    ]
+    # in a file, the shape of every class and of the characters is checked
+    # first, and alone: a missing seed or an off group order waits for it
+    obj = to_jsonable(trivial_dataset())
+    del obj["classes"][0]["seeds"]["2"]
+    obj["classes"].append({**obj["classes"][0], "name": "2B", "class_size": "x"})
+    with pytest.raises(DatasetError) as exc:
+        parse_dataset(obj)
+    assert exc.value.violations == [
+        "classes[1].class_size: expected a decimal integer, got 'x'"
+    ]
+    obj = {**to_jsonable(trivial_dataset()), "group_order": "7", "characters": {"2": []}}
+    with pytest.raises(DatasetError) as exc:
+        parse_dataset(obj)
+    assert exc.value.violations == ["characters['2']: expected an object, got []"]
 
 
 def test_round_trip_through_json(tmp_path):

@@ -25,30 +25,42 @@ def two_class_dataset(seeds_b, power2_b="2Z"):
     return parse_dataset(obj)
 
 
-def s3_dataset(traces):
-    """S3 acting through 1A, 2B (squares to 1A) and 3B (squares to 3B),
-    seeded from the given series."""
-    classes = [("1A", 1, "1A"), ("2B", 3, "1A"), ("3B", 2, "3B")]
-    return parse_dataset(
-        {
-            "classes": [
-                {
-                    "name": name,
-                    "class_size": str(size),
-                    "power2": square,
-                    "seeds": {
-                        str(k): str(traces[name].coeff(k)) for k in (-1, 1, 2, 3, 5)
-                    },
-                }
-                for name, size, square in classes
-            ]
-        }
-    )
+# S3 acting through 1A, 2B (squares to 1A) and 3B (squares to 3B)
+S3_CLASSES = [("1A", 1, "1A"), ("2B", 3, "1A"), ("3B", 2, "3B")]
+# Z/4 = {1, g, g^2, g^3} through 1A, 2B (g^2, squares to 1A) and 4C (g and
+# g^3, squares to 2B); character 2 sends g to -1
+Z4_CLASSES = [("1A", 1, "1A"), ("2B", 1, "1A"), ("4C", 2, "2B")]
+Z4_CHARACTERS = {"2": {"1A": 1, "2B": 1, "4C": -1}}
+
+
+def group_object(classes, traces, characters=None):
+    """Dataset JSON for (name, size, square class) triples, each class
+    seeded from its series in `traces`."""
+    obj = {
+        "classes": [
+            {
+                "name": name,
+                "class_size": str(size),
+                "power2": square,
+                "seeds": {str(k): str(traces[name].coeff(k)) for k in (-1, 1, 2, 3, 5)},
+            }
+            for name, size, square in classes
+        ],
+        "group_order": str(sum(size for _, size, _ in classes)),
+    }
+    if characters is not None:
+        obj["characters"] = characters
+    return obj
+
+
+def group_dataset(classes, traces, characters=None):
+    return parse_dataset(group_object(classes, traces, characters))
 
 
 def test_cross_class_rows_match_eta_quotients():
-    # 2B squares into another class and 3B into itself, so both the
-    # stride-4 C(g^2, i) sums and the alternating sums see real data
+    # in S3, 2B squares into another class and 3B into itself, so both the
+    # stride-4 C(g^2, i) sums and the alternating sums see real data; the
+    # Z/p datasets run the recursions on every other eta-quotient class
     order = 300
     traces = {
         "1A": j_series(order),
@@ -57,35 +69,20 @@ def test_cross_class_rows_match_eta_quotients():
     }
     assert [traces["2B"].coeff(n) for n in (-1, 0, 1, 2)] == [1, 0, 276, -2048]
     assert [traces["3B"].coeff(n) for n in (-1, 0, 1, 2)] == [1, 0, 54, -76]
-    d = s3_dataset(traces)
-    table = replicate_extend(d, order)
-    for name, series in traces.items():
-        row = [series.coeff(n) for n in range(1, order + 1)]
-        assert table.rows[name] == row, f"class {name} differs from its series"
-    for j in range(1, order + 1):
-        assert multiplicity(d, table, 1, j) >= 0
-
-
-def z4_dataset(traces):
-    """Z/4 = {1, g, g^2, g^3} through 1A, 2B (g^2, squares to 1A) and 4C
-    (g and g^3, squares to 2B); character 2 sends g to -1."""
-    classes = [("1A", 1, "1A"), ("2B", 1, "1A"), ("4C", 2, "2B")]
-    return parse_dataset(
-        {
-            "classes": [
-                {
-                    "name": name,
-                    "class_size": str(size),
-                    "power2": square,
-                    "seeds": {
-                        str(k): str(traces[name].coeff(k)) for k in (-1, 1, 2, 3, 5)
-                    },
-                }
-                for name, size, square in classes
-            ],
-            "characters": {"2": {"1A": 1, "2B": 1, "4C": -1}},
-        }
-    )
+    cases = [(group_dataset(S3_CLASSES, traces), traces, order)]
+    for name in ("3B", "5B", "7B", "13B"):
+        # Z/p acting through 1A and the class pB of its p - 1 generators
+        cyclic = {"1A": j_series(400), name: mckay_thompson(name, 400)}
+        p = int(name[:-1])
+        classes = [("1A", 1, "1A"), (name, p - 1, name)]
+        cases.append((group_dataset(classes, cyclic), cyclic, 400))
+    for d, expected, top in cases:
+        table = replicate_extend(d, top)
+        for name, series in expected.items():
+            row = [series.coeff(n) for n in range(1, top + 1)]
+            assert table.rows[name] == row, f"class {name} differs from its series"
+        for j in range(1, top + 1):
+            assert multiplicity(d, table, 1, j) >= 0
 
 
 def test_cyclic_group_of_order_four_fills_its_square_chain():
@@ -97,7 +94,7 @@ def test_cyclic_group_of_order_four_fills_its_square_chain():
         "2B": mckay_thompson("2B", order),
         "4C": mckay_thompson("4C", order),
     }
-    d = z4_dataset(traces)
+    d = group_dataset(Z4_CLASSES, traces, Z4_CHARACTERS)
     table = replicate_extend(d, order)
     for name, series in traces.items():
         assert table.rows[name] == [series.coeff(n) for n in range(1, order + 1)], name
@@ -123,7 +120,7 @@ def test_class_subsets_match_the_full_table():
         "2B": mckay_thompson("2B", top),
         "3B": mckay_thompson("3B", top),
     }
-    d = s3_dataset(traces)
+    d = group_dataset(S3_CLASSES, traces)
     for order in (*range(5, 14), 50, 200, top):
         full = replicate_extend(d, order)
         for name in traces:
@@ -135,7 +132,7 @@ def test_class_subsets_match_the_full_table():
 
 def test_lookups_outside_the_filled_rows_name_the_class():
     traces = {"1A": j_series(50), "2B": mckay_thompson("2B", 50), "3B": mckay_thompson("3B", 50)}
-    table = replicate_extend(s3_dataset(traces), 40, ["2B"])
+    table = replicate_extend(group_dataset(S3_CLASSES, traces), 40, ["2B"])
     assert table.value("1A", 20) == traces["1A"].coeff(20)
     with pytest.raises(IndexError, match="index 21 of class 1A beyond the order 20"):
         table.value("1A", 21)
@@ -153,7 +150,7 @@ def test_short_square_row_is_an_error_not_a_truncated_sum(monkeypatch):
         monsterlie.replication, "_fill_orders", lambda *args: {"1A": 18, "2B": 40}
     )
     with pytest.raises(IndexError, match="class 2B reads index 19 of square class 1A"):
-        replicate_extend(s3_dataset(traces), 40, ["2B"])
+        replicate_extend(group_dataset(S3_CLASSES, traces), 40, ["2B"])
 
 
 def test_cyclic_group_of_order_two_has_integral_multiplicities():
