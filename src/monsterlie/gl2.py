@@ -453,7 +453,8 @@ def bracket(x, y):
             if m == n == 0:
                 scal = cx * cy * _natural_contraction(symbols, label_x, label_y, jx)
                 power = pairing(a, b) + 1  # Schur order r = 1
-                state = vertex_iota_coeff(section(*a), FockState({((), b): 1}), power)
+                iota_b = FockState({((), b): 1}, _sorted=True)
+                state = vertex_iota_coeff(section(*a), iota_b, power)
                 hm, hn = _cartan_of_state(state)
                 cartan_m += scal * hm
                 cartan_n += scal * hn

@@ -208,11 +208,20 @@ _AXIS_NAMES = ("u1", "u2")
 
 
 class FockState:
-    """Finite exact-rational combination of creation monomials on iota vectors."""
+    """Finite exact-rational combination of creation monomials on iota vectors.
+
+    Creation modes commute, so each key's monomial is sorted and keys that
+    then coincide merge; the kernels, whose keys are sorted already, skip
+    that step with the private `_sorted=True`."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self, terms=None, *, _sorted=False):
+        if terms and not _sorted:
+            merged = {}
+            for (mono, abar), c in _exact(terms).items():
+                _add(merged, {(tuple(sorted(mono)), abar): c})
+            terms = merged
         object.__setattr__(self, "terms", _exact(terms))
 
     def __setattr__(self, name, value):
@@ -225,7 +234,7 @@ class FockState:
     @classmethod
     def iota(cls, a):
         """State iota(a) for a double-cover element; kappa acts as -1."""
-        return cls({((), a.vector.int_pair()): a.sign})
+        return cls({((), a.vector.int_pair()): a.sign}, _sorted=True)
 
     @classmethod
     def vacuum(cls):
@@ -245,19 +254,19 @@ class FockState:
             return NotImplemented
         out = dict(self.terms)
         _add(out, other.terms)
-        return FockState(out)
+        return FockState(out, _sorted=True)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return FockState({k: -c for k, c in self.terms.items()})
+        return FockState({k: -c for k, c in self.terms.items()}, _sorted=True)
 
     def __rmul__(self, scalar):
         c = _coeff(scalar)
         if not c:
             return FockState.zero()
-        return FockState({k: c * v for k, v in self.terms.items()})
+        return FockState({k: c * v for k, v in self.terms.items()}, _sorted=True)
 
     __mul__ = __rmul__
 
@@ -294,7 +303,7 @@ def _numerators(terms):
 
 def _over(terms, d):
     """The state terms / d: the one division of a kernel call."""
-    return FockState({key: Fraction(c, d) for key, c in terms.items()})
+    return FockState({key: Fraction(c, d) for key, c in terms.items()}, _sorted=True)
 
 
 def _create(axis, depth, terms):
@@ -316,7 +325,7 @@ def heisenberg_apply(lam, n, state):
     [lam(m), mu(k)] = <lam,mu> m delta(m+k), and lam(0) multiplies each
     term by <lam, abar>.
     """
-    return FockState(_heisenberg(lam, n, state.terms))
+    return FockState(_heisenberg(lam, n, state.terms), _sorted=True)
 
 
 def _heisenberg(lam, n, terms):

@@ -28,8 +28,11 @@ aborts, since it can only mean inconsistent seed data.
 
 Each class row is a list with row[i-1] = C(g,i).  Every sum above is one
 dot product of two row slices, the second one read backwards (with
-stride 4 against C(g^2,i)); the alternating sum takes the products once and
-subtracts the even-i terms from the odd-i ones.
+stride 4 against C(g^2,i)).  S(k) is read by n = 2k - 3 and by n = 2k, so
+its pair sum P(k) = sum_{1<=i<k/2} C(g,i) C(g,k-i) is formed once per
+class and call, and kept; the products of the alternating sum, added, are
+P(2m), kept before S(2m) is first read.  Rows only grow, so no kept sum
+goes stale.  The halving term of an even k is checked at every use.
 
 The square-class reads for C(g,n) stop at index (n-1)/2 (C(g^2,m) for
 n = 2m+1), so a row filled to k needs the row of its square class only to
@@ -102,11 +105,15 @@ def _fill_orders(dataset, order, classes):
     return fill
 
 
-def _symmetric_square(r, s, k, name, n):
+def _symmetric_square(r, s, k, name, n, pairs):
     """S(k), the q^k coefficient of (f_g(q)^2 - f_{g^2}(q^2))/2, from the rows
-    r of g and s of g^2; an odd halving names class `name` and index `n`."""
+    r of g and s of g^2, with the pair sum P(k) read from the class's store
+    `pairs` ({k: P(k)}) and formed there when missing; an odd halving names
+    class `name` and index `n`."""
     h = (k - 1) // 2
-    total = sum(map(mul, r[:h], reversed(r[k - h - 1 : k - 1])))
+    total = pairs.get(k)
+    if total is None:
+        total = pairs[k] = sum(map(mul, r[:h], reversed(r[k - h - 1 : k - 1])))
     if k % 2 == 0:
         total += _halve(r[h] ** 2 - s[h], name, n)
     return total
@@ -127,13 +134,14 @@ def replicate_extend(dataset, order, classes=None):
     if classes is None:
         classes = [record.name for record in dataset.classes]
     fill = _fill_orders(dataset, order, classes)
-    rows, square = {}, {}
+    rows, square, pair_sums = {}, {}, {}
     for record in dataset.classes:
         if record.name in fill:
             row = rows[record.name] = [None] * fill[record.name]
             for k in (1, 2, 3, 5):
                 row[k - 1] = record.seeds[k]
             square[record.name] = record.power2
+            pair_sums[record.name] = {}
 
     # n = 2m reads r up to index m+1, and n = 2m+1 (m >= 3, as 5 is a seed)
     # up to max(m+3, 2m-1): always below n.  An entry not yet filled is
@@ -144,6 +152,7 @@ def replicate_extend(dataset, order, classes=None):
             if n > len(r):
                 continue
             s = rows[square[name]]  # r[i-1] is C(g,i), s[i-1] is C(g^2,i)
+            pairs = pair_sums[name]
             if (n - 1) // 2 > len(s):
                 # a slice past the end would truncate a sum silently
                 raise IndexError(
@@ -151,15 +160,17 @@ def replicate_extend(dataset, order, classes=None):
                     f"{square[name]}, filled only to {len(s)}"
                 )
             if not odd:
-                total = r[m] + _symmetric_square(r, s, m, name, n)
+                total = r[m] + _symmetric_square(r, s, m, name, n, pairs)
             else:
                 total = r[m + 2] - r[1] * r[m - 1]
-                total += _symmetric_square(r, s, m + 2, name, n)
+                total += _symmetric_square(r, s, m + 2, name, n, pairs)
                 total += _halve((-1) ** m * r[m - 1] ** 2 + s[m - 1], name, n)
                 h = (m - 1) // 2  # sum C(g^2,i) C(g,2m-4i) over 1 <= i < m/2
                 total += sum(map(mul, s[:h], r[2 * m - 5 : 2 * m - 4 * h - 2 : -4]))
                 p = list(map(mul, r[: m - 1], reversed(r[m : 2 * m - 1])))
-                total += sum(p[1::2]) - sum(p[0::2])
+                odd_i, even_i = sum(p[0::2]), sum(p[1::2])
+                total += even_i - odd_i
+                pairs[2 * m] = odd_i + even_i  # P(2m), the same products
             r[n - 1] = total
     return CoefficientTable(order, rows)
 

@@ -282,23 +282,42 @@ _DATA_COMMANDS = st.sampled_from(
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(obj=_mutated_groups(), command=_DATA_COMMANDS, top=st.integers(1, 40))
+@given(
+    obj=_mutated_groups(),
+    command=_DATA_COMMANDS,
+    top=st.integers(1, 40),
+    fmt=st.sampled_from([None, "table", "csv", "json"]),
+    out=st.sampled_from([None, None, "FILE", "MISSING_DIR", "DIR"]),
+)
 def test_cli_dataset_fuzz_keeps_the_exit_code_contract(
-    tmp_path_factory, obj, command, top
+    tmp_path_factory, obj, command, top, fmt, out
 ):
-    path = tmp_path_factory.mktemp("data") / "classes.json"
+    root = tmp_path_factory.mktemp("data")
+    path = root / "classes.json"
     path.write_text(json.dumps(obj))
     argv = [*command, "--data", str(path)]
     if command[0] != "validate-data":
         argv += ["--max", str(top)]
-    code, out, err = _outcome(argv)
+        # --format and --out go before the command, as global options
+        if fmt is not None:
+            argv = ["--format", fmt, *argv]
+        if out is not None:
+            target = {"FILE": root / "out.txt", "MISSING_DIR": root / "missing" / "out.txt"}
+            argv = ["--out", str(target.get(out, root)), *argv]
+    code, stdout, err = _outcome(argv)
     lines = err.splitlines()
-    assert code in (0, 3, 4), (argv, code, err)
+    assert code in (0, 2, 3, 4), (argv, code, err)
     if code == 0:
         assert err == ""
-    elif code == 3:
-        assert out == ""
+        if "--out" in argv:
+            # the file holds what the command prints without --out
+            assert stdout == ""
+            assert (root / "out.txt").read_text() == _outcome(argv[2:])[1]
+    elif code in (2, 3):
+        assert stdout == ""
         assert len(lines) == 1, err
-        assert lines[0].startswith(("dataset error:", "integrality failure:"))
+        prefixes = ("usage error:",) if code == 2 else ("dataset error:", "integrality failure:")
+        assert lines[0].startswith(prefixes), err
     else:
         assert len(lines) <= 1, err
+        assert not lines or lines[0].startswith("non-triviality criterion failed"), err

@@ -70,6 +70,19 @@ def test_fock_state_stores_integral_coefficients_as_int():
     assert type(c) is int and c == 2
 
 
+def test_fock_state_sorts_outside_monomials_and_merges_keys():
+    # creation modes commute, so u2(-1)u1(-1)iota(0,0) is u1(-1)u2(-1)iota(0,0)
+    swapped, ordered = (((1, 1), (0, 1)), (0, 0)), (((0, 1), (1, 1)), (0, 0))
+    assert FockState({swapped: 1}) == FockState({ordered: 1})
+    assert (FockState({swapped: 1}) + FockState({ordered: 1})).terms == {ordered: 2}
+    half = FockState({swapped: Fraction(1, 2), ordered: 1})
+    assert half.terms == {ordered: Fraction(3, 2)}
+    assert FockState({swapped: 1, ordered: -1}).is_zero()
+    moved = virasoro_apply(-1, FockState({swapped: 1}))
+    assert not moved.is_zero()
+    assert moved == virasoro_apply(-1, FockState({ordered: 1}))
+
+
 # -- pairing and reflection ----------------------------------------------
 
 

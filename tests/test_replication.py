@@ -153,6 +153,27 @@ def test_short_square_row_is_an_error_not_a_truncated_sum(monkeypatch):
         replicate_extend(group_dataset(S3_CLASSES, traces), 40, ["2B"])
 
 
+def test_each_pair_sum_is_formed_once_per_class(monkeypatch):
+    # each P(k) = sum_{1<=i<k/2} C(g,i) C(g,k-i) is formed at most once per
+    # class: S(k) is read at n = 2k - 3 and n = 2k, and P(2m) comes from the
+    # products of the alternating sum at n = 2m + 1; forming every P(k) at
+    # each read makes 12,199 products here
+    import monsterlie.replication
+
+    products = 0
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return a * b
+
+    monkeypatch.setattr(monsterlie.replication, "mul", counted)
+    table = replicate_extend(trivial_dataset(), 200)
+    assert products == 8527
+    j = j_series(200)
+    assert table.rows["1A"] == [j.coeff(n) for n in range(1, 201)]
+
+
 def test_cyclic_group_of_order_two_has_integral_multiplicities():
     # Z/2 = {1A, 2B}: two classes of size 1, told apart by 2B squaring to
     # 1A; the +-1 eigenspaces of 2B have dimensions (d + t)/2 and (d - t)/2
