@@ -30,6 +30,7 @@ Expected shape:
 from __future__ import annotations
 
 import json
+import re
 import sys
 from typing import NamedTuple
 
@@ -93,10 +94,12 @@ def _parse_int(value, where):
         return value
     if isinstance(value, str):
         text = value.strip().replace("−", "-")
-        try:
-            return int(text, 10)
-        except ValueError:
-            if len(text) > 40:  # name the digit limit; echo only the start
+        # ASCII digits only: int() also takes digit-group underscores and
+        # every Unicode decimal digit
+        if re.fullmatch(r"[+-]?[0-9]+", text):
+            try:
+                return int(text)
+            except ValueError:  # past the digit limit; echo only the start
                 raise DatasetError(
                     f"{where}: expected a decimal integer of at most "
                     f"{sys.get_int_max_str_digits()} digits, got {value[:20]!r}... "

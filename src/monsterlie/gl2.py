@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .lattice import (
+    _AXIS_VECTORS,
     FockState,
     LatticeVector,
     _add,
@@ -106,6 +107,7 @@ class FormalNaturalVector:
             and self.weight == other.weight
             and self.primary == other.primary
             and self.scale == other.scale
+            and self.pairings == other.pairings
         )
 
     def __repr__(self):
@@ -179,7 +181,7 @@ def primary_pair(j, norm=1, label="u"):
 
 
 def _check_root_index(j):
-    if not isinstance(j, int) or j == 0 or j < -1:
+    if type(j) is not int or j == 0 or j < -1:
         raise Gl2ValidationError(f"root index must be -1 or a positive integer, got {j}")
 
 
@@ -218,17 +220,15 @@ def cartan_block_size(i):
 
 
 class MElement:
-    """Element of the modeled slice: raising/lowering parts keyed by
-    (root index, symbol label) plus a rational Cartan vector."""
+    """Element of the modeled slice: one exact term dict over the generator
+    keys ("e", root index, label) and ("f", root index, label) and the
+    Cartan coordinates ("h", axis) on the Fock axes u1 = (1, 0) and
+    u2 = (0, 1)."""
 
-    __slots__ = ("e_part", "f_part", "cartan", "symbols")
+    __slots__ = ("terms", "symbols")
 
-    def __init__(self, e_part=None, f_part=None, cartan=None, symbols=None):
-        object.__setattr__(self, "e_part", _exact(e_part))
-        object.__setattr__(self, "f_part", _exact(f_part))
-        object.__setattr__(
-            self, "cartan", cartan if cartan is not None else LatticeVector(0, 0)
-        )
+    def __init__(self, terms=None, symbols=None):
+        object.__setattr__(self, "terms", _exact(terms))
         object.__setattr__(self, "symbols", dict(symbols) if symbols else {})
 
     def __setattr__(self, name, value):
@@ -241,31 +241,25 @@ class MElement:
     @classmethod
     def cartan_vector(cls, m, n):
         """1 (x) lam(-1) iota(1) for lam = (m, n)."""
-        return cls(cartan=LatticeVector(m, n))
+        return cls({("h", 0): m, ("h", 1): n})
+
+    @property
+    def cartan(self):
+        """The Cartan part as a lattice vector, read off `terms`."""
+        return LatticeVector(self.terms.get(("h", 0), 0), self.terms.get(("h", 1), 0))
 
     def is_zero(self):
-        return not self.e_part and not self.f_part and self.cartan.is_zero()
+        return not self.terms
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MElement)
-            and self.e_part == other.e_part
-            and self.f_part == other.f_part
-            and self.cartan == other.cartan
-        )
+        return isinstance(other, MElement) and self.terms == other.terms
 
     def __add__(self, other):
         if not isinstance(other, MElement):
             return NotImplemented
-        e_part, f_part = dict(self.e_part), dict(self.f_part)
-        _add(e_part, other.e_part)
-        _add(f_part, other.f_part)
-        return MElement(
-            e_part,
-            f_part,
-            self.cartan + other.cartan,
-            _merge_symbols(self.symbols, other.symbols),
-        )
+        terms = dict(self.terms)
+        _add(terms, other.terms)
+        return MElement(terms, _merge_symbols(self.symbols, other.symbols))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -275,21 +269,16 @@ class MElement:
 
     def __rmul__(self, scalar):
         c = _coeff(scalar)
-        return MElement(
-            {k: c * v for k, v in self.e_part.items()},
-            {k: c * v for k, v in self.f_part.items()},
-            c * self.cartan,
-            self.symbols,
-        )
+        return MElement({k: c * v for k, v in self.terms.items()}, self.symbols)
 
     __mul__ = __rmul__
 
     def __repr__(self):
-        parts = []
-        for (j, label), c in sorted(self.e_part.items()):
-            parts.append(f"{c}*e({j},{label})")
-        for (j, label), c in sorted(self.f_part.items()):
-            parts.append(f"{c}*f({j},{label})")
+        parts = [
+            f"{c}*{key[0]}({key[1]},{key[2]})"
+            for key, c in sorted(self.terms.items())
+            if key[0] != "h"
+        ]
         if not self.cartan.is_zero():
             parts.append(f"cartan{self.cartan!r}")
         return "MElement(" + (" + ".join(parts) if parts else "0") + ")"
@@ -340,7 +329,7 @@ def make_gl2(j, u, v, section_sign=1):
     and f and must leave every bracket of interest unchanged.
     """
     _check_root_index(j)
-    if section_sign not in (1, -1):
+    if type(section_sign) is not int or section_sign not in (1, -1):
         raise Gl2ValidationError("section_sign must be +1 or -1")
     if not u.primary:
         raise NotPrimaryError(f"{u!r} is not primary")
@@ -360,13 +349,8 @@ def make_gl2(j, u, v, section_sign=1):
     symbols = _merge_symbols(
         {u.label: u.base()}, {v.label: v.base()}
     )
-    e = MElement(
-        e_part={(j, u.label): u.scale * section_sign}, symbols=symbols
-    )
-    f = MElement(
-        f_part={(j, v.label): v.scale * section_sign * (-1) ** (j % 2)},
-        symbols=symbols,
-    )
+    e = MElement({("e", j, u.label): u.scale * section_sign}, symbols)
+    f = MElement({("f", j, v.label): v.scale * section_sign * (-1) ** (j % 2)}, symbols)
     h1 = MElement.cartan_vector(0, -1)
     h2 = MElement.cartan_vector(-1, 0)
     return Gl2Generators(e, f, h1, h2, j, u, v)
@@ -379,23 +363,9 @@ _REAL_ROOT_GL2 = make_gl2(-1, vacuum_vector(), vacuum_vector())
 # -- the bracket ------------------------------------------------------------
 
 
-def _root_of(kind, j):
-    return (1, j) if kind == "e" else (-1, -j)
-
-
-def _cartan_of_state(state):
-    """Read the coordinates (m, n) of lam off a state lam(-1) iota(1)."""
-    m = n = 0
-    for (mono, abar), c in state.terms.items():
-        if abar != (0, 0) or len(mono) != 1 or mono[0][1] != 1:
-            raise UnsupportedBracketError(
-                f"state {state!r} is not a Cartan representative"
-            )
-        if mono[0][0] == 0:
-            m += c
-        else:
-            n += c
-    return m, n
+def _root_of(key):
+    """The root (1, j) of a raising key, (-1, -j) of a lowering key."""
+    return (1, key[1]) if key[0] == "e" else (-1, -key[1])
 
 
 def _natural_contraction(symbols, label_u, label_v, j):
@@ -432,52 +402,43 @@ def bracket(x, y):
     if not isinstance(x, MElement) or not isinstance(y, MElement):
         raise TypeError("bracket expects MElement arguments")
     symbols = _merge_symbols(x.symbols, y.symbols)
-    # every term pair adds into these; one MElement is built at the end
-    parts = {"e": {}, "f": {}}
-    cartan_m = cartan_n = 0
-    y_terms = _split(y)
-    for kind_x, key_x, cx in _split(x):
-        for kind_y, key_y, cy in y_terms:
-            if kind_x == "h" and kind_y == "h":
-                continue
-            if kind_x == "h" or kind_y == "h":
-                if kind_x == "h":
-                    lam, kind, key, c = key_x, kind_y, key_y, cy
-                else:
-                    lam, kind, key, c = key_y, kind_x, key_x, -cx
-                _add(parts[kind], {key: c}, pairing(lam, _root_of(kind, key[0])))
-                continue
-            (jx, label_x), (jy, label_y) = key_x, key_y
-            a, b = _root_of(kind_x, jx), _root_of(kind_y, jy)
-            m, n = a[0] + b[0], a[1] + b[1]
-            if m == n == 0:
-                scal = cx * cy * _natural_contraction(symbols, label_x, label_y, jx)
-                power = pairing(a, b) + 1  # Schur order r = 1
-                iota_b = FockState({((), b): 1}, _sorted=True)
-                state = vertex_iota_coeff(section(*a), iota_b, power)
-                hm, hn = _cartan_of_state(state)
-                cartan_m += scal * hm
-                cartan_n += scal * hn
-            elif m * n == -1 or m * n >= 1:
-                # away from the origin a root space is zero exactly when the
-                # graded dimension c(m*n) is: at m*n = 0 or m*n <= -2
+    out = {}
+    for kx, cx in x.terms.items():
+        for ky, cy in y.terms.items():
+            _add(out, _generator_bracket(kx, ky, symbols), cx * cy)
+    return MElement(out, symbols)
+
+
+def _generator_bracket(kx, ky, symbols):
+    """[kx, ky] for two generator keys of `MElement.terms`, as a term dict."""
+    if kx[0] == "h" and ky[0] == "h":
+        return {}
+    if kx[0] == "h":
+        return {ky: pairing(_AXIS_VECTORS[kx[1]], _root_of(ky))}
+    if ky[0] == "h":
+        return {kx: -pairing(_AXIS_VECTORS[ky[1]], _root_of(kx))}
+    a, b = _root_of(kx), _root_of(ky)
+    m, n = a[0] + b[0], a[1] + b[1]
+    if m == n == 0:
+        scale = _natural_contraction(symbols, kx[2], ky[2], kx[1])
+        power = pairing(a, b) + 1  # Schur order r = 1
+        iota_b = FockState({((), b): 1}, _sorted=True)
+        state = vertex_iota_coeff(section(*a), iota_b, power)
+        for mono, abar in state.terms:
+            if abar != (0, 0) or len(mono) != 1 or mono[0][1] != 1:
                 raise UnsupportedBracketError(
-                    f"bracket lands in root space ({m},{n}), outside the supported span"
+                    f"state {state!r} is not a Cartan representative"
                 )
-    return MElement(parts["e"], parts["f"], LatticeVector(cartan_m, cartan_n), symbols)
-
-
-def _split(el):
-    """The terms of el as (kind, key, coefficient): kind "e" or "f" keyed by
-    (root index, label), and one "h" term keyed by the Cartan vector."""
-    parts = []
-    for (j, label), c in el.e_part.items():
-        parts.append(("e", (j, label), c))
-    for (j, label), c in el.f_part.items():
-        parts.append(("f", (j, label), c))
-    if not el.cartan.is_zero():
-        parts.append(("h", el.cartan, 1))
-    return parts
+        # the coefficients of u1(-1) iota(1) and u2(-1) iota(1) are the
+        # Cartan coordinates on those axes
+        return {("h", mono[0][0]): scale * c for (mono, _), c in state.terms.items()}
+    if m * n == -1 or m * n >= 1:
+        # away from the origin a root space is zero exactly when the
+        # graded dimension c(m*n) is: at m*n = 0 or m*n <= -2
+        raise UnsupportedBracketError(
+            f"bracket lands in root space ({m},{n}), outside the supported span"
+        )
+    return {}
 
 
 # -- verification ------------------------------------------------------------
@@ -505,14 +466,14 @@ class RelationReport(NamedTuple):
 
     def summary_lines(self):
         lines = []
-        passed, total = self.count("core")
-        lines.append(f"{passed}/{total} relations pass")
-        sl2_passed, sl2_total = self.count("sl2")
-        if sl2_total:
-            lines.append(f"{sl2_passed}/{sl2_total} sl2 relations pass")
-        cross_passed, cross_total = self.count("cross")
-        if cross_total:
-            lines.append(f"{cross_passed}/{cross_total} cross-relations pass")
+        for category, noun in (
+            ("core", "relations"),
+            ("sl2", "sl2 relations"),
+            ("cross", "cross-relations"),
+        ):
+            passed, total = self.count(category)
+            if total or category == "core":
+                lines.append(f"{passed}/{total} {noun} pass")
         return lines
 
 

@@ -27,8 +27,8 @@ The mode actions run on plain term dictionaries {(mono, abar): coeff}
 (`_create`, `_heisenberg`, `_schur_numerators`, `_virasoro_term`), which
 accumulate through the one helper `_add`; each public function wraps its
 result in one `FockState`, whose constructor checks exactness and drops
-zero coefficients through `_exact`.  `gl2.MElement` keeps its raising and
-lowering parts through the same `_add` and `_exact`.  A key's abar, an
+zero coefficients through `_exact`.  `gl2.MElement` keeps its terms through
+the same `_add` and `_exact`.  A key's abar, an
 integer pair, is used as it is: `pairing` and `cocycle_sign` take
 coordinate pairs as well as vectors.
 
@@ -153,7 +153,7 @@ class HatLatticeElement:
             vector = LatticeVector(*vector)
         if not vector.is_integral():
             raise ValueError("double-cover elements sit over lattice points")
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "sign", sign)

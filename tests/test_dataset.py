@@ -306,6 +306,14 @@ def _set_class_field(field, value):
             "classes[0].class_size: expected a decimal integer, got True",
         ),
         (
+            lambda obj: obj["classes"][0]["seeds"].update({"1": "196_884"}),
+            "class 1A seed 1: expected a decimal integer, got '196_884'",
+        ),
+        (
+            lambda obj: obj["classes"][0]["seeds"].update({"1": "１９６８８４"}),
+            "class 1A seed 1: expected a decimal integer, got '１９６８８４'",
+        ),
+        (
             lambda obj: obj.update(classes={"1A": {}}),
             "classes: expected an array, got {'1A': {}}",
         ),
@@ -321,6 +329,8 @@ def _set_class_field(field, value):
         "name-not-string",
         "power2-not-string",
         "class-size-bool",
+        "seed-digit-groups",
+        "seed-fullwidth-digits",
         "classes-not-array",
         "class-record-not-object",
     ],

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from monsterlie.gl2 import (
     WeightMismatchError,
     bracket,
     cartan_block_size,
+    cartan_block_sizes,
     cartan_entry,
     make_gl2,
     normalize_partner,
@@ -52,6 +54,35 @@ def test_cartan_entry_rejects_invalid_labels():
         cartan_entry(0, 1)
     with pytest.raises(Gl2ValidationError):
         cartan_entry(1, -2)
+
+
+BOOL_ROOT_INDEX = "root index must be -1 or a positive integer, got True"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: verify_relations(True, *primary_pair(1)), BOOL_ROOT_INDEX),
+        (lambda: cartan_block_sizes([True]), BOOL_ROOT_INDEX),
+        (lambda: primary_pair(True), BOOL_ROOT_INDEX),
+        (
+            lambda: make_gl2(1, *primary_pair(1), section_sign=True),
+            "section_sign must be +1 or -1",
+        ),
+        (lambda: section(1, 2, True), "sign must be +1 or -1"),
+    ],
+    ids=[
+        "verify-relations",
+        "cartan-block-sizes",
+        "primary-pair",
+        "section-sign",
+        "hat-sign",
+    ],
+)
+def test_bool_is_not_a_root_index_or_sign(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_cartan_block_sizes():
@@ -148,6 +179,23 @@ def test_symbols_with_one_label_and_two_pairing_tables_conflict():
     assert a.e + 2 * c.e == 3 * a.e
 
 
+def test_symbol_equality_includes_the_pairing_table():
+    u = FormalNaturalVector("u", 2, pairings={("u", "u"): 1})
+    assert u != FormalNaturalVector("u", 2, pairings={("u", "u"): 4})
+    assert u == FormalNaturalVector("u", 2, pairings={("u", "u"): 1})
+    assert u.rescaled(3).rescaled(Fraction(1, 3)) == u  # one shared table
+
+
+def test_melement_is_one_term_dict():
+    gens = make_gl2(2, *primary_pair(2))
+    x = gens.e + 3 * gens.f + gens.h1 - 2 * gens.h2
+    assert MElement.__slots__ == ("terms", "symbols")
+    assert x.terms == {("e", 2, "u"): 1, ("f", 2, "u"): 3, ("h", 0): 2, ("h", 1): -1}
+    assert x.cartan == LatticeVector(2, -1)
+    assert repr(x) == "MElement(1*e(2,u) + 3*f(2,u) + cartan(2,-1))"
+    assert (x - x).terms == {} and (x - x).is_zero()
+
+
 def test_vacuum_pair_degenerates_at_minus_one():
     vac = vacuum_vector()
     assert pairing_value(vac, vac) == -1
@@ -192,9 +240,9 @@ def test_h2_eigenvalue_distinguishes_root_indices():
 def test_root_bookkeeping():
     j = 3
     gens = make_gl2(j, *primary_pair(j))
-    (je, _), = gens.e.e_part.keys()
-    (jf, _), = gens.f.f_part.keys()
-    assert je == jf == j
+    (e_key,) = gens.e.terms
+    (f_key,) = gens.f.terms
+    assert e_key[:2] == ("e", j) and f_key[:2] == ("f", j)
     e_root = LatticeVector(1, j)
     f_root = LatticeVector(-1, -j)
     assert pairing(e_root, f_root) == 2 * j
@@ -235,10 +283,7 @@ def test_bracket_outside_span_raises():
 def single_terms(x):
     """x as a list of one-term elements: each e- and f-entry and each
     Cartan coordinate on its own."""
-    terms = [MElement(e_part={k: c}, symbols=x.symbols) for k, c in x.e_part.items()]
-    terms += [MElement(f_part={k: c}, symbols=x.symbols) for k, c in x.f_part.items()]
-    m, n = x.cartan.m, x.cartan.n
-    return terms + [MElement.cartan_vector(m, 0), MElement.cartan_vector(0, n)]
+    return [MElement({k: c}, x.symbols) for k, c in x.terms.items()]
 
 
 def test_bracket_is_bilinear_on_multi_term_elements():
@@ -258,7 +303,8 @@ def test_bracket_is_bilinear_on_multi_term_elements():
         for _ in range(3):
             x = combination([gens.e, gens.h1, gens.h2] + extra)
             y = combination([gens.f, gens.h1, gens.h2] + extra)
-            assert x.e_part and y.f_part and not x.cartan.is_zero()
+            assert {k[0] for k in x.terms} >= {"e", "h"}
+            assert {k[0] for k in y.terms} >= {"f", "h"}
             for left, right in ((x, y), (y, x)):
                 want = MElement.zero()
                 for a, b in itertools.product(single_terms(left), single_terms(right)):
@@ -291,7 +337,7 @@ def test_bracket_against_unpaired_symbol_names_both_labels():
 
 def test_bracket_without_symbol_names_the_label():
     with pytest.raises(UnsupportedBracketError, match=r"no symbol for label 'u'"):
-        bracket(MElement(e_part={(1, "u"): 1}), MElement(f_part={(1, "u"): 1}))
+        bracket(MElement({("e", 1, "u"): 1}), MElement({("f", 1, "u"): 1}))
 
 
 def lattice_ratio(state, base):
@@ -400,7 +446,7 @@ def test_bracket_scales_with_pairing_value():
     w = FormalNaturalVector("w", 2, True, 1, {("w", "w"): 1})
     gens_u = make_gl2(j, u, normalize_partner(j, u, 1))
     e_u = gens_u.e
-    f_w = MElement(f_part={(j, "w"): Fraction(-1)}, symbols={"w": w, "u": u})
+    f_w = MElement({("f", j, "w"): Fraction(-1)}, {"w": w, "u": u})
     got = bracket(e_u, f_w)
     assert got == 2 * bracket(gens_u.e, gens_u.f)
 
@@ -436,7 +482,7 @@ def assert_coefficient_form(value):
 
 
 def assert_element_coefficient_form(x):
-    for c in [*x.e_part.values(), *x.f_part.values()]:
+    for c in x.terms.values():
         assert c != 0
         assert_coefficient_form(c)
     assert_coefficient_form(x.cartan.m)
@@ -561,3 +607,65 @@ def test_representatives_are_primary():
 def test_non_primary_representative_rejected():
     bad = FormalNaturalVector("u", 2, primary=False, pairings={("u", "u"): 1})
     assert not primality_of_representatives(1, bad)
+
+
+# -- golden bracket digest -------------------------------------------------------
+
+
+GOLDEN_BRACKET_LABELS = ("u", "w", "x")
+GOLDEN_BRACKET_INDICES = (-1, 1, 2, 3, 5)
+GOLDEN_BRACKET_NORMS = (1, 2, Fraction(1, 3), Fraction(5, 2))
+GOLDEN_BRACKET_GENERATORS = {
+    (label, j, norm): make_gl2(j, *primary_pair(j, norm, label))
+    for label in GOLDEN_BRACKET_LABELS
+    for j in GOLDEN_BRACKET_INDICES
+    for norm in GOLDEN_BRACKET_NORMS
+}
+
+
+def golden_bracket_lines(seed=2024, count=2000):
+    """One line per bracket of random multi-term combinations: the repr of
+    each input and of the result, or the error type name of a failure.
+    Error texts are left out, as they name whichever failing term pair is
+    reached first."""
+    rng = random.Random(seed)
+
+    def pool():
+        # per label one root index and norm; x and y drawn from two pools
+        # sometimes meet one label under two weights or pairing tables
+        members = []
+        for label in GOLDEN_BRACKET_LABELS:
+            j = rng.choice(GOLDEN_BRACKET_INDICES)
+            norm = rng.choice(GOLDEN_BRACKET_NORMS)
+            gens = GOLDEN_BRACKET_GENERATORS[label, j, norm]
+            members += [gens.e, gens.f, gens.h1, gens.h2]
+        return members
+
+    def combination(members):
+        out = MElement.zero()
+        for g in rng.sample(members, rng.randint(1, 4)):
+            out = out + Fraction(rng.randint(-6, 6), rng.randint(1, 5)) * g
+        return out
+
+    lines = []
+    for _ in range(count):
+        members = pool()
+        x = combination(members)
+        y = combination(pool() if rng.random() < 0.15 else members)
+        try:
+            result = repr(bracket(x, y))
+        except (Gl2ValidationError, UnsupportedBracketError) as exc:
+            result = type(exc).__name__
+        lines.append(f"[{x!r}, {y!r}] = {result}")
+    return lines
+
+
+def test_golden_bracket_digest():
+    lines = golden_bracket_lines()
+    failures = sum(line.endswith("Error") for line in lines)
+    assert 0 < failures < len(lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_BRACKET_DIGEST
+
+
+GOLDEN_BRACKET_DIGEST = "9ea9d6108c796eff4e49f0dea49a04822ef4a3383f45b42ae0ba37f275ee5581"
