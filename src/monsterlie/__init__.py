@@ -41,19 +41,15 @@ from .lattice import (
     vertex_iota_coeff,
     virasoro_apply,
     weight_of,
-    weyl_reflect,
 )
 from .qseries import (
     IntegralityError,
     QSeries,
-    eisenstein_e4,
     euler_product,
     eta_quotient,
     j_series,
     mckay_thompson,
-    partition_series,
     primary_dim_series,
-    sigma3,
 )
 from .replication import (
     CoefficientTable,

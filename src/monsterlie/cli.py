@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .dataset import DatasetError, load_dataset
+from .dataset import DatasetError, decimal_int, load_dataset
 from .gl2 import (
     Gl2ValidationError,
     UnsupportedBracketError,
@@ -32,15 +32,15 @@ EXIT_VERIFY = 4
 
 
 def _int_arg(holds, message):
-    """An argparse type: an integer for which `holds` is true, else `message`."""
+    """An argparse type: a `decimal_int` for which `holds` is true, else `message`."""
 
     def parse(text):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer, got {text!r}"
-            ) from None
+            value = decimal_int(text)
+        except ValueError:  # past the digit limit
+            value = None
+        if value is None:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
         if not holds(value):
             raise argparse.ArgumentTypeError(message)
         return value

@@ -30,7 +30,6 @@ Expected shape:
 from __future__ import annotations
 
 import json
-import re
 import sys
 from typing import NamedTuple
 
@@ -89,22 +88,30 @@ def _expect(value, shape, where):
     return value
 
 
+def decimal_int(text):
+    """The integer `text` spells as an optional sign and ASCII digits (blanks
+    around allowed), else None: the one integer rule of dataset files and CLI
+    flags, since `int()` also reads digit-group underscores and every Unicode
+    decimal digit.  Past the interpreter's digit limit it raises ValueError."""
+    text = text.strip()
+    digits = text[1:] if text[:1] in "+-" else text
+    return int(text) if digits.isascii() and digits.isdigit() else None
+
+
 def _parse_int(value, where):
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
-        text = value.strip().replace("−", "-")
-        # ASCII digits only: int() also takes digit-group underscores and
-        # every Unicode decimal digit
-        if re.fullmatch(r"[+-]?[0-9]+", text):
-            try:
-                return int(text)
-            except ValueError:  # past the digit limit; echo only the start
-                raise DatasetError(
-                    f"{where}: expected a decimal integer of at most "
-                    f"{sys.get_int_max_str_digits()} digits, got {value[:20]!r}... "
-                    f"({len(value)} characters)"
-                ) from None
+        try:
+            number = decimal_int(value.replace("−", "-"))
+        except ValueError:  # past the digit limit; echo only the start
+            raise DatasetError(
+                f"{where}: expected a decimal integer of at most "
+                f"{sys.get_int_max_str_digits()} digits, got {value[:20]!r}... "
+                f"({len(value)} characters)"
+            ) from None
+        if number is not None:
+            return number
     raise DatasetError(f"{where}: expected a decimal integer, got {value!r}")
 
 

@@ -39,7 +39,7 @@ from .lattice import (
     vertex_iota_coeff,
     weight_of,
 )
-from .qseries import _coeff, _frac, j_series
+from .qseries import _coeff, j_series
 
 
 class Gl2ValidationError(ValueError):
@@ -93,7 +93,7 @@ class FormalNaturalVector:
 
     def rescaled(self, factor):
         out = FormalNaturalVector(self.label, self.weight, self.primary)
-        object.__setattr__(out, "scale", _coeff(self.scale * _frac(factor)))
+        object.__setattr__(out, "scale", _coeff(self.scale * _coeff(factor)))
         object.__setattr__(out, "pairings", self.pairings)
         return out
 
@@ -263,9 +263,6 @@ class MElement:
 
     def __sub__(self, other):
         return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
 
     def __rmul__(self, scalar):
         c = _coeff(scalar)

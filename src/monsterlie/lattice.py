@@ -99,15 +99,8 @@ class LatticeVector:
     def __add__(self, other):
         return LatticeVector(self.m + other.m, self.n + other.n)
 
-    def __sub__(self, other):
-        return LatticeVector(self.m - other.m, self.n - other.n)
-
     def __neg__(self):
         return LatticeVector(-self.m, -self.n)
-
-    def __rmul__(self, scalar):
-        c = _coeff(scalar)
-        return LatticeVector(c * self.m, c * self.n)
 
     def is_integral(self):
         return self.m.denominator == 1 and self.n.denominator == 1
@@ -128,11 +121,6 @@ def pairing(u, v):
     """<u,v> = -u.m*v.n - u.n*v.m (symmetric, even, unimodular); u, v may be pairs."""
     (um, un), (vm, vn) = u, v
     return -(um * vn) - (un * vm)
-
-
-def weyl_reflect(v):
-    """Reflection in the unique positive real root: coordinate swap."""
-    return LatticeVector(v.n, v.m)
 
 
 def cocycle_sign(lam, mu):
@@ -245,9 +233,6 @@ class FockState:
 
     def __eq__(self, other):
         return isinstance(other, FockState) and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("FockState is not hashable")
 
     def __add__(self, other):
         if not isinstance(other, FockState):

@@ -55,9 +55,3 @@ class OutputTable(NamedTuple):
 
     def render_json(self):
         return json.dumps({"columns": self.columns, "rows": self.rows}, indent=1) + "\n"
-
-    @classmethod
-    def parse_csv(cls, text):
-        reader = csv.reader(io.StringIO(text))
-        rows = list(reader)
-        return cls(rows[0], rows[1:])

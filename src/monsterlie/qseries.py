@@ -2,8 +2,8 @@
 
 Coefficients are exact rationals, stored as plain `int` where integral and
 as `fractions.Fraction` otherwise; the integer-valued named series (the
-normalized modular invariant, the Euler product, partition numbers,
-primary-subspace dimensions) stay in `int` throughout and are
+normalized modular invariant, the Euler product, the primary-subspace
+dimensions) stay in `int` throughout and are
 integrality-checked at their boundary.  A series knows its `valuation`
 (lowest represented exponent) and an exclusive precision bound `order`: the
 coefficient of q**n is exact for valuation <= n < order, and arithmetic
@@ -25,7 +25,6 @@ signed sum over the generalized pentagonal numbers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 from operator import add, mul, sub
 
 
@@ -41,20 +40,16 @@ class IntegralityError(ArithmeticError):
     """An exactness tripwire fired: a value that must be an integer is not."""
 
 
-def _frac(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
 def _coeff(value):
-    """`_frac`, then an integral value as a plain `int` (the coefficient form)."""
+    """An exact rational in coefficient form: a plain `int` where integral,
+    a `Fraction` otherwise; `TypeError` on anything else (`bool` included)."""
     if type(value) is int:
         return value
-    value = _frac(value)
-    return value.numerator if value.denominator == 1 else value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 class QSeries:
@@ -109,13 +104,6 @@ class QSeries:
         if n < self.valuation:
             return 0
         return self.coeffs[n - self.valuation]
-
-    def coefficients(self, lo, hi):
-        """List of exact coefficients of q**n for lo <= n <= hi."""
-        return [self.coeff(n) for n in range(lo, hi + 1)]
-
-    def is_integral(self):
-        return all(c.denominator == 1 for c in self.coeffs)
 
     def require_integral(self, name):
         """Hard integrality tripwire for the named series."""
@@ -267,9 +255,6 @@ class QSeries:
         lo = min(self.valuation, other.valuation)
         return all(self.coeff(n) == other.coeff(n) for n in range(lo, self.order))
 
-    def __hash__(self):
-        raise TypeError("QSeries is not hashable")
-
     def __repr__(self):
         shown = []
         for i, c in enumerate(self.coeffs):
@@ -286,14 +271,6 @@ class QSeries:
 # -- named series -----------------------------------------------------
 
 
-def sigma3(k):
-    """Sum of the cubes of the positive divisors of k."""
-    if not isinstance(k, int) or k <= 0:
-        raise ValueError(f"sigma3 requires a positive integer, got {k!r}")
-    small = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
-    return sum(d ** 3 for d in set(small + [k // d for d in small]))
-
-
 def _divisor_sums(limit, power):
     """[0, sigma_power(1), ..., sigma_power(limit - 1)] by a divisor sieve."""
     sums = [0] * limit
@@ -302,14 +279,6 @@ def _divisor_sums(limit, power):
         for m in range(d, limit, d):
             sums[m] += dp
     return sums
-
-
-def eisenstein_e4(order):
-    """Weight-4 Eisenstein series 1 + 240 * sum sigma3(k) q**k, exact below q**order."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    coeffs = [1] + [240 * s for s in _divisor_sums(order, 3)[1:]]
-    return QSeries(0, coeffs, order)
 
 
 def euler_product(order):
@@ -335,11 +304,6 @@ def euler_product(order):
             coeffs[hi] = sign
         j += 1
     return QSeries(0, coeffs, order)
-
-
-def partition_series(order):
-    """Generating series of partition numbers, sum p(j) q**j."""
-    return euler_product(order).invert().require_integral("partition_series")
 
 
 def eta_quotient(exponents, order):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -18,6 +20,12 @@ def toy_data(tmp_path):
     path = tmp_path / "classes.json"
     save_dataset(trivial_dataset(), path)
     return str(path)
+
+
+def parse_csv(text):
+    """The OutputTable that `render_csv` wrote as `text`."""
+    rows = list(csv.reader(io.StringIO(text)))
+    return OutputTable(rows[0], rows[1:])
 
 
 def table_from(capsys):
@@ -44,7 +52,7 @@ def test_jcoeffs_first_rows(capsys):
 def test_jcoeffs_csv_round_trips(capsys):
     assert run(["--format", "csv", "jcoeffs", "--max", "5"]) == 0
     text = capsys.readouterr().out
-    table = OutputTable.parse_csv(text)
+    table = parse_csv(text)
     assert table.columns == ["n", "c(n)"]
     assert table.render_csv() == text
 
@@ -402,13 +410,28 @@ def test_unknown_command_is_usage_error(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["jcoeffs", "--max", "abc"], ["verify-gl2", "--j", "x"], ["eta", "--max", "1.5"]],
+    [
+        ["jcoeffs", "--max", "abc"],
+        ["verify-gl2", "--j", "x"],
+        ["eta", "--max", "1.5"],
+        # int() reads these as 10 and 3 (an Arabic-Indic digit); a dataset
+        # file rejects both, and so does every integer flag
+        ["jcoeffs", "--max", "1_0"],
+        ["verify-gl2", "--j", "\u0663"],
+    ],
 )
 def test_non_integer_argument_is_usage_error(capsys, argv):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert f"{argv[-2]}: expected an integer, got {argv[-1]!r}" in err
     assert "_int" not in err and "_root_index" not in err
+
+
+def test_integer_flags_take_a_plus_sign(capsys):
+    assert run(["jcoeffs", "--max", "+2"]) == 0
+    plus = capsys.readouterr().out
+    assert run(["jcoeffs", "--max", "2"]) == 0
+    assert plus == capsys.readouterr().out
 
 
 def test_missing_required_data_flag_is_usage_error(capsys):
@@ -419,7 +442,7 @@ def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "coeffs.csv"
     assert run(["--format", "csv", "--out", str(target), "jcoeffs", "--max", "1"]) == 0
     assert capsys.readouterr().out == ""
-    table = OutputTable.parse_csv(target.read_text())
+    table = parse_csv(target.read_text())
     assert table.rows[-1] == ["1", "196884"]
 
 

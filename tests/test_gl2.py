@@ -461,6 +461,7 @@ EXACT_ENTRY_POINTS = {
     "FockState.__rmul__": lambda x: x * FockState.vacuum(),
     "primary_pair": lambda x: primary_pair(3, norm=x),
     "FormalNaturalVector": lambda x: FormalNaturalVector("u", 2, scale=x),
+    "FormalNaturalVector.rescaled": lambda x: FormalNaturalVector("u", 2).rescaled(x),
     "normalize_partner": lambda x: normalize_partner(1, FormalNaturalVector("u", 2), x),
     "MElement.__rmul__": lambda x: x * MElement.cartan_vector(1, 2),
 }
@@ -469,8 +470,18 @@ EXACT_ENTRY_POINTS = {
 @pytest.mark.parametrize("value", [0.5, 0.1, "1/2", True])
 @pytest.mark.parametrize("entry", sorted(EXACT_ENTRY_POINTS))
 def test_exact_entry_points_reject_inexact_numbers(entry, value):
-    with pytest.raises(TypeError):
+    message = f"expected an exact rational, got {type(value).__name__}"
+    with pytest.raises(TypeError, match=message):
         EXACT_ENTRY_POINTS[entry](value)
+
+
+class Int(int):
+    """An int subclass other than bool: read as the plain int it equals."""
+
+
+@pytest.mark.parametrize("entry", sorted(EXACT_ENTRY_POINTS))
+def test_exact_entry_points_read_int_subclasses_as_int(entry):
+    assert EXACT_ENTRY_POINTS[entry](Int(3)) == EXACT_ENTRY_POINTS[entry](3)
 
 
 # -- coefficient form ------------------------------------------------------------

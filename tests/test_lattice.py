@@ -23,7 +23,6 @@ from monsterlie.lattice import (
     vertex_iota_coeff,
     virasoro_apply,
     weight_of,
-    weyl_reflect,
 )
 
 ALPHA = LatticeVector(1, 1)
@@ -102,16 +101,6 @@ def test_pairing_is_symmetric_bilinear_and_even():
         assert cocycle_sign(tuple(u), tuple(v)) == cocycle_sign(u, v)
         assert pairing(u + v, w) == pairing(u, w) + pairing(v, w)
         assert pairing(u, u) % 2 == 0
-
-
-def test_weyl_reflection():
-    assert weyl_reflect(LatticeVector(1, -1)) == LatticeVector(-1, 1)
-    assert weyl_reflect(LatticeVector(0, 0)) == LatticeVector(0, 0)
-    rng = random.Random(11)
-    for _ in range(50):
-        u, v = rand_vector(rng), rand_vector(rng)
-        assert weyl_reflect(weyl_reflect(u)) == u
-        assert pairing(weyl_reflect(u), weyl_reflect(v)) == pairing(u, v)
 
 
 # -- the double cover ------------------------------------------------------
