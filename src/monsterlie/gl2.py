@@ -2,9 +2,10 @@
 
 Elements are kept in the span of raising generators e(j,u), lowering
 generators f(j,v), and Cartan vectors 1 (x) lam(-1) iota(1), with the
-moonshine-module tensor factors handled as formal symbols: a symbol
-carries a label, a weight, a primality flag and a table of bilinear
-pairings, and the only contraction the bracket ever needs is
+moonshine-module tensor factors handled as formal symbols: a symbol is
+an immutable value that carries a label, a weight, a primality flag, a
+scale and a read-only table of bilinear pairings, and the only
+contraction the bracket ever needs is
 
     u_{2j+1} v = (-1)**j (u, v) * vacuum
 
@@ -25,6 +26,7 @@ answer.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .lattice import (
@@ -68,9 +70,10 @@ VACUUM_LABEL = "1"
 class FormalNaturalVector:
     """Formal primary vector of the moonshine module.
 
-    `pairings` maps unordered label pairs to exact rationals, the values
-    of the invariant bilinear form normalized so the vacuum pairs with
-    itself to -1.  `scale` lets proportional partners share one label.
+    `pairings` is a read-only map from unordered label pairs to exact
+    rationals, the values of the invariant bilinear form normalized so the
+    vacuum pairs with itself to -1.  `scale` lets proportional partners
+    share one label.  A symbol is immutable.
     """
 
     __slots__ = ("label", "weight", "primary", "scale", "pairings")
@@ -86,16 +89,15 @@ class FormalNaturalVector:
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "primary", bool(primary))
         object.__setattr__(self, "scale", _coeff(scale))
-        object.__setattr__(self, "pairings", table)
+        object.__setattr__(self, "pairings", MappingProxyType(table))
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalNaturalVector is immutable")
 
     def rescaled(self, factor):
-        out = FormalNaturalVector(self.label, self.weight, self.primary)
-        object.__setattr__(out, "scale", _coeff(self.scale * _coeff(factor)))
-        object.__setattr__(out, "pairings", self.pairings)
-        return out
+        return FormalNaturalVector(
+            self.label, self.weight, self.primary, self.scale * _coeff(factor), self.pairings
+        )
 
     def base(self):
         return self if self.scale == 1 else self.rescaled(Fraction(1) / self.scale)
@@ -133,7 +135,7 @@ def _table_pairing(u, v):
 
 
 def pairing_value(u, v):
-    """(u, v) from the shared tables; raises when the entry is missing."""
+    """(u, v) from either symbol's table; raises when the entry is missing."""
     value = _table_pairing(u, v)
     if value is None:
         raise PairingNormalizationError(
@@ -147,22 +149,19 @@ def normalize_partner(j, u, uu_pairing):
     is exactly the vacuum.
 
     Requires (u,u) > 0 (positive-definite normalization of the form on the
-    nonvacuum part); the resulting pair always satisfies the pairing
-    condition of `make_gl2`.
+    nonvacuum part) and equal to the (u,u) of u's table, which must record
+    it (`PairingNormalizationError` otherwise); the table is only read.
+    The resulting pair always satisfies the pairing condition of `make_gl2`.
     """
     uu = _coeff(uu_pairing)
     if uu <= 0:
         raise Gl2ValidationError(
             f"(u,u) must be positive for a positive-definite form, got {uu}"
         )
-    key = _pair_key(u.label, u.label)
-    base_value = _coeff(Fraction(uu) / (u.scale * u.scale))
-    if key in u.pairings and u.pairings[key] != base_value:
+    if pairing_value(u, u) != uu:
         raise Gl2ValidationError(
             f"(u,u) = {uu} contradicts the recorded pairing table"
         )
-    if key not in u.pairings:
-        u.pairings[key] = base_value
     return u.rescaled(Fraction((-1) ** (j % 2)) / uu)
 
 

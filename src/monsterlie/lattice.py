@@ -199,8 +199,9 @@ class FockState:
     """Finite exact-rational combination of creation monomials on iota vectors.
 
     Creation modes commute, so each key's monomial is sorted and keys that
-    then coincide merge; the kernels, whose keys are sorted already, skip
-    that step with the private `_sorted=True`."""
+    then coincide merge; each key's point must be a lattice point and is
+    stored as an `int` pair.  The kernels, whose keys are sorted int pairs
+    already, skip that step with the private `_sorted=True`."""
 
     __slots__ = ("terms",)
 
@@ -208,7 +209,8 @@ class FockState:
         if terms and not _sorted:
             merged = {}
             for (mono, abar), c in _exact(terms).items():
-                _add(merged, {(tuple(sorted(mono)), abar): c})
+                point = HatLatticeElement(abar).vector.int_pair()
+                _add(merged, {(tuple(sorted(mono)), point): c})
             terms = merged
         object.__setattr__(self, "terms", _exact(terms))
 
@@ -396,8 +398,6 @@ def vertex_iota_coeff(a, b_state, power):
     targets = []  # (Schur order, remaining factors, lattice point, numerator)
     for (mono, abar), c in terms.items():
         m, n = abar
-        if m.denominator != 1 or n.denominator != 1:
-            raise ValueError("double-cover elements sit over lattice points")
         # a times the sign-1 lift of abar, as in the group law `hat_multiply`
         sign = a.sign * cocycle_sign(point, abar)
         target = (point[0] + m, point[1] + n)

@@ -4,10 +4,12 @@ Coefficients are exact rationals, stored as plain `int` where integral and
 as `fractions.Fraction` otherwise; the integer-valued named series (the
 normalized modular invariant, the Euler product, the primary-subspace
 dimensions) stay in `int` throughout and are
-integrality-checked at their boundary.  A series knows its `valuation`
-(lowest represented exponent) and an exclusive precision bound `order`: the
-coefficient of q**n is exact for valuation <= n < order, and arithmetic
-never claims precision the operands cannot support.
+integrality-checked at their boundary.  A series is an immutable value:
+its `valuation` (lowest represented exponent) and a tuple of `coeffs`, from
+which the exclusive precision bound `order` = valuation + len(coeffs)
+follows.  The coefficient of q**n is exact for valuation <= n < order, and
+arithmetic never claims precision the operands cannot support; a scalar is
+added as the constant series of the other operand's order.
 
 The fractional power q**(1/24) of the Dedekind eta function is never
 materialized.  `euler_product` returns the integral-exponent combination
@@ -55,26 +57,24 @@ def _coeff(value):
 class QSeries:
     """Truncated Laurent series sum of coeffs[i] * q**(valuation + i).
 
-    `coeffs` always has length order - valuation (zero-padded, never
-    silently shortened).  Coefficients of q**n for n < valuation are
-    exactly zero; coefficients for n >= order are undetermined and
-    requesting one raises PrecisionError.
+    `coeffs` is a tuple; `order` = valuation + len(coeffs) is the exclusive
+    precision bound.  Coefficients of q**n for n < valuation are exactly
+    zero; coefficients for n >= order are undetermined and requesting one
+    raises PrecisionError.  A series is immutable.
     """
 
-    __slots__ = ("valuation", "coeffs", "order")
+    __slots__ = ("valuation", "coeffs")
 
-    def __init__(self, valuation, coeffs, order=None):
-        coeffs = [_coeff(c) for c in coeffs]
-        if order is None:
-            order = valuation + len(coeffs)
-        if order - valuation != len(coeffs):
-            raise ValueError(
-                f"coefficient window mismatch: {len(coeffs)} coefficients for "
-                f"exponents [{valuation}, {order})"
-            )
-        self.valuation = valuation
-        self.coeffs = coeffs
-        self.order = order
+    def __init__(self, valuation, coeffs):
+        object.__setattr__(self, "valuation", valuation)
+        object.__setattr__(self, "coeffs", tuple([_coeff(c) for c in coeffs]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QSeries is immutable")
+
+    @property
+    def order(self):
+        return self.valuation + len(self.coeffs)
 
     # -- constructors -------------------------------------------------
 
@@ -84,10 +84,8 @@ class QSeries:
         if order is None:
             order = exponent + 1
         if order <= exponent:
-            raise ValueError("order must exceed the monomial exponent")
-        coeffs = [0] * (order - exponent)
-        coeffs[0] = coefficient
-        return cls(exponent, coeffs, order)
+            raise PrecisionError(f"q^{exponent} lies beyond the precision window")
+        return cls(exponent, [coefficient] + [0] * (order - exponent - 1))
 
     @classmethod
     def one(cls, order):
@@ -119,7 +117,7 @@ class QSeries:
 
     def shift(self, k):
         """Multiply by the exact monomial q**k."""
-        return QSeries(self.valuation + k, list(self.coeffs), self.order + k)
+        return QSeries(self.valuation + k, self.coeffs)
 
     def truncate(self, new_order):
         if new_order > self.order:
@@ -128,53 +126,38 @@ class QSeries:
             )
         if new_order < self.valuation:
             raise ValueError("truncation below the valuation leaves no window")
-        return QSeries(
-            self.valuation, self.coeffs[: new_order - self.valuation], new_order
-        )
+        return QSeries(self.valuation, self.coeffs[: new_order - self.valuation])
 
     # -- ring operations ----------------------------------------------
 
-    def _binary_window(self, other):
-        return min(self.valuation, other.valuation), min(self.order, other.order)
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._add_scalar(_coeff(other))
-        if not isinstance(other, QSeries):
+            other = QSeries.monomial(0, _coeff(other), self.order)
+        elif not isinstance(other, QSeries):
             return NotImplemented
-        val, order = self._binary_window(other)
-        coeffs = [self.coeff(n) + other.coeff(n) for n in range(val, order)]
-        return QSeries(val, coeffs, order)
+        val = min(self.valuation, other.valuation)
+        order = min(self.order, other.order)
+        return QSeries(val, [self.coeff(n) + other.coeff(n) for n in range(val, order)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries(self.valuation, [-c for c in self.coeffs], self.order)
+        return QSeries(self.valuation, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._add_scalar(-_coeff(other))
-        if not isinstance(other, QSeries):
+            other = _coeff(other)  # rejects bool before it is negated
+        elif not isinstance(other, QSeries):
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _add_scalar(self, c):
-        if self.order <= 0:
-            raise PrecisionError(
-                "cannot add a constant: q^0 lies beyond the precision window"
-            )
-        val = min(self.valuation, 0)
-        coeffs = [self.coeff(n) for n in range(val, self.order)]
-        coeffs[0 - val] += c
-        return QSeries(val, coeffs, self.order)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
-            return QSeries(self.valuation, [c * a for a in self.coeffs], self.order)
+            return QSeries(self.valuation, [c * a for a in self.coeffs])
         if not isinstance(other, QSeries):
             return NotImplemented
         val = self.valuation + other.valuation
@@ -188,7 +171,7 @@ class QSeries:
         )
         n = order - val
         if n <= 0:
-            return QSeries(val, [], val)
+            return QSeries(val, [])
         a, b = self.coeffs, other.coeffs
         rb = b[::-1]
         out = []
@@ -199,12 +182,12 @@ class QSeries:
             hi = min(k, len(a) - 1)
             shift = len(b) - 1 - k
             out.append(sum(map(mul, a[lo : hi + 1], rb[shift + lo : shift + hi + 1])))
-        return QSeries(val, out, order)
+        return QSeries(val, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int):
+        if type(exponent) is not int:
             raise TypeError("series powers must be integers")
         if exponent < 0:
             return self.invert() ** (-exponent)
@@ -239,7 +222,7 @@ class QSeries:
             # a[k] - sum_{m=1..k} b[m] * x[k - m]
             x.append((a[k] - sum(map(mul, b[1 : k + 1], reversed(x)))) * inv0)
         val = self.valuation - other.valuation
-        return QSeries(val, x, val + len(x))
+        return QSeries(val, x)
 
     def invert(self):
         """Multiplicative inverse: self * invert(self) = 1 + O(q**precision)."""
@@ -303,7 +286,7 @@ def euler_product(order):
         if hi < order:
             coeffs[hi] = sign
         j += 1
-    return QSeries(0, coeffs, order)
+    return QSeries(0, coeffs)
 
 
 def eta_quotient(exponents, order):
@@ -336,7 +319,7 @@ def eta_quotient(exponents, order):
                 "this signals an arithmetic bug"
             )
         a.append(a_n)
-    return QSeries(0, a, order)
+    return QSeries(0, a)
 
 
 # Eta-quotient McKay-Thompson series T_g = q**-1 prod_d prod_k
@@ -379,7 +362,7 @@ def j_series(order):
         raise ValueError("order must be nonnegative")
     work = order + 2
     e12 = QSeries(0, [691] + [65520 * s for s in _divisor_sums(work, 11)[1:]])
-    qj = (e12 / eta_quotient({1: 24}, work)).coeffs
+    qj = list((e12 / eta_quotient({1: 24}, work)).coeffs)
     qj[1] += 432000
     for n, c in enumerate(qj):
         qj[n], rem = divmod(c, 691)
@@ -389,7 +372,7 @@ def j_series(order):
                 "this signals an arithmetic bug"
             )
     qj[1] -= 744
-    series = QSeries(-1, qj, order + 1)
+    series = QSeries(-1, qj)
     series.require_integral("j_series")
     if series.coeff(-1) != 1 or series.coeff(0) != 0:
         raise IntegralityError("j_series: leading terms are inconsistent")
@@ -404,7 +387,7 @@ def _times_euler_product(series):
     for p, sign in enumerate(euler_product(len(c)).coeffs):
         if p and sign:
             out[p:] = map(add if sign > 0 else sub, out[p:], c)
-    return QSeries(series.valuation, out, series.order)
+    return QSeries(series.valuation, out)
 
 
 def primary_dim_series(order):

@@ -112,6 +112,20 @@ def test_normalize_partner_examples():
     assert pairing_value(w, partner) == -1
 
 
+def test_normalize_partner_only_reads_the_pairing_table():
+    w = FormalNaturalVector("w", 2, True, 1, {("w", "w"): 4})
+    before = dict(w.pairings)
+    normalize_partner(1, w, 4)
+    assert dict(w.pairings) == before
+    with pytest.raises(Gl2ValidationError, match="contradicts"):
+        normalize_partner(1, w, 3)
+    assert dict(w.pairings) == before
+    unrecorded = FormalNaturalVector("x", 2)
+    with pytest.raises(PairingNormalizationError, match=r"pairing \(x, x\) is not defined"):
+        normalize_partner(1, unrecorded, 1)
+    assert dict(unrecorded.pairings) == {}
+
+
 def test_normalize_partner_rejects_nonpositive_norm():
     w = FormalNaturalVector("w", 2, True)
     with pytest.raises(Gl2ValidationError):
@@ -183,7 +197,7 @@ def test_symbol_equality_includes_the_pairing_table():
     u = FormalNaturalVector("u", 2, pairings={("u", "u"): 1})
     assert u != FormalNaturalVector("u", 2, pairings={("u", "u"): 4})
     assert u == FormalNaturalVector("u", 2, pairings={("u", "u"): 1})
-    assert u.rescaled(3).rescaled(Fraction(1, 3)) == u  # one shared table
+    assert u.rescaled(3).rescaled(Fraction(1, 3)) == u  # the table travels along
 
 
 def test_melement_is_one_term_dict():
@@ -462,7 +476,9 @@ EXACT_ENTRY_POINTS = {
     "primary_pair": lambda x: primary_pair(3, norm=x),
     "FormalNaturalVector": lambda x: FormalNaturalVector("u", 2, scale=x),
     "FormalNaturalVector.rescaled": lambda x: FormalNaturalVector("u", 2).rescaled(x),
-    "normalize_partner": lambda x: normalize_partner(1, FormalNaturalVector("u", 2), x),
+    "normalize_partner": lambda x: normalize_partner(
+        1, FormalNaturalVector("u", 2, pairings={("u", "u"): 3}), x
+    ),
     "MElement.__rmul__": lambda x: x * MElement.cartan_vector(1, 2),
 }
 
@@ -526,10 +542,8 @@ def test_base_of_negated_symbol_is_exact():
 
 
 def test_normalize_partner_with_int_scale():
-    u = FormalNaturalVector("u", 3, scale=2)
+    u = FormalNaturalVector("u", 3, scale=2, pairings={("u", "u"): 1})  # (u,u) = 4
     v = normalize_partner(2, u, 4)
-    entry = u.pairings[("u", "u")]
-    assert entry == 1 and type(entry) is int  # (u,u) = scale**2 * entry
     assert v.scale == Fraction(1, 2)
     assert pairing_value(u, v) == 1
 

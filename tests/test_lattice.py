@@ -67,6 +67,8 @@ def test_fock_state_stores_integral_coefficients_as_int():
     key = ((), (0, 0))
     c = FockState({key: Fraction(6, 3)}).terms[key]
     assert type(c) is int and c == 2
+    ((_, point),) = FockState({((), (Fraction(2, 2), 1)): 1}).terms
+    assert point == (1, 1) and all(type(x) is int for x in point)
 
 
 def test_fock_state_sorts_outside_monomials_and_merges_keys():
@@ -373,9 +375,8 @@ def test_vertex_coeff_on_single_creation_target():
 
 @pytest.mark.parametrize("abar", [(Fraction(1, 2), 0), (0, Fraction(1, 2))])
 def test_vertex_coeff_rejects_keys_off_the_lattice(abar):
-    state = FockState({((), abar): 1})
     with pytest.raises(ValueError, match="double-cover elements sit over lattice points"):
-        vertex_iota_coeff(section(1, 0), state, 0)
+        vertex_iota_coeff(section(1, 0), FockState({((), abar): 1}), 0)
 
 
 def test_vertex_coeff_needs_a_double_cover_element():

@@ -16,8 +16,8 @@ from monsterlie.qseries import (
 )
 
 
-def series(valuation, coeffs, order=None):
-    return QSeries(valuation, [Fraction(c) for c in coeffs], order)
+def series(valuation, coeffs):
+    return QSeries(valuation, [Fraction(c) for c in coeffs])
 
 
 # -- oracles: the routes to J and the primary dimensions that the package
@@ -76,9 +76,25 @@ def test_precision_window_is_enforced():
 def test_scalar_addition_needs_constant_term_in_window():
     a = QSeries.monomial(2, 5, order=6)
     assert (a + 7).coeff(0) == 7
-    low = series(-3, [1, 0], order=-1)
+    low = series(-3, [1, 0])
     with pytest.raises(PrecisionError):
         low + 1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s: s + True, "expected an exact rational, got bool"),
+        (lambda s: s - True, "expected an exact rational, got bool"),
+        (lambda s: True - s, "expected an exact rational, got bool"),
+        (lambda s: s ** True, "series powers must be integers"),
+    ],
+    ids=["add", "sub", "rsub", "pow"],
+)
+def test_series_arithmetic_rejects_bool(call, message):
+    with pytest.raises(TypeError) as err:
+        call(j_series(3))
+    assert str(err.value) == message
 
 
 def test_power_routes_negative_exponents_through_invert():
@@ -90,14 +106,14 @@ def test_power_routes_negative_exponents_through_invert():
 def test_invert_geometric_series():
     one_minus_q = series(0, [1, -1] + [0] * 6)
     inv = one_minus_q.invert()
-    assert inv.coeffs == [Fraction(1)] * 8
+    assert list(inv.coeffs) == [Fraction(1)] * 8
 
 
 def test_invert_rejects_zero_leading_coefficient():
     with pytest.raises(NotInvertibleError):
         series(0, [0, 1, 1]).invert()
     with pytest.raises(NotInvertibleError):
-        QSeries(0, [], 0).invert()
+        QSeries(0, []).invert()
 
 
 def test_invert_is_two_sided_inverse_on_random_unit_series():
@@ -140,11 +156,11 @@ def test_division_windows_and_errors():
     b = QSeries(-1, [1, -1, 0])
     quotient = a / b
     assert (quotient.valuation, quotient.order) == (2, 5)
-    assert quotient.coeffs == [1, 3, 6]
+    assert list(quotient.coeffs) == [1, 3, 6]
     with pytest.raises(NotInvertibleError):
         a / QSeries(0, [0, 1, 1])
     with pytest.raises(NotInvertibleError):
-        a / QSeries(0, [], 0)
+        a / QSeries(0, [])
     with pytest.raises(TypeError):
         a / 2
 
@@ -164,7 +180,7 @@ def test_e4_cube_linear_coefficient():
 
 def test_euler_product_pentagonal_prefix():
     e = euler_product(8)
-    assert e.coeffs == [1, -1, -1, 0, 0, 1, 0, 1]
+    assert list(e.coeffs) == [1, -1, -1, 0, 0, 1, 0, 1]
     assert e.coeff(3) == 0
 
 
@@ -176,14 +192,14 @@ def test_euler_product_matches_literal_product_up_to_200():
     for j in range(1, order):
         for n in range(order - 1, j - 1, -1):
             coeffs[n] -= coeffs[n - j]
-    assert euler_product(order) == QSeries(0, coeffs, order)
+    assert euler_product(order) == QSeries(0, coeffs)
 
 
 def test_partition_series_small_values():
     p = partition_series(12)
     # partitions of 4: 4, 3+1, 2+2, 2+1+1, 1+1+1+1
     assert p.coeff(4) == 5
-    assert p.coeffs[:7] == [1, 1, 2, 3, 5, 7, 11]
+    assert list(p.coeffs[:7]) == [1, 1, 2, 3, 5, 7, 11]
 
 
 # -- eta products ----------------------------------------------------------
@@ -198,7 +214,7 @@ def test_eta_quotient_matches_euler_product_and_partitions():
 def test_eta_quotient_inverse_24th_power_pinned():
     # prod(1-q^n)^-24 = q / Delta
     inverse = eta_quotient({1: -24}, 300)
-    assert inverse.coeffs[:6] == [1, 24, 324, 3200, 25650, 176256]
+    assert list(inverse.coeffs[:6]) == [1, 24, 324, 3200, 25650, 176256]
     assert inverse.coeff(50) == 167884450803343339733543652
     assert inverse.coeff(299) == int(
         "155030114833895249231181805649725828345683242629876581404002613402789501280000"
@@ -210,7 +226,7 @@ def test_eta_quotient_general_exponents_match_products():
     e = euler_product(order)
     lifted = [0] * order  # prod(1-q^(2n)), i.e. e at q^2
     lifted[::2] = e.coeffs[: len(lifted[::2])]
-    e2 = QSeries(0, lifted, order)
+    e2 = QSeries(0, lifted)
     assert eta_quotient({1: 3, 2: -2}, order) == e ** 3 * (e2 ** 2).invert()
     assert eta_quotient({1: 1, 2: 0}, order) == e
 
@@ -330,7 +346,7 @@ def test_j_series_coefficients_are_integral():
 def test_integer_series_store_plain_ints():
     for s in (j_series(30), primary_dim_series(30), euler_product(30)):
         assert all(type(c) is int for c in s.coeffs)
-    assert QSeries(0, [Fraction(4, 2), Fraction(1, 2)]).coeffs == [2, Fraction(1, 2)]
+    assert list(QSeries(0, [Fraction(4, 2), Fraction(1, 2)]).coeffs) == [2, Fraction(1, 2)]
     assert type(QSeries(0, [Fraction(4, 2)]).coeffs[0]) is int
 
     class Int(int):

@@ -104,26 +104,36 @@ def test_by_name_follows_classes():
     assert list(dataset.by_name) == [r.name for r in dataset.classes]
 
 
-VALUES = {  # build one value, and a field to assign (None: assignable)
-    "LatticeVector": (lambda: LatticeVector(1, Fraction(-1, 2)), "m"),
-    "HatLatticeElement": (lambda: HatLatticeElement(LatticeVector(1, -1), -1), "sign"),
-    "FockState": (lambda: FockState.iota(HatLatticeElement((1, 0))), "terms"),
-    "FormalNaturalVector": (lambda: FormalNaturalVector("u", 2, scale=3), "scale"),
-    "MElement": (lambda: MElement.cartan_vector(1, 2), "terms"),
-    "QSeries": (lambda: QSeries(-1, [1, 0, 5]), None),
+VALUES = {  # build one value, and the fields to assign
+    "LatticeVector": (lambda: LatticeVector(1, Fraction(-1, 2)), ("m",)),
+    "HatLatticeElement": (lambda: HatLatticeElement(LatticeVector(1, -1), -1), ("sign",)),
+    "FockState": (lambda: FockState.iota(HatLatticeElement((1, 0))), ("terms",)),
+    "FormalNaturalVector": (lambda: FormalNaturalVector("u", 2, scale=3), ("scale",)),
+    "MElement": (lambda: MElement.cartan_vector(1, 2), ("terms",)),
+    "QSeries": (lambda: QSeries(-1, [1, 0, 5]), ("valuation", "coeffs", "order")),
 }
 HASHABLE = {"LatticeVector", "HatLatticeElement"}
+READ_ONLY = {  # a container field, and a key it refuses to assign
+    "QSeries": ("coeffs", 0),
+    "FormalNaturalVector": ("pairings", ("u", "u")),
+}
 
 
 @pytest.mark.parametrize("name", list(VALUES))
 def test_values_are_immutable_and_hash_by_value(name):
-    make, field = VALUES[name]
+    make, fields = VALUES[name]
     value, twin = make(), make()
     assert value == twin and value is not twin
-    if field is not None:
+    for field in fields:
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
-        assert value == twin
+    if name in READ_ONLY:
+        field, key = READ_ONLY[name]
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            getattr(value, field)[key] = 1
+    if name == "QSeries":
+        assert type(value.coeffs) is tuple
+    assert value == twin
     if name in HASHABLE:
         assert hash(value) == hash(twin)
     else:
