@@ -29,7 +29,6 @@ from .gl2 import (
 from .lattice import (
     FockState,
     HatLatticeElement,
-    LatticeVector,
     conformal_vector,
     hat_inverse,
     hat_multiply,

@@ -32,7 +32,6 @@ from typing import NamedTuple
 from .lattice import (
     _AXIS_VECTORS,
     FockState,
-    LatticeVector,
     _add,
     _exact,
     is_primary,
@@ -244,8 +243,8 @@ class MElement:
 
     @property
     def cartan(self):
-        """The Cartan part as a lattice vector, read off `terms`."""
-        return LatticeVector(self.terms.get(("h", 0), 0), self.terms.get(("h", 1), 0))
+        """The Cartan part as a coordinate pair (m, n), read off `terms`."""
+        return self.terms.get(("h", 0), 0), self.terms.get(("h", 1), 0)
 
     def is_zero(self):
         return not self.terms
@@ -275,8 +274,8 @@ class MElement:
             for key, c in sorted(self.terms.items())
             if key[0] != "h"
         ]
-        if not self.cartan.is_zero():
-            parts.append(f"cartan{self.cartan!r}")
+        if any(self.cartan):
+            parts.append("cartan({},{})".format(*self.cartan))
         return "MElement(" + (" + ".join(parts) if parts else "0") + ")"
 
 

@@ -15,22 +15,23 @@ the term dictionaries coincides with equality of states; that exactness
 is what the bracket verifications downstream rely on.
 
 The double cover multiplies by (lam, s) * (mu, t) = (lam + mu, s t
-eps(lam, mu)) with the bilinear 2-cocycle eps(lam, mu) = (-1)**(lam.m *
-mu.n).  Its commutator eps(lam,mu) eps(mu,lam) = (-1)**<lam,mu> is the
-one the central extension prescribes; any other bilinear choice differs
-only by a rescaling of the iota map, and results downstream are checked
-to be invariant under the flip.
+eps(lam, mu)) with the bilinear 2-cocycle eps((m1,n1), (m2,n2)) =
+(-1)**(m1 * n2).  Its commutator eps(lam,mu) eps(mu,lam) =
+(-1)**<lam,mu> is the one the central extension prescribes; any other
+bilinear choice differs only by a rescaling of the iota map, and results
+downstream are checked to be invariant under the flip.
 
-Coefficients and coordinates are exact rationals in the coefficient form
-of `qseries._coeff`: a plain `int` where integral, a `Fraction` otherwise.
-The mode actions run on plain term dictionaries {(mono, abar): coeff}
-(`_create`, `_heisenberg`, `_schur_numerators`, `_virasoro_term`), which
-accumulate through the one helper `_add`; each public function wraps its
-result in one `FockState`, whose constructor checks exactness and drops
-zero coefficients through `_exact`.  `gl2.MElement` keeps its terms through
-the same `_add` and `_exact`.  A key's abar, an
-integer pair, is used as it is: `pairing` and `cocycle_sign` take
-coordinate pairs as well as vectors.
+A vector is a coordinate pair (m, n) and a lattice point a pair of
+`int`s.  Coefficients and coordinates are exact rationals in the
+coefficient form of `qseries._coeff`: a plain `int` where integral, a
+`Fraction` otherwise; `_vector` and `_point` gate the pairs that come from
+outside.  The mode actions run on plain term dictionaries
+{(mono, abar): coeff} (`_create`, `_heisenberg`, `_schur_numerators`,
+`_virasoro_term`), which accumulate through the one helper `_add`; each
+public function wraps its result in one `FockState`, whose constructor
+drops zero coefficients through `_exact` and checks an outside key
+through `_key`.  `gl2.MElement` keeps its terms through the same `_add`
+and `_exact`.
 
 The actions are linear, so `virasoro_apply`, `schur_apply` and
 `vertex_iota_coeff` clear denominators once per call: `_numerators` scales
@@ -58,7 +59,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial, lcm, perm
 
-from .qseries import _coeff
+from .qseries import _coeff, _int
 
 
 class UnsupportedStateError(ValueError):
@@ -66,65 +67,30 @@ class UnsupportedStateError(ValueError):
     expansion does not cover."""
 
 
-class LatticeVector:
-    """Element of the rank-2 lattice, rational coordinates allowed.
+def _vector(pair):
+    """A vector (m, n) of the rational span, both coordinates in the
+    coefficient form of `_coeff`; `TypeError` on an inexact coordinate."""
+    m, n = pair
+    return _coeff(m), _coeff(n)
 
-    Rational coordinates occur for Heisenberg modes (the ambient Cartan
-    is the lattice tensored with the rationals); double-cover elements
-    require integral coordinates.
-    """
 
-    __slots__ = ("m", "n")
-
-    def __init__(self, m, n):
-        object.__setattr__(self, "m", _coeff(m))
-        object.__setattr__(self, "n", _coeff(n))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticeVector is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LatticeVector)
-            and self.m == other.m
-            and self.n == other.n
-        )
-
-    def __hash__(self):
-        return hash((self.m, self.n))
-
-    def __iter__(self):
-        return iter((self.m, self.n))
-
-    def __add__(self, other):
-        return LatticeVector(self.m + other.m, self.n + other.n)
-
-    def __neg__(self):
-        return LatticeVector(-self.m, -self.n)
-
-    def is_integral(self):
-        return self.m.denominator == 1 and self.n.denominator == 1
-
-    def int_pair(self):
-        if not self.is_integral():
-            raise ValueError(f"{self!r} is not a lattice point")
-        return (int(self.m), int(self.n))
-
-    def is_zero(self):
-        return self.m == 0 and self.n == 0
-
-    def __repr__(self):
-        return f"({self.m},{self.n})"
+def _point(pair):
+    """A lattice point: the vector `pair` as an `int` pair; `ValueError`
+    off the lattice."""
+    m, n = _vector(pair)
+    if type(m) is not int or type(n) is not int:
+        raise ValueError(f"double-cover elements sit over lattice points: ({m},{n})")
+    return m, n
 
 
 def pairing(u, v):
-    """<u,v> = -u.m*v.n - u.n*v.m (symmetric, even, unimodular); u, v may be pairs."""
+    """<(m1,n1),(m2,n2)> = -m1*n2 - n1*m2 (symmetric, even, unimodular)."""
     (um, un), (vm, vn) = u, v
     return -(um * vn) - (un * vm)
 
 
 def cocycle_sign(lam, mu):
-    """The chosen bilinear 2-cocycle (-1)**(lam.m * mu.n) on lattice points."""
+    """The chosen bilinear 2-cocycle (-1)**(m1 * n2) of (m1, n1), (m2, n2)."""
     (m, _), (_, n) = lam, mu
     if m.denominator != 1 or n.denominator != 1:
         raise ValueError("cocycle is defined on lattice points only")
@@ -132,28 +98,23 @@ def cocycle_sign(lam, mu):
 
 
 class HatLatticeElement:
-    """Element (vector, sign) of the sign double cover of the lattice."""
+    """Element (vector, sign) of the sign double cover of the lattice, its
+    vector an `int` pair (m, n)."""
 
     __slots__ = ("vector", "sign")
 
     def __init__(self, vector, sign=1):
-        if not isinstance(vector, LatticeVector):
-            vector = LatticeVector(*vector)
-        if not vector.is_integral():
-            raise ValueError("double-cover elements sit over lattice points")
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "vector", _point(vector))
         object.__setattr__(self, "sign", sign)
 
     def __setattr__(self, name, value):
         raise AttributeError("HatLatticeElement is immutable")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, HatLatticeElement)
-            and self.vector == other.vector
-            and self.sign == other.sign
+        return isinstance(other, HatLatticeElement) and (
+            (self.vector, self.sign) == (other.vector, other.sign)
         )
 
     def __hash__(self):
@@ -161,27 +122,28 @@ class HatLatticeElement:
 
     def __repr__(self):
         s = "" if self.sign == 1 else "-"
-        return f"{s}hat{self.vector!r}"
+        return f"{s}hat({self.vector[0]},{self.vector[1]})"
 
 
-HAT_IDENTITY = HatLatticeElement(LatticeVector(0, 0), 1)
+HAT_IDENTITY = HatLatticeElement((0, 0), 1)
 
 
 def hat_multiply(a, b):
     """Group law of the double cover: signs compose through the cocycle."""
-    return HatLatticeElement(
-        a.vector + b.vector, a.sign * b.sign * cocycle_sign(a.vector, b.vector)
-    )
+    (am, an), (bm, bn) = a.vector, b.vector
+    sign = a.sign * b.sign * cocycle_sign(a.vector, b.vector)
+    return HatLatticeElement((am + bm, an + bn), sign)
 
 
 def hat_inverse(a):
     """Inverse in the double cover: a * hat_inverse(a) is the identity."""
-    return HatLatticeElement(-a.vector, a.sign * cocycle_sign(a.vector, -a.vector))
+    m, n = a.vector
+    return HatLatticeElement((-m, -n), a.sign * cocycle_sign(a.vector, (-m, -n)))
 
 
 def section(m, n, sign=1):
     """The fixed lift of the lattice point (m, n) used for iota vectors."""
-    return HatLatticeElement(LatticeVector(m, n), sign)
+    return HatLatticeElement((m, n), sign)
 
 
 # -- Fock states --------------------------------------------------------
@@ -199,18 +161,17 @@ class FockState:
     """Finite exact-rational combination of creation monomials on iota vectors.
 
     Creation modes commute, so each key's monomial is sorted and keys that
-    then coincide merge; each key's point must be a lattice point and is
-    stored as an `int` pair.  The kernels, whose keys are sorted int pairs
-    already, skip that step with the private `_sorted=True`."""
+    then coincide merge; `_key` checks each outside key's creation factors
+    and point.  The kernels, whose keys are in that form already, skip the
+    step with the private `_sorted=True`."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None, *, _sorted=False):
         if terms and not _sorted:
             merged = {}
-            for (mono, abar), c in _exact(terms).items():
-                point = HatLatticeElement(abar).vector.int_pair()
-                _add(merged, {(tuple(sorted(mono)), point): c})
+            for key, c in _exact(terms).items():
+                _add(merged, {_key(key): c})
             terms = merged
         object.__setattr__(self, "terms", _exact(terms))
 
@@ -224,7 +185,7 @@ class FockState:
     @classmethod
     def iota(cls, a):
         """State iota(a) for a double-cover element; kappa acts as -1."""
-        return cls({((), a.vector.int_pair()): a.sign}, _sorted=True)
+        return cls({((), a.vector): a.sign}, _sorted=True)
 
     @classmethod
     def vacuum(cls):
@@ -267,6 +228,17 @@ class FockState:
         return "FockState(" + " + ".join(parts) + ")"
 
 
+def _key(key):
+    """A term key from outside in kernel form: each creation factor an
+    `int` pair (axis, depth) with axis 0 or 1 and depth >= 1, the factors
+    sorted, the point an `int` pair; `ValueError` otherwise."""
+    mono, abar = key
+    for axis, depth in mono:
+        if {type(axis), type(depth)} != {int} or axis not in (0, 1) or depth < 1:
+            raise ValueError(f"creation factor {(axis, depth)} needs axis 0 or 1, depth >= 1")
+    return tuple(sorted(mono)), _point(abar)
+
+
 def _exact(terms):
     """The terms with every coefficient in coefficient form and the zeros
     dropped: the one exactness gate of `FockState` and `gl2.MElement`."""
@@ -294,9 +266,7 @@ def _over(terms, d):
 
 
 def _create(axis, depth, terms):
-    """Append the creation factor u_axis(-depth) to every term."""
-    if depth <= 0:
-        raise ValueError("creation depth must be positive")
+    """Append the creation factor u_axis(-depth), depth >= 1, to every term."""
     # one more factor keeps distinct monomials distinct: no keys collide
     return {
         (tuple(sorted(mono + ((axis, depth),))), abar): c
@@ -312,7 +282,7 @@ def heisenberg_apply(lam, n, state):
     [lam(m), mu(k)] = <lam,mu> m delta(m+k), and lam(0) multiplies each
     term by <lam, abar>.
     """
-    return FockState(_heisenberg(lam, n, state.terms), _sorted=True)
+    return FockState(_heisenberg(_vector(lam), _int(n, "n"), state.terms), _sorted=True)
 
 
 def _heisenberg(lam, n, terms):
@@ -347,10 +317,10 @@ def schur_apply(lam, r, state):
     modes lam(-n) commute, so r! p_r is expanded once on the empty monomial
     (`_schur_numerators`) and multiplied onto each term of the state.
     """
-    if r < 0:
+    if _int(r, "r") < 0:
         raise ValueError("Schur index must be nonnegative")
     d, terms = _numerators(state.terms)
-    q_r = _schur_numerators(lam, r)[r]
+    q_r = _schur_numerators(_vector(lam), r)[r]
     out = {}
     for (mono, abar), c in terms.items():
         _add(out, _times_monomials(q_r, mono, abar), c)
@@ -393,7 +363,8 @@ def vertex_iota_coeff(a, b_state, power):
     """
     if not isinstance(a, HatLatticeElement):
         raise UnsupportedStateError("the operator argument must cover a lattice point")
-    point = a.vector.int_pair()
+    _int(power, "power")
+    point = a.vector
     d, terms = _numerators(b_state.terms)
     targets = []  # (Schur order, remaining factors, lattice point, numerator)
     for (mono, abar), c in terms.items():
@@ -439,6 +410,7 @@ def virasoro_apply(n, state):
     plus (for n <= -2) the normal-ordered quadratic tail in the dual
     coordinate modes.
     """
+    _int(n, "n")
     d, terms = _numerators(state.terms)
     out = {}
     for (mono, abar), c in terms.items():

@@ -54,6 +54,14 @@ def _coeff(value):
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _int(value, name):
+    """value when it is an `int` (`bool` excluded): the gate of exponents and
+    mode indices; `TypeError` naming the argument otherwise."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    return value
+
+
 class QSeries:
     """Truncated Laurent series sum of coeffs[i] * q**(valuation + i).
 
@@ -66,7 +74,7 @@ class QSeries:
     __slots__ = ("valuation", "coeffs")
 
     def __init__(self, valuation, coeffs):
-        object.__setattr__(self, "valuation", valuation)
+        object.__setattr__(self, "valuation", _int(valuation, "valuation"))
         object.__setattr__(self, "coeffs", tuple([_coeff(c) for c in coeffs]))
 
     def __setattr__(self, name, value):
@@ -117,7 +125,7 @@ class QSeries:
 
     def shift(self, k):
         """Multiply by the exact monomial q**k."""
-        return QSeries(self.valuation + k, self.coeffs)
+        return QSeries(self.valuation + _int(k, "k"), self.coeffs)
 
     def truncate(self, new_order):
         if new_order > self.order:
@@ -270,7 +278,7 @@ def euler_product(order):
     This is q**(-1/24) * eta(q); every coefficient is -1, 0 or 1, with
     support on the generalized pentagonal numbers j(3j +- 1)/2.
     """
-    if order < 1:
+    if _int(order, "order") < 1:
         raise ValueError("order must be at least 1")
     coeffs = [0] * order
     coeffs[0] = 1
@@ -298,7 +306,7 @@ def eta_quotient(exponents, order):
     B_m = -sum_{d | m} r_d * d * sigma(m/d) (sigma the divisor sum).  Every
     a_n is an integer; each exact division is checked.
     """
-    if order < 1:
+    if _int(order, "order") < 1:
         raise ValueError("order must be at least 1")
     sigma = _divisor_sums(order, 1)
     b = [0] * order
@@ -344,7 +352,7 @@ def mckay_thompson(name, order):
             f"no eta-quotient McKay-Thompson series for class {name!r}; "
             f"known: {', '.join(_MCKAY_THOMPSON)}"
         )
-    if order < 0:
+    if _int(order, "order") < 0:
         raise ValueError("order must be nonnegative")
     exponents = _MCKAY_THOMPSON[name]
     return eta_quotient(exponents, order + 2).shift(-1) + exponents[1]
@@ -358,7 +366,7 @@ def j_series(order):
     (J + 744) = 691 * E12 / prod(1-q**k)**24 + 432000 * q, with 691 * E12 =
     691 + 65520 * sum sigma11(k) q**k; every division by 691 is checked.
     """
-    if order < 0:
+    if _int(order, "order") < 0:
         raise ValueError("order must be nonnegative")
     work = order + 2
     e12 = QSeries(0, [691] + [65520 * s for s in _divisor_sums(work, 11)[1:]])
@@ -398,7 +406,7 @@ def primary_dim_series(order):
     Euler product, plus one.  The q**0 coefficient (weight-1 subspace) is
     zero; every other represented coefficient is a nonnegative integer.
     """
-    if order < 0:
+    if _int(order, "order") < 0:
         raise ValueError("order must be nonnegative")
     series = _times_euler_product(j_series(order)) + 1
     series = series.truncate(order)

@@ -22,7 +22,6 @@ from monsterlie.gl2 import (
 )
 from monsterlie.lattice import (
     FockState,
-    LatticeVector,
     cocycle_sign,
     heisenberg_apply,
     is_primary,
@@ -186,8 +185,8 @@ def test_criterion_6_vertex_algebra_property_suite():
 
     # cocycle law on 1000 random lattice pairs
     for _ in range(1000):
-        lam = LatticeVector(rng.randint(-20, 20), rng.randint(-20, 20))
-        mu = LatticeVector(rng.randint(-20, 20), rng.randint(-20, 20))
+        lam = (rng.randint(-20, 20), rng.randint(-20, 20))
+        mu = (rng.randint(-20, 20), rng.randint(-20, 20))
         ok = ok and cocycle_sign(lam, mu) * cocycle_sign(mu, lam) == (-1) ** pairing(
             lam, mu
         )
@@ -208,8 +207,8 @@ def test_criterion_6_vertex_algebra_property_suite():
     # Heisenberg bracket identity on random states
     for _ in range(15):
         s = random_state()
-        lam = LatticeVector(rng.randint(-3, 3), rng.randint(-3, 3))
-        mu = LatticeVector(rng.randint(-3, 3), rng.randint(-3, 3))
+        lam = (rng.randint(-3, 3), rng.randint(-3, 3))
+        mu = (rng.randint(-3, 3), rng.randint(-3, 3))
         for m in (-2, 1, 2):
             for n in (-2, -1, 2):
                 lhs = heisenberg_apply(lam, m, heisenberg_apply(mu, n, s)) - (
@@ -241,7 +240,7 @@ def test_criterion_6_vertex_algebra_property_suite():
         if w is None:
             continue
         n = rng.randint(1, 4)
-        lam = LatticeVector(rng.randint(-3, 3), rng.randint(-3, 3))
+        lam = (rng.randint(-3, 3), rng.randint(-3, 3))
         created = heisenberg_apply(lam, -n, s)
         if not created.is_zero():
             ok = ok and weight_of(created) == w + n

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -8,7 +9,6 @@ from monsterlie.lattice import (
     FockState,
     HAT_IDENTITY,
     HatLatticeElement,
-    LatticeVector,
     UnsupportedStateError,
     cocycle_sign,
     conformal_vector,
@@ -25,12 +25,12 @@ from monsterlie.lattice import (
     weight_of,
 )
 
-ALPHA = LatticeVector(1, 1)
-BETA = LatticeVector(1, -1)
+ALPHA = (1, 1)
+BETA = (1, -1)
 
 
 def rand_vector(rng, lo=-6, hi=6):
-    return LatticeVector(rng.randint(lo, hi), rng.randint(lo, hi))
+    return (rng.randint(lo, hi), rng.randint(lo, hi))
 
 
 def rand_key(rng, max_degree):
@@ -84,13 +84,43 @@ def test_fock_state_sorts_outside_monomials_and_merges_keys():
     assert moved == virasoro_apply(-1, FockState({ordered: 1}))
 
 
+@pytest.mark.parametrize(
+    "factor",
+    [(0, 0), (0, -2), (5, 1), (2, 1), (0, 1.5), (0, Fraction(1)), (0, True), (True, 1)],
+)
+def test_fock_state_rejects_bad_creation_factors(factor):
+    # a creation factor is (axis 0 or 1, int depth >= 1)
+    with pytest.raises(ValueError, match=re.escape(f"creation factor {factor}")):
+        FockState({((factor,), (0, 0)): 1})
+
+
+MODE_ENTRY_POINTS = {  # a call taking one mode index, and the name it reports
+    "heisenberg_apply": (lambda n: heisenberg_apply((1, 0), n, FockState.vacuum()), "n"),
+    "virasoro_apply": (lambda n: virasoro_apply(n, FockState.vacuum()), "n"),
+    "schur_apply": (lambda r: schur_apply((1, 0), r, FockState.vacuum()), "r"),
+    "vertex_iota_coeff": (
+        lambda p: vertex_iota_coeff(section(1, 0), FockState.vacuum(), p),
+        "power",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [Fraction(-1, 2), Fraction(1), -1.0, True])
+@pytest.mark.parametrize("entry", sorted(MODE_ENTRY_POINTS))
+def test_mode_indices_must_be_ints(entry, value):
+    call, name = MODE_ENTRY_POINTS[entry]
+    with pytest.raises(TypeError, match=f"{name} must be an int, got {type(value).__name__}"):
+        call(value)
+    assert isinstance(call(1), FockState)
+
+
 # -- pairing and reflection ----------------------------------------------
 
 
 def test_pairing_values():
     assert pairing(BETA, BETA) == 2
     assert pairing(ALPHA, ALPHA) == -2
-    assert pairing(LatticeVector(1, 3), LatticeVector(-1, -3)) == 6
+    assert pairing((1, 3), (-1, -3)) == 6
 
 
 def test_pairing_is_symmetric_bilinear_and_even():
@@ -98,10 +128,10 @@ def test_pairing_is_symmetric_bilinear_and_even():
     for _ in range(100):
         u, v, w = (rand_vector(rng) for _ in range(3))
         assert pairing(u, v) == pairing(v, u)
-        # coordinate pairs pair like the vectors they unpack from
-        assert pairing(tuple(u), v) == pairing(u, tuple(v)) == pairing(u, v)
-        assert cocycle_sign(tuple(u), tuple(v)) == cocycle_sign(u, v)
-        assert pairing(u + v, w) == pairing(u, w) + pairing(v, w)
+        u_plus_v = (u[0] + v[0], u[1] + v[1])
+        assert pairing(u_plus_v, w) == pairing(u, w) + pairing(v, w)
+        c = rng.randint(-3, 3)
+        assert pairing((c * u[0], c * u[1]), w) == c * pairing(u, w)
         assert pairing(u, u) % 2 == 0
 
 
@@ -122,7 +152,7 @@ def test_hat_multiply_examples():
     b = section(0, 1)
     ab = hat_multiply(a, b)
     ba = hat_multiply(b, a)
-    assert ab.vector == ba.vector == LatticeVector(1, 1)
+    assert ab.vector == ba.vector == (1, 1)
     # <(1,0),(0,1)> = -1, so the two orders differ by a sign
     assert ab.sign == -ba.sign
 
@@ -133,11 +163,12 @@ def test_naive_opposite_product_carries_the_cocycle_sign():
     rng = random.Random(43)
     for _ in range(50):
         lam = rand_vector(rng)
+        minus_lam = (-lam[0], -lam[1])
         a = HatLatticeElement(lam, 1)
-        b = HatLatticeElement(-lam, 1)
+        b = HatLatticeElement(minus_lam, 1)
         product = hat_multiply(a, b)
-        assert product.vector == LatticeVector(0, 0)
-        assert product.sign == cocycle_sign(lam, -lam)
+        assert product.vector == (0, 0)
+        assert product.sign == cocycle_sign(lam, minus_lam)
 
 
 def test_hat_inverse_is_two_sided():
@@ -173,7 +204,7 @@ def test_single_contraction():
 
 def test_zero_mode_scales_by_pairing():
     c2 = FockState.iota(section(1, 2))
-    t1 = LatticeVector(0, -1)
+    t1 = (0, -1)
     assert heisenberg_apply(t1, 0, c2) == 1 * c2
 
 
@@ -202,7 +233,7 @@ def test_heisenberg_bracket_identity():
 
 
 def test_schur_small_orders():
-    lam = LatticeVector(1, 2)
+    lam = (1, 2)
     vac = FockState.vacuum()
     with pytest.raises(ValueError, match="nonnegative"):
         schur_apply(lam, -1, vac)
@@ -230,7 +261,7 @@ def test_schur_apply_matches_fraction_recurrence_on_rational_points():
     rng = random.Random(53)
     dressed = FockState({(((0, 1), (1, 2)), (1, -1)): Fraction(1, 6)})
     for _ in range(10):
-        lam = LatticeVector(
+        lam = (
             Fraction(rng.choice((-3, -1, 1, 5)), 2), Fraction(rng.choice((-2, 1, 4)), 3)
         )
         for state in (rand_state(rng, max_degree=4) + dressed, dressed):
@@ -243,7 +274,7 @@ def test_schur_apply_matches_fraction_recurrence_on_rational_points():
 def test_schur_numerators_of_lattice_points_are_integers():
     # q_k = k! p_k has integer coefficients on a lattice point
     vac = FockState.vacuum()
-    for lam in (LatticeVector(1, -1), LatticeVector(2, 3), LatticeVector(-3, 0)):
+    for lam in ((1, -1), (2, 3), (-3, 0)):
         for k, level in enumerate(_schur_numerators(lam, 8)):
             assert all(type(c) is int for c in level.values()), (lam, k)
             q_k = FockState({(mono, (0, 0)): c for (mono, _), c in level.items()})
@@ -256,7 +287,7 @@ def brute_vertex_coeff(a, b_state, power, r_max=8):
     out = FockState.zero()
     for (mono, abar), c in b_state.terms.items():
         assert mono == (), "oracle only covers pure iota states"
-        b_hat = HatLatticeElement(LatticeVector(*abar), 1)
+        b_hat = HatLatticeElement(abar, 1)
         ab = hat_multiply(a, b_hat)
         base = int(pairing(a.vector, b_hat.vector))
         r = power - base
@@ -336,7 +367,7 @@ def test_vertex_coeff_translation_identity_and_weights():
         for n_terms in (2, 3, 2, 3):
             b = rand_fractional_state(rng, n_terms)
             lowest = min(
-                int(pairing(a.vector, LatticeVector(*abar))) - sum(n for _, n in mono)
+                int(pairing(a.vector, abar)) - sum(n for _, n in mono)
                 for mono, abar in b.terms
             )
             assert vertex_iota_coeff(a, b, lowest - 1).is_zero()
@@ -364,7 +395,7 @@ def test_vertex_coeff_degree_argument_kills_cross_terms():
 def test_vertex_coeff_on_single_creation_target():
     # Y(iota(a), x) on t(-1)iota(1): the contraction term sits at x**-1.
     a = section(1, 2)
-    t = LatticeVector(0, -1)
+    t = (0, -1)
     target = heisenberg_apply(t, -1, FockState.vacuum())
     got = vertex_iota_coeff(a, target, -1)
     expected = (-pairing(a.vector, t)) * FockState.iota(a)
@@ -381,7 +412,7 @@ def test_vertex_coeff_rejects_keys_off_the_lattice(abar):
 
 def test_vertex_coeff_needs_a_double_cover_element():
     with pytest.raises(UnsupportedStateError):
-        vertex_iota_coeff(LatticeVector(1, 0), FockState.vacuum(), 0)
+        vertex_iota_coeff((1, 0), FockState.vacuum(), 0)
 
 
 # -- one denominator per call ------------------------------------------------
@@ -403,7 +434,7 @@ def test_kernels_are_linear_over_mixed_denominators():
     for s in states:
         a = section(rng.randint(-2, 2), rng.randint(-2, 2), rng.choice((1, -1)))
         lowest = min(
-            int(pairing(a.vector, LatticeVector(*abar))) - sum(n for _, n in mono)
+            int(pairing(a.vector, abar)) - sum(n for _, n in mono)
             for mono, abar in s.terms
         )
         for q in range(2, 8):
@@ -432,7 +463,7 @@ def test_grading_examples():
 
 
 def test_l2_on_single_creation_vanishes():
-    lam = LatticeVector(2, -1)
+    lam = (2, -1)
     state = heisenberg_apply(lam, -1, FockState.vacuum())
     assert virasoro_apply(2, state).is_zero()
 
@@ -441,9 +472,9 @@ def test_weight_examples():
     assert weight_of(FockState.vacuum()) == 0
     assert weight_of(FockState.iota(section(1, 3))) == -3
     s = heisenberg_apply(
-        LatticeVector(1, 0),
+        (1, 0),
         -2,
-        heisenberg_apply(LatticeVector(0, 1), -1, FockState.iota(section(1, 1))),
+        heisenberg_apply((0, 1), -1, FockState.iota(section(1, 1))),
     )
     assert weight_of(s) == 2
     mixed = FockState.vacuum() + FockState.iota(section(1, 1))
@@ -517,11 +548,11 @@ def virasoro_mode_oracle(n, state):
             continue
         # normal ordering: the annihilation/zero-mode factor acts first
         if i <= j:
-            inner = heisenberg_apply(LatticeVector(0, 1), j, state)
-            term = heisenberg_apply(LatticeVector(1, 0), i, inner)
+            inner = heisenberg_apply((0, 1), j, state)
+            term = heisenberg_apply((1, 0), i, inner)
         else:
-            inner = heisenberg_apply(LatticeVector(1, 0), i, state)
-            term = heisenberg_apply(LatticeVector(0, 1), j, inner)
+            inner = heisenberg_apply((1, 0), i, state)
+            term = heisenberg_apply((0, 1), j, inner)
         out = out + term
     return -1 * out
 
@@ -543,7 +574,7 @@ def test_iota_vectors_are_primary():
 
 
 def test_single_creation_on_vacuum_is_primary():
-    state = heisenberg_apply(LatticeVector(3, -2), -1, FockState.vacuum())
+    state = heisenberg_apply((3, -2), -1, FockState.vacuum())
     assert is_primary(state)
 
 
@@ -558,7 +589,7 @@ def test_is_primary_checks_every_mode_up_to_the_creation_depth():
     assert virasoro_apply(1, omega).is_zero()
     assert virasoro_apply(2, omega) == FockState.vacuum()
     vac = FockState.vacuum()
-    state = heisenberg_apply(ALPHA, -1, heisenberg_apply(LatticeVector(0, 1), -1, vac))
+    state = heisenberg_apply(ALPHA, -1, heisenberg_apply((0, 1), -1, vac))
     assert virasoro_apply(1, state).is_zero()
     assert not is_primary(omega)
     assert not is_primary(state)

@@ -419,3 +419,23 @@ def test_series_integrity_tripwire_message():
     bad = QSeries(0, [Fraction(1, 2)])
     with pytest.raises(IntegralityError):
         bad.require_integral("bad")
+
+
+EXPONENT_ENTRY_POINTS = {  # a call taking one exponent, and the name it reports
+    "QSeries": (lambda k: QSeries(k, [1]), "valuation"),
+    "shift": (lambda k: j_series(5).shift(k), "k"),
+    "j_series": (j_series, "order"),
+    "primary_dim_series": (primary_dim_series, "order"),
+    "euler_product": (euler_product, "order"),
+    "eta_quotient": (lambda k: eta_quotient({1: 24}, k), "order"),
+    "mckay_thompson": (lambda k: mckay_thompson("2B", k), "order"),
+}
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(3), 0.5, 3.0, True])
+@pytest.mark.parametrize("entry", sorted(EXPONENT_ENTRY_POINTS))
+def test_exponents_must_be_ints(entry, value):
+    call, name = EXPONENT_ENTRY_POINTS[entry]
+    with pytest.raises(TypeError, match=f"{name} must be an int, got {type(value).__name__}"):
+        call(value)
+    assert call(3) is not None
