@@ -27,19 +27,22 @@ coefficient form of `qseries._coeff`: a plain `int` where integral, a
 `Fraction` otherwise; `_vector` and `_point` gate the pairs that come from
 outside.  The mode actions run on plain term dictionaries
 {(mono, abar): coeff} (`_create`, `_heisenberg`, `_schur_numerators`,
-`_virasoro_term`), which accumulate through the one helper `_add`; each
-public function wraps its result in one `FockState`, whose constructor
-drops zero coefficients through `_exact` and checks an outside key
-through `_key`.  `gl2.MElement` keeps its terms through the same `_add`
-and `_exact`.
+`_virasoro_term`), which accumulate by the one rule
+out[key] = out.get(key, 0) + c of the helper `_add`; `_virasoro_term`
+applies it key by key in one pass over a monomial's factors and builds
+no dicts through `_heisenberg` or `_create`.  Each public function wraps
+its result in one `FockState`, whose constructor drops zero coefficients
+through `_exact` and checks an outside key through `_key`.
+`gl2.MElement` keeps its terms through the same `_add` and `_exact`.
 
 The actions are linear, so `virasoro_apply`, `schur_apply` and
 `vertex_iota_coeff` clear denominators once per call: `_numerators` scales
 the input by d, the lcm of its coefficient denominators, the kernels run
 on those integer numerators, and `_over` divides the result by d (times
-r! for a Schur term) in one step.  Schur terms are carried as
-q_k = k! p_k, whose recurrence q_k = sum_n (k-1)!/(k-n)! lam(-n) q_{k-n}
-has integer coefficients, so a lattice point lam never sees a fraction.
+r! for a Schur term) in one step, straight into coefficient form.  Schur
+terms are carried as q_k = k! p_k, whose recurrence
+q_k = sum_n (k-1)!/(k-n)! lam(-n) q_{k-n} has integer coefficients, so a
+lattice point lam never sees a fraction.
 
 Virasoro modes act through the commutation rules
 
@@ -261,8 +264,12 @@ def _numerators(terms):
 
 
 def _over(terms, d):
-    """The state terms / d: the one division of a kernel call."""
-    return FockState({key: Fraction(c, d) for key, c in terms.items()}, _sorted=True)
+    """The state terms / d: the one division of a kernel call, straight
+    into coefficient form (`c // d` where d divides c); zeros are dropped."""
+    return FockState(
+        {key: c // d if c % d == 0 else Fraction(c, d) for key, c in terms.items() if c},
+        _sorted=True,
+    )
 
 
 def _create(axis, depth, terms):
@@ -404,37 +411,64 @@ def vertex_iota_coeff(a, b_state, power):
 def virasoro_apply(n, state):
     """Apply the Virasoro mode L(n); exact for every integer n.
 
-    On creation factors the commutation rule [L(n), u(-k)] = k u(n-k) is
-    peeled recursively; on iota vectors L(n) annihilates for n >= 1, is
-    the grading operator for n = 0, and for n <= -1 contributes abar(n)
-    plus (for n <= -2) the normal-ordered quadratic tail in the dual
-    coordinate modes.
+    By [L(n), u(-k)] = k u(n-k), L(n) takes f_1 ... f_L iota(abar), with
+    f_i = u_{a_i}(-k_i), to the sum over i of k_i times the other factors
+    times u_{a_i}(n - k_i) applied to f_{i+1} ... f_L iota(abar), plus
+    f_1 ... f_L L(n) iota(abar).  With p = n - k_i, factor i becomes
+    u_{a_i}(-(k_i - n)) for p < 0, drops out with <u_{a_i}, abar> for
+    p = 0, and for p > 0 contracts with each later factor u_{1-a_i}(-p)
+    at -k_i p (<u1,u2> = -1, <u_a,u_a> = 0).  On iota vectors L(n)
+    annihilates for n >= 1, is the grading operator for n = 0, and for
+    n <= -1 contributes abar(n) plus (for n <= -2) the normal-ordered
+    quadratic tail in the dual coordinate modes.
     """
     _int(n, "n")
     d, terms = _numerators(state.terms)
     out = {}
     for (mono, abar), c in terms.items():
-        _add(out, _virasoro_term(n, mono, abar, c))
+        _virasoro_term(n, mono, abar, c, out)
     return _over(out, d)
 
 
-def _virasoro_term(n, mono, abar, coeff):
-    if mono:
-        (axis, k), rest = mono[0], mono[1:]
-        out = {}
-        _add(out, _heisenberg(_AXIS_VECTORS[axis], n - k, {(rest, abar): coeff}), k)
-        _add(out, _create(axis, k, _virasoro_term(n, rest, abar, coeff)))
-        return out
+def _virasoro_term(n, mono, abar, coeff, out):
+    """Add coeff * L(n) mono iota(abar) into out in one pass over the
+    factors of mono.  Each key takes `_add`'s rule
+    out[key] = out.get(key, 0) + c written out, because an `_add` call per
+    key slows the Virasoro action measurably."""
+    for i, (axis, k) in enumerate(mono):
+        p = n - k
+        rest = mono[:i] + mono[i + 1 :]
+        if p < 0:
+            key = (tuple(sorted(rest + ((axis, -p),))), abar)
+            out[key] = out.get(key, 0) + k * coeff
+        elif p == 0:
+            key = (rest, abar)
+            out[key] = out.get(key, 0) + k * coeff * pairing(_AXIS_VECTORS[axis], abar)
+        else:
+            # each opposite-axis pair with k_i + k_j = n contracts once, at
+            # -k_i k_j, so taking the later factor of the pair loses nothing
+            partner = (1 - axis, p)
+            for j in range(i + 1, len(mono)):
+                if mono[j] == partner:
+                    key = (rest[: j - 1] + rest[j:], abar)
+                    out[key] = out.get(key, 0) - k * p * coeff
     if n >= 1:
-        return {}
+        return
     if n == 0:
         # <abar,abar> = -2 m n is even
-        return {((), abar): coeff * (pairing(abar, abar) // 2)}
-    # dual-basis quadratic tail -1/2 sum_{n<k<0} (u1(k)u2(n-k) + u2(k)u1(n-k)),
-    # the dual of u1 being -u2 and vice versa; each monomial occurs twice
-    out = {(((0, -k), (1, k - n)), abar): -coeff for k in range(n + 1, 0)}
-    _add(out, _heisenberg(abar, n, {((), abar): coeff}))
-    return out
+        key = (mono, abar)
+        out[key] = out.get(key, 0) + coeff * (pairing(abar, abar) // 2)
+        return
+    # abar(n), then the dual-basis quadratic tail
+    # -1/2 sum_{n<k<0} (u1(k)u2(n-k) + u2(k)u1(n-k)), the dual of u1 being
+    # -u2 and vice versa; each monomial occurs twice
+    for axis, c in enumerate(abar):
+        if c:
+            key = (tuple(sorted(mono + ((axis, -n),))), abar)
+            out[key] = out.get(key, 0) + c * coeff
+    for k in range(n + 1, 0):
+        key = (tuple(sorted(mono + ((0, -k), (1, k - n)))), abar)
+        out[key] = out.get(key, 0) - coeff
 
 
 def conformal_vector():

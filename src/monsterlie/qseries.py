@@ -103,7 +103,7 @@ class QSeries:
 
     def coeff(self, n):
         """Exact coefficient of q**n; raises beyond the precision window."""
-        if n >= self.order:
+        if _int(n, "n") >= self.order:
             raise PrecisionError(
                 f"coefficient of q^{n} is not determined (order {self.order})"
             )
@@ -128,7 +128,7 @@ class QSeries:
         return QSeries(self.valuation + _int(k, "k"), self.coeffs)
 
     def truncate(self, new_order):
-        if new_order > self.order:
+        if _int(new_order, "new_order") > self.order:
             raise PrecisionError(
                 f"cannot extend precision from order {self.order} to {new_order}"
             )

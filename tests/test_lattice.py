@@ -1,7 +1,9 @@
+import hashlib
 import random
 import re
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -415,6 +417,48 @@ def test_vertex_coeff_needs_a_double_cover_element():
         vertex_iota_coeff((1, 0), FockState.vacuum(), 0)
 
 
+def locality_sum(a, b, c, P, Q):
+    """The x**P y**Q coefficient of (x - y)**N [Y(iota(a), x), Y(iota(b), y)] c,
+    sum_i (-1)^i C(N,i) [A_{P-N+i}, B_{Q-i}] c with A_r the x**r coefficient
+    of Y(iota(a), x) and N = max(0, -<abar, bbar>), and the commutators it sums."""
+    N = max(0, -pairing(a.vector, b.vector))
+    total, commutators = FockState.zero(), []
+    for i in range(N + 1):
+        r, s = P - N + i, Q - i
+        ab = vertex_iota_coeff(a, vertex_iota_coeff(b, c, s), r)
+        ba = vertex_iota_coeff(b, vertex_iota_coeff(a, c, r), s)
+        commutators.append(ab - ba)
+        total = total + ((-1) ** i * comb(N, i)) * commutators[-1]
+    return total, commutators
+
+
+def test_vertex_operators_are_local():
+    # (x - y)**N [Y(iota(a), x), Y(iota(b), y)] = 0: the sign the cocycle
+    # gives iota(a) iota(b) against iota(b) iota(a) is what makes it hold
+    rng = random.Random(71)
+    odd = live = 0
+    for _ in range(24):
+        a = section(rng.randint(-2, 2), rng.randint(-2, 2), rng.choice((1, -1)))
+        b = section(rng.randint(-2, 2), rng.randint(-2, 2), rng.choice((1, -1)))
+        c = rand_fractional_state(rng, rng.randint(1, 2), max_degree=rng.choice((2, 3)))
+        ab = pairing(a.vector, b.vector)
+        odd += ab % 2
+        N = max(0, -ab)
+        # A_r B_s c vanishes below r + s = <a,b> + <a,g> + <b,g> - depth,
+        # and B_s c below s = <b,g> - depth, on each term mono iota(g)
+        low = ab + min(
+            pairing(a.vector, g) + pairing(b.vector, g) - sum(k for _, k in mono)
+            for mono, g in c.terms
+        )
+        low_q = min(pairing(b.vector, g) - sum(k for _, k in mono) for mono, g in c.terms)
+        for total in range(low, low + 3):
+            for Q in range(low_q, low_q + 3):
+                got, commutators = locality_sum(a, b, c, total + N - Q, Q)
+                assert got.is_zero(), (a, b, c, total + N - Q, Q)
+                live += any(not t.is_zero() for t in commutators)
+    assert odd and live, (odd, live)
+
+
 # -- one denominator per call ------------------------------------------------
 
 
@@ -448,6 +492,34 @@ def test_kernels_are_linear_over_mixed_denominators():
                 got = vertex_iota_coeff(a, cs, p)
                 assert got == c * vertex_iota_coeff(a, s, p), (s, c, p)
                 assert_exact_nonzero(got)
+
+
+def test_each_kernel_call_builds_one_fock_state(monkeypatch):
+    state = FockState(
+        {
+            (((0, 1), (0, 1), (1, 2)), (1, -1)): Fraction(1, 4),
+            (((1, 1),), (0, 2)): Fraction(-5, 6),
+            ((), (2, 1)): 3,
+        }
+    )
+    calls = {
+        "virasoro_apply": lambda: virasoro_apply(-2, state),
+        "vertex_iota_coeff": lambda: vertex_iota_coeff(section(1, -1), state, 1),
+        "schur_apply": lambda: schur_apply((1, 2), 3, state),
+        "heisenberg_apply": lambda: heisenberg_apply((1, 2), 1, state),
+    }
+    built = []
+    init = FockState.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FockState, "__init__", counting)
+    for name, call in calls.items():
+        built.clear()
+        assert not call().is_zero(), name
+        assert len(built) == 1, name
 
 
 # -- Virasoro ----------------------------------------------------------------
@@ -560,9 +632,46 @@ def virasoro_mode_oracle(n, state):
 def test_virasoro_matches_mode_expansion_oracle():
     rng = random.Random(37)
     for _ in range(8):
-        s = rand_state(rng, max_degree=3)
-        for n in range(-3, 4):
+        s = rand_state(rng, max_degree=5)
+        for n in range(-5, 6):
             assert virasoro_apply(n, s) == virasoro_mode_oracle(n, s), f"L({n})"
+
+
+def golden_state(rng):
+    """1-4 terms of creation degree <= 6, each factor taken up to three
+    times, on points in -3..3, with coefficient denominators 1-12."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        mono, degree = [], 0
+        while degree < 6 and rng.random() < 0.75:
+            axis, depth = rng.randint(0, 1), rng.randint(1, min(3, 6 - degree))
+            copies = min(rng.choice((1, 1, 2, 3)), (6 - degree) // depth)
+            mono += [(axis, depth)] * copies
+            degree += depth * copies
+        abar = (rng.randint(-3, 3), rng.randint(-3, 3))
+        numerator = rng.choice([i for i in range(-9, 10) if i])
+        terms[(tuple(mono), abar)] = Fraction(numerator, rng.randint(1, 12))
+    return FockState(terms)
+
+
+# SHA-256 of the reprs below, recorded with the kernel that peeled one
+# creation factor per recursion level before the one-pass kernel replaced it
+VIRASORO_GOLDEN_DIGEST = "c1549a56d87c2b016006f985b1e4818de976134fc35a7123a4c8b3835a647873"
+
+
+def test_virasoro_golden_digest():
+    rng = random.Random(61)
+    states = [golden_state(rng) for _ in range(60)]
+    repeated = {
+        axis
+        for s in states
+        for mono, _ in s.terms
+        for (axis, _), count in Counter(mono).items()
+        if count > 1
+    }
+    assert repeated == {0, 1}
+    text = "\n".join(repr(virasoro_apply(n, s)) for s in states for n in range(-6, 7))
+    assert hashlib.sha256(text.encode()).hexdigest() == VIRASORO_GOLDEN_DIGEST
 
 
 # -- primality ----------------------------------------------------------------

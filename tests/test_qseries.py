@@ -424,6 +424,8 @@ def test_series_integrity_tripwire_message():
 EXPONENT_ENTRY_POINTS = {  # a call taking one exponent, and the name it reports
     "QSeries": (lambda k: QSeries(k, [1]), "valuation"),
     "shift": (lambda k: j_series(5).shift(k), "k"),
+    "coeff": (lambda k: j_series(5).coeff(k), "n"),
+    "truncate": (lambda k: j_series(5).truncate(k), "new_order"),
     "j_series": (j_series, "order"),
     "primary_dim_series": (primary_dim_series, "order"),
     "euler_product": (euler_product, "order"),
