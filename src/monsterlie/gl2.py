@@ -260,7 +260,11 @@ class MElement:
         return MElement(terms, _merge_symbols(self.symbols, other.symbols))
 
     def __sub__(self, other):
-        return self + (-1) * other
+        if not isinstance(other, MElement):
+            return NotImplemented
+        terms = dict(self.terms)
+        _add(terms, other.terms, -1)
+        return MElement(terms, _merge_symbols(self.symbols, other.symbols))
 
     def __rmul__(self, scalar):
         c = _coeff(scalar)
@@ -417,7 +421,7 @@ def _generator_bracket(kx, ky, symbols):
     if m == n == 0:
         scale = _natural_contraction(symbols, kx[2], ky[2], kx[1])
         power = pairing(a, b) + 1  # Schur order r = 1
-        iota_b = FockState({((), b): 1}, _sorted=True)
+        iota_b = FockState({((), b): 1}, _gated=True)
         state = vertex_iota_coeff(section(*a), iota_b, power)
         for mono, abar in state.terms:
             if abar != (0, 0) or len(mono) != 1 or mono[0][1] != 1:

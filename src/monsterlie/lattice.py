@@ -26,13 +26,17 @@ A vector is a coordinate pair (m, n) and a lattice point a pair of
 coefficient form of `qseries._coeff`: a plain `int` where integral, a
 `Fraction` otherwise; `_vector` and `_point` gate the pairs that come from
 outside.  The mode actions run on plain term dictionaries
-{(mono, abar): coeff} (`_create`, `_heisenberg`, `_schur_numerators`,
-`_virasoro_term`), which accumulate by the one rule
-out[key] = out.get(key, 0) + c of the helper `_add`; `_virasoro_term`
-applies it key by key in one pass over a monomial's factors and builds
-no dicts through `_heisenberg` or `_create`.  Each public function wraps
-its result in one `FockState`, whose constructor drops zero coefficients
-through `_exact` and checks an outside key through `_key`.
+{(mono, abar): coeff}, which accumulate by the one rule
+out[key] = out.get(key, 0) + c of the helper `_add`.  `_heisenberg`
+adds `_create`'s dicts through `_add`; the hot kernels `_virasoro_term`,
+`_schur_numerators` and the merges of `schur_apply` and
+`vertex_iota_coeff` write the rule out key by key into one dict per call
+and build no intermediate dicts.  Each public function wraps its result
+in one `FockState`.  `_exact` (coefficient form, zeros dropped) is the
+gate of every result whose arithmetic can leave an integral `Fraction`
+or a zero: outside terms, whose keys `_key` also checks, sums,
+differences, scalar multiples and `heisenberg_apply`.  A kernel's `_over`
+result is in that form already and is not gated twice.
 `gl2.MElement` keeps its terms through the same `_add` and `_exact`.
 
 The actions are linear, so `virasoro_apply`, `schur_apply` and
@@ -165,18 +169,20 @@ class FockState:
 
     Creation modes commute, so each key's monomial is sorted and keys that
     then coincide merge; `_key` checks each outside key's creation factors
-    and point.  The kernels, whose keys are in that form already, skip the
-    step with the private `_sorted=True`."""
+    and point, and `_exact` puts every coefficient in coefficient form and
+    drops the zeros.  Terms with kernel keys that are in that form already
+    pass the private `_gated=True` and are stored as they are: a kernel's
+    `_over` result, or terms a caller has put through `_exact` itself."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None, *, _sorted=False):
-        if terms and not _sorted:
+    def __init__(self, terms=None, *, _gated=False):
+        if terms and not _gated:
             merged = {}
             for key, c in _exact(terms).items():
                 _add(merged, {_key(key): c})
-            terms = merged
-        object.__setattr__(self, "terms", _exact(terms))
+            terms = _exact(merged)
+        object.__setattr__(self, "terms", terms or {})
 
     def __setattr__(self, name, value):
         raise AttributeError("FockState is immutable")
@@ -188,7 +194,7 @@ class FockState:
     @classmethod
     def iota(cls, a):
         """State iota(a) for a double-cover element; kappa acts as -1."""
-        return cls({((), a.vector): a.sign}, _sorted=True)
+        return cls({((), a.vector): a.sign}, _gated=True)
 
     @classmethod
     def vacuum(cls):
@@ -205,19 +211,23 @@ class FockState:
             return NotImplemented
         out = dict(self.terms)
         _add(out, other.terms)
-        return FockState(out, _sorted=True)
+        return FockState(_exact(out), _gated=True)
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, FockState):
+            return NotImplemented
+        out = dict(self.terms)
+        _add(out, other.terms, -1)
+        return FockState(_exact(out), _gated=True)
 
     def __neg__(self):
-        return FockState({k: -c for k, c in self.terms.items()}, _sorted=True)
+        return FockState({k: -c for k, c in self.terms.items()}, _gated=True)
 
     def __rmul__(self, scalar):
         c = _coeff(scalar)
         if not c:
             return FockState.zero()
-        return FockState({k: c * v for k, v in self.terms.items()}, _sorted=True)
+        return FockState(_exact({k: c * v for k, v in self.terms.items()}), _gated=True)
 
     __mul__ = __rmul__
 
@@ -265,10 +275,11 @@ def _numerators(terms):
 
 def _over(terms, d):
     """The state terms / d: the one division of a kernel call, straight
-    into coefficient form (`c // d` where d divides c); zeros are dropped."""
+    into coefficient form (`c // d` where d divides c); zeros are dropped,
+    so the result passes no second `_exact`."""
     return FockState(
         {key: c // d if c % d == 0 else Fraction(c, d) for key, c in terms.items() if c},
-        _sorted=True,
+        _gated=True,
     )
 
 
@@ -289,7 +300,8 @@ def heisenberg_apply(lam, n, state):
     [lam(m), mu(k)] = <lam,mu> m delta(m+k), and lam(0) multiplies each
     term by <lam, abar>.
     """
-    return FockState(_heisenberg(_vector(lam), _int(n, "n"), state.terms), _sorted=True)
+    terms = _heisenberg(_vector(lam), _int(n, "n"), state.terms)
+    return FockState(_exact(terms), _gated=True)
 
 
 def _heisenberg(lam, n, terms):
@@ -330,7 +342,9 @@ def schur_apply(lam, r, state):
     q_r = _schur_numerators(_vector(lam), r)[r]
     out = {}
     for (mono, abar), c in terms.items():
-        _add(out, _times_monomials(q_r, mono, abar), c)
+        for (extra, _), q in q_r.items():
+            key = (tuple(sorted(mono + extra)), abar)
+            out[key] = out.get(key, 0) + c * q
     return _over(out, d * factorial(r))
 
 
@@ -340,23 +354,26 @@ def _schur_numerators(lam, r):
 
     r p_r = sum_{n=1}^{r} x_n p_{r-n} becomes
     q_k = sum_{n=1}^{k} (k-1)!/(k-n)! x_n q_{k-n}: integral for a lattice
-    point lam, exact rationals otherwise.
+    point lam, exact rationals otherwise.  x_n = lam(-n) is expanded over
+    the coordinate basis, so each monomial of level k - n gains the factor
+    (axis, n) once per nonzero coordinate of lam, written straight into
+    level k.
     """
     levels = [{((), None): 1}]
     for k in range(1, r + 1):
         acc = {}
         falling = 1  # (k-1)!/(k-n)!
         for n in range(1, k + 1):
-            _add(acc, _heisenberg(lam, -n, levels[k - n]), falling)
+            for axis, x in enumerate(lam):
+                if not x:
+                    continue
+                scale = falling * x
+                for (mono, _), c in levels[k - n].items():
+                    key = (tuple(sorted(mono + ((axis, n),))), None)
+                    acc[key] = acc.get(key, 0) + scale * c
             falling *= k - n
         levels.append(acc)
     return levels
-
-
-def _times_monomials(q, mono, abar):
-    """The creation factors mono and lattice point abar put onto every term
-    of a `_schur_numerators` level."""
-    return {(tuple(sorted(mono + extra)), abar): c for (extra, _), c in q.items()}
 
 
 def vertex_iota_coeff(a, b_state, power):
@@ -401,7 +418,9 @@ def vertex_iota_coeff(a, b_state, power):
     out = {}
     for r, remaining, abar, factor in targets:
         weight = factor * perm(top, top - r)  # p_r = q_r top!/r! over top!
-        _add(out, _times_monomials(levels[r], remaining, abar), weight)
+        for (extra, _), c in levels[r].items():
+            key = (tuple(sorted(remaining + extra)), abar)
+            out[key] = out.get(key, 0) + weight * c
     return _over(out, d * factorial(top))
 
 

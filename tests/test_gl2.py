@@ -209,6 +209,17 @@ def test_melement_is_one_term_dict():
     assert (x - x).terms == {} and (x - x).is_zero()
 
 
+def test_melement_difference_is_exact():
+    u = FormalNaturalVector("u", 2)
+    x = MElement({("e", 1, "u"): Fraction(1, 3), ("h", 0): Fraction(1, 2)}, {"u": u})
+    y = MElement({("e", 1, "u"): Fraction(-2, 3), ("h", 0): Fraction(1, 2)})
+    d = x - y
+    assert d.terms == {("e", 1, "u"): 1} and type(d.terms[("e", 1, "u")]) is int
+    assert d.symbols == {"u": u}
+    with pytest.raises(TypeError):
+        x - 1
+
+
 def test_vacuum_pair_degenerates_at_minus_one():
     vac = vacuum_vector()
     assert pairing_value(vac, vac) == -1

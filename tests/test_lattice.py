@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import re
 from collections import Counter
@@ -283,6 +284,51 @@ def test_schur_numerators_of_lattice_points_are_integers():
             assert Fraction(1, factorial(k)) * q_k == schur_oracle(lam, k, vac), (lam, k)
 
 
+def partitions(r, largest=None):
+    """The partitions of r as nonincreasing tuples."""
+    if r == 0:
+        yield ()
+        return
+    for part in range(min(r, largest or r), 0, -1):
+        for rest in partitions(r - part, part):
+            yield (part,) + rest
+
+
+def schur_closed_form(lam, r):
+    """q_r = r! p_r by the cycle-type formula
+    q_r = sum_{mu |- r} (r!/z_mu) prod_i (m u1(-i) + n u2(-i))**(m_i(mu)),
+    z_mu = prod_i i**m_i m_i!, multiplied out with the binomial theorem;
+    {monomial: coefficient}, zeros dropped."""
+    m, n = lam
+    out = {}
+    for mu in partitions(r):
+        mult = Counter(mu)
+        z = 1
+        for i, k in mult.items():
+            z *= i**k * factorial(k)
+        parts = sorted(mult.items())
+        for ones in itertools.product(*(range(k + 1) for _, k in parts)):
+            c, mono = Fraction(factorial(r), z), []
+            for (i, k), j in zip(parts, ones):
+                c *= comb(k, j) * m**j * n ** (k - j)
+                mono += [(0, i)] * j + [(1, i)] * (k - j)
+            key = tuple(sorted(mono))
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def test_schur_numerators_match_the_cycle_type_formula():
+    points = [(0, 0), (1, 0), (0, -2), (1, -1), (2, 3), (-3, 1)]
+    points += [(Fraction(1, 2), 0), (Fraction(-2, 3), Fraction(5, 4)), (3, Fraction(1, 3))]
+    for lam in points:
+        levels = _schur_numerators(lam, 8)
+        assert len(levels) == 9
+        for r, level in enumerate(levels):
+            assert {point for _, point in level} <= {None}, (lam, r)
+            got = {mono: c for (mono, _), c in level.items()}
+            assert got == schur_closed_form(lam, r), (lam, r)
+
+
 def brute_vertex_coeff(a, b_state, power, r_max=8):
     """Independent expansion of the vertex operator on a pure iota state:
     multiply out exp(sum abar(-n)/n x**n) term by term."""
@@ -494,6 +540,41 @@ def test_kernels_are_linear_over_mixed_denominators():
                 assert_exact_nonzero(got)
 
 
+def test_results_stay_exact_where_sums_cancel():
+    # u1(-1)u2(-2) and u1(-2)u2(-1) both reach u1(-2)u2(-2) under L(-1),
+    # and u1(-1), u2(-1) both contract to iota(1,1) under Y(iota(1,1), x)
+    k12, k21 = (((0, 1), (1, 2)), (0, 0)), (((0, 2), (1, 1)), (0, 0))
+    k1, k2 = (((0, 1),), (0, 0)), (((1, 1),), (0, 0))
+    third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+    s = FockState({k12: third, k21: two_thirds})
+    t = FockState({k12: two_thirds, k21: two_thirds})
+    meet = FockState({k1: third, k2: two_thirds})
+    cancel = FockState({k1: third, k2: -third})
+    a = section(1, 1)
+    assert (s + t).terms == {k12: 1, k21: Fraction(4, 3)}
+    assert (s - t).terms == {k12: -third}
+    assert (3 * s).terms == {k12: 1, k21: 2}
+    assert (s - s).is_zero() and (s + (-s)).is_zero()
+    assert virasoro_apply(-1, s).terms[(((0, 2), (1, 2)), (0, 0))] == 1
+    assert heisenberg_apply((1, 1), -1, meet).terms[(((0, 1), (1, 1)), (0, 0))] == 1
+    assert heisenberg_apply((1, 1), -1, cancel).terms == {
+        (((0, 1), (0, 1)), (0, 0)): third, (((1, 1), (1, 1)), (0, 0)): -third
+    }
+    assert vertex_iota_coeff(a, meet, -1) == FockState.iota(a)
+    assert vertex_iota_coeff(a, cancel, -1).is_zero()
+    results = [s + t, s - t, t - s, s - s, Fraction(3, 2) * s, 3 * s, 0 * s, -s]
+    for state in (s, t, meet, cancel, s + meet):
+        results += [virasoro_apply(n, state) for n in range(-3, 4)]
+        for lam in ((1, 1), (3, 0), (Fraction(3, 2), -3)):
+            results += [heisenberg_apply(lam, n, state) for n in range(-2, 3)]
+            results += [schur_apply(lam, r, state) for r in range(4)]
+        results += [vertex_iota_coeff(a, state, p) for p in range(-3, 3)]
+    for state in results:
+        assert_exact_nonzero(state)
+    with pytest.raises(TypeError):
+        s - 1
+
+
 def test_each_kernel_call_builds_one_fock_state(monkeypatch):
     state = FockState(
         {
@@ -637,11 +718,11 @@ def test_virasoro_matches_mode_expansion_oracle():
             assert virasoro_apply(n, s) == virasoro_mode_oracle(n, s), f"L({n})"
 
 
-def golden_state(rng):
-    """1-4 terms of creation degree <= 6, each factor taken up to three
-    times, on points in -3..3, with coefficient denominators 1-12."""
+def golden_state(rng, max_terms=4):
+    """1-max_terms terms of creation degree <= 6, each factor taken up to
+    three times, on points in -3..3, with coefficient denominators 1-12."""
     terms = {}
-    for _ in range(rng.randint(1, 4)):
+    for _ in range(rng.randint(1, max_terms)):
         mono, degree = [], 0
         while degree < 6 and rng.random() < 0.75:
             axis, depth = rng.randint(0, 1), rng.randint(1, min(3, 6 - degree))
@@ -672,6 +753,37 @@ def test_virasoro_golden_digest():
     assert repeated == {0, 1}
     text = "\n".join(repr(virasoro_apply(n, s)) for s in states for n in range(-6, 7))
     assert hashlib.sha256(text.encode()).hexdigest() == VIRASORO_GOLDEN_DIGEST
+
+
+# SHA-256 of the reprs below, recorded with the vertex kernel that built
+# each Schur level and each merged target through temporary dicts
+VERTEX_GOLDEN_DIGEST = "bc597da8504ea5379aaedfaafc066abb6275585d77c54134c1e8baefb3c8a1c2"
+
+# one coordinate zero, both nonzero, and sign -1 with either shape
+VERTEX_GOLDEN_OPERATORS = (
+    section(0, 2), section(-1, 0), section(1, -2), section(2, 1, sign=-1), section(0, -1, sign=-1)
+)
+
+
+def test_vertex_golden_digest():
+    rng = random.Random(67)
+    states = [golden_state(rng, max_terms=3) for _ in range(30)]
+    assert {
+        axis
+        for s in states
+        for mono, _ in s.terms
+        for (axis, _), count in Counter(mono).items()
+        if count > 1
+    } == {0, 1}
+    assert any(type(c) is Fraction for s in states for c in s.terms.values())
+    reprs = []
+    for i, s in enumerate(states):
+        a = VERTEX_GOLDEN_OPERATORS[i % len(VERTEX_GOLDEN_OPERATORS)]
+        lowest = min(pairing(a.vector, abar) - sum(k for _, k in mono) for mono, abar in s.terms)
+        reprs += [repr(vertex_iota_coeff(a, s, p)) for p in range(lowest - 1, lowest + 7)]
+    assert reprs[0] == "FockState(0)"
+    text = "\n".join(reprs)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERTEX_GOLDEN_DIGEST
 
 
 # -- primality ----------------------------------------------------------------
