@@ -25,28 +25,22 @@ A vector is a coordinate pair (m, n) and a lattice point a pair of
 `int`s.  Coefficients and coordinates are exact rationals in the
 coefficient form of `qseries._coeff`: a plain `int` where integral, a
 `Fraction` otherwise; `_vector` and `_point` gate the pairs that come from
-outside.  The mode actions run on plain term dictionaries
-{(mono, abar): coeff}, which accumulate by the one rule
-out[key] = out.get(key, 0) + c of the helper `_add`.  `_heisenberg`
-adds `_create`'s dicts through `_add`; the hot kernels `_virasoro_term`,
-`_schur_numerators` and the merges of `schur_apply` and
-`vertex_iota_coeff` write the rule out key by key into one dict per call
-and build no intermediate dicts.  Each public function wraps its result
-in one `FockState`.  `_exact` (coefficient form, zeros dropped) is the
-gate of every result whose arithmetic can leave an integral `Fraction`
-or a zero: outside terms, whose keys `_key` also checks, sums,
-differences, scalar multiples and `heisenberg_apply`.  A kernel's `_over`
-result is in that form already and is not gated twice.
-`gl2.MElement` keeps its terms through the same `_add` and `_exact`.
+outside.  States are plain term dictionaries {(mono, abar): coeff}, which
+accumulate by the one rule out[key] = out.get(key, 0) + c.
 
-The actions are linear, so `virasoro_apply`, `schur_apply` and
-`vertex_iota_coeff` clear denominators once per call: `_numerators` scales
-the input by d, the lcm of its coefficient denominators, the kernels run
-on those integer numerators, and `_over` divides the result by d (times
-r! for a Schur term) in one step, straight into coefficient form.  Schur
-terms are carried as q_k = k! p_k, whose recurrence
+The four mode actions `heisenberg_apply`, `virasoro_apply`, `schur_apply`
+and `vertex_iota_coeff` are linear and share one kernel shape:
+`_numerators` scales the input by d, the lcm of its coefficient
+denominators; the kernel writes the rule out key by key into one dict per
+call on those integer numerators; and `_over` divides the result by d
+(times top! for a Schur merge) in one step, straight into coefficient form
+and one `FockState`.  Both Schur users merge through `_schur_terms`.
+Schur terms are carried as q_k = k! p_k, whose recurrence
 q_k = sum_n (k-1)!/(k-n)! lam(-n) q_{k-n} has integer coefficients, so a
-lattice point lam never sees a fraction.
+lattice point lam never sees a fraction.  `_add` and `_exact` (coefficient
+form, zeros dropped) serve only the arithmetic of states and of
+`gl2.MElement`: sums, differences and scalar multiples; `_exact` also
+gates the outside terms a `FockState` takes, whose keys `_key` checks.
 
 Virasoro modes act through the commutation rules
 
@@ -179,8 +173,9 @@ class FockState:
     def __init__(self, terms=None, *, _gated=False):
         if terms and not _gated:
             merged = {}
-            for key, c in _exact(terms).items():
-                _add(merged, {_key(key): c})
+            for key, c in terms.items():
+                key = _key(key)
+                merged[key] = merged.get(key, 0) + _coeff(c)
             terms = _exact(merged)
         object.__setattr__(self, "terms", terms or {})
 
@@ -283,15 +278,6 @@ def _over(terms, d):
     )
 
 
-def _create(axis, depth, terms):
-    """Append the creation factor u_axis(-depth), depth >= 1, to every term."""
-    # one more factor keeps distinct monomials distinct: no keys collide
-    return {
-        (tuple(sorted(mono + ((axis, depth),))), abar): c
-        for (mono, abar), c in terms.items()
-    }
-
-
 def heisenberg_apply(lam, n, state):
     """Apply the Heisenberg mode lam(n) to a state.
 
@@ -300,33 +286,29 @@ def heisenberg_apply(lam, n, state):
     [lam(m), mu(k)] = <lam,mu> m delta(m+k), and lam(0) multiplies each
     term by <lam, abar>.
     """
-    terms = _heisenberg(_vector(lam), _int(n, "n"), state.terms)
-    return FockState(_exact(terms), _gated=True)
-
-
-def _heisenberg(lam, n, terms):
-    if n == 0:
-        # the zero mode rescales each term in place: no keys collide
-        return {
-            (mono, abar): c * pairing(lam, abar)
-            for (mono, abar), c in terms.items()
-        }
+    lam = _vector(lam)
+    _int(n, "n")
+    d, terms = _numerators(state.terms)
     out = {}
-    if n < 0:
-        for axis, c in enumerate(lam):
-            if c:
-                _add(out, _create(axis, -n, terms), c)
-        return out
-    # annihilation: contract against each creation factor of depth n
     for (mono, abar), c in terms.items():
-        for (axis, depth), count in Counter(mono).items():
-            if depth != n:
-                continue
-            scale = pairing(lam, _AXIS_VECTORS[axis]) * n * count
-            reduced = list(mono)
-            reduced.remove((axis, depth))
-            _add(out, {(tuple(reduced), abar): c}, scale)
-    return out
+        if n == 0:
+            key = (mono, abar)
+            out[key] = out.get(key, 0) + c * pairing(lam, abar)
+        elif n < 0:
+            for axis, x in enumerate(lam):
+                if x:
+                    key = (tuple(sorted(mono + ((axis, -n),))), abar)
+                    out[key] = out.get(key, 0) + x * c
+        else:
+            # contract against each creation factor of depth n
+            for (axis, depth), count in Counter(mono).items():
+                if depth == n:
+                    reduced = list(mono)
+                    reduced.remove((axis, depth))
+                    key = (tuple(reduced), abar)
+                    scale = pairing(lam, _AXIS_VECTORS[axis]) * n * count
+                    out[key] = out.get(key, 0) + scale * c
+    return _over(out, d)
 
 
 def schur_apply(lam, r, state):
@@ -339,13 +321,24 @@ def schur_apply(lam, r, state):
     if _int(r, "r") < 0:
         raise ValueError("Schur index must be nonnegative")
     d, terms = _numerators(state.terms)
-    q_r = _schur_numerators(_vector(lam), r)[r]
+    return _schur_terms(_vector(lam), [(r, mono, abar, c) for (mono, abar), c in terms.items()], d)
+
+
+def _schur_terms(lam, targets, d):
+    """The state sum of c p_r(lam(-1), lam(-2), ...) mono iota(abar) over
+    the targets (r, mono, abar, c), divided by d: the one Schur merge.
+
+    p_r depends on lam alone, so r! p_r is expanded once up to the top
+    order and every order is merged over the one denominator d top!."""
+    top = max((r for r, *_ in targets), default=0)
+    levels = _schur_numerators(lam, top)
     out = {}
-    for (mono, abar), c in terms.items():
-        for (extra, _), q in q_r.items():
+    for r, mono, abar, c in targets:
+        weight = c * perm(top, top - r)  # p_r = q_r top!/r! over top!
+        for (extra, _), q in levels[r].items():
             key = (tuple(sorted(mono + extra)), abar)
-            out[key] = out.get(key, 0) + c * q
-    return _over(out, d * factorial(r))
+            out[key] = out.get(key, 0) + weight * q
+    return _over(out, d * factorial(top))
 
 
 def _schur_numerators(lam, r):
@@ -411,17 +404,7 @@ def vertex_iota_coeff(a, b_state, power):
             r = power - base + depth
             if factor and r >= 0:
                 targets.append((r, tuple(remaining), target, factor))
-    # p_r(a(-1), a(-2), ...) depends on a alone: expand r! p_r once, on the
-    # empty monomial, and merge each order over the one denominator d top!
-    top = max((r for r, *_ in targets), default=0)
-    levels = _schur_numerators(point, top)
-    out = {}
-    for r, remaining, abar, factor in targets:
-        weight = factor * perm(top, top - r)  # p_r = q_r top!/r! over top!
-        for (extra, _), c in levels[r].items():
-            key = (tuple(sorted(remaining + extra)), abar)
-            out[key] = out.get(key, 0) + weight * c
-    return _over(out, d * factorial(top))
+    return _schur_terms(point, targets, d)
 
 
 # -- Virasoro action -----------------------------------------------------
@@ -503,12 +486,12 @@ def conformal_vector():
 def weight_of(state):
     """The grading of a homogeneous state: <abar,abar>/2 + sum of depths.
 
-    Returns the rational weight, or None when the state is zero or mixes
-    weights (inhomogeneous).
+    Returns the weight, an `int` because <abar,abar> = -2 m n is even, or
+    None when the state is zero or mixes weights (inhomogeneous).
     """
     weights = set()
     for mono, abar in state.terms:
-        weights.add(Fraction(pairing(abar, abar), 2) + sum(n for _, n in mono))
+        weights.add(pairing(abar, abar) // 2 + sum(n for _, n in mono))
     if len(weights) != 1:
         return None
     return weights.pop()

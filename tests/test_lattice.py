@@ -635,14 +635,16 @@ def test_weight_examples():
 
 
 def test_weight_is_exact():
+    # every point is an int pair, so <abar,abar>/2 = -m n is an integer
+    assert type(weight_of(FockState.iota(section(1, 3)))) is int
     rng = random.Random(53)
     for _ in range(60):
         s = rand_state(rng, max_degree=4)
         for key, c in s.terms.items():
             w = weight_of(FockState({key: c}))
-            assert type(w) in (int, Fraction), (key, w)
+            assert type(w) is int, (key, w)
         w = weight_of(s)
-        assert w is None or type(w) in (int, Fraction)
+        assert w is None or type(w) is int
 
 
 def test_weight_additivity_under_creation():
@@ -784,6 +786,50 @@ def test_vertex_golden_digest():
     assert reprs[0] == "FockState(0)"
     text = "\n".join(reprs)
     assert hashlib.sha256(text.encode()).hexdigest() == VERTEX_GOLDEN_DIGEST
+
+
+# integer, rational and zero coordinates; repr shows 3 and Fraction(3, 1)
+# alike, so the digests below also hash each coefficient's type
+GOLDEN_VECTORS = (
+    (0, 2), (-1, 0), (1, -2),
+    (Fraction(1, 2), 3), (Fraction(-2, 3), Fraction(5, 4)), (0, Fraction(-1, 3)),
+)
+
+
+def golden_text(results):
+    return "\n".join(
+        repr(s) + " " + ",".join(type(c).__name__ for _, c in sorted(s.terms.items()))
+        for s in results
+    )
+
+
+# SHA-256 of golden_text below, recorded with the Heisenberg action that
+# built one-key dicts through `_create` and `_add`
+HEISENBERG_GOLDEN_DIGEST = "6086c755f57bb9178b9e7bdc2f638323216ca3e3c4055428588c2e0d63f63742"
+
+
+def test_heisenberg_golden_digest():
+    rng = random.Random(71)
+    states = [golden_state(rng, max_terms=3) for _ in range(40)]
+    results = [
+        heisenberg_apply(lam, n, s) for s in states for lam in GOLDEN_VECTORS for n in range(-3, 4)
+    ]
+    types = {type(c) for s in results for c in s.terms.values()}
+    assert types == {int, Fraction} and any(s.is_zero() for s in results)
+    assert hashlib.sha256(golden_text(results).encode()).hexdigest() == HEISENBERG_GOLDEN_DIGEST
+
+
+# SHA-256 of golden_text below, recorded with the Schur merge that
+# `schur_apply` wrote out on its own
+SCHUR_GOLDEN_DIGEST = "91c79a583fba4f35d6b9530742d99813c40d63cad2acc626acca5e82429a5aef"
+
+
+def test_schur_golden_digest():
+    rng = random.Random(73)
+    states = [golden_state(rng, max_terms=3) for _ in range(30)]
+    results = [schur_apply(lam, r, s) for s in states for lam in GOLDEN_VECTORS for r in range(6)]
+    assert {type(c) for s in results for c in s.terms.values()} == {int, Fraction}
+    assert hashlib.sha256(golden_text(results).encode()).hexdigest() == SCHUR_GOLDEN_DIGEST
 
 
 # -- primality ----------------------------------------------------------------
