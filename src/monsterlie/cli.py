@@ -10,6 +10,7 @@ renders, writes and turns exceptions into exit codes.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .dataset import DatasetError, decimal_int, load_dataset
@@ -53,71 +54,6 @@ _positive = _int_arg(lambda n: n >= 1, "must be a positive integer")
 _root_index = _int_arg(
     lambda n: n == -1 or n >= 1, "root index must be -1 or a positive integer"
 )
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="monsterlie",
-        description=(
-            "Exact q-series, replication recursions, and gl2 subalgebra "
-            "verification for the Monster Lie algebra."
-        ),
-    )
-    parser.add_argument(
-        "--format",
-        choices=FORMATS,
-        default="table",
-        help="output rendering (default: table)",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="PATH",
-        help="write output to PATH instead of standard output",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("jcoeffs", help="coefficients of the modular invariant")
-    p.add_argument("--max", type=_nonneg, default=100)
-
-    p = sub.add_parser("dims", help="dimensions of the primary-vector subspaces")
-    p.add_argument("--max", type=_nonneg, default=100)
-
-    p = sub.add_parser("eta", help="pentagonal-number expansion of prod(1-q^j)")
-    p.add_argument("--max", type=_positive, default=100)
-
-    p = sub.add_parser("cartan", help="Cartan matrix blocks with multiplicities")
-    p.add_argument("--depth", type=_positive, default=3)
-
-    p = sub.add_parser("replicate", help="extend trace coefficients per class")
-    p.add_argument("--data", required=True, metavar="PATH")
-    p.add_argument("--max", type=_positive, default=100)
-    p.add_argument("--class", dest="only_class", metavar="NAME")
-
-    p = sub.add_parser("mult", help="irreducible multiplicities by orthogonality")
-    p.add_argument("--data", required=True, metavar="PATH")
-    p.add_argument("--max", type=_positive, default=100)
-    p.add_argument("--k", type=_positive, default=1, help="irreducible index")
-
-    p = sub.add_parser(
-        "check-nontrivial",
-        help="compare primary dimensions against trivial multiplicities",
-    )
-    p.add_argument("--data", required=True, metavar="PATH")
-    p.add_argument("--max", type=_positive, default=100)
-
-    p = sub.add_parser("verify-gl2", help="verify the gl2 subalgebra relations")
-    p.add_argument("--j", type=_root_index, required=True)
-    p.add_argument(
-        "--pairing-sign",
-        choices=("auto", "+1", "-1"),
-        default="auto",
-        help="(u,v) value; auto picks the valid (-1)**j",
-    )
-
-    p = sub.add_parser("validate-data", help="validate a dataset file")
-    p.add_argument("--data", required=True, metavar="PATH")
-
-    return parser
 
 
 def _cmd_jcoeffs(args):
@@ -213,30 +149,86 @@ def _cmd_validate_data(args):
     return text, EXIT_OK
 
 
+_MAX = ("--max", dict(type=_positive, default=100))
+_MAX_NONNEG = ("--max", dict(type=_nonneg, default=100))
+_DATA = ("--data", dict(required=True, metavar="PATH"))
+_K = ("--k", dict(type=_positive, default=1, help="irreducible index"))
+_SIGN_HELP = "(u,v) value; auto picks the valid (-1)**j"
+_SIGN = dict(choices=("auto", "+1", "-1"), default="auto", help=_SIGN_HELP)
+
+# name: (handler, help line, [(flag, add_argument keywords), ...])
 _COMMANDS = {
-    "jcoeffs": _cmd_jcoeffs,
-    "dims": _cmd_dims,
-    "eta": _cmd_eta,
-    "cartan": _cmd_cartan,
-    "replicate": _cmd_replicate,
-    "mult": _cmd_mult,
-    "check-nontrivial": _cmd_check_nontrivial,
-    "verify-gl2": _cmd_verify_gl2,
-    "validate-data": _cmd_validate_data,
+    "jcoeffs": (_cmd_jcoeffs, "coefficients of the modular invariant", [_MAX_NONNEG]),
+    "dims": (_cmd_dims, "dimensions of the primary-vector subspaces", [_MAX_NONNEG]),
+    "eta": (_cmd_eta, "pentagonal-number expansion of prod(1-q^j)", [_MAX]),
+    "cartan": (
+        _cmd_cartan,
+        "Cartan matrix blocks with multiplicities",
+        [("--depth", dict(type=_positive, default=3))],
+    ),
+    "replicate": (
+        _cmd_replicate,
+        "extend trace coefficients per class",
+        [_DATA, _MAX, ("--class", dict(dest="only_class", metavar="NAME"))],
+    ),
+    "mult": (_cmd_mult, "irreducible multiplicities by orthogonality", [_DATA, _MAX, _K]),
+    "check-nontrivial": (
+        _cmd_check_nontrivial,
+        "compare primary dimensions against trivial multiplicities",
+        [_DATA, _MAX],
+    ),
+    "verify-gl2": (
+        _cmd_verify_gl2,
+        "verify the gl2 subalgebra relations",
+        [("--j", dict(type=_root_index, required=True)), ("--pairing-sign", _SIGN)],
+    ),
+    "validate-data": (_cmd_validate_data, "validate a dataset file", [_DATA]),
 }
 
 
+def _global_parser():
+    """The options before the command, the command, and the rest of argv."""
+    commands = [f"  {name:<18}{line}" for name, (_, line, _) in _COMMANDS.items()]
+    parser = argparse.ArgumentParser(
+        prog="monsterlie",
+        description="Exact q-series, replication recursions, and gl2 subalgebra "
+        "verification for\nthe Monster Lie algebra.",
+        epilog="\n".join(["commands:", *commands]),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "--format",
+        choices=FORMATS,
+        default="table",
+        help="output rendering (default: table)",
+    )
+    parser.add_argument(
+        "--out", metavar="PATH", help="write output to PATH instead of standard output"
+    )
+    parser.add_argument("command", choices=_COMMANDS, help="the command to run")
+    rest = parser.add_argument(
+        "args", nargs=argparse.REMAINDER, help="its options; every command takes -h"
+    )
+    rest.required = False  # or a missing command would name `args` too
+    return parser
+
+
 def run(argv):
-    """Parse argv, run one subcommand, write its result; returns the exit code."""
-    parser = build_parser()
+    """Parse argv, run one command, write its result; returns the exit code."""
+    parser = _global_parser()
     try:
         args = parser.parse_args(argv)
+        handler, _, flags = _COMMANDS[args.command]
+        command = argparse.ArgumentParser(prog=f"monsterlie {args.command}")
+        for flag, keywords in flags:
+            command.add_argument(flag, **keywords)
+        command.parse_args(args.args, namespace=args)
         if args.format != "table" and args.command in ("validate-data", "verify-gl2"):
             parser.error(f"--format {args.format} does not apply to {args.command}")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        result, code, *notes = _COMMANDS[args.command](args)
+        result, code, *notes = handler(args)
     except DatasetError as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return EXIT_DATASET
@@ -247,16 +239,20 @@ def run(argv):
         print(f"integrality failure: {exc}", file=sys.stderr)
         return EXIT_DATASET
     text = result if isinstance(result, str) else result.render(args.format)
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
-        except OSError as exc:
-            message = f"cannot write --out {args.out}: {exc.strerror or exc}"
-            print(f"usage error: {message}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out:  # a closed pipe: the interpreter's last flush goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        where = f"--out {args.out}" if args.out else "standard output"
+        message = f"cannot write {where}: {exc.strerror or exc}"
+        print(f"usage error: {message}", file=sys.stderr)
+        return EXIT_USAGE
     for note in notes:
         print(note, file=sys.stderr)
     return code

@@ -1,7 +1,9 @@
+import argparse
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import monsterlie
-from monsterlie.cli import run
+from monsterlie.cli import _COMMANDS, run
 from monsterlie.dataset import save_dataset, to_jsonable, trivial_dataset
 from monsterlie.output import OutputTable
 from monsterlie.qseries import eta_quotient, j_series, mckay_thompson
@@ -360,15 +362,20 @@ def test_verify_gl2_vacuum_pair_sign(capsys):
     assert "6/6 relations pass" in capsys.readouterr().out
 
 
-def _module_run(*argv):
-    """Run `python -m monsterlie` in a fresh interpreter on this checkout."""
+def _module_env():
+    """The environment in which `python -m monsterlie` imports this checkout."""
     src = str(Path(monsterlie.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _module_run(*argv):
+    """Run `python -m monsterlie` in a fresh interpreter on this checkout."""
     return subprocess.run(
         [sys.executable, "-m", "monsterlie", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_module_env(),
         timeout=60,
     )
 
@@ -383,6 +390,65 @@ def test_console_entry_point():
     assert done.stdout == ""
     assert done.stderr.startswith("usage: monsterlie verify-gl2")
     assert "root index must be -1 or a positive integer" in done.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jcoeffs", "--max", "1500"],  # far more than a pipe buffer holds
+        ["verify-gl2", "--j", "3"],  # a few lines: buffered, they fail at the flush
+    ],
+)
+def test_closed_stdout_is_a_usage_error(argv, unbuffered):
+    child = subprocess.Popen(
+        [sys.executable, "-m", "monsterlie", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**_module_env(), "PYTHONUNBUFFERED": unbuffered},
+    )
+    child.stdout.close()  # the reader goes away before it reads a byte
+    try:
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    assert "Traceback" not in err
+    assert err == "usage error: cannot write standard output: Broken pipe\n"
+    assert child.returncode == 2
+
+
+def test_a_call_builds_only_its_own_parser(monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(["cartan", "--depth", "3"]) == 0
+    assert progs == ["monsterlie", "monsterlie cartan"]
+    for argv in (["frobnicate"], ["cartan", "--depth", "0"], ["jcoeffs", "-h"]):
+        progs.clear()
+        assert run(argv) in (0, 2)
+        assert len(progs) <= 2
+
+
+def test_help_lists_every_command_with_its_help_line(capsys):
+    assert run(["-h"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    for name, (_, help_line, _) in _COMMANDS.items():
+        assert [name, *help_line.split()] in lines
+
+
+def test_readme_lists_exactly_the_cli_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| `([^`]*)` \|", readme.read_text(), re.MULTILINE)
+    listed = {row.split()[0]: set(re.findall(r"--[a-z-]+", row)) for row in rows}
+    flags = {name: {flag for flag, _ in entry[2]} for name, entry in _COMMANDS.items()}
+    assert listed == flags
+    assert [row.split()[0] for row in rows] == list(_COMMANDS)
 
 
 def test_verify_gl2_passes(capsys):

@@ -108,6 +108,26 @@ GOLDEN = {
         "37bdf664e05bb52ea6a687aa9e1f7ea630bb5599630f6249aa9081e5971c0857",
     "--out missing/x check-nontrivial --data classes.json --max 5":
         "37bdf664e05bb52ea6a687aa9e1f7ea630bb5599630f6249aa9081e5971c0857",
+    "jcoeffs --max 3 --format json":
+        "f35f92563fe87e7e7dbfb3be7d11e9252302ad9aed7caa6c29e783ddb428cdab",
+    "jcoeffs -h":
+        "cc4e62760a5c47bf28a1ef51d8ec130a60091abaf08162446920e461cacdee19",
+    "dims -h":
+        "68469d982f4e78488d780974ca62beabcc589f5c666bcba6e5723ab0b219afec",
+    "eta -h":
+        "b7638746dd02656d168d265f6b9c1a4d839dbe22ab5e732df1309922fea51504",
+    "cartan -h":
+        "104034ba848cede113493f8d8c9ec9435d7174b249734c53d6c3fe9c54c3fb13",
+    "replicate -h":
+        "d527f76ff1fd4ce242d1b43df0871bfe9c81bd0281d35d51f070d5a7919448ff",
+    "mult -h":
+        "1abcdd4f46249df433841a2fc612a9383b9fc2145c99a78f4923d5589dc403a6",
+    "check-nontrivial -h":
+        "d04bb4bd2083895cdcd565ba2f0585c117aa221c16defc27f84020a6404dc89d",
+    "verify-gl2 -h":
+        "e421e4b7c1537e6344342371d471e0287a359862161304c5fc8cd2c3fed70e73",
+    "validate-data -h":
+        "ab675dfcf550616231e9b9fcd61157b331d42958021b581f439396a86446fc88",
 }
 
 
