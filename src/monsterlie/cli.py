@@ -10,6 +10,8 @@ renders, writes and turns exceptions into exit codes.
 from __future__ import annotations
 
 import argparse
+import errno
+import io
 import os
 import sys
 
@@ -38,8 +40,8 @@ def _int_arg(holds, message):
     def parse(text):
         try:
             value = decimal_int(text)
-        except ValueError:  # past the digit limit
-            value = None
+        except ValueError as exc:  # past the digit limit
+            raise argparse.ArgumentTypeError(str(exc)) from None
         if value is None:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
         if not holds(value):
@@ -213,6 +215,22 @@ def _global_parser():
     return parser
 
 
+def _write_stdout(text):
+    """Write all of `text` to standard output, or raise the OSError that stops it."""
+    stream = sys.stdout
+    if stream is None:  # the process started with descriptor 1 closed
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    if isinstance(getattr(stream, "buffer", None), io.RawIOBase):
+        # unbuffered (-u): the text layer drops the rest of a short write, so
+        # a buffered writer on the same descriptor writes it or fails
+        fd, encoding, errors = stream.fileno(), stream.encoding, stream.errors
+        with open(fd, "w", encoding=encoding, errors=errors, closefd=False) as stream:
+            stream.write(text)
+        return
+    stream.write(text)
+    stream.flush()
+
+
 def run(argv):
     """Parse argv, run one command, write its result; returns the exit code."""
     parser = _global_parser()
@@ -244,10 +262,9 @@ def run(argv):
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            _write_stdout(text)
     except OSError as exc:
-        if not args.out:  # a closed pipe: the interpreter's last flush goes nowhere
+        if not args.out and sys.stdout is not None:  # the last flush goes nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         where = f"--out {args.out}" if args.out else "standard output"
         message = f"cannot write {where}: {exc.strerror or exc}"

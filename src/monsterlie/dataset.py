@@ -92,10 +92,19 @@ def decimal_int(text):
     """The integer `text` spells as an optional sign and ASCII digits (blanks
     around allowed), else None: the one integer rule of dataset files and CLI
     flags, since `int()` also reads digit-group underscores and every Unicode
-    decimal digit.  Past the interpreter's digit limit it raises ValueError."""
-    text = text.strip()
-    digits = text[1:] if text[:1] in "+-" else text
-    return int(text) if digits.isascii() and digits.isdigit() else None
+    decimal digit.  Past the interpreter's digit limit it raises ValueError,
+    whose message echoes only the start of `text` and its length."""
+    digits = text.strip()
+    digits = digits[1:] if digits[:1] in "+-" else digits
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"expected a decimal integer of at most {sys.get_int_max_str_digits()} "
+            f"digits, got {text[:20]!r}... ({len(text)} characters)"
+        ) from None
 
 
 def _parse_int(value, where):
@@ -104,12 +113,8 @@ def _parse_int(value, where):
     if isinstance(value, str):
         try:
             number = decimal_int(value.replace("−", "-"))
-        except ValueError:  # past the digit limit; echo only the start
-            raise DatasetError(
-                f"{where}: expected a decimal integer of at most "
-                f"{sys.get_int_max_str_digits()} digits, got {value[:20]!r}... "
-                f"({len(value)} characters)"
-            ) from None
+        except ValueError as exc:  # past the digit limit
+            raise DatasetError(f"{where}: {exc}") from None
         if number is not None:
             return number
     raise DatasetError(f"{where}: expected a decimal integer, got {value!r}")

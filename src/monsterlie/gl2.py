@@ -40,7 +40,7 @@ from .lattice import (
     vertex_iota_coeff,
     weight_of,
 )
-from .qseries import _coeff, j_series
+from .qseries import _coeff, _int, j_series
 
 
 class Gl2ValidationError(ValueError):
@@ -66,7 +66,13 @@ class UnsupportedBracketError(ValueError):
 VACUUM_LABEL = "1"
 
 
-class FormalNaturalVector:
+class FormalNaturalVector(
+    NamedTuple(
+        "FormalNaturalVector",
+        [("label", str), ("weight", int), ("primary", bool),
+         ("scale", Fraction), ("pairings", MappingProxyType)],
+    )
+):
     """Formal primary vector of the moonshine module.
 
     `pairings` is a read-only map from unordered label pairs to exact
@@ -75,23 +81,18 @@ class FormalNaturalVector:
     share one label.  A symbol is immutable.
     """
 
-    __slots__ = ("label", "weight", "primary", "scale", "pairings")
+    __slots__ = ()
 
-    def __init__(self, label, weight, primary=True, scale=1, pairings=None):
-        if weight < 0:
+    def __new__(cls, label, weight, primary=True, scale=1, pairings=None):
+        if _int(weight, "weight") < 0:
             raise ValueError("weights are nonnegative")
         table = {}
         if pairings:
             for (la, lb), value in pairings.items():
                 table[_pair_key(la, lb)] = _coeff(value)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "primary", bool(primary))
-        object.__setattr__(self, "scale", _coeff(scale))
-        object.__setattr__(self, "pairings", MappingProxyType(table))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalNaturalVector is immutable")
+        return super().__new__(
+            cls, label, weight, bool(primary), _coeff(scale), MappingProxyType(table)
+        )
 
     def rescaled(self, factor):
         return FormalNaturalVector(
@@ -100,16 +101,6 @@ class FormalNaturalVector:
 
     def base(self):
         return self if self.scale == 1 else self.rescaled(Fraction(1) / self.scale)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormalNaturalVector)
-            and self.label == other.label
-            and self.weight == other.weight
-            and self.primary == other.primary
-            and self.scale == other.scale
-            and self.pairings == other.pairings
-        )
 
     def __repr__(self):
         prefix = "" if self.scale == 1 else f"{self.scale}*"

@@ -59,6 +59,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, lcm, perm
+from typing import NamedTuple
 
 from .qseries import _coeff, _int
 
@@ -98,28 +99,16 @@ def cocycle_sign(lam, mu):
     return -1 if (m.numerator % 2) and (n.numerator % 2) else 1
 
 
-class HatLatticeElement:
+class HatLatticeElement(NamedTuple("HatLatticeElement", [("vector", tuple), ("sign", int)])):
     """Element (vector, sign) of the sign double cover of the lattice, its
     vector an `int` pair (m, n)."""
 
-    __slots__ = ("vector", "sign")
+    __slots__ = ()
 
-    def __init__(self, vector, sign=1):
+    def __new__(cls, vector, sign=1):
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        object.__setattr__(self, "vector", _point(vector))
-        object.__setattr__(self, "sign", sign)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HatLatticeElement is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, HatLatticeElement) and (
-            (self.vector, self.sign) == (other.vector, other.sign)
-        )
-
-    def __hash__(self):
-        return hash((self.vector, self.sign))
+        return super().__new__(cls, _point(vector), sign)
 
     def __repr__(self):
         s = "" if self.sign == 1 else "-"

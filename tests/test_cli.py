@@ -337,6 +337,18 @@ def test_integers_past_the_digit_limit_exit_3(tmp_path, capsys, as_number):
         assert digits not in captured.err
 
 
+def test_flag_past_the_digit_limit_exits_2_with_the_dataset_message(capsys):
+    digits = "9" * 5000
+    assert run(["jcoeffs", "--max", digits]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[1:] == [
+        "monsterlie jcoeffs: error: argument --max: expected a decimal integer of at "
+        f"most {sys.get_int_max_str_digits()} digits, got '99999999999999999999'... "
+        "(5000 characters)"
+    ]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -392,6 +404,28 @@ def test_console_entry_point():
     assert "root index must be -1 or a positive integer" in done.stderr
 
 
+def _cut_stdout_run(argv, unbuffered, read=0):
+    """Run the CLI for a reader that reads `read` characters and goes away;
+    returns the exit code and standard error."""
+    child = subprocess.Popen(
+        [sys.executable, "-m", "monsterlie", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**_module_env(), "PYTHONUNBUFFERED": unbuffered},
+    )
+    child.stdout.read(read)
+    child.stdout.close()
+    try:
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    return child.returncode, err
+
+
+BROKEN_PIPE = (2, "usage error: cannot write standard output: Broken pipe\n")
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 @pytest.mark.parametrize(
     "argv",
@@ -401,21 +435,26 @@ def test_console_entry_point():
     ],
 )
 def test_closed_stdout_is_a_usage_error(argv, unbuffered):
-    child = subprocess.Popen(
-        [sys.executable, "-m", "monsterlie", *argv],
-        stdout=subprocess.PIPE,
+    assert _cut_stdout_run(argv, unbuffered) == BROKEN_PIPE
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_stdout_cut_mid_write_is_a_usage_error(unbuffered):
+    # unbuffered, the text layer over a bare descriptor ignores a short write
+    assert _cut_stdout_run(["jcoeffs", "--max", "1500"], unbuffered, 100) == BROKEN_PIPE
+
+
+def test_closed_stdout_descriptor_is_a_usage_error():
+    # started with descriptor 1 closed, the interpreter sets sys.stdout to None
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m monsterlie jcoeffs --max 3 >&-', sys.executable],
         stderr=subprocess.PIPE,
         text=True,
-        env={**_module_env(), "PYTHONUNBUFFERED": unbuffered},
+        env=_module_env(),
+        timeout=60,
     )
-    child.stdout.close()  # the reader goes away before it reads a byte
-    try:
-        _, err = child.communicate(timeout=60)
-    finally:
-        child.kill()
-    assert "Traceback" not in err
-    assert err == "usage error: cannot write standard output: Broken pipe\n"
-    assert child.returncode == 2
+    assert done.stderr == "usage error: cannot write standard output: Bad file descriptor\n"
+    assert done.returncode == 2
 
 
 def test_a_call_builds_only_its_own_parser(monkeypatch):

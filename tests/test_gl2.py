@@ -502,6 +502,12 @@ def test_exact_entry_points_reject_inexact_numbers(entry, value):
         EXACT_ENTRY_POINTS[entry](value)
 
 
+@pytest.mark.parametrize("weight", [True, 2.5, 2.0, "3"])
+def test_symbol_weight_must_be_an_int(weight):
+    with pytest.raises(TypeError, match="weight must be an int"):
+        FormalNaturalVector("u", weight)
+
+
 class Int(int):
     """An int subclass other than bool: read as the plain int it equals."""
 

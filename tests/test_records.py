@@ -137,3 +137,14 @@ def test_values_are_immutable_and_hash_by_value(name):
     else:
         with pytest.raises(TypeError):
             hash(value)
+
+
+@pytest.mark.parametrize("cls", [HatLatticeElement, FormalNaturalVector])
+def test_value_classes_are_named_tuples(cls):
+    """The checks live in `__new__`; the tuple gives the rest."""
+    assert issubclass(cls, tuple) and cls.__slots__ == ()
+    for name in ("__init__", "__setattr__", "__eq__", "__hash__"):
+        assert name not in cls.__dict__, f"{cls.__name__}.{name}"
+    assert tuple(HatLatticeElement((1, -1), -1)) == ((1, -1), -1)
+    label, weight, primary, scale, pairings = FormalNaturalVector("u", 2, scale=3)
+    assert (label, weight, primary, scale, dict(pairings)) == ("u", 2, True, 3, {})

@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from monsterlie.dataset import parse_dataset, to_jsonable, trivial_dataset
+from monsterlie.dataset import (
+    load_dataset,
+    parse_dataset,
+    save_dataset,
+    to_jsonable,
+    trivial_dataset,
+)
 from monsterlie.qseries import IntegralityError, j_series, mckay_thompson
 from monsterlie.replication import (
     multiplicity,
@@ -205,6 +211,23 @@ def test_cyclic_group_of_order_two_has_integral_multiplicities():
         assert table.value("2B", j) == trace
         assert 2 * multiplicity(d, table, 1, j) == dim + trace
         assert 2 * multiplicity(d, table, 2, j) == dim - trace
+
+
+def test_character_block_round_trips_through_a_file(tmp_path):
+    # the Z/2 dataset above, its character 2 written as decimal strings
+    traces = {"1A": j_series(6), "2B": mckay_thompson("2B", 6)}
+    classes = [("1A", 1, "1A"), ("2B", 1, "1A")]
+    d = group_dataset(classes, traces, {"2": {"1A": 1, "2B": -1}})
+    path = tmp_path / "z2.json"
+    save_dataset(d, path)
+    assert load_dataset(path) == d
+    written = json.loads(path.read_text(encoding="utf-8"))
+    assert written["characters"] == {"2": {"1A": "1", "2B": "-1"}}
+    values = [written["group_order"], *written["characters"]["2"].values()]
+    for record in written["classes"]:
+        values += [record["class_size"], *record["seeds"].values()]
+    assert len(values) == 15
+    assert all(type(v) is str and v == str(int(v)) for v in values), values
 
 
 def test_identity_row_matches_modular_invariant():
