@@ -84,7 +84,7 @@ class FormalNaturalVector(
     __slots__ = ()
 
     def __new__(cls, label, weight, primary=True, scale=1, pairings=None):
-        if _int(weight, "weight") < 0:
+        if (weight := _int(weight, "weight")) < 0:
             raise ValueError("weights are nonnegative")
         table = {}
         if pairings:

@@ -12,22 +12,21 @@ arithmetic never claims precision the operands cannot support; a scalar is
 added as the constant series of the other operand's order.
 
 The fractional power q**(1/24) of the Dedekind eta function is never
-materialized.  `euler_product` returns the integral-exponent combination
-q**(-1/24) * eta(q) = prod_{j>=1} (1 - q**j), and `eta_quotient` the
-general product prod_d prod_k (1 - q**(d*k))**r_d by an exact integer
-recurrence on the divisor sums sigma(m); `mckay_thompson` reads the
-McKay-Thompson series of the classes 2B, 3B, 4C, 5B, 7B and 13B off a
-table of such quotients.  The modular invariant is one
-exact division: 691 * q * (J + 744) = 691 * E12 / prod(1-q**n)**24 +
-432000 * q, with E12 read off its divisor sums sigma11 and no series
-product.  The primary-dimension series multiplies J by prod(1-q**n) as a
-signed sum over the generalized pentagonal numbers.
+materialized: `euler_product` is q**(-1/24) * eta(q) = prod_{j>=1}
+(1 - q**j), `eta_quotient` the product prod_d prod_k (1 - q**(d*k))**r_d,
+and `mckay_thompson` reads the classes 2B, 3B, 4C, 5B, 7B and 13B off a
+table of such quotients.  One kernel forms every eta product from sparse
+factors, Euler's pentagonal series and Jacobi's series for its cube, and
+never divides an integer: 691 * q * (J + 744) = 691 * E12 /
+prod(1-q**n)**24 + 432000 * q with E12 read off its divisor sums sigma11,
+and the primary-dimension series is J * prod(1-q**n) + 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul, sub
+from itertools import count
+from operator import itemgetter, mul
 
 
 class NotInvertibleError(ValueError):
@@ -55,11 +54,11 @@ def _coeff(value):
 
 
 def _int(value, name):
-    """value when it is an `int` (`bool` excluded): the gate of exponents and
-    mode indices; `TypeError` naming the argument otherwise."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    return value
+    """value as a plain `int`, read as `_coeff` reads it (`bool` refused): the
+    gate of exponents and mode indices; `TypeError` naming the argument."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 class QSeries:
@@ -272,62 +271,75 @@ def _divisor_sums(limit, power):
     return sums
 
 
-def euler_product(order):
-    """prod_{j>=1} (1 - q**j) via the pentagonal-number expansion.
+def _sparse_factor(order, cube):
+    """The terms (e, s), 0 < e < order ascending, of prod_{n>=1} (1 - q**n)
+    or, with `cube`, of its cube: Euler's s = (-1)**k at e = k(3k-1)/2 for
+    k = 1, -1, 2, -2, ..., or Jacobi's s = (-1)**k (2k+1) at e = k(k+1)/2."""
+    for j in count(1):
+        k = j if cube else (j + 1) // 2 * (1 if j % 2 else -1)
+        e = k * (k + 1) // 2 if cube else k * (3 * k - 1) // 2
+        if e >= order:
+            return
+        yield e, (-1 if k % 2 else 1) * (2 * k + 1 if cube else 1)
 
-    This is q**(-1/24) * eta(q); every coefficient is -1, 0 or 1, with
-    support on the generalized pentagonal numbers j(3j +- 1)/2.
-    """
+
+def _eta_times(coeffs, exponents):
+    """The int list coeffs times prod_d prod_k (1 - q**(d*k))**r_d on its
+    window.  |r_d| // 3 Jacobi cubes and |r_d| % 3 Euler factors in q**d,
+    each 1 + sum s q**e, are applied by the one recurrence x_k +-= sum s
+    x_{k-e}: k runs up to divide (each x_{k-e} is already divided) and down
+    to multiply (each still old), so no step divides.  Time grows as
+    sum |r_d| (<= 24 a table row) * n**1.5, so a quotient with both signs
+    (2B) is slower than a dense O(n**2) route below n ~ 1000."""
+    x = list(coeffs)
+    n = len(x)
+    for d, r in exponents.items():
+        for cube, times in ((True, abs(r) // 3), (False, abs(r) % 3)):
+            terms = list(_sparse_factor(-(-n // d), cube)) if times else []
+            signs = [s if r > 0 else -s for _, s in terms]
+            ends = [d * e for e, _ in terms] + [n]
+            # on the run lo <= k < hi after the m-th exponent, x_k reads x_{k-e},
+            # e in ends[:m], at index -e of the k values below it (0 keeps a tuple)
+            runs = [(itemgetter(*[-e for e in ends[:m]], 0), signs[:m], lo, hi)
+                    for m, (lo, hi) in enumerate(zip(ends, ends[1:]), 1)]
+            up = r < 0  # reads the quotient so far, else the x_j still old
+            for _ in range(times):
+                out = x[: ends[0]] if up else []
+                for get, sm, lo, hi in runs if up else runs[::-1]:
+                    for k in range(lo, hi):
+                        v = x[k] if up else x.pop()
+                        out.append(v + sum(map(mul, sm, get(out if up else x))))
+                x = out if up else x + out[::-1]
+    return x
+
+
+def euler_product(order):
+    """prod_{j>=1} (1 - q**j) = q**(-1/24) * eta(q): -1, 0 or 1 on the
+    generalized pentagonal numbers j(3j +- 1)/2 (`_sparse_factor`), else 0."""
     if _int(order, "order") < 1:
         raise ValueError("order must be at least 1")
-    coeffs = [0] * order
-    coeffs[0] = 1
-    j = 1
-    while True:
-        lo = j * (3 * j - 1) // 2
-        hi = j * (3 * j + 1) // 2
-        if lo >= order and hi >= order:
-            break
-        sign = -1 if j % 2 else 1
-        if lo < order:
-            coeffs[lo] = sign
-        if hi < order:
-            coeffs[hi] = sign
-        j += 1
+    coeffs = [1] + [0] * (order - 1)
+    for e, s in _sparse_factor(order, False):
+        coeffs[e] = s
     return QSeries(0, coeffs)
 
 
 def eta_quotient(exponents, order):
     """prod_d prod_{k>=1} (1 - q**(d*k))**r_d for exponents {d: r_d}, exact
     below q**order (the eta quotient prod eta(d*t)**r_d without its power of
-    q**(1/24)).
-
-    The logarithmic derivative gives n * a_n = sum_{m=1..n} B_m a_{n-m} with
-    B_m = -sum_{d | m} r_d * d * sigma(m/d) (sigma the divisor sum).  Every
-    a_n is an integer; each exact division is checked.
-    """
+    q**(1/24)); d and r_d are read as `_int` reads them."""
     if _int(order, "order") < 1:
         raise ValueError("order must be at least 1")
-    sigma = _divisor_sums(order, 1)
-    b = [0] * order
     for d, r in exponents.items():
-        if type(d) is not int or d < 1 or type(r) is not int:
-            raise ValueError(
-                f"eta_quotient: exponent {d!r}: {r!r} needs int d >= 1 and int r"
-            )
-        for m in range(d, order, d):
-            b[m] -= r * d * sigma[m // d]
-    a = [1]
-    for n in range(1, order):
-        # B_m * a[n - m] for m = 1..n
-        a_n, rem = divmod(sum(map(mul, b[1 : n + 1], reversed(a))), n)
-        if rem:
-            raise IntegralityError(
-                f"eta_quotient {exponents}: coefficient of q^{n} is non-integral; "
-                "this signals an arithmetic bug"
-            )
-        a.append(a_n)
-    return QSeries(0, a)
+        try:
+            if _int(d, "d") >= 1 and _int(r, "r") == r:  # each gate raises TypeError
+                continue
+        except TypeError:
+            pass
+        raise ValueError(
+            f"eta_quotient: exponent {d!r}: {r!r} needs int d >= 1 and int r"
+        )
+    return QSeries(0, _eta_times([1] + [0] * (order - 1), exponents))
 
 
 # Eta-quotient McKay-Thompson series T_g = q**-1 prod_d prod_k
@@ -364,13 +376,13 @@ def j_series(order):
     Returns the Laurent expansion q**-1 + 0 + 196884 q + ... exact through
     q**order.  E4**3 = E12 + (432000/691) * Delta in weight 12, so 691 * q *
     (J + 744) = 691 * E12 / prod(1-q**k)**24 + 432000 * q, with 691 * E12 =
-    691 + 65520 * sum sigma11(k) q**k; every division by 691 is checked.
+    691 + 65520 * sum sigma11(k) q**k divided by eight Jacobi cubes
+    (`_eta_times`); every division by 691 is checked.
     """
     if _int(order, "order") < 0:
         raise ValueError("order must be nonnegative")
     work = order + 2
-    e12 = QSeries(0, [691] + [65520 * s for s in _divisor_sums(work, 11)[1:]])
-    qj = list((e12 / eta_quotient({1: 24}, work)).coeffs)
+    qj = _eta_times([691] + [65520 * s for s in _divisor_sums(work, 11)[1:]], {1: -24})
     qj[1] += 432000
     for n, c in enumerate(qj):
         qj[n], rem = divmod(c, 691)
@@ -387,17 +399,6 @@ def j_series(order):
     return series
 
 
-def _times_euler_product(series):
-    """series * prod(1 - q**n) on the window of series, as a signed sum of
-    shifted copies over the generalized pentagonal numbers: O(n**1.5)."""
-    c = series.coeffs
-    out = list(c)
-    for p, sign in enumerate(euler_product(len(c)).coeffs):
-        if p and sign:
-            out[p:] = map(add if sign > 0 else sub, out[p:], c)
-    return QSeries(series.valuation, out)
-
-
 def primary_dim_series(order):
     """Generating series whose q**(j-1) coefficient is the dimension of the
     subspace of primary vectors of weight j in the moonshine module.
@@ -408,11 +409,9 @@ def primary_dim_series(order):
     """
     if _int(order, "order") < 0:
         raise ValueError("order must be nonnegative")
-    series = _times_euler_product(j_series(order)) + 1
+    series = QSeries(-1, _eta_times(j_series(order).coeffs, {1: 1})) + 1
     series = series.truncate(order)
     series.require_integral("primary_dim_series")
     if order > 0 and series.coeff(0) != 0:
-        raise IntegralityError(
-            "primary_dim_series: weight-1 coefficient must vanish"
-        )
+        raise IntegralityError("primary_dim_series: weight-1 coefficient must vanish")
     return series

@@ -517,6 +517,11 @@ def test_exact_entry_points_read_int_subclasses_as_int(entry):
     assert EXACT_ENTRY_POINTS[entry](Int(3)) == EXACT_ENTRY_POINTS[entry](3)
 
 
+def test_symbol_weight_reads_an_int_subclass_as_int():
+    u = FormalNaturalVector("u", Int(2))
+    assert u == FormalNaturalVector("u", 2) and type(u.weight) is int
+
+
 # -- coefficient form ------------------------------------------------------------
 
 

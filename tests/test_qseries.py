@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from monsterlie.qseries import (
+    _MCKAY_THOMPSON,
     IntegralityError,
     NotInvertibleError,
     PrecisionError,
@@ -18,6 +20,10 @@ from monsterlie.qseries import (
 
 def series(valuation, coeffs):
     return QSeries(valuation, [Fraction(c) for c in coeffs])
+
+
+class Int(int):
+    """An int subclass other than bool: read as the plain int it equals."""
 
 
 # -- oracles: the routes to J and the primary dimensions that the package
@@ -37,6 +43,31 @@ def eisenstein_e4(order):
 def partition_series(order):
     """Generating series of partition numbers, sum p(j) q**j."""
     return euler_product(order).invert().require_integral("partition_series")
+
+
+def eta_quotient_by_recurrence(exponents, order):
+    """prod_d prod_k (1 - q**(d*k))**r_d by the logarithmic derivative:
+    n * a_n = sum_{m=1..n} B_m a_{n-m} with B_m = -sum_{d | m} r_d * d *
+    sigma(m/d), each exact division checked."""
+    sigma = [0] * order
+    for d in range(1, order):
+        for m in range(d, order, d):
+            sigma[m] += d
+    b = [0] * order
+    for d, r in exponents.items():
+        for m in range(d, order, d):
+            b[m] -= r * d * sigma[m // d]
+    a = [1]
+    for n in range(1, order):
+        # B_m * a[n - m] for m = 1..n
+        a_n, rem = divmod(sum(map(mul, b[1 : n + 1], reversed(a))), n)
+        if rem:
+            raise IntegralityError(
+                f"eta_quotient {exponents}: coefficient of q^{n} is non-integral; "
+                "this signals an arithmetic bug"
+            )
+        a.append(a_n)
+    return QSeries(0, a)
 
 
 # -- ring operations ---------------------------------------------------
@@ -231,10 +262,35 @@ def test_eta_quotient_general_exponents_match_products():
     assert eta_quotient({1: 1, 2: 0}, order) == e
 
 
+@pytest.mark.parametrize(
+    "exponents",
+    list(_MCKAY_THOMPSON.values()) + [{1: 1}, {1: -1}, {1: 24}, {1: -24}],
+    ids=str,
+)
+def test_eta_quotient_matches_the_log_derivative_recurrence(exponents):
+    oracle = eta_quotient_by_recurrence(exponents, 1001)
+    assert eta_quotient(exponents, 1001) == oracle
+    for order in (1, 2, 3, 7, 30, 222):
+        assert eta_quotient(exponents, order) == oracle.truncate(order)
+
+
+def test_eta_quotient_matches_the_recurrence_on_random_exponents():
+    rng = random.Random(24)
+    kinds = set()  # (sign, |r| mod 3): cubes, single factors and both directions
+    for _ in range(12):
+        exponents = {d: rng.randint(-30, 30) for d in rng.sample(range(1, 26), 3)}
+        kinds |= {(r > 0, abs(r) % 3) for r in exponents.values() if r}
+        oracle = eta_quotient_by_recurrence(exponents, 120)
+        assert eta_quotient(exponents, 120) == oracle
+    assert kinds == {(sign, k) for sign in (False, True) for k in range(3)}
+
+
 def test_eta_quotient_rejects_bad_exponents():
-    for bad in ({0: 1}, {-2: 1}, {1: Fraction(1, 2)}, {1.0: 1}, {1: 0.5}):
+    for bad in ({0: 1}, {-2: 1}, {1: Fraction(1, 2)}, {1.0: 1}, {1: 0.5},
+                {True: 1}, {1: True}):
         with pytest.raises(ValueError):
             eta_quotient(bad, 10)
+    assert eta_quotient({Int(2): Int(-5), 1: 3}, 40) == eta_quotient({2: -5, 1: 3}, 40)
     with pytest.raises(ValueError):
         eta_quotient({1: 24}, 0)
 
@@ -348,10 +404,6 @@ def test_integer_series_store_plain_ints():
         assert all(type(c) is int for c in s.coeffs)
     assert list(QSeries(0, [Fraction(4, 2), Fraction(1, 2)]).coeffs) == [2, Fraction(1, 2)]
     assert type(QSeries(0, [Fraction(4, 2)]).coeffs[0]) is int
-
-    class Int(int):
-        pass
-
     assert type(QSeries(0, [Int(3)]).coeffs[0]) is int
 
 
@@ -391,26 +443,18 @@ def test_primary_dim_series_positivity():
         assert dims.coeff(j - 1) > 0, f"weight {j} has no primary vectors?"
 
 
-def test_recurrence_and_691_tripwires_name_the_exponent(monkeypatch):
+def test_691_tripwire_names_the_exponent(monkeypatch):
     import monsterlie.qseries as qs
 
-    divisor_sums, quotient = qs._divisor_sums, qs.eta_quotient
+    kernel = qs._eta_times
 
-    def bad_sums(limit, power):
-        sums = divisor_sums(limit, power)
-        sums[2] += 1  # makes 2 * a_2 odd for prod(1 - q^n)
-        return sums
+    def bad_kernel(coeffs, exponents):
+        # one unit off at q^6 of 691 * q * (J + 744), J's q^5: no multiple of 691
+        out = kernel(coeffs, exponents)
+        out[6] += 1
+        return out
 
-    monkeypatch.setattr(qs, "_divisor_sums", bad_sums)
-    with pytest.raises(IntegralityError, match=r"q\^2 is non-integral"):
-        eta_quotient({1: 1}, 5)
-    monkeypatch.setattr(qs, "_divisor_sums", divisor_sums)
-
-    def bad_quotient(exponents, order):
-        # one unit off at q^5 shifts 691 * q * J at q^6 by a non-multiple of 691
-        return quotient(exponents, order) + QSeries.monomial(5, 1, order)
-
-    monkeypatch.setattr(qs, "eta_quotient", bad_quotient)
+    monkeypatch.setattr(qs, "_eta_times", bad_kernel)
     with pytest.raises(IntegralityError, match=r"j_series: coefficient of q\^5 "):
         j_series(10)
 
@@ -441,3 +485,4 @@ def test_exponents_must_be_ints(entry, value):
     with pytest.raises(TypeError, match=f"{name} must be an int, got {type(value).__name__}"):
         call(value)
     assert call(3) is not None
+    assert call(Int(3)) == call(3)  # an int subclass reads as the int it equals
