@@ -5,6 +5,14 @@ Exit codes: 0 success, 2 usage errors (argparse), 3 dataset problems,
 criterion failed), so CI can gate on the distinction.  Each command
 returns its result (an OutputTable or text) and its exit code; `run` alone
 renders, writes and turns exceptions into exit codes.
+
+A plain call (`--format V` / `--out P` pairs, a command, then each of its
+flags at most once as `--flag value`, every value valid and not starting
+with `-`) is read straight from the command table, `_COMMANDS`, which
+builds no argparse parser.  Every other argv (`-h`, `--flag=value`,
+abbreviations, repeated flags, `-`-leading values such as `--j -1`, and
+every error) goes through argparse, which writes every usage line, error
+and help text, so nothing printed depends on which route read the call.
 """
 
 from __future__ import annotations
@@ -187,6 +195,60 @@ _COMMANDS = {
     "validate-data": (_cmd_validate_data, "validate a dataset file", [_DATA]),
 }
 
+_FORMAT_HELP = "output rendering (default: table)"
+_OUT_HELP = "write output to PATH instead of standard output"
+# the options before the command, read like a command's flags
+_GLOBALS = [
+    ("--format", dict(choices=FORMATS, default="table", help=_FORMAT_HELP)),
+    ("--out", dict(metavar="PATH", help=_OUT_HELP)),
+]
+_TEXT_COMMANDS = ("validate-data", "verify-gl2")  # `--format` does not apply
+
+
+def _read_flags(tokens, flags, values):
+    """Put each flag's value or default into `values`; False unless `tokens`
+    are `--flag value` pairs of known flags, each at most once, with every
+    required flag given and every value valid and not starting with `-`."""
+    pairs = dict(zip(tokens[::2], tokens[1::2]))
+    if len(tokens) != 2 * len(pairs) or not pairs.keys() <= {f for f, _ in flags}:
+        return False
+    for flag, keywords in flags:
+        dest = keywords.get("dest", flag[2:].replace("-", "_"))
+        text = pairs.get(flag)
+        if text is None:
+            if keywords.get("required"):
+                return False
+            values[dest] = keywords.get("default")
+            continue
+        if text.startswith("-"):
+            return False
+        try:
+            value = keywords.get("type", str)(text)
+        except argparse.ArgumentTypeError:
+            return False
+        if value not in keywords.get("choices", (value,)):
+            return False
+        values[dest] = value
+    return True
+
+
+def _plain_call(argv):
+    """The namespace the two-stage argparse parse gives a plain call, read
+    from the command table; None for any other argv."""
+    at = next((i for i in range(0, len(argv), 2) if argv[i] in _COMMANDS), None)
+    if at is None:
+        return None
+    command = argv[at]
+    values = {"command": command, "args": list(argv[at + 1 :])}
+    if not (
+        _read_flags(argv[:at], _GLOBALS, values)
+        and _read_flags(argv[at + 1 :], _COMMANDS[command][2], values)
+    ):
+        return None
+    if values["format"] != "table" and command in _TEXT_COMMANDS:
+        return None
+    return argparse.Namespace(**values)
+
 
 def _global_parser():
     """The options before the command, the command, and the rest of argv."""
@@ -198,21 +260,28 @@ def _global_parser():
         epilog="\n".join(["commands:", *commands]),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument(
-        "--format",
-        choices=FORMATS,
-        default="table",
-        help="output rendering (default: table)",
-    )
-    parser.add_argument(
-        "--out", metavar="PATH", help="write output to PATH instead of standard output"
-    )
+    for flag, keywords in _GLOBALS:
+        parser.add_argument(flag, **keywords)
     parser.add_argument("command", choices=_COMMANDS, help="the command to run")
     rest = parser.add_argument(
         "args", nargs=argparse.REMAINDER, help="its options; every command takes -h"
     )
     rest.required = False  # or a missing command would name `args` too
     return parser
+
+
+def _argparse_call(argv):
+    """The global parse, then the command's own parser on the rest of argv;
+    argparse writes help and errors and raises SystemExit."""
+    parser = _global_parser()
+    args = parser.parse_args(argv)
+    command = argparse.ArgumentParser(prog=f"monsterlie {args.command}")
+    for flag, keywords in _COMMANDS[args.command][2]:
+        command.add_argument(flag, **keywords)
+    command.parse_args(args.args, namespace=args)
+    if args.format != "table" and args.command in _TEXT_COMMANDS:
+        parser.error(f"--format {args.format} does not apply to {args.command}")
+    return args
 
 
 def _write_stdout(text):
@@ -233,20 +302,14 @@ def _write_stdout(text):
 
 def run(argv):
     """Parse argv, run one command, write its result; returns the exit code."""
-    parser = _global_parser()
+    args = _plain_call(argv)
+    if args is None:
+        try:
+            args = _argparse_call(argv)
+        except SystemExit as exc:
+            return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        args = parser.parse_args(argv)
-        handler, _, flags = _COMMANDS[args.command]
-        command = argparse.ArgumentParser(prog=f"monsterlie {args.command}")
-        for flag, keywords in flags:
-            command.add_argument(flag, **keywords)
-        command.parse_args(args.args, namespace=args)
-        if args.format != "table" and args.command in ("validate-data", "verify-gl2"):
-            parser.error(f"--format {args.format} does not apply to {args.command}")
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
-    try:
-        result, code, *notes = handler(args)
+        result, code, *notes = _COMMANDS[args.command][0](args)
     except DatasetError as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return EXIT_DATASET
@@ -258,15 +321,15 @@ def run(argv):
         return EXIT_DATASET
     text = result if isinstance(result, str) else result.render(args.format)
     try:
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         else:
             _write_stdout(text)
     except OSError as exc:
-        if not args.out and sys.stdout is not None:  # the last flush goes nowhere
+        if args.out is None and sys.stdout is not None:  # the last flush goes nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        where = f"--out {args.out}" if args.out else "standard output"
+        where = "standard output" if args.out is None else f"--out {args.out}"
         message = f"cannot write {where}: {exc.strerror or exc}"
         print(f"usage error: {message}", file=sys.stderr)
         return EXIT_USAGE

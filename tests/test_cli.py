@@ -457,7 +457,7 @@ def test_closed_stdout_descriptor_is_a_usage_error():
     assert done.returncode == 2
 
 
-def test_a_call_builds_only_its_own_parser(monkeypatch):
+def test_a_call_builds_only_its_own_parser(monkeypatch, capsys):
     progs = []
     init = argparse.ArgumentParser.__init__
 
@@ -467,11 +467,18 @@ def test_a_call_builds_only_its_own_parser(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert run(["cartan", "--depth", "3"]) == 0
-    assert progs == ["monsterlie", "monsterlie cartan"]
+    plain = capsys.readouterr()
+    assert progs == []  # a plain call is read from the command table
     for argv in (["frobnicate"], ["cartan", "--depth", "0"], ["jcoeffs", "-h"]):
         progs.clear()
         assert run(argv) in (0, 2)
         assert len(progs) <= 2
+    capsys.readouterr()
+    for argv in (["cartan", "--depth=3"], ["cartan", "--dep", "3"]):
+        progs.clear()
+        assert run(argv) == 0
+        assert progs == ["monsterlie", "monsterlie cartan"]
+        assert capsys.readouterr() == plain
 
 
 def test_help_lists_every_command_with_its_help_line(capsys):
@@ -571,6 +578,13 @@ def test_format_applies_only_to_table_commands(tmp_path, capsys, toy_data, fmt, 
     table_out = capsys.readouterr().out
     assert run(argv) == 0
     assert capsys.readouterr().out == table_out
+
+
+def test_empty_out_path_is_usage_error(capsys):
+    assert run(["--out", "", "jcoeffs", "--max", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: cannot write --out : No such file or directory\n"
 
 
 def test_out_flag_unwritable_path_is_usage_error(tmp_path, capsys):

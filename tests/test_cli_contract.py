@@ -1,4 +1,5 @@
-"""The CLI contract: pinned outputs for fixed argv, and an argv fuzz.
+"""The CLI contract: pinned outputs for fixed argv, an argv fuzz, and the
+plain-call reader checked against argparse.
 
 The golden matrix pins the SHA-256 of (exit code, stdout, stderr) of each
 command line, so any change to what a command prints, where, or with which
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monsterlie.cli import run
+from monsterlie.cli import _argparse_call, _plain_call, run
 from monsterlie.dataset import save_dataset, to_jsonable, trivial_dataset
 from monsterlie.qseries import j_series, mckay_thompson
 from test_replication import S3_CLASSES, Z4_CHARACTERS, Z4_CLASSES, group_object
@@ -215,6 +216,63 @@ def test_cli_argv_fuzz_keeps_the_exit_code_contract(fuzz_paths, argv):
         assert not lines or lines[0].startswith(
             ("verification error:", "non-triviality criterion failed")
         )
+
+
+# -- the plain-call reader against argparse -----------------------------------
+
+_ODD_VALUES = st.sampled_from(["-1", "-x", "--", "-h", "9" * 5000, " 3", " -1", "1A"])
+
+
+@st.composite
+def _wide_argvs(draw):
+    """`_argvs` with up to three edits that only argparse reads: an inserted
+    `-h`, `--` or bare flag, a `--flag=value` pair, an abbreviated or
+    repeated flag, or a value that starts with `-` or passes the digit limit."""
+    argv = draw(_argvs())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        kind = draw(st.sampled_from(["insert", "join", "abbreviate", "repeat", "value"]))
+        if kind == "insert":
+            tokens = ["-h", "--help", "--", "--format", "--max", "--max=3"]
+            argv.insert(at, draw(st.sampled_from(tokens)))
+        elif at + 1 < len(argv) and argv[at].startswith("--") and argv[at] != "--":
+            flag, value = argv[at : at + 2]
+            if kind == "join":
+                argv[at : at + 2] = [f"{flag}={value}"]
+            elif kind == "abbreviate":
+                argv[at] = flag[: draw(st.integers(2, len(flag) - 1))]
+            elif kind == "repeat":
+                argv[at:at] = [flag, draw(_ODD_VALUES | st.just(value))]
+            else:
+                argv[at + 1] = draw(_ODD_VALUES)
+    return argv
+
+
+def _argparse_reads(argv):
+    """vars() of the two-stage argparse parse, or its exit code."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(_argparse_call(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(derandomize=True, max_examples=800, deadline=None, database=None)
+@given(argv=_argvs() | _wide_argvs())
+def test_a_plain_call_reads_as_argparse_reads_it(argv):
+    plain = _plain_call(argv)
+    if plain is not None:
+        assert _argparse_reads(argv) == vars(plain)
+
+
+def test_golden_lines_read_as_argparse_reads_them():
+    plain_lines = 0
+    for line in GOLDEN:
+        argv = shlex.split(line)
+        if (plain := _plain_call(argv)) is not None:
+            plain_lines += 1
+            assert _argparse_reads(argv) == vars(plain), line
+    assert plain_lines == 23  # the rest: help, errors and `-`-leading values
 
 
 # -- dataset-file fuzz --------------------------------------------------------

@@ -1,8 +1,8 @@
 """The package surface and its value types: the public names are pinned,
 the result records are named tuples (a cold CLI import loads neither
-`dataclasses` nor `inspect`, fields cannot be assigned, and `by_name` is
-derived from `classes`), and the value classes are immutable and hash by
-value or not at all."""
+`dataclasses` nor `inspect`, and a plain cold call not `locale`; fields
+cannot be assigned, and `by_name` is derived from `classes`), and the
+value classes are immutable and hash by value or not at all."""
 
 import importlib
 import os
@@ -85,6 +85,29 @@ def test_cli_import_is_lean():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, loads_locale", [(["cartan", "--depth", "3"], False), (["cartan", "-h"], True)]
+)
+def test_a_plain_call_leaves_argparse_idle(argv, loads_locale):
+    """A plain call is read from the command table: argparse's first
+    message lookup, which imports `locale`, never runs; help does run it."""
+    src = str(Path(monsterlie.__file__).resolve().parents[1])
+    code = (
+        "import sys; from monsterlie.cli import run; code = run(sys.argv[1:]); "
+        "print(code, 'locale' in sys.modules, file=sys.stderr)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == f"0 {loads_locale}\n"
 
 
 def test_record_fields_cannot_be_assigned():
