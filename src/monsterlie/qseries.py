@@ -401,15 +401,21 @@ def j_series(order):
 
 def primary_dim_series(order):
     """Generating series whose q**(j-1) coefficient is the dimension of the
-    subspace of primary vectors of weight j in the moonshine module.
-
-    Computed from the defining identity: the modular invariant times the
-    Euler product, plus one.  The q**0 coefficient (weight-1 subspace) is
-    zero; every other represented coefficient is a nonnegative integer.
+    subspace of primary vectors of weight j in the moonshine module: the
+    modular invariant times the Euler product, plus one (`_primary_dims`).
+    The q**0 coefficient (weight-1 subspace) is zero; every other
+    represented coefficient is a nonnegative integer.
     """
     if _int(order, "order") < 0:
         raise ValueError("order must be nonnegative")
-    series = QSeries(-1, _eta_times(j_series(order).coeffs, {1: 1})) + 1
+    return _primary_dims(j_series(order).coeffs, order)
+
+
+def _primary_dims(j_coeffs, order):
+    """J * prod(1 - q**n) + 1 below q**order, from J's coefficients
+    [1, 0, c(1), ...] from q**-1 on, at least order + 1 of them: one Euler
+    pass (`_eta_times`), integrality-checked, with weight-1 coefficient 0."""
+    series = QSeries(-1, _eta_times(j_coeffs, {1: 1})) + 1
     series = series.truncate(order)
     series.require_integral("primary_dim_series")
     if order > 0 and series.coeff(0) != 0:

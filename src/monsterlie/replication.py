@@ -43,6 +43,10 @@ Multiplicities come from character orthogonality: the multiplicity of
 the k-th irreducible in the weight-(j+1) piece is
 (1/|G|) sum over classes of size * chi_k * C(class, j), which must be a
 nonnegative integer.  The trivial character needs no character table.
+
+The non-triviality report's primary dimensions are the identity row (J
+exactly: validated seeds, and the recursions fix the rest) times
+prod(1 - q**n) plus 1, the map of `primary_dim_series`.
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
-from .qseries import IntegralityError, primary_dim_series
+from .dataset import DatasetError, validate_dataset
+from .qseries import IntegralityError, _primary_dims
 
 
 class CoefficientTable(NamedTuple):
@@ -231,14 +236,17 @@ def nontriviality_report(dataset, max_j):
     trivial multiplicity; equality or less is reported as inconclusive
     (the criterion is sufficient, not necessary).
 
-    A failure of the identity-class row would implicate the recursion
-    formulas; the identity row is validated elsewhere against the modular
-    invariant, so a discrepancy here means inconsistent class data.
+    The dimension column is the identity row times prod(1 - q**n) plus 1,
+    exact since `validate_dataset` runs first (the identity seeds are J's):
+    a dataset with violations raises DatasetError and returns no rows.
     """
     if max_j < 1:
         raise ValueError("max_j must be at least 1")
+    if violations := validate_dataset(dataset):
+        raise DatasetError(violations)
     table = replicate_extend(dataset, max(max_j, 5))
-    dims = primary_dim_series(max_j + 1)
+    identity = table.rows[dataset.identity_class().name]
+    dims = _primary_dims([1, 0, *identity[:max_j]], max_j + 1)
     out = []
     for j in range(1, max_j + 1):
         dim = dims.coeff(j)

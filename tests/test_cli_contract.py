@@ -75,6 +75,10 @@ GOLDEN = {
         "3847d0e229cd0fbee1ec95cb1e5d188060bfbe2657a0b54a83582e199a396db0",
     "--format csv check-nontrivial --data classes.json --max 3":
         "cf9194a5980c3bd9473c29efdd43a1b28cfeac8edecf1c59d86e5317fb10c285",
+    "check-nontrivial --data classes.json --max 80":
+        "dff8900e7da0fca647d13644764c0ff31188d3dd13770d08546b7161ccc9d574",
+    "--format json check-nontrivial --data classes.json --max 40":
+        "edcc4d76021327fe49ac36f01c72d1981433af6b0a67080c63ef7b01fa6c9feb",
     "validate-data --data classes.json":
         "78b1cd042b79d5e184e2b40b70c3eadc87de8ab12a76b961a648a59f622f9c49",
     "--format json validate-data --data classes.json":
@@ -272,7 +276,7 @@ def test_golden_lines_read_as_argparse_reads_them():
         if (plain := _plain_call(argv)) is not None:
             plain_lines += 1
             assert _argparse_reads(argv) == vars(plain), line
-    assert plain_lines == 23  # the rest: help, errors and `-`-leading values
+    assert plain_lines == 25  # the rest: help, errors and `-`-leading values
 
 
 # -- dataset-file fuzz --------------------------------------------------------

@@ -443,6 +443,56 @@ def test_primary_dim_series_positivity():
         assert dims.coeff(j - 1) > 0, f"weight {j} has no primary vectors?"
 
 
+# -- Lehner's congruences: an oracle for J at every order -----------------
+
+# Lehner, "Divisibility properties of the Fourier coefficients of the
+# modular invariant j(tau)", Amer. J. Math. 71 (1949): for every n, a >= 1,
+# c(p**a * n) = 0 mod p**e(a), with e below for p = 2, 3, 5, 7 and 11.
+LEHNER = {
+    2: lambda a: 3 * a + 8,
+    3: lambda a: 2 * a + 3,
+    5: lambda a: a + 1,
+    7: lambda a: a,
+    11: lambda a: a,
+}
+
+
+def lehner_violations(c, top):
+    """(p, a, m) for every instance m = p**a * n <= top whose c[m] (the q**m
+    coefficient of J) is not 0 mod p**e(a); the instance count second."""
+    out, instances = [], 0
+    for p, e in LEHNER.items():
+        a, step = 1, p
+        while step <= top:
+            modulus = p ** e(a)
+            out += [(p, a, m) for m in range(step, top + 1, step) if c[m] % modulus]
+            instances += top // step
+            a, step = a + 1, step * p
+    return out, instances
+
+
+@pytest.fixture(scope="module")
+def j_to_8000():
+    return list(j_series(8000).coeffs[1:])  # index m holds c(m), m = 0..8000
+
+
+def test_lehner_congruences_hold_through_order_8000(j_to_8000):
+    c = j_to_8000
+    assert lehner_violations(c, 8000) == ([], 16116)
+    for p, e in LEHNER.items():  # sharp at m = p**a: e(a) + 1 fails
+        for a in (1, 2, 3):
+            assert c[p**a] % p ** (e(a) + 1), (p, a)
+
+
+@pytest.mark.parametrize("p", sorted(LEHNER))
+def test_lehner_check_catches_one_unit_off(j_to_8000, p):
+    # 13 * p is a multiple of p and of no other Lehner prime, so one unit
+    # added there breaks exactly one instance: (p, 1, 13 p)
+    c = list(j_to_8000)
+    c[13 * p] += 1
+    assert lehner_violations(c, 8000)[0] == [(p, 1, 13 * p)]
+
+
 def test_691_tripwire_names_the_exponent(monkeypatch):
     import monsterlie.qseries as qs
 

@@ -3,13 +3,20 @@ import json
 import pytest
 
 from monsterlie.dataset import (
+    Dataset,
+    DatasetError,
     load_dataset,
     parse_dataset,
     save_dataset,
     to_jsonable,
     trivial_dataset,
 )
-from monsterlie.qseries import IntegralityError, j_series, mckay_thompson
+from monsterlie.qseries import (
+    IntegralityError,
+    j_series,
+    mckay_thompson,
+    primary_dim_series,
+)
 from monsterlie.replication import (
     multiplicity,
     nontriviality_report,
@@ -33,6 +40,9 @@ def two_class_dataset(seeds_b, power2_b="2Z"):
 
 # S3 acting through 1A, 2B (squares to 1A) and 3B (squares to 3B)
 S3_CLASSES = [("1A", 1, "1A"), ("2B", 3, "1A"), ("3B", 2, "3B")]
+# Z/2 = {1, g} through 1A and 2B (squares to 1A); character 2 sends g to -1
+Z2_CLASSES = [("1A", 1, "1A"), ("2B", 1, "1A")]
+Z2_CHARACTERS = {"2": {"1A": 1, "2B": -1}}
 # Z/4 = {1, g, g^2, g^3} through 1A, 2B (g^2, squares to 1A) and 4C (g and
 # g^3, squares to 2B); character 2 sends g to -1
 Z4_CLASSES = [("1A", 1, "1A"), ("2B", 1, "1A"), ("4C", 2, "2B")]
@@ -216,8 +226,7 @@ def test_cyclic_group_of_order_two_has_integral_multiplicities():
 def test_character_block_round_trips_through_a_file(tmp_path):
     # the Z/2 dataset above, its character 2 written as decimal strings
     traces = {"1A": j_series(6), "2B": mckay_thompson("2B", 6)}
-    classes = [("1A", 1, "1A"), ("2B", 1, "1A")]
-    d = group_dataset(classes, traces, {"2": {"1A": 1, "2B": -1}})
+    d = group_dataset(Z2_CLASSES, traces, Z2_CHARACTERS)
     path = tmp_path / "z2.json"
     save_dataset(d, path)
     assert load_dataset(path) == d
@@ -341,3 +350,51 @@ def test_nontriviality_report_on_trivial_group():
         # sufficient criterion cannot fire on the trivial group
         assert row.verdict == "inconclusive"
         assert not row.holds
+
+
+def test_report_dimensions_match_the_series_route(monkeypatch):
+    # the dimension column comes from the identity row; primary_dim_series
+    # reaches the same numbers from j_series, so each checks the other,
+    # and the report expands J only for the seed check (order 5)
+    import monsterlie.dataset
+    import monsterlie.qseries
+
+    seeds = {name: mckay_thompson(name, 5) for name in ("2B", "4C")}
+    seeds["1A"] = j_series(5)
+    datasets = [
+        trivial_dataset(),
+        group_dataset(Z2_CLASSES, seeds, Z2_CHARACTERS),
+        group_dataset(Z4_CLASSES, seeds, Z4_CHARACTERS),
+    ]
+    orders = []
+
+    def spy(order):
+        orders.append(order)
+        return j_series(order)
+
+    for module in (monsterlie.qseries, monsterlie.dataset):
+        monkeypatch.setattr(module, "j_series", spy)
+    for max_j in (1, 4, 5, 6, 80, 400):
+        dims = primary_dim_series(max_j + 1)
+        for d in datasets:
+            orders.clear()
+            rows = nontriviality_report(d, max_j)
+            assert orders == [5], (max_j, orders)
+            assert [row.j for row in rows] == list(range(1, max_j + 1))
+            for row in rows:
+                assert row.dim_primary == dims.coeff(row.j), (max_j, row.j)
+
+
+def test_report_refuses_an_identity_seed_off_by_one():
+    # a Dataset built in code skips file validation; the report runs it,
+    # since a wrong identity row would give wrong dimensions
+    record = trivial_dataset().classes[0]
+    seeds = {**record.seeds, 2: record.seeds[2] + 1}
+    d = Dataset([record._replace(seeds=seeds)], 1)
+    rows = None
+    with pytest.raises(DatasetError) as err:
+        rows = nontriviality_report(d, 10)
+    assert err.value.violations == [
+        "identity class 1A: seed 2 is 21493761, expected 21493760"
+    ]
+    assert rows is None
