@@ -160,13 +160,18 @@ def parse_dataset(obj):
         group_order = _parse_int(obj["group_order"], "group_order")
     characters = None
     if obj.get("characters") is not None:
-        characters = {}
+        characters, spelled = {}, {}
         for k_raw, per_class in _expect(obj["characters"], dict, "characters").items():
             k = _parse_int(k_raw, "character index")
+            if k in spelled:
+                problems.append(f"character index {k} given twice: {spelled[k]!r} and {k_raw!r}")
+            spelled[k] = k_raw
             characters[k] = {
                 cls: _parse_int(val, f"character {k} on class {cls}")
                 for cls, val in _expect(per_class, dict, f"characters[{k_raw!r}]").items()
             }
+    if problems:
+        raise DatasetError(problems)
     dataset = Dataset(records, group_order, characters)
     violations = validate_dataset(dataset)
     if violations:
@@ -177,9 +182,9 @@ def parse_dataset(obj):
 def validate_dataset(dataset):
     """Check every schema invariant; returns the list of violations (empty
     when the dataset is consistent).  Violations within the records (a
-    duplicate name, a negative size, a missing seed) come alone, since the
-    checks after them read the records; a group order that is not the sum
-    of the class sizes comes next, also alone."""
+    duplicate name, a negative or zero size, a missing seed) come alone,
+    since the checks after them read the records; a group order that is not
+    the sum of the class sizes comes next, also alone."""
     out = []
     names = set()
     for idx, record in enumerate(dataset.classes):
@@ -188,6 +193,8 @@ def validate_dataset(dataset):
         names.add(record.name)
         if record.class_size < 0:
             out.append(f"class {record.name}: negative class size")
+        elif record.class_size == 0:
+            out.append(f"class {record.name}: empty class (size 0)")
         for k in SEED_INDICES:
             if k not in record.seeds:
                 out.append(f"class {record.name}: missing seed index {k}")

@@ -95,9 +95,9 @@ class FormalNaturalVector(
         )
 
     def rescaled(self, factor):
-        return FormalNaturalVector(
-            self.label, self.weight, self.primary, self.scale * _coeff(factor), self.pairings
-        )
+        """The symbol with its scale times factor; the validated read-only
+        pairing table is shared, not rebuilt."""
+        return self._replace(scale=_coeff(self.scale * _coeff(factor)))
 
     def base(self):
         return self if self.scale == 1 else self.rescaled(Fraction(1) / self.scale)

@@ -35,12 +35,13 @@ denominators; the kernel writes the rule out key by key into one dict per
 call on those integer numerators; and `_over` divides the result by d
 (times top! for a Schur merge) in one step, straight into coefficient form
 and one `FockState`.  Both Schur users merge through `_schur_terms`.
-Schur terms are carried as q_k = k! p_k, whose recurrence
-q_k = sum_n (k-1)!/(k-n)! lam(-n) q_{k-n} has integer coefficients, so a
-lattice point lam never sees a fraction.  `_add` and `_exact` (coefficient
-form, zeros dropped) serve only the arithmetic of states and of
-`gl2.MElement`: sums, differences and scalar multiples; `_exact` also
-gates the outside terms a `FockState` takes, whose keys `_key` checks.
+Schur terms are carried as q_k = k! p_k, built term by term from the
+cycle-type formula k! p_k = sum_{mu |- k} (k!/z_mu) p_mu on each axis:
+k!/z_mu counts permutations, so a lattice point lam never sees a
+fraction.  `_add` and `_exact` (coefficient form, zeros dropped) serve
+only the arithmetic of states and of `gl2.MElement`: sums, differences
+and scalar multiples; `_exact` also gates the outside terms a
+`FockState` takes, whose keys `_key` checks.
 
 Virasoro modes act through the commutation rules
 
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from math import comb, factorial, lcm, perm
 from typing import NamedTuple
 
@@ -317,45 +318,71 @@ def _schur_terms(lam, targets, d):
     """The state sum of c p_r(lam(-1), lam(-2), ...) mono iota(abar) over
     the targets (r, mono, abar, c), divided by d: the one Schur merge.
 
-    p_r depends on lam alone, so r! p_r is expanded once up to the top
-    order and every order is merged over the one denominator d top!."""
-    top = max((r for r, *_ in targets), default=0)
-    levels = _schur_numerators(lam, top)
+    r! p_r is expanded once per order the targets carry and every order is
+    merged over the one denominator d top!; its keys come sorted, so a bare
+    iota target takes them as they are."""
+    levels = _schur_numerators(lam, {target[0] for target in targets})
+    top = len(levels) - 1
     out = {}
     for r, mono, abar, c in targets:
         weight = c * perm(top, top - r)  # p_r = q_r top!/r! over top!
-        for (extra, _), q in levels[r].items():
-            key = (tuple(sorted(mono + extra)), abar)
+        for extra, q in levels[r].items():
+            key = (tuple(sorted(mono + extra)) if mono else extra, abar)
             out[key] = out.get(key, 0) + weight * q
     return _over(out, d * factorial(top))
 
 
-def _schur_numerators(lam, r):
-    """The term dicts of q_k = k! p_k(lam(-1), lam(-2), ...) for k = 0 ... r,
-    on the empty monomial (lattice point None).
+def _schur_numerators(lam, orders):
+    """[q_0, ..., q_top], q_r = r! p_r(lam(-1), lam(-2), ...) as a dict
+    {monomial: coefficient} for r in orders and None for the other r.
 
-    r p_r = sum_{n=1}^{r} x_n p_{r-n} becomes
-    q_k = sum_{n=1}^{k} (k-1)!/(k-n)! x_n q_{k-n}: integral for a lattice
-    point lam, exact rationals otherwise.  x_n = lam(-n) is expanded over
-    the coordinate basis, so each monomial of level k - n gains the factor
-    (axis, n) once per nonzero coordinate of lam, written straight into
-    level k.
-    """
-    levels = [{((), None): 1}]
-    for k in range(1, r + 1):
-        acc = {}
-        falling = 1  # (k-1)!/(k-n)!
-        for n in range(1, k + 1):
-            for axis, x in enumerate(lam):
-                if not x:
-                    continue
-                scale = falling * x
-                for (mono, _), c in levels[k - n].items():
-                    key = (tuple(sorted(mono + ((axis, n),))), None)
-                    acc[key] = acc.get(key, 0) + scale * c
-            falling *= k - n
-        levels.append(acc)
+    exp(sum_n lam(-n) y**n / n) factors over the two axes, so
+    q_r = sum_i C(r, i) A_i B_{r-i} with A and B from `_cycle_types`;
+    axis-0 factors sort first, so each key comes out sorted and once."""
+    top = max(orders) if orders else 0
+    first, second = _cycle_types(0, lam[0], top), _cycle_types(1, lam[1], top)
+    levels = [None] * (top + 1)
+    for r in orders:
+        # i = r and i = 0 hold one axis alone, since A_0 = B_0 = 1
+        level = levels[r] = dict(first[r])
+        level.update(second[r])
+        for i in range(1, r):
+            if first[i] and second[r - i]:
+                binom = comb(r, i)
+                for a, ca in first[i]:
+                    ca *= binom
+                    for b, cb in second[r - i]:
+                        level[a + b] = ca * cb
     return levels
+
+
+def _cycle_types(axis, x, top):
+    """[A_0, ..., A_top], A_i = [(u(-mu), x**len(mu) i!/z_mu) for mu |- i]
+    = i! p_i(x u(-1), x u(-2), ...), u the generator of `axis`, by the
+    cycle-type formula, z_mu = prod_n n**m_n m_n!.  The lists start from
+    mu = 1**i (i!/z_mu = 1); m parts n >= 2 added to a partition of j then
+    multiply its coefficient by x**m (j+nm)!/(j! n**m m!), an integer times
+    x**m.  Parts grow, so each monomial comes out sorted."""
+    if not x:
+        return [[((), 1)]] + [[]] * top
+    tables, mono, c = [], (), 1
+    for _ in range(top + 1):
+        tables.append([(mono, c)])
+        mono += ((axis, 1),)
+        c *= x
+    for n in range(2, top + 1):
+        part = ((axis, n),)
+        for j in range(top - n, -1, -1):  # the partitions of j into parts below n
+            steps, ratio, power = [], 1, 1
+            for m in range(1, (top - j) // n + 1):
+                ratio = ratio * perm(j + n * m, n) // (n * m)
+                power *= x
+                steps.append((tables[j + n * m], ratio * power))
+            for mono, c in tables[j]:
+                for target, step in steps:
+                    mono += part
+                    target.append((mono, c * step))
+    return tables
 
 
 def vertex_iota_coeff(a, b_state, power):
@@ -379,7 +406,7 @@ def vertex_iota_coeff(a, b_state, power):
         sign = a.sign * cocycle_sign(point, abar)
         target = (point[0] + m, point[1] + n)
         base = pairing(point, abar)
-        entries = sorted(Counter(mono).items())
+        entries = [(pair, len(list(run))) for pair, run in groupby(mono)]
         ranges = [range(count + 1) for _, count in entries]
         for chosen in product(*ranges):
             factor = c * sign

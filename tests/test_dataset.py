@@ -219,6 +219,35 @@ def test_character_values_for_unknown_classes_are_named():
     assert err.value.violations == ["character 2: values for unknown classes ['9Z']"]
 
 
+@pytest.mark.parametrize("spelling", ["02", "+2", " 2"])
+def test_a_character_index_given_twice_is_named(tmp_path, capsys, spelling):
+    # both spellings parse to k = 2; the later block used to replace the first
+    obj = toy_object()
+    obj["characters"] = {"2": {"1A": "196883"}, spelling: {"1A": "5"}}
+    message = f"character index 2 given twice: '2' and {spelling!r}"
+    with pytest.raises(DatasetError) as err:
+        parse_dataset(obj)
+    assert err.value.violations == [message]
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(obj))
+    assert run(["validate-data", "--data", str(path)]) == 3
+    assert capsys.readouterr().err == f"dataset error: {message}\n"
+
+
+def test_an_empty_class_is_a_violation():
+    # a class of size 0 would drop out of every multiplicity unseen
+    identity = trivial_dataset().classes[0]
+    empty = ClassRecord("2B", 0, "1A", identity.seeds)
+    assert validate_dataset(Dataset([identity, empty], 1)) == ["class 2B: empty class (size 0)"]
+    negative = empty._replace(class_size=-3)
+    assert validate_dataset(Dataset([identity, negative], -2)) == ["class 2B: negative class size"]
+    obj = toy_object()
+    obj["classes"].append({**obj["classes"][0], "name": "2B", "class_size": "0"})
+    with pytest.raises(DatasetError) as err:
+        parse_dataset(obj)
+    assert err.value.violations == ["class 2B: empty class (size 0)"]
+
+
 def test_parse_accepts_plain_json_integers():
     obj = toy_object()
     obj["classes"][0]["class_size"] = 1

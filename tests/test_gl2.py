@@ -199,6 +199,16 @@ def test_symbol_equality_includes_the_pairing_table():
     assert u.rescaled(3).rescaled(Fraction(1, 3)) == u  # the table travels along
 
 
+def test_rescaling_shares_the_validated_pairing_table():
+    u = FormalNaturalVector("u", 2, pairings={("u", "u"): Fraction(4, 2), ("1", "u"): 0})
+    v = u.rescaled(Fraction(-1, 2))
+    assert v.pairings is u.pairings and v.base().pairings is u.pairings
+    assert v == FormalNaturalVector("u", 2, True, Fraction(-1, 2), dict(u.pairings))
+    assert (v.scale, type(v.base().scale), type(v.rescaled(-2).scale)) == (Fraction(-1, 2), int, int)
+    with pytest.raises(TypeError, match="exact rational"):
+        u.rescaled(0.5)
+
+
 def test_melement_is_one_term_dict():
     gens = make_gl2(2, *primary_pair(2))
     x = gens.e + 3 * gens.f + gens.h1 - 2 * gens.h2

@@ -274,13 +274,60 @@ def test_schur_apply_matches_fraction_recurrence_on_rational_points():
                 assert_exact_nonzero(got)
 
 
+def schur_recurrence(lam, r):
+    """q_k = k! p_k for k = 0 ... r by the recurrence
+    q_k = sum_{n=1}^{k} (k-1)!/(k-n)! lam(-n) q_{k-n}, from r p_r =
+    sum_n lam(-n) p_{r-n}: each monomial of level k - n gains the factor
+    (axis, n) once per nonzero coordinate of lam; [{monomial: coefficient}]."""
+    levels = [{(): 1}]
+    for k in range(1, r + 1):
+        acc = {}
+        falling = 1  # (k-1)!/(k-n)!
+        for n in range(1, k + 1):
+            for axis, x in enumerate(lam):
+                if not x:
+                    continue
+                scale = falling * x
+                for mono, c in levels[k - n].items():
+                    key = tuple(sorted(mono + ((axis, n),)))
+                    acc[key] = acc.get(key, 0) + scale * c
+            falling *= k - n
+        levels.append(acc)
+    return levels
+
+
+SCHUR_POINTS = [(0, 0), (1, 0), (0, -2), (1, -1), (2, 3), (-3, 1)]
+SCHUR_POINTS += [(Fraction(1, 2), 0), (Fraction(-2, 3), Fraction(5, 4)), (3, Fraction(1, 3))]
+
+
+def test_schur_numerators_match_the_recurrence():
+    # equal dicts and equal coefficient types: int on the axis-integral
+    # terms, exact Fraction wherever a rational coordinate enters
+    for lam in SCHUR_POINTS:
+        expected = schur_recurrence(lam, 10)
+        levels = _schur_numerators(lam, range(11))
+        assert len(levels) == 11
+        for r in range(11):
+            assert levels[r] == expected[r], (lam, r)
+            types = {mono: type(c) for mono, c in levels[r].items()}
+            assert types == {mono: type(c) for mono, c in expected[r].items()}, (lam, r)
+
+
+def test_schur_numerators_build_only_the_orders_asked_for():
+    levels = _schur_numerators((2, -1), {3, 7})
+    assert [r for r, level in enumerate(levels) if level is not None] == [3, 7]
+    expected = schur_recurrence((2, -1), 7)
+    assert levels[3] == expected[3] and levels[7] == expected[7]
+
+
 def test_schur_numerators_of_lattice_points_are_integers():
     # q_k = k! p_k has integer coefficients on a lattice point
     vac = FockState.vacuum()
     for lam in ((1, -1), (2, 3), (-3, 0)):
-        for k, level in enumerate(_schur_numerators(lam, 8)):
+        levels = _schur_numerators(lam, range(9))
+        for k, level in enumerate(levels):
             assert all(type(c) is int for c in level.values()), (lam, k)
-            q_k = FockState({(mono, (0, 0)): c for (mono, _), c in level.items()})
+            q_k = FockState({(mono, (0, 0)): c for mono, c in level.items()})
             assert Fraction(1, factorial(k)) * q_k == schur_oracle(lam, k, vac), (lam, k)
 
 
@@ -318,15 +365,29 @@ def schur_closed_form(lam, r):
 
 
 def test_schur_numerators_match_the_cycle_type_formula():
-    points = [(0, 0), (1, 0), (0, -2), (1, -1), (2, 3), (-3, 1)]
-    points += [(Fraction(1, 2), 0), (Fraction(-2, 3), Fraction(5, 4)), (3, Fraction(1, 3))]
-    for lam in points:
-        levels = _schur_numerators(lam, 8)
+    for lam in SCHUR_POINTS:
+        levels = _schur_numerators(lam, range(9))
         assert len(levels) == 9
         for r, level in enumerate(levels):
-            assert {point for _, point in level} <= {None}, (lam, r)
-            got = {mono: c for (mono, _), c in level.items()}
-            assert got == schur_closed_form(lam, r), (lam, r)
+            assert level == schur_closed_form(lam, r), (lam, r)
+
+
+def partition_count(r):
+    return sum(1 for _ in partitions(r))
+
+
+def test_schur_numerators_hold_one_term_per_coloured_partition():
+    # on (1, -2) each pair of partitions (of i on u1, of 14 - i on u2) is one
+    # term, on (0, 3) each partition of 14 on u2; none cancels
+    both = _schur_numerators((1, -2), {14})[14]
+    one = _schur_numerators((0, 3), {14})[14]
+    assert len(both) == sum(partition_count(i) * partition_count(14 - i) for i in range(15)) == 2665
+    assert len(one) == partition_count(14) == 135
+    for level in (both, one):
+        assert all(type(c) is int for c in level.values())
+        assert all(list(mono) == sorted(mono) for mono in level)
+    vac = FockState.vacuum()
+    assert schur_apply((1, -2), 10, vac) == schur_oracle((1, -2), 10, vac)
 
 
 def brute_vertex_coeff(a, b_state, power, r_max=8):
