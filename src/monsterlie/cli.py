@@ -68,20 +68,17 @@ _root_index = _int_arg(
 
 def _cmd_jcoeffs(args):
     series = j_series(args.max)
-    rows = [(n, series.coeff(n)) for n in range(-1, args.max + 1)]
-    return OutputTable.build(["n", "c(n)"], rows), EXIT_OK
+    return OutputTable.build(["n", "c(n)"], enumerate(series.coeffs, -1)), EXIT_OK
 
 
 def _cmd_dims(args):
     dims = primary_dim_series(args.max)
-    rows = [(j, dims.coeff(j - 1)) for j in range(0, args.max + 1)]
-    return OutputTable.build(["weight", "dim_primary"], rows), EXIT_OK
+    return OutputTable.build(["weight", "dim_primary"], enumerate(dims.coeffs)), EXIT_OK
 
 
 def _cmd_eta(args):
     series = euler_product(args.max + 1)
-    rows = [(n, series.coeff(n)) for n in range(0, args.max + 1)]
-    return OutputTable.build(["n", "coefficient"], rows), EXIT_OK
+    return OutputTable.build(["n", "coefficient"], enumerate(series.coeffs)), EXIT_OK
 
 
 def _cmd_cartan(args):

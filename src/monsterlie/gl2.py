@@ -34,8 +34,8 @@ from .lattice import (
     FockState,
     _add,
     _exact,
+    _pairing,
     is_primary,
-    pairing,
     section,
     vertex_iota_coeff,
     weight_of,
@@ -404,14 +404,14 @@ def _generator_bracket(kx, ky, symbols):
     if kx[0] == "h" and ky[0] == "h":
         return {}
     if kx[0] == "h":
-        return {ky: pairing(_AXIS_VECTORS[kx[1]], _root_of(ky))}
+        return {ky: _pairing(_AXIS_VECTORS[kx[1]], _root_of(ky))}
     if ky[0] == "h":
-        return {kx: -pairing(_AXIS_VECTORS[ky[1]], _root_of(kx))}
+        return {kx: -_pairing(_AXIS_VECTORS[ky[1]], _root_of(kx))}
     a, b = _root_of(kx), _root_of(ky)
     m, n = a[0] + b[0], a[1] + b[1]
     if m == n == 0:
         scale = _natural_contraction(symbols, kx[2], ky[2], kx[1])
-        power = pairing(a, b) + 1  # Schur order r = 1
+        power = _pairing(a, b) + 1  # Schur order r = 1
         iota_b = FockState({((), b): 1}, _gated=True)
         state = vertex_iota_coeff(section(*a), iota_b, power)
         for mono, abar in state.terms:

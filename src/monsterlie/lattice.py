@@ -25,8 +25,10 @@ A vector is a coordinate pair (m, n) and a lattice point a pair of
 `int`s.  Coefficients and coordinates are exact rationals in the
 coefficient form of `qseries._coeff`: a plain `int` where integral, a
 `Fraction` otherwise; `_vector` and `_point` gate the pairs that come from
-outside.  States are plain term dictionaries {(mono, abar): coeff}, which
-accumulate by the one rule out[key] = out.get(key, 0) + c.
+outside, and inside the module the form and the cocycle are the bare
+`_pairing` and `_cocycle` on pairs already in that form.  States are
+plain term dictionaries {(mono, abar): coeff}, which accumulate by the
+one rule out[key] = out.get(key, 0) + c.
 
 The four mode actions `heisenberg_apply`, `virasoro_apply`, `schur_apply`
 and `vertex_iota_coeff` are linear and share one kernel shape:
@@ -56,7 +58,6 @@ this module and used only as a test oracle.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from itertools import groupby, product
 from math import comb, factorial, lcm, perm
@@ -87,17 +88,26 @@ def _point(pair):
 
 
 def pairing(u, v):
-    """<(m1,n1),(m2,n2)> = -m1*n2 - n1*m2 (symmetric, even, unimodular)."""
+    """<(m1,n1),(m2,n2)> = -m1*n2 - n1*m2 (symmetric, even, unimodular) of
+    two vectors; `TypeError` on an inexact coordinate."""
+    return _pairing(_vector(u), _vector(v))
+
+
+def cocycle_sign(lam, mu):
+    """The chosen bilinear 2-cocycle (-1)**(m1 * n2) of the lattice points
+    (m1, n1), (m2, n2); `ValueError` off the lattice."""
+    return _cocycle(_point(lam), _point(mu))
+
+
+def _pairing(u, v):
+    """`pairing` of two vectors already in coefficient form."""
     (um, un), (vm, vn) = u, v
     return -(um * vn) - (un * vm)
 
 
-def cocycle_sign(lam, mu):
-    """The chosen bilinear 2-cocycle (-1)**(m1 * n2) of (m1, n1), (m2, n2)."""
-    (m, _), (_, n) = lam, mu
-    if m.denominator != 1 or n.denominator != 1:
-        raise ValueError("cocycle is defined on lattice points only")
-    return -1 if (m.numerator % 2) and (n.numerator % 2) else 1
+def _cocycle(lam, mu):
+    """`cocycle_sign` of two lattice points already `int` pairs."""
+    return -1 if lam[0] & mu[1] & 1 else 1
 
 
 class HatLatticeElement(NamedTuple("HatLatticeElement", [("vector", tuple), ("sign", int)])):
@@ -122,14 +132,14 @@ HAT_IDENTITY = HatLatticeElement((0, 0), 1)
 def hat_multiply(a, b):
     """Group law of the double cover: signs compose through the cocycle."""
     (am, an), (bm, bn) = a.vector, b.vector
-    sign = a.sign * b.sign * cocycle_sign(a.vector, b.vector)
+    sign = a.sign * b.sign * _cocycle(a.vector, b.vector)
     return HatLatticeElement((am + bm, an + bn), sign)
 
 
 def hat_inverse(a):
     """Inverse in the double cover: a * hat_inverse(a) is the identity."""
     m, n = a.vector
-    return HatLatticeElement((-m, -n), a.sign * cocycle_sign(a.vector, (-m, -n)))
+    return HatLatticeElement((-m, -n), a.sign * _cocycle(a.vector, (-m, -n)))
 
 
 def section(m, n, sign=1):
@@ -210,8 +220,6 @@ class FockState:
 
     def __rmul__(self, scalar):
         c = _coeff(scalar)
-        if not c:
-            return FockState.zero()
         return FockState(_exact({k: c * v for k, v in self.terms.items()}), _gated=True)
 
     __mul__ = __rmul__
@@ -283,20 +291,19 @@ def heisenberg_apply(lam, n, state):
     for (mono, abar), c in terms.items():
         if n == 0:
             key = (mono, abar)
-            out[key] = out.get(key, 0) + c * pairing(lam, abar)
+            out[key] = out.get(key, 0) + c * _pairing(lam, abar)
         elif n < 0:
             for axis, x in enumerate(lam):
                 if x:
                     key = (tuple(sorted(mono + ((axis, -n),))), abar)
                     out[key] = out.get(key, 0) + x * c
         else:
-            # contract against each creation factor of depth n
-            for (axis, depth), count in Counter(mono).items():
+            # contract against each creation factor of depth n; equal
+            # factors sit together and drop to one key, once per copy
+            for i, (axis, depth) in enumerate(mono):
                 if depth == n:
-                    reduced = list(mono)
-                    reduced.remove((axis, depth))
-                    key = (tuple(reduced), abar)
-                    scale = pairing(lam, _AXIS_VECTORS[axis]) * n * count
+                    key = (mono[:i] + mono[i + 1 :], abar)
+                    scale = _pairing(lam, _AXIS_VECTORS[axis]) * n
                     out[key] = out.get(key, 0) + scale * c
     return _over(out, d)
 
@@ -403,9 +410,9 @@ def vertex_iota_coeff(a, b_state, power):
     for (mono, abar), c in terms.items():
         m, n = abar
         # a times the sign-1 lift of abar, as in the group law `hat_multiply`
-        sign = a.sign * cocycle_sign(point, abar)
+        sign = a.sign * _cocycle(point, abar)
         target = (point[0] + m, point[1] + n)
-        base = pairing(point, abar)
+        base = _pairing(point, abar)
         entries = [(pair, len(list(run))) for pair, run in groupby(mono)]
         ranges = [range(count + 1) for _, count in entries]
         for chosen in product(*ranges):
@@ -414,7 +421,7 @@ def vertex_iota_coeff(a, b_state, power):
             remaining = []
             for ((axis, mode), count), s in zip(entries, chosen):
                 if s:
-                    factor *= comb(count, s) * (-pairing(point, _AXIS_VECTORS[axis])) ** s
+                    factor *= comb(count, s) * (-_pairing(point, _AXIS_VECTORS[axis])) ** s
                     depth += mode * s
                 remaining.extend([(axis, mode)] * (count - s))
             r = power - base + depth
@@ -444,49 +451,39 @@ def virasoro_apply(n, state):
     d, terms = _numerators(state.terms)
     out = {}
     for (mono, abar), c in terms.items():
-        _virasoro_term(n, mono, abar, c, out)
+        for i, (axis, k) in enumerate(mono):
+            p = n - k
+            rest = mono[:i] + mono[i + 1 :]
+            if p < 0:
+                key = (tuple(sorted(rest + ((axis, -p),))), abar)
+                out[key] = out.get(key, 0) + k * c
+            elif p == 0:
+                key = (rest, abar)
+                out[key] = out.get(key, 0) + k * c * _pairing(_AXIS_VECTORS[axis], abar)
+            else:
+                # each opposite-axis pair with k_i + k_j = n contracts once, at
+                # -k_i k_j, so taking the later factor of the pair loses nothing
+                partner = (1 - axis, p)
+                for j in range(i + 1, len(mono)):
+                    if mono[j] == partner:
+                        key = (rest[: j - 1] + rest[j:], abar)
+                        out[key] = out.get(key, 0) - k * p * c
+        if n == 0:
+            # <abar,abar> = -2 m n is even
+            key = (mono, abar)
+            out[key] = out.get(key, 0) + c * (_pairing(abar, abar) // 2)
+        elif n < 0:
+            # abar(n), then the dual-basis quadratic tail
+            # -1/2 sum_{n<k<0} (u1(k)u2(n-k) + u2(k)u1(n-k)), the dual of u1
+            # being -u2 and vice versa; each monomial occurs twice
+            for axis, x in enumerate(abar):
+                if x:
+                    key = (tuple(sorted(mono + ((axis, -n),))), abar)
+                    out[key] = out.get(key, 0) + x * c
+            for k in range(n + 1, 0):
+                key = (tuple(sorted(mono + ((0, -k), (1, k - n)))), abar)
+                out[key] = out.get(key, 0) - c
     return _over(out, d)
-
-
-def _virasoro_term(n, mono, abar, coeff, out):
-    """Add coeff * L(n) mono iota(abar) into out in one pass over the
-    factors of mono.  Each key takes `_add`'s rule
-    out[key] = out.get(key, 0) + c written out, because an `_add` call per
-    key slows the Virasoro action measurably."""
-    for i, (axis, k) in enumerate(mono):
-        p = n - k
-        rest = mono[:i] + mono[i + 1 :]
-        if p < 0:
-            key = (tuple(sorted(rest + ((axis, -p),))), abar)
-            out[key] = out.get(key, 0) + k * coeff
-        elif p == 0:
-            key = (rest, abar)
-            out[key] = out.get(key, 0) + k * coeff * pairing(_AXIS_VECTORS[axis], abar)
-        else:
-            # each opposite-axis pair with k_i + k_j = n contracts once, at
-            # -k_i k_j, so taking the later factor of the pair loses nothing
-            partner = (1 - axis, p)
-            for j in range(i + 1, len(mono)):
-                if mono[j] == partner:
-                    key = (rest[: j - 1] + rest[j:], abar)
-                    out[key] = out.get(key, 0) - k * p * coeff
-    if n >= 1:
-        return
-    if n == 0:
-        # <abar,abar> = -2 m n is even
-        key = (mono, abar)
-        out[key] = out.get(key, 0) + coeff * (pairing(abar, abar) // 2)
-        return
-    # abar(n), then the dual-basis quadratic tail
-    # -1/2 sum_{n<k<0} (u1(k)u2(n-k) + u2(k)u1(n-k)), the dual of u1 being
-    # -u2 and vice versa; each monomial occurs twice
-    for axis, c in enumerate(abar):
-        if c:
-            key = (tuple(sorted(mono + ((axis, -n),))), abar)
-            out[key] = out.get(key, 0) + c * coeff
-    for k in range(n + 1, 0):
-        key = (tuple(sorted(mono + ((0, -k), (1, k - n)))), abar)
-        out[key] = out.get(key, 0) - coeff
 
 
 def conformal_vector():
@@ -507,7 +504,7 @@ def weight_of(state):
     """
     weights = set()
     for mono, abar in state.terms:
-        weights.add(pairing(abar, abar) // 2 + sum(n for _, n in mono))
+        weights.add(_pairing(abar, abar) // 2 + sum(n for _, n in mono))
     if len(weights) != 1:
         return None
     return weights.pop()

@@ -177,8 +177,6 @@ class QSeries:
             other.order + self.valuation,
         )
         n = order - val
-        if n <= 0:
-            return QSeries(val, [])
         a, b = self.coeffs, other.coeffs
         rb = b[::-1]
         out = []

@@ -55,7 +55,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .dataset import DatasetError, validate_dataset
-from .qseries import IntegralityError, _primary_dims
+from .qseries import IntegralityError, _int, _primary_dims
 
 
 class CoefficientTable(NamedTuple):
@@ -134,6 +134,7 @@ def replicate_extend(dataset, order, classes=None):
     squared-class references (which only reach strictly smaller indices)
     are always available.
     """
+    order = _int(order, "order")
     if order < 5:
         raise ValueError("order must be at least 5 (indices 1,2,3,5 are seeds)")
     if classes is None:
@@ -197,7 +198,8 @@ def multiplicity(dataset, table, k, j):
     none for k).  The orthogonality sum must land on a nonnegative integer
     or the dataset is inconsistent.
     """
-    if not 1 <= j <= table.order:
+    _int(k, "k")
+    if not 1 <= _int(j, "j") <= table.order:
         raise IndexError(f"index {j} outside the computed order {table.order}")
     chi = character(dataset, k)
     total = 0
@@ -240,7 +242,7 @@ def nontriviality_report(dataset, max_j):
     exact since `validate_dataset` runs first (the identity seeds are J's):
     a dataset with violations raises DatasetError and returns no rows.
     """
-    if max_j < 1:
+    if _int(max_j, "max_j") < 1:
         raise ValueError("max_j must be at least 1")
     if violations := validate_dataset(dataset):
         raise DatasetError(violations)

@@ -59,6 +59,11 @@ def test_jcoeffs_csv_round_trips(capsys):
     assert table.render_csv() == text
 
 
+def test_render_names_an_unknown_format():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        OutputTable.build(["n"], [[1]]).render("xml")
+
+
 def test_jcoeffs_json_structure(capsys):
     assert run(["--format", "json", "jcoeffs", "--max", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,8 +29,11 @@ from monsterlie.gl2 import (
 )
 from monsterlie.lattice import (
     FockState,
+    HatLatticeElement,
+    cocycle_sign,
     heisenberg_apply,
     pairing,
+    schur_apply,
     section,
     vertex_iota_coeff,
 )
@@ -491,7 +496,11 @@ def test_bracket_scales_with_pairing_value():
 EXACT_ENTRY_POINTS = {
     "QSeries": lambda x: QSeries(0, [1, x]),
     "section": lambda x: section(x, 0),
+    "HatLatticeElement": lambda x: HatLatticeElement((x, 0)),
+    "pairing": lambda x: pairing((x, 0), (0, 1)),
+    "cocycle_sign": lambda x: cocycle_sign((x, 1), (1, 1)),
     "heisenberg_apply": lambda x: heisenberg_apply((x, 0), -1, FockState.vacuum()),
+    "schur_apply": lambda x: schur_apply((x, 0), 2, FockState.vacuum()),
     "FockState": lambda x: FockState({((), (0, 0)): x}),
     "FockState.__rmul__": lambda x: x * FockState.vacuum(),
     "primary_pair": lambda x: primary_pair(3, norm=x),
@@ -510,6 +519,15 @@ def test_exact_entry_points_reject_inexact_numbers(entry, value):
     message = f"expected an exact rational, got {type(value).__name__}"
     with pytest.raises(TypeError, match=message):
         EXACT_ENTRY_POINTS[entry](value)
+
+
+def test_readme_lists_only_gated_pair_entry_points():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    sentence = re.search(r"lattice point a pair of `int`s:(.*?) take pairs", text, re.S)
+    assert sentence, "README no longer lists the lattice entry points that take pairs"
+    names = re.findall(r"`([^`]+)`", sentence.group(1))
+    assert names and set(names) <= set(EXACT_ENTRY_POINTS), names
 
 
 @pytest.mark.parametrize("weight", [True, 2.5, 2.0, "3"])
@@ -664,6 +682,12 @@ def test_representatives_are_primary():
 def test_non_primary_representative_rejected():
     bad = FormalNaturalVector("u", 2, primary=False, pairings={("u", "u"): 1})
     assert not primality_of_representatives(1, bad)
+
+
+def test_representative_of_the_wrong_weight_rejected():
+    u, _ = primary_pair(2)  # weight 3, the weight of root (1, 2)
+    assert primality_of_representatives(2, u)
+    assert not primality_of_representatives(1, u)
 
 
 # -- golden bracket digest -------------------------------------------------------

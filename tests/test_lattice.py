@@ -150,6 +150,28 @@ def test_cocycle_commutator_law():
         )
 
 
+def test_cocycle_sign_needs_lattice_points():
+    for lam, mu in (((Fraction(1, 2), 1), (1, 1)), ((1, 1), (1, Fraction(3, 2)))):
+        with pytest.raises(ValueError, match="sit over lattice points"):
+            cocycle_sign(lam, mu)
+
+
+@pytest.mark.parametrize("call", [pairing, cocycle_sign])
+def test_form_and_cocycle_gate_every_coordinate(call):
+    for slot in range(4):
+        for bad in (1.0, True):
+            coords = [1, 1, 1, 1]
+            coords[slot] = bad
+            message = f"expected an exact rational, got {type(bad).__name__}"
+            with pytest.raises(TypeError, match=message):
+                call(tuple(coords[:2]), tuple(coords[2:]))
+
+
+def test_hat_element_repr_shows_the_sign():
+    assert repr(HatLatticeElement((1, -1), -1)) == "-hat(1,-1)"
+    assert repr(section(2, 0)) == "hat(2,0)"
+
+
 def test_hat_multiply_examples():
     a = section(1, 0)
     b = section(0, 1)
@@ -213,6 +235,13 @@ def test_zero_mode_scales_by_pairing():
 
 def test_annihilation_on_iota_vanishes():
     assert heisenberg_apply(BETA, 5, FockState.iota(section(2, 3))).is_zero()
+
+
+def test_contraction_counts_each_copy_of_a_repeated_factor():
+    # (0,-1)(1) meets each of the three u1(-1) at <(0,-1), u1> = 1
+    cube = FockState({(((0, 1),) * 3, (0, 0)): 1})
+    contracted = heisenberg_apply((0, -1), 1, cube)
+    assert contracted.terms == {(((0, 1),) * 2, (0, 0)): 3}
 
 
 def test_heisenberg_bracket_identity():

@@ -102,6 +102,34 @@ def test_precision_window_is_enforced():
         a.coeff(3)
     with pytest.raises(PrecisionError):
         a.truncate(10)
+    with pytest.raises(ValueError, match="below the valuation"):
+        series(2, [1, 2]).truncate(1)
+
+
+def test_product_with_an_empty_window_is_empty():
+    assert QSeries(0, [1]) * QSeries(0, []) == QSeries(0, [])
+    assert QSeries(0, []) * QSeries(0, [1]) == QSeries(0, [])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: j_series(-1), "order must be nonnegative"),
+        (lambda: primary_dim_series(-1), "order must be nonnegative"),
+        (lambda: euler_product(0), "order must be at least 1"),
+    ],
+)
+def test_named_series_reject_orders_below_their_range(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_repr_shows_six_nonzero_terms_then_a_cut():
+    assert repr(QSeries(-1, [0, 0])) == "QSeries(0 + O(q^1))"
+    assert repr(QSeries(0, [])) == "QSeries(0 + O(q^0))"
+    assert repr(QSeries(-1, [1, 0, Fraction(1, 2)])) == "QSeries(1*q^-1 + 1/2*q^1 + O(q^2))"
+    shown = " + ".join(f"{n}*q^{n}" for n in range(1, 7))
+    assert repr(QSeries(1, range(1, 9))) == f"QSeries({shown} + ... + O(q^9))"
 
 
 def test_scalar_addition_needs_constant_term_in_window():

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from monsterlie.dataset import (
+    ClassRecord,
     Dataset,
     DatasetError,
     load_dataset,
@@ -307,6 +309,25 @@ def test_odd_halving_names_class_and_index():
     assert "2Z" in str(err.value) and "4" in str(err.value)
 
 
+def test_multiplicity_index_must_lie_in_the_table():
+    d = trivial_dataset()
+    table = replicate_extend(d, 6)
+    for j in (0, 7):
+        with pytest.raises(IndexError, match=f"index {j} outside the computed order 6"):
+            multiplicity(d, table, 1, j)
+
+
+def test_negative_multiplicity_is_an_error():
+    # a Dataset built in code skips file validation: sizes 1 and 1 with
+    # C(2Z, 1) = -196886 put -2 / 2 = -1 copies of the trivial character at j = 1
+    identity = trivial_dataset().classes[0]
+    seeds = {**identity.seeds, 1: -196886}
+    d = Dataset([identity, ClassRecord("2Z", 1, "1A", seeds)], 2)
+    table = replicate_extend(d, 5)
+    with pytest.raises(IntegralityError, match="irreducible 1 at index 1 is negative"):
+        multiplicity(d, table, 1, 1)
+
+
 def test_multiplicity_on_trivial_group_is_the_trace():
     d = trivial_dataset()
     table = replicate_extend(d, 30)
@@ -350,6 +371,45 @@ def test_nontriviality_report_on_trivial_group():
         # sufficient criterion cannot fire on the trivial group
         assert row.verdict == "inconclusive"
         assert not row.holds
+
+
+def test_nontriviality_report_needs_a_positive_max_j():
+    with pytest.raises(ValueError, match="max_j must be at least 1"):
+        nontriviality_report(trivial_dataset(), 0)
+
+
+class Int(int):
+    """An int subclass other than bool: read as the plain int it equals."""
+
+
+def sixth_character_dataset():
+    """The trivial group with a sixth 'irreducible' of value 2, so an
+    irreducible index 6 has a character."""
+    obj = json.loads(json.dumps(to_jsonable(trivial_dataset())))
+    obj["characters"] = {"1": {"1A": "1"}, "6": {"1A": "2"}}
+    return parse_dataset(obj)
+
+
+def multiplicity_at(k, j):
+    d = sixth_character_dataset()
+    return multiplicity(d, replicate_extend(d, 6), k, j)
+
+
+INTEGER_ENTRY_POINTS = {  # a call taking one integer, and the name it reports
+    "replicate_extend": (lambda n: replicate_extend(trivial_dataset(), n), "order"),
+    "nontriviality_report": (lambda n: nontriviality_report(trivial_dataset(), n), "max_j"),
+    "multiplicity k": (lambda n: multiplicity_at(n, 1), "k"),
+    "multiplicity j": (lambda n: multiplicity_at(1, n), "j"),
+}
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(3), 0.5, 3.0, True])
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
+def test_replication_integers_must_be_ints(entry, value):
+    call, name = INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(TypeError, match=f"{name} must be an int, got {type(value).__name__}"):
+        call(value)
+    assert call(Int(6)) == call(6)  # an int subclass reads as the int it equals
 
 
 def test_report_dimensions_match_the_series_route(monkeypatch):
