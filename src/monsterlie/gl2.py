@@ -38,7 +38,6 @@ from .lattice import (
     is_primary,
     section,
     vertex_iota_coeff,
-    weight_of,
 )
 from .qseries import _coeff, _int, j_series
 
@@ -100,7 +99,7 @@ class FormalNaturalVector(
         return self._replace(scale=_coeff(self.scale * _coeff(factor)))
 
     def base(self):
-        return self if self.scale == 1 else self.rescaled(Fraction(1) / self.scale)
+        return self._replace(scale=1)
 
     def __repr__(self):
         prefix = "" if self.scale == 1 else f"{self.scale}*"
@@ -131,7 +130,7 @@ def pairing_value(u, v):
         raise PairingNormalizationError(
             f"pairing ({u.label}, {v.label}) is not defined"
         )
-    return u.scale * v.scale * value
+    return value * u.scale * v.scale
 
 
 def normalize_partner(j, u, uu_pairing):
@@ -316,7 +315,9 @@ def make_gl2(j, u, v, section_sign=1):
     j = -1 the symbols degenerate to the vacuum and the construction
     recovers the subalgebra over the real simple root.  `section_sign`
     picks the lift of (1, j) in the double cover; flipping it negates e
-    and f and must leave every bracket of interest unchanged.
+    and f and must leave every bracket of interest unchanged.  f's two
+    signs multiply as ints before its scale, and h1, h2 are the shared
+    immutable Cartan vectors `_H1`, `_H2`.
     """
     _check_root_index(j)
     if type(section_sign) is not int or section_sign not in (1, -1):
@@ -339,14 +340,15 @@ def make_gl2(j, u, v, section_sign=1):
     symbols = _merge_symbols(
         {u.label: u.base()}, {v.label: v.base()}
     )
-    e = MElement({("e", j, u.label): u.scale * section_sign}, symbols)
-    f = MElement({("f", j, v.label): v.scale * section_sign * (-1) ** (j % 2)}, symbols)
-    h1 = MElement.cartan_vector(0, -1)
-    h2 = MElement.cartan_vector(-1, 0)
-    return Gl2Generators(e, f, h1, h2, j, u, v)
+    e = MElement({("e", j, u.label): section_sign * u.scale}, symbols)
+    f = MElement({("f", j, v.label): section_sign * (-1) ** (j % 2) * v.scale}, symbols)
+    return Gl2Generators(e, f, _H1, _H2, j, u, v)
 
 
-# the real-root subalgebra every j >= 1 is checked against; MElement is immutable
+# every gl2 shares h1, h2 and every j >= 1 is checked against the real-root
+# subalgebra; MElement is immutable
+_H1 = MElement.cartan_vector(0, -1)
+_H2 = MElement.cartan_vector(-1, 0)
 _REAL_ROOT_GL2 = make_gl2(-1, vacuum_vector(), vacuum_vector())
 
 
@@ -387,7 +389,9 @@ def bracket(x, y):
     root space, or raises UnsupportedBracketError when it lands in a
     nonzero root space outside the e/f/Cartan span (for instance two
     raising generators over imaginary roots); never returns a silently
-    wrong answer.
+    wrong answer.  Each pair of terms passes its coefficients on to
+    `_generator_bracket`, which forms their product only for a nonzero
+    bracket, so a vanishing pair costs no multiplication.
     """
     if not isinstance(x, MElement) or not isinstance(y, MElement):
         raise TypeError("bracket expects MElement arguments")
@@ -395,22 +399,27 @@ def bracket(x, y):
     out = {}
     for kx, cx in x.terms.items():
         for ky, cy in y.terms.items():
-            _add(out, _generator_bracket(kx, ky, symbols), cx * cy)
+            _add(out, _generator_bracket(kx, cx, ky, cy, symbols))
     return MElement(out, symbols)
 
 
-def _generator_bracket(kx, ky, symbols):
-    """[kx, ky] for two generator keys of `MElement.terms`, as a term dict."""
+def _generator_bracket(kx, cx, ky, cy, symbols):
+    """[cx kx, cy ky] for two generator keys of `MElement.terms` and their
+    coefficients, as a term dict.  Each scalar is formed once, integer
+    factors first: the pairing <lam, root> times cx * cy for a Cartan
+    vector, and for a raising-lowering pair the contraction scalar times
+    cx * cy through `_coeff`, so the Fock-state coordinates meet an `int`
+    wherever that product is one."""
     if kx[0] == "h" and ky[0] == "h":
         return {}
     if kx[0] == "h":
-        return {ky: _pairing(_AXIS_VECTORS[kx[1]], _root_of(ky))}
+        return {ky: _pairing(_AXIS_VECTORS[kx[1]], _root_of(ky)) * cx * cy}
     if ky[0] == "h":
-        return {kx: -_pairing(_AXIS_VECTORS[ky[1]], _root_of(kx))}
+        return {kx: -_pairing(_AXIS_VECTORS[ky[1]], _root_of(kx)) * cx * cy}
     a, b = _root_of(kx), _root_of(ky)
     m, n = a[0] + b[0], a[1] + b[1]
     if m == n == 0:
-        scale = _natural_contraction(symbols, kx[2], ky[2], kx[1])
+        scale = _coeff(_natural_contraction(symbols, kx[2], ky[2], kx[1]) * cx * cy)
         power = _pairing(a, b) + 1  # Schur order r = 1
         iota_b = FockState({((), b): 1}, _gated=True)
         state = vertex_iota_coeff(section(*a), iota_b, power)
@@ -520,14 +529,12 @@ def primality_of_representatives(j, u):
 
     L(n)(x (x) y) = L(n)x (x) y + x (x) L(n)y: the first summand vanishes
     by the primality flag of u, the second by the Fock-space Virasoro
-    action on iota(1, j), and the weights sum to (j + 1) + (-j) = 1.
+    action on iota(1, j), and the weights sum to (j + 1) + (-j) = 1, as
+    iota(1, j) has weight <(1,j),(1,j)>/2 = -j for every j.
     """
     _check_root_index(j)
     if not u.primary:
         return False
     if u.weight != j + 1:
         return False
-    state = FockState.iota(section(1, j))
-    if weight_of(state) != -j:
-        return False
-    return is_primary(state)
+    return is_primary(FockState.iota(section(1, j)))

@@ -254,9 +254,13 @@ def _exact(terms):
 
 
 def _add(out, terms, scale=1):
-    """Add scale * terms into the term dict out: the one term accumulator."""
+    """Add scale * terms into the term dict out: the one term accumulator.
+    A new key takes its part as it is and the default scale multiplies
+    nothing, so a `Fraction` part costs no `0 + c` or `1 * c`."""
     for key, c in terms.items():
-        out[key] = out.get(key, 0) + scale * c
+        if scale != 1:
+            c = scale * c
+        out[key] = out[key] + c if key in out else c
 
 
 def _numerators(terms):

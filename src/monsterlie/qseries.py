@@ -192,8 +192,9 @@ class QSeries:
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        if type(exponent) is not int:
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise TypeError("series powers must be integers")
+        exponent = int(exponent)
         if exponent < 0:
             return self.invert() ** (-exponent)
         if exponent == 0:

@@ -585,6 +585,45 @@ def test_gl2_values_are_in_coefficient_form():
             assert verify_relations(j, u, v).all_passed
 
 
+TERM_SUM_KEYS = {
+    "FockState": (FockState, (((), (1, 0)), (((0, 1),), (0, 1)), (((0, 1), (1, 2)), (1, 1)))),
+    "MElement": (MElement, (("e", 1, "u"), ("f", 1, "u"), ("h", 0))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TERM_SUM_KEYS))
+def test_term_sums_match_a_fraction_reference(kind):
+    cls, (k0, k1, k2) = TERM_SUM_KEYS[kind]
+    x = {k0: Fraction(1, 2), k1: 3}
+    y = {k0: Fraction(1, 2), k2: Fraction(-2, 3)}
+    a, b = cls(x), cls(y)
+
+    def reference(*parts):
+        out = {}
+        for scale, terms in parts:
+            for key, c in terms.items():
+                out[key] = out.get(key, Fraction(0)) + Fraction(scale) * Fraction(c)
+        return {key: c for key, c in out.items() if c}
+
+    cases = [
+        (a + b, reference((1, x), (1, y))),  # 1/2 + 1/2; k1, k2 on one side only
+        (a - b, reference((1, x), (-1, y))),  # 1/2 - 1/2 cancels
+        (b - a, reference((1, y), (-1, x))),
+        (-1 * a, reference((-1, x))),
+        (Fraction(2, 3) * a, reference((Fraction(2, 3), x))),  # 2/3 * 3 = 2
+        (a + Fraction(-3, 2) * b, reference((1, x), (Fraction(-3, 2), y))),
+        (b * 2 - a, reference((2, y), (-1, x))),
+    ]
+    for got, want in cases:
+        assert got.terms == want
+        for c in got.terms.values():
+            assert c != 0
+            assert_coefficient_form(c)
+    assert type((a + b).terms[k0]) is int and (a + b).terms[k0] == 1
+    assert k0 not in (a - b).terms
+    assert type((Fraction(2, 3) * a).terms[k1]) is int
+
+
 def test_base_of_negated_symbol_is_exact():
     base = FormalNaturalVector("w", 2, scale=-1).base()
     assert base.scale == 1
@@ -649,6 +688,23 @@ def test_verify_relations_builds_one_gl2_per_call(monkeypatch):
         calls.clear()
         assert verify_relations(j, *primary_pair(j)).all_passed
         assert calls == [j]
+
+
+def test_verify_relations_on_the_benchmark_input_shape():
+    # a short sweep over the inputs of the gl2 benchmark job: every norm it
+    # draws, one non-integral norm, and both lifts of each root
+    h1, h2 = MElement.cartan_vector(0, -1), MElement.cartan_vector(-1, 0)
+    for j in (-1, *range(1, 61)):
+        for norm in (*range(1, 10), Fraction(5, 2)):
+            for sign in (1, -1):
+                u, v = primary_pair(j, norm)
+                report = verify_relations(j, u, v, section_sign=sign)
+                assert report.all_passed, (j, norm, sign)
+                assert len(report.checks) == (9 if j == -1 else 10)
+                gens = make_gl2(j, u, v, section_sign=sign)
+                assert (gens.h1, gens.h2) == (h1, h2)
+                cartan = bracket(gens.e, gens.f).cartan
+                assert cartan == (1, j) and [type(c) for c in cartan] == [int, int]
 
 
 def test_relations_hold_under_flipped_section():

@@ -156,6 +156,11 @@ def test_series_arithmetic_rejects_bool(call, message):
     assert str(err.value) == message
 
 
+def test_power_reads_an_int_subclass_as_its_int():
+    assert j_series(3) ** Int(2) == j_series(3) ** 2
+    assert j_series(3) ** Int(-1) == j_series(3) ** -1
+
+
 def test_power_routes_negative_exponents_through_invert():
     a = series(0, [1, -1, 0, 0, 0, 0])
     assert a ** -1 == a.invert()
