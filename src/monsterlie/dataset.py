@@ -146,11 +146,20 @@ def parse_dataset(obj):
         except DatasetError as exc:
             problems.extend(exc.violations)
             continue
-        seeds = {
-            k: _parse_int(seeds_raw[str(k)], f"class {name} seed {k}")
-            for k in SEED_INDICES
-            if str(k) in seeds_raw
-        }
+        seeds, spelled = {}, {}
+        for k_raw, value in seeds_raw.items():
+            k = _parse_int(k_raw, f"class {name} seed index")
+            if k not in SEED_INDICES:
+                problems.append(
+                    f"class {name}: seed key {k_raw!r} is not a seed index {SEED_INDICES}"
+                )
+            elif k in spelled:
+                problems.append(
+                    f"class {name}: seed index {k} given twice: {spelled[k]!r} and {k_raw!r}"
+                )
+            else:
+                spelled[k] = k_raw
+                seeds[k] = _parse_int(value, f"class {name} seed {k}")
         records.append(ClassRecord(name, size, power2, seeds))
     if problems:
         raise DatasetError(problems)

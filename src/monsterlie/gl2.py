@@ -99,7 +99,8 @@ class FormalNaturalVector(
         return self._replace(scale=_coeff(self.scale * _coeff(factor)))
 
     def base(self):
-        return self._replace(scale=1)
+        """The symbol at scale 1: itself when it is unscaled."""
+        return self if self.scale == 1 else self._replace(scale=1)
 
     def __repr__(self):
         prefix = "" if self.scale == 1 else f"{self.scale}*"
@@ -207,17 +208,28 @@ def cartan_block_size(i):
 # -- normal-form elements --------------------------------------------------
 
 
+_NO_SYMBOLS = MappingProxyType({})
+
+
 class MElement:
     """Element of the modeled slice: one exact term dict over the generator
     keys ("e", root index, label) and ("f", root index, label) and the
     Cartan coordinates ("h", axis) on the Fock axes u1 = (1, 0) and
-    u2 = (0, 1)."""
+    u2 = (0, 1), and a read-only symbol table from label to symbol.
+
+    A table from outside is copied once into a `MappingProxyType`; after
+    that brackets, sums and scalar multiples pass it on by reference.
+    Terms in coefficient form and a table built here pass the private
+    `_gated=True` and are stored as they are."""
 
     __slots__ = ("terms", "symbols")
 
-    def __init__(self, terms=None, symbols=None):
-        object.__setattr__(self, "terms", _exact(terms))
-        object.__setattr__(self, "symbols", dict(symbols) if symbols else {})
+    def __init__(self, terms=None, symbols=None, *, _gated=False):
+        if not _gated:
+            terms = _exact(terms)
+            symbols = MappingProxyType(dict(symbols)) if symbols else _NO_SYMBOLS
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "symbols", symbols)
 
     def __setattr__(self, name, value):
         raise AttributeError("MElement is immutable")
@@ -240,25 +252,42 @@ class MElement:
         return not self.terms
 
     def __eq__(self, other):
-        return isinstance(other, MElement) and self.terms == other.terms
+        """Equal terms, and each label the terms use names one symbol in both
+        tables under the rule of `_merge_symbols`."""
+        if not isinstance(other, MElement) or self.terms != other.terms:
+            return False
+        a, b = self.symbols, other.symbols
+        if a is not b:
+            for key in self.terms:
+                if key[0] != "h" and not _same_symbol(a.get(key[2]), b.get(key[2])):
+                    return False
+        return True
 
     def __add__(self, other):
         if not isinstance(other, MElement):
             return NotImplemented
         terms = dict(self.terms)
         _add(terms, other.terms)
-        return MElement(terms, _merge_symbols(self.symbols, other.symbols))
+        symbols = _merge_symbols(self.symbols, other.symbols)
+        return MElement(_exact(terms), symbols, _gated=True)
 
     def __sub__(self, other):
         if not isinstance(other, MElement):
             return NotImplemented
         terms = dict(self.terms)
         _add(terms, other.terms, -1)
-        return MElement(terms, _merge_symbols(self.symbols, other.symbols))
+        symbols = _merge_symbols(self.symbols, other.symbols)
+        return MElement(_exact(terms), symbols, _gated=True)
 
     def __rmul__(self, scalar):
         c = _coeff(scalar)
-        return MElement({k: c * v for k, v in self.terms.items()}, self.symbols)
+        if c == 1:
+            return self
+        if c == -1:  # negation keeps coefficient form
+            terms = {k: -v for k, v in self.terms.items()}
+        else:
+            terms = _exact({k: c * v for k, v in self.terms.items()})
+        return MElement(terms, self.symbols, _gated=True)
 
     __mul__ = __rmul__
 
@@ -273,17 +302,31 @@ class MElement:
         return "MElement(" + (" + ".join(parts) if parts else "0") + ")"
 
 
+def _same_symbol(a, b):
+    """Whether two table entries (None for a missing label) name one symbol:
+    equal weight, primality and pairing table; the scale lives in the term
+    coefficients, so rescaled copies of a symbol are the same symbol."""
+    return a is b or (
+        a is not None and b is not None
+        and (a.weight, a.primary, a.pairings) == (b.weight, b.primary, b.pairings)
+    )
+
+
 def _merge_symbols(a, b):
-    out = dict(a)
+    """The symbol table of an element built from elements with tables a, b.
+    One table, or one of them empty, is passed on as it is; only two
+    different non-empty tables build a new read-only one, and a label that
+    names two different symbols in them raises `Gl2ValidationError`."""
+    if b is a or not b:
+        return a
+    if not a:
+        return b
+    out = a.copy()  # a copy of the dict behind a table, faster than dict(a)
     for label, vec in b.items():
-        if label in out and (
-            out[label].weight != vec.weight
-            or out[label].primary != vec.primary
-            or out[label].pairings != vec.pairings  # equal for rescaled copies
-        ):
+        if label in out and not _same_symbol(out[label], vec):
             raise Gl2ValidationError(f"conflicting symbols for label {label!r}")
         out[label] = vec
-    return out
+    return MappingProxyType(out)
 
 
 class Gl2Generators(NamedTuple):
@@ -315,9 +358,10 @@ def make_gl2(j, u, v, section_sign=1):
     j = -1 the symbols degenerate to the vacuum and the construction
     recovers the subalgebra over the real simple root.  `section_sign`
     picks the lift of (1, j) in the double cover; flipping it negates e
-    and f and must leave every bracket of interest unchanged.  f's two
-    signs multiply as ints before its scale, and h1, h2 are the shared
-    immutable Cartan vectors `_H1`, `_H2`.
+    and f and must leave every bracket of interest unchanged.  The
+    coefficients of e and f are the scales of u and v up to a sign, e and
+    f share one read-only symbol table of the unscaled symbols, and h1, h2
+    are the shared immutable Cartan vectors `_H1`, `_H2`.
     """
     _check_root_index(j)
     if type(section_sign) is not int or section_sign not in (1, -1):
@@ -337,18 +381,20 @@ def make_gl2(j, u, v, section_sign=1):
         raise PairingNormalizationError(
             f"(u,v) must be {expected} for root index {j}, got {value}"
         )
-    symbols = _merge_symbols(
-        {u.label: u.base()}, {v.label: v.base()}
-    )
-    e = MElement({("e", j, u.label): section_sign * u.scale}, symbols)
-    f = MElement({("f", j, v.label): section_sign * (-1) ** (j % 2) * v.scale}, symbols)
+    symbols = _merge_symbols({u.label: u.base()}, {v.label: v.base()})
+    e_scale = u.scale if section_sign == 1 else -u.scale
+    f_scale = v.scale if section_sign == (-1) ** (j % 2) else -v.scale
+    e = MElement({("e", j, u.label): e_scale}, symbols, _gated=True)
+    f = MElement({("f", j, v.label): f_scale}, symbols, _gated=True)
     return Gl2Generators(e, f, _H1, _H2, j, u, v)
 
 
-# every gl2 shares h1, h2 and every j >= 1 is checked against the real-root
-# subalgebra; MElement is immutable
+# every gl2 shares h1, h2, every relation report compares against one zero,
+# and every j >= 1 is checked against the real-root subalgebra; MElement is
+# immutable
 _H1 = MElement.cartan_vector(0, -1)
 _H2 = MElement.cartan_vector(-1, 0)
+_ZERO = MElement()
 _REAL_ROOT_GL2 = make_gl2(-1, vacuum_vector(), vacuum_vector())
 
 
@@ -391,7 +437,8 @@ def bracket(x, y):
     raising generators over imaginary roots); never returns a silently
     wrong answer.  Each pair of terms passes its coefficients on to
     `_generator_bracket`, which forms their product only for a nonzero
-    bracket, so a vanishing pair costs no multiplication.
+    bracket, so a vanishing pair costs no multiplication.  The result
+    carries the operands' shared symbol table (see `_merge_symbols`).
     """
     if not isinstance(x, MElement) or not isinstance(y, MElement):
         raise TypeError("bracket expects MElement arguments")
@@ -399,23 +446,27 @@ def bracket(x, y):
     out = {}
     for kx, cx in x.terms.items():
         for ky, cy in y.terms.items():
-            _add(out, _generator_bracket(kx, cx, ky, cy, symbols))
-    return MElement(out, symbols)
+            _generator_bracket(out, kx, cx, ky, cy, symbols)
+    return MElement(_exact(out), symbols, _gated=True)
 
 
-def _generator_bracket(kx, cx, ky, cy, symbols):
-    """[cx kx, cy ky] for two generator keys of `MElement.terms` and their
-    coefficients, as a term dict.  Each scalar is formed once, integer
+def _generator_bracket(out, kx, cx, ky, cy, symbols):
+    """Add [cx kx, cy ky], for two generator keys of `MElement.terms` and
+    their coefficients, into the call's one term dict out, the kernel shape
+    of the lattice mode actions.  Each scalar is formed once, integer
     factors first: the pairing <lam, root> times cx * cy for a Cartan
     vector, and for a raising-lowering pair the contraction scalar times
     cx * cy through `_coeff`, so the Fock-state coordinates meet an `int`
     wherever that product is one."""
-    if kx[0] == "h" and ky[0] == "h":
-        return {}
-    if kx[0] == "h":
-        return {ky: _pairing(_AXIS_VECTORS[kx[1]], _root_of(ky)) * cx * cy}
-    if ky[0] == "h":
-        return {kx: -_pairing(_AXIS_VECTORS[ky[1]], _root_of(kx)) * cx * cy}
+    if kx[0] == "h" or ky[0] == "h":
+        if kx[0] == ky[0]:
+            return  # two Cartan vectors commute
+        if kx[0] == "h":
+            key, c = ky, _pairing(_AXIS_VECTORS[kx[1]], _root_of(ky)) * cx * cy
+        else:
+            key, c = kx, -_pairing(_AXIS_VECTORS[ky[1]], _root_of(kx)) * cx * cy
+        out[key] = out[key] + c if key in out else c
+        return
     a, b = _root_of(kx), _root_of(ky)
     m, n = a[0] + b[0], a[1] + b[1]
     if m == n == 0:
@@ -423,21 +474,22 @@ def _generator_bracket(kx, cx, ky, cy, symbols):
         power = _pairing(a, b) + 1  # Schur order r = 1
         iota_b = FockState({((), b): 1}, _gated=True)
         state = vertex_iota_coeff(section(*a), iota_b, power)
-        for mono, abar in state.terms:
+        for (mono, abar), c in state.terms.items():
             if abar != (0, 0) or len(mono) != 1 or mono[0][1] != 1:
                 raise UnsupportedBracketError(
                     f"state {state!r} is not a Cartan representative"
                 )
-        # the coefficients of u1(-1) iota(1) and u2(-1) iota(1) are the
-        # Cartan coordinates on those axes
-        return {("h", mono[0][0]): scale * c for (mono, _), c in state.terms.items()}
+            # the coefficients of u1(-1) iota(1) and u2(-1) iota(1) are the
+            # Cartan coordinates on those axes
+            key, c = ("h", mono[0][0]), scale * c
+            out[key] = out[key] + c if key in out else c
+        return
     if m * n == -1 or m * n >= 1:
         # away from the origin a root space is zero exactly when the
         # graded dimension c(m*n) is: at m*n = 0 or m*n <= -2
         raise UnsupportedBracketError(
             f"bracket lands in root space ({m},{n}), outside the supported span"
         )
-    return {}
 
 
 # -- verification ------------------------------------------------------------
@@ -494,7 +546,7 @@ def verify_relations(j, u, v, section_sign=1):
     gens = make_gl2(j, u, v, section_sign=section_sign)
     e, f, h1, h2 = gens.e, gens.f, gens.h1, gens.h2
     checks = [
-        _check("[h1, h2] == 0", "core", bracket(h1, h2), MElement.zero()),
+        _check("[h1, h2] == 0", "core", bracket(h1, h2), _ZERO),
         _check("[h1, e] == e", "core", bracket(h1, e), e),
         _check(f"[h2, e] == {j}*e", "core", bracket(h2, e), j * e),
         _check("[h1, f] == -f", "core", bracket(h1, f), -1 * f),
@@ -516,10 +568,10 @@ def verify_relations(j, u, v, section_sign=1):
     else:
         real = _REAL_ROOT_GL2
         checks += [
-            _check("[e(-1), f] == 0", "cross", bracket(real.e, f), MElement.zero()),
-            _check("[e, f(-1)] == 0", "cross", bracket(e, real.f), MElement.zero()),
-            _check("[f(-1), e] == 0", "cross", bracket(real.f, e), MElement.zero()),
-            _check("[f, e(-1)] == 0", "cross", bracket(f, real.e), MElement.zero()),
+            _check("[e(-1), f] == 0", "cross", bracket(real.e, f), _ZERO),
+            _check("[e, f(-1)] == 0", "cross", bracket(e, real.f), _ZERO),
+            _check("[f(-1), e] == 0", "cross", bracket(real.f, e), _ZERO),
+            _check("[f, e(-1)] == 0", "cross", bracket(f, real.e), _ZERO),
         ]
     return RelationReport(j, checks)
 

@@ -234,6 +234,54 @@ def test_a_character_index_given_twice_is_named(tmp_path, capsys, spelling):
     assert capsys.readouterr().err == f"dataset error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"4": "999"}, "class 1A: seed key '4' is not a seed index (-1, 1, 2, 3, 5)"),
+        ({"0": "0"}, "class 1A: seed key '0' is not a seed index (-1, 1, 2, 3, 5)"),
+        ({"seven": "abc"}, "class 1A seed index: expected a decimal integer, got 'seven'"),
+        ({"01": "196884"}, "class 1A: seed index 1 given twice: '1' and '01'"),
+        ({"−1": "1"}, "class 1A: seed index -1 given twice: '-1' and '−1'"),
+    ],
+    ids=["non-seed-index", "index-zero", "not-an-integer", "one-index-twice", "unicode-minus-twice"],
+)
+def test_a_seed_key_is_a_seed_index_given_once(tmp_path, capsys, extra, message):
+    # seed keys follow the integer rule of character keys; an unknown key
+    # used to be ignored without a word
+    obj = toy_object()
+    obj["classes"][0]["seeds"].update(extra)
+    with pytest.raises(DatasetError) as err:
+        parse_dataset(obj)
+    assert err.value.violations == [message]
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps(obj))
+    assert run(["validate-data", "--data", str(path)]) == 3
+    assert capsys.readouterr().err == f"dataset error: {message}\n"
+
+
+@pytest.mark.parametrize("spelling", ["01", "+1", " 1"])
+def test_a_seed_index_reads_as_the_integer_it_spells(spelling):
+    obj = toy_object()
+    seeds = obj["classes"][0]["seeds"]
+    seeds[spelling] = seeds.pop("1")
+    assert parse_dataset(obj).classes[0].seeds == trivial_dataset().classes[0].seeds
+
+
+def test_every_class_names_its_own_seed_problems():
+    obj = toy_object()
+    zero = {str(k): "1" if k == -1 else "0" for k in SEED_INDICES}
+    obj["classes"].append({"name": "2Z", "class_size": "1", "power2": "2Z", "seeds": zero})
+    obj["classes"][0]["seeds"]["4"] = "1"
+    obj["classes"][1]["seeds"]["2 "] = "0"
+    obj.pop("group_order")
+    with pytest.raises(DatasetError) as err:
+        parse_dataset(obj)
+    assert err.value.violations == [
+        "class 1A: seed key '4' is not a seed index (-1, 1, 2, 3, 5)",
+        "class 2Z: seed index 2 given twice: '2' and '2 '",
+    ]
+
+
 def test_an_empty_class_is_a_violation():
     # a class of size 0 would drop out of every multiplicity unseen
     identity = trivial_dataset().classes[0]

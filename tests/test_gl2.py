@@ -197,6 +197,30 @@ def test_symbols_with_one_label_and_two_pairing_tables_conflict():
     assert a.e + 2 * c.e == 3 * a.e
 
 
+def test_melement_equality_compares_the_symbols_its_terms_name():
+    # equal terms over one label that names two different symbols: the
+    # difference raises, so the elements must not compare equal
+    a = make_gl2(1, *primary_pair(1, norm=1))
+    b = make_gl2(1, *primary_pair(1, norm=4))
+    assert a.e.terms == b.e.terms
+    assert a.e != b.e and b.e != a.e
+    with pytest.raises(Gl2ValidationError, match="conflicting symbols for label 'u'"):
+        a.e - b.e
+    # the Cartan part names no label, so the tables do not matter there
+    assert bracket(a.e, a.f) == bracket(b.e, b.f) == MElement.cartan_vector(1, 1)
+    assert 0 * a.e == MElement.zero() == 0 * b.e
+    # a table built apart with the same symbols, a rescaled symbol under
+    # the same label, or a merged table still compares equal
+    u, v = primary_pair(1, norm=1)
+    c = make_gl2(1, u, v)
+    assert a.e == c.e and a.e.symbols is not c.e.symbols
+    assert MElement(a.e.terms, {"u": u.rescaled(5)}) == a.e
+    assert a.e + c.e == 2 * a.e
+    # a label missing from one table is not the symbol of the other
+    assert MElement(a.e.terms) != a.e and a.e != MElement(a.e.terms)
+    assert MElement(a.e.terms) == MElement(a.e.terms, {"w": u})
+
+
 def test_symbol_equality_includes_the_pairing_table():
     u = FormalNaturalVector("u", 2, pairings={("u", "u"): 1})
     assert u != FormalNaturalVector("u", 2, pairings={("u", "u"): 4})
@@ -434,6 +458,43 @@ def test_bracket_builds_one_melement(monkeypatch):
         calls.clear()
         bracket(left, right)
         assert len(calls) == 1, (left, right)
+
+
+def test_gl2_elements_share_one_read_only_symbol_table():
+    gens = make_gl2(2, *primary_pair(2, norm=3))
+    e, f = gens.e, gens.f
+    assert e.symbols is f.symbols
+    with pytest.raises(TypeError):
+        e.symbols["u"] = vacuum_vector()
+    assert dict(e.symbols) == {"u": gens.u}
+    # brackets, sums and scalar multiples pass the one table on
+    assert bracket(e, f).symbols is e.symbols
+    assert bracket(gens.h1, e).symbols is e.symbols
+    assert bracket(f, gens.h2).symbols is e.symbols
+    assert (e + 3 * f).symbols is e.symbols
+    assert (e - Fraction(1, 2) * e).symbols is e.symbols
+    assert (-1 * f).symbols is e.symbols
+    assert 1 * e is e and e * 1 is e
+    # h1 and h2 carry no symbols; the table of the other side is kept
+    assert (gens.h1 + e).symbols is e.symbols and not gens.h1.symbols
+    # two different tables meet in a new read-only table holding both
+    real = make_gl2(-1, vacuum_vector(), vacuum_vector())
+    both = bracket(real.e, f).symbols
+    assert set(both) == {"1", "u"} and both is not e.symbols
+    with pytest.raises(TypeError):
+        both["w"] = vacuum_vector()
+
+
+def test_melement_copies_the_table_it_is_given():
+    u = FormalNaturalVector("u", 2, pairings={("u", "u"): 1})
+    table = {"u": u}
+    x = MElement({("e", 1, "u"): 1}, table)
+    table["u"] = FormalNaturalVector("u", 2, pairings={("u", "u"): 4})
+    table["w"] = u
+    assert dict(x.symbols) == {"u": u}
+    with pytest.raises(TypeError):
+        x.symbols["u"] = u
+    assert dict(MElement({("h", 0): 1}).symbols) == {}
 
 
 def test_antisymmetry_on_computable_pairs():
