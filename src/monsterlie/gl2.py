@@ -4,8 +4,9 @@ Elements are kept in the span of raising generators e(j,u), lowering
 generators f(j,v), and Cartan vectors 1 (x) lam(-1) iota(1), with the
 moonshine-module tensor factors handled as formal symbols: a symbol is
 an immutable value that carries a label, a weight, a primality flag, a
-scale and a read-only table of bilinear pairings, and the only
-contraction the bracket ever needs is
+scale and a read-only table of bilinear pairings, each raising or
+lowering term names its symbol in its key, and the only contraction the
+bracket ever needs is
 
     u_{2j+1} v = (-1)**j (u, v) * vacuum
 
@@ -77,7 +78,8 @@ class FormalNaturalVector(
     `pairings` is a read-only map from unordered label pairs to exact
     rationals, the values of the invariant bilinear form normalized so the
     vacuum pairs with itself to -1.  `scale` lets proportional partners
-    share one label.  A symbol is immutable.
+    share one label.  A symbol is immutable and hashes by label and weight,
+    so a term key can name it.
     """
 
     __slots__ = ()
@@ -101,6 +103,11 @@ class FormalNaturalVector(
     def base(self):
         """The symbol at scale 1: itself when it is unscaled."""
         return self if self.scale == 1 else self._replace(scale=1)
+
+    def __hash__(self):
+        # the read-only pairing table does not hash; equal symbols agree on
+        # label and weight
+        return hash((self.label, self.weight))
 
     def __repr__(self):
         prefix = "" if self.scale == 1 else f"{self.scale}*"
@@ -208,28 +215,27 @@ def cartan_block_size(i):
 # -- normal-form elements --------------------------------------------------
 
 
-_NO_SYMBOLS = MappingProxyType({})
-
-
 class MElement:
     """Element of the modeled slice: one exact term dict over the generator
-    keys ("e", root index, label) and ("f", root index, label) and the
-    Cartan coordinates ("h", axis) on the Fock axes u1 = (1, 0) and
-    u2 = (0, 1), and a read-only symbol table from label to symbol.
+    keys ("e", root index, symbol) and ("f", root index, symbol), each
+    symbol at scale 1 as the scale lives in the coefficient, and the Cartan
+    coordinates ("h", axis) on the Fock axes u1 = (1, 0) and u2 = (0, 1).
 
-    A table from outside is copied once into a `MappingProxyType`; after
-    that brackets, sums and scalar multiples pass it on by reference.
-    Terms in coefficient form and a table built here pass the private
-    `_gated=True` and are stored as they are."""
+    `_key` checks each outside key and stores its symbol at scale 1, keys
+    that then coincide merge, and `_exact` puts every coefficient in
+    coefficient form.  Terms in coefficient form with keys built here pass
+    the private `_gated=True` and are stored as they are."""
 
-    __slots__ = ("terms", "symbols")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, symbols=None, *, _gated=False):
-        if not _gated:
-            terms = _exact(terms)
-            symbols = MappingProxyType(dict(symbols)) if symbols else _NO_SYMBOLS
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "symbols", symbols)
+    def __init__(self, terms=None, *, _gated=False):
+        if terms and not _gated:
+            merged = {}
+            for key, c in terms.items():
+                key = _key(key)
+                merged[key] = merged.get(key, 0) + _coeff(c)
+            terms = _exact(merged)
+        object.__setattr__(self, "terms", terms or {})
 
     def __setattr__(self, name, value):
         raise AttributeError("MElement is immutable")
@@ -252,32 +258,21 @@ class MElement:
         return not self.terms
 
     def __eq__(self, other):
-        """Equal terms, and each label the terms use names one symbol in both
-        tables under the rule of `_merge_symbols`."""
-        if not isinstance(other, MElement) or self.terms != other.terms:
-            return False
-        a, b = self.symbols, other.symbols
-        if a is not b:
-            for key in self.terms:
-                if key[0] != "h" and not _same_symbol(a.get(key[2]), b.get(key[2])):
-                    return False
-        return True
+        return isinstance(other, MElement) and self.terms == other.terms
 
     def __add__(self, other):
         if not isinstance(other, MElement):
             return NotImplemented
         terms = dict(self.terms)
         _add(terms, other.terms)
-        symbols = _merge_symbols(self.symbols, other.symbols)
-        return MElement(_exact(terms), symbols, _gated=True)
+        return MElement(_exact(terms), _gated=True)
 
     def __sub__(self, other):
         if not isinstance(other, MElement):
             return NotImplemented
         terms = dict(self.terms)
         _add(terms, other.terms, -1)
-        symbols = _merge_symbols(self.symbols, other.symbols)
-        return MElement(_exact(terms), symbols, _gated=True)
+        return MElement(_exact(terms), _gated=True)
 
     def __rmul__(self, scalar):
         c = _coeff(scalar)
@@ -287,46 +282,27 @@ class MElement:
             terms = {k: -v for k, v in self.terms.items()}
         else:
             terms = _exact({k: c * v for k, v in self.terms.items()})
-        return MElement(terms, self.symbols, _gated=True)
+        return MElement(terms, _gated=True)
 
     __mul__ = __rmul__
 
     def __repr__(self):
-        parts = [
-            f"{c}*{key[0]}({key[1]},{key[2]})"
-            for key, c in sorted(self.terms.items())
-            if key[0] != "h"
-        ]
+        terms = [(key, c) for key, c in self.terms.items() if key[0] != "h"]
+        terms.sort(key=lambda term: (term[0][0], term[0][1], term[0][2].label))
+        parts = [f"{c}*{kind}({j},{symbol.label})" for (kind, j, symbol), c in terms]
         if any(self.cartan):
             parts.append("cartan({},{})".format(*self.cartan))
         return "MElement(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def _same_symbol(a, b):
-    """Whether two table entries (None for a missing label) name one symbol:
-    equal weight, primality and pairing table; the scale lives in the term
-    coefficients, so rescaled copies of a symbol are the same symbol."""
-    return a is b or (
-        a is not None and b is not None
-        and (a.weight, a.primary, a.pairings) == (b.weight, b.primary, b.pairings)
-    )
-
-
-def _merge_symbols(a, b):
-    """The symbol table of an element built from elements with tables a, b.
-    One table, or one of them empty, is passed on as it is; only two
-    different non-empty tables build a new read-only one, and a label that
-    names two different symbols in them raises `Gl2ValidationError`."""
-    if b is a or not b:
-        return a
-    if not a:
-        return b
-    out = a.copy()  # a copy of the dict behind a table, faster than dict(a)
-    for label, vec in b.items():
-        if label in out and not _same_symbol(out[label], vec):
-            raise Gl2ValidationError(f"conflicting symbols for label {label!r}")
-        out[label] = vec
-    return MappingProxyType(out)
+def _key(key):
+    """A term key from outside in kernel form: a generator key's symbol at
+    scale 1; `Gl2ValidationError` when its third entry is not a symbol."""
+    if key[0] == "h":
+        return key
+    if len(key) != 3 or not isinstance(key[2], FormalNaturalVector):
+        raise Gl2ValidationError(f"term key {key!r} does not name a FormalNaturalVector")
+    return key[0], key[1], key[2].base()
 
 
 class Gl2Generators(NamedTuple):
@@ -359,9 +335,9 @@ def make_gl2(j, u, v, section_sign=1):
     recovers the subalgebra over the real simple root.  `section_sign`
     picks the lift of (1, j) in the double cover; flipping it negates e
     and f and must leave every bracket of interest unchanged.  The
-    coefficients of e and f are the scales of u and v up to a sign, e and
-    f share one read-only symbol table of the unscaled symbols, and h1, h2
-    are the shared immutable Cartan vectors `_H1`, `_H2`.
+    coefficients of e and f are the scales of u and v up to a sign, their
+    keys carry u and v at scale 1, and h1, h2 are the shared immutable
+    Cartan vectors `_H1`, `_H2`.
     """
     _check_root_index(j)
     if type(section_sign) is not int or section_sign not in (1, -1):
@@ -381,11 +357,10 @@ def make_gl2(j, u, v, section_sign=1):
         raise PairingNormalizationError(
             f"(u,v) must be {expected} for root index {j}, got {value}"
         )
-    symbols = _merge_symbols({u.label: u.base()}, {v.label: v.base()})
     e_scale = u.scale if section_sign == 1 else -u.scale
     f_scale = v.scale if section_sign == (-1) ** (j % 2) else -v.scale
-    e = MElement({("e", j, u.label): e_scale}, symbols, _gated=True)
-    f = MElement({("f", j, v.label): f_scale}, symbols, _gated=True)
+    e = MElement({("e", j, u.base()): e_scale}, _gated=True)
+    f = MElement({("f", j, v.base()): f_scale}, _gated=True)
     return Gl2Generators(e, f, _H1, _H2, j, u, v)
 
 
@@ -406,16 +381,16 @@ def _root_of(key):
     return (1, key[1]) if key[0] == "e" else (-1, -key[1])
 
 
-def _natural_contraction(symbols, label_u, label_v, j):
-    """The scalar s with u_{2j+1} v = s * vacuum for weight-(j+1) symbols."""
-    try:
-        u, v = symbols[label_u], symbols[label_v]
-    except KeyError as exc:
-        raise UnsupportedBracketError(f"no symbol for label {exc.args[0]!r}") from None
+def _natural_contraction(u, v, j):
+    """The scalar s with u_{2j+1} v = s * vacuum for weight-(j+1) symbols.
+    Two different symbols under one label are never paired through that
+    label's table entry: `Gl2ValidationError`."""
+    if u.label == v.label and u != v:
+        raise Gl2ValidationError(f"conflicting symbols for label {u.label!r}")
     value = _table_pairing(u, v)
     if value is None:
         raise UnsupportedBracketError(
-            f"pairing ({label_u}, {label_v}) is not defined"
+            f"pairing ({u.label}, {v.label}) is not defined"
         )
     return (-1) ** (j % 2) * value
 
@@ -437,20 +412,18 @@ def bracket(x, y):
     raising generators over imaginary roots); never returns a silently
     wrong answer.  Each pair of terms passes its coefficients on to
     `_generator_bracket`, which forms their product only for a nonzero
-    bracket, so a vanishing pair costs no multiplication.  The result
-    carries the operands' shared symbol table (see `_merge_symbols`).
+    bracket, so a vanishing pair costs no multiplication.
     """
     if not isinstance(x, MElement) or not isinstance(y, MElement):
         raise TypeError("bracket expects MElement arguments")
-    symbols = _merge_symbols(x.symbols, y.symbols)
     out = {}
     for kx, cx in x.terms.items():
         for ky, cy in y.terms.items():
-            _generator_bracket(out, kx, cx, ky, cy, symbols)
-    return MElement(_exact(out), symbols, _gated=True)
+            _generator_bracket(out, kx, cx, ky, cy)
+    return MElement(_exact(out), _gated=True)
 
 
-def _generator_bracket(out, kx, cx, ky, cy, symbols):
+def _generator_bracket(out, kx, cx, ky, cy):
     """Add [cx kx, cy ky], for two generator keys of `MElement.terms` and
     their coefficients, into the call's one term dict out, the kernel shape
     of the lattice mode actions.  Each scalar is formed once, integer
@@ -470,7 +443,7 @@ def _generator_bracket(out, kx, cx, ky, cy, symbols):
     a, b = _root_of(kx), _root_of(ky)
     m, n = a[0] + b[0], a[1] + b[1]
     if m == n == 0:
-        scale = _coeff(_natural_contraction(symbols, kx[2], ky[2], kx[1]) * cx * cy)
+        scale = _coeff(_natural_contraction(kx[2], ky[2], kx[1]) * cx * cy)
         power = _pairing(a, b) + 1  # Schur order r = 1
         iota_b = FockState({((), b): 1}, _gated=True)
         state = vertex_iota_coeff(section(*a), iota_b, power)

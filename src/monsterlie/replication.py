@@ -46,7 +46,11 @@ nonnegative integer.  The trivial character needs no character table.
 
 The non-triviality report's primary dimensions are the identity row (J
 exactly: validated seeds, and the recursions fix the rest) times
-prod(1 - q**n) plus 1, the map of `primary_dim_series`.
+prod(1 - q**n) plus 1, the map of `primary_dim_series`.  The moonshine
+module is the vacuum module plus P_h (x) M(24, h) over h >= 2, and G
+commutes with the Virasoro action, so the same linear map sends any
+class row to the traces on primaries and the trivial-multiplicity column
+to the dimensions of the G-fixed primaries.
 """
 
 from __future__ import annotations
@@ -222,7 +226,8 @@ class NontrivialityRow(NamedTuple):
     j: int
     dim_primary: int
     trivial_multiplicity: int
-    verdict: str  # "non-trivial" when the strict inequality holds
+    verdict: str  # "non-trivial" when G fixes fewer primaries than there are
+    dim_fixed: int
 
     @property
     def holds(self):
@@ -230,17 +235,20 @@ class NontrivialityRow(NamedTuple):
 
 
 def nontriviality_report(dataset, max_j):
-    """Rows (j, dim of weight-(j+1) primaries, trivial multiplicity, verdict)
-    for 1 <= j <= max_j.
+    """Rows (j, dim of weight-(j+1) primaries, trivial multiplicity,
+    verdict, dim of the G-fixed weight-(j+1) primaries) for 1 <= j <= max_j.
 
-    The action on the family of subalgebras over the root (1, j) moves
-    some member whenever the primary dimension strictly exceeds the
-    trivial multiplicity; equality or less is reported as inconclusive
-    (the criterion is sufficient, not necessary).
+    The verdict is exact: "non-trivial" when dim_fixed < dim_primary, that
+    is when G moves a primary vector of weight j+1, else "trivial".  Each
+    primary u of weight j+1 gives a gl2 over the root (1, j) (with its
+    partner v), so G moving u moves the gl2's raising generator e(j, u);
+    for a perfect group such as the Monster, that moves a gl2 subalgebra.
 
-    The dimension column is the identity row times prod(1 - q**n) plus 1,
-    exact since `validate_dataset` runs first (the identity seeds are J's):
-    a dataset with violations raises DatasetError and returns no rows.
+    Both dimension columns come from one linear map, times prod(1 - q**n)
+    plus 1: dim_primary from the identity row, exact since
+    `validate_dataset` runs first (the identity seeds are J's), and
+    dim_fixed from the trivial-multiplicity column.  A dataset with
+    violations raises DatasetError and returns no rows.
     """
     if _int(max_j, "max_j") < 1:
         raise ValueError("max_j must be at least 1")
@@ -249,10 +257,16 @@ def nontriviality_report(dataset, max_j):
     table = replicate_extend(dataset, max(max_j, 5))
     identity = table.rows[dataset.identity_class().name]
     dims = _primary_dims([1, 0, *identity[:max_j]], max_j + 1)
+    mults = [multiplicity(dataset, table, 1, j) for j in range(1, max_j + 1)]
+    fixed = _primary_dims([1, 0, *mults], max_j + 1)
     out = []
-    for j in range(1, max_j + 1):
-        dim = dims.coeff(j)
-        mult = multiplicity(dataset, table, 1, j)
-        verdict = "non-trivial" if dim > mult else "inconclusive"
-        out.append(NontrivialityRow(j, dim, mult, verdict))
+    for j, mult in enumerate(mults, 1):
+        dim, dim_fixed = dims.coeff(j), fixed.coeff(j)
+        if dim_fixed < 0:
+            raise IntegralityError(
+                f"fixed primary dimension at index {j} is negative; "
+                f"the dataset is inconsistent"
+            )
+        verdict = "non-trivial" if dim_fixed < dim else "trivial"
+        out.append(NontrivialityRow(j, dim, mult, verdict, dim_fixed))
     return out

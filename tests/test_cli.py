@@ -151,12 +151,12 @@ def test_mult_on_trivial_group(capsys, toy_data):
 
 
 def test_check_nontrivial_fails_on_trivial_group(capsys, toy_data):
-    # on the trivial group the sufficient criterion cannot hold, so the
-    # command must flag verification failure
+    # the trivial group fixes every primary vector, so the verdict is
+    # "trivial" and the command must flag verification failure
     assert run(["check-nontrivial", "--data", toy_data, "--max", "5"]) == 4
     _, rows = table_from(capsys)
     assert rows[0][:3] == ["1", "196883", "196884"]
-    assert rows[0][3] == "inconclusive"
+    assert rows[0][3] == "trivial"
 
 
 def test_validate_data_ok(capsys, toy_data):

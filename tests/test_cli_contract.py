@@ -72,13 +72,13 @@ GOLDEN = {
     "mult --data classes.json --max 6 --k 3":
         "7e6c38d78cb415830851368c569d8de62ff815568d111f8169304922f6d68899",
     "check-nontrivial --data classes.json --max 5":
-        "3847d0e229cd0fbee1ec95cb1e5d188060bfbe2657a0b54a83582e199a396db0",
+        "2b4a713d48fce7791b875f8adb7139695c2dada09a38aa2b80738e133432e048",
     "--format csv check-nontrivial --data classes.json --max 3":
-        "cf9194a5980c3bd9473c29efdd43a1b28cfeac8edecf1c59d86e5317fb10c285",
+        "e1b86068236b042500ab9d745b4b2631532961c63659561a7c6c092f6725b399",
     "check-nontrivial --data classes.json --max 80":
-        "dff8900e7da0fca647d13644764c0ff31188d3dd13770d08546b7161ccc9d574",
+        "121ec871d7467b5c6e444a896d8e4b460c9d21c12ed0841fd2f08d802d621ccd",
     "--format json check-nontrivial --data classes.json --max 40":
-        "edcc4d76021327fe49ac36f01c72d1981433af6b0a67080c63ef7b01fa6c9feb",
+        "b59283de74eae1982edea634f40feb8fd494ec66d7880939f616bac2ec5bb54d",
     "validate-data --data classes.json":
         "78b1cd042b79d5e184e2b40b70c3eadc87de8ab12a76b961a648a59f622f9c49",
     "--format json validate-data --data classes.json":

@@ -172,16 +172,16 @@ def test_make_gl2_validation_errors_are_distinct():
 def test_symbol_inputs_are_checked():
     with pytest.raises(ValueError, match="nonnegative"):
         FormalNaturalVector("u", -1)
-    # one label may not name symbols of two weights within an element
+    # one label naming symbols of two weights makes two terms of one element
     e1 = make_gl2(1, *primary_pair(1, label="u")).e
     e2 = make_gl2(2, *primary_pair(2, label="u")).e
-    with pytest.raises(Gl2ValidationError, match="conflicting symbols for label 'u'"):
-        e1 + e2
+    assert len((e1 + e2).terms) == 2
+    assert repr(e1 + e2) == "MElement(1*e(1,u) + 1*e(2,u))"
 
 
 def test_symbols_with_one_label_and_two_pairing_tables_conflict():
-    # the norms differ, so merging the symbols would pick one table and
-    # give [a.e, b.f] a different value in each bracket order
+    # the norms differ, so pairing the symbols through the label's table
+    # entry would give [a.e, b.f] a different value in each bracket order
     a = make_gl2(1, *primary_pair(1, norm=1))
     b = make_gl2(1, *primary_pair(1, norm=4))
     conflict = "conflicting symbols for label 'u'"
@@ -189,8 +189,13 @@ def test_symbols_with_one_label_and_two_pairing_tables_conflict():
         bracket(a.e, b.f)
     with pytest.raises(Gl2ValidationError, match=conflict):
         bracket(b.f, a.e)
+    # a sum only names both symbols, so it is a two-term element
+    both = a.e - b.e
+    assert both.terms == {("e", 1, a.u): 1, ("e", 1, b.u): -1}
     with pytest.raises(Gl2ValidationError, match=conflict):
-        a.e + b.e
+        bracket(both, a.f)
+    # brackets that read no pairing do not look at the label
+    assert bracket(a.h1, both) == both
     # pairs built apart with equal tables still meet
     c = make_gl2(1, *primary_pair(1, norm=1))
     assert bracket(a.e, c.f) == MElement.cartan_vector(1, 1)
@@ -198,27 +203,25 @@ def test_symbols_with_one_label_and_two_pairing_tables_conflict():
 
 
 def test_melement_equality_compares_the_symbols_its_terms_name():
-    # equal terms over one label that names two different symbols: the
-    # difference raises, so the elements must not compare equal
+    # one label over two different symbols: the keys differ, so the
+    # elements are not equal and their difference keeps both terms
     a = make_gl2(1, *primary_pair(1, norm=1))
     b = make_gl2(1, *primary_pair(1, norm=4))
-    assert a.e.terms == b.e.terms
     assert a.e != b.e and b.e != a.e
-    with pytest.raises(Gl2ValidationError, match="conflicting symbols for label 'u'"):
-        a.e - b.e
-    # the Cartan part names no label, so the tables do not matter there
+    assert len((a.e - b.e).terms) == 2
+    # the Cartan part names no symbol
     assert bracket(a.e, a.f) == bracket(b.e, b.f) == MElement.cartan_vector(1, 1)
     assert 0 * a.e == MElement.zero() == 0 * b.e
-    # a table built apart with the same symbols, a rescaled symbol under
-    # the same label, or a merged table still compares equal
+    # a symbol built apart with the same table, or a rescaled symbol (its
+    # scale is not part of the key), still compares equal
     u, v = primary_pair(1, norm=1)
     c = make_gl2(1, u, v)
-    assert a.e == c.e and a.e.symbols is not c.e.symbols
-    assert MElement(a.e.terms, {"u": u.rescaled(5)}) == a.e
+    assert a.e == c.e
+    assert MElement({("e", 1, u.rescaled(5)): 1}) == MElement({("e", 1, u): 1}) == a.e
     assert a.e + c.e == 2 * a.e
-    # a label missing from one table is not the symbol of the other
-    assert MElement(a.e.terms) != a.e and a.e != MElement(a.e.terms)
-    assert MElement(a.e.terms) == MElement(a.e.terms, {"w": u})
+    # a symbol under another label is another symbol
+    w = FormalNaturalVector("w", 2, pairings={("w", "w"): 1})
+    assert MElement({("e", 1, w): 1}) != a.e
 
 
 def test_symbol_equality_includes_the_pairing_table():
@@ -241,8 +244,9 @@ def test_rescaling_shares_the_validated_pairing_table():
 def test_melement_is_one_term_dict():
     gens = make_gl2(2, *primary_pair(2))
     x = gens.e + 3 * gens.f + gens.h1 - 2 * gens.h2
-    assert MElement.__slots__ == ("terms", "symbols")
-    assert x.terms == {("e", 2, "u"): 1, ("f", 2, "u"): 3, ("h", 0): 2, ("h", 1): -1}
+    assert MElement.__slots__ == ("terms",)
+    u = gens.u
+    assert x.terms == {("e", 2, u): 1, ("f", 2, u): 3, ("h", 0): 2, ("h", 1): -1}
     assert x.cartan == (2, -1)
     assert repr(x) == "MElement(1*e(2,u) + 3*f(2,u) + cartan(2,-1))"
     assert (x - x).terms == {} and (x - x).is_zero()
@@ -250,11 +254,10 @@ def test_melement_is_one_term_dict():
 
 def test_melement_difference_is_exact():
     u = FormalNaturalVector("u", 2)
-    x = MElement({("e", 1, "u"): Fraction(1, 3), ("h", 0): Fraction(1, 2)}, {"u": u})
-    y = MElement({("e", 1, "u"): Fraction(-2, 3), ("h", 0): Fraction(1, 2)})
+    x = MElement({("e", 1, u): Fraction(1, 3), ("h", 0): Fraction(1, 2)})
+    y = MElement({("e", 1, u): Fraction(-2, 3), ("h", 0): Fraction(1, 2)})
     d = x - y
-    assert d.terms == {("e", 1, "u"): 1} and type(d.terms[("e", 1, "u")]) is int
-    assert d.symbols == {"u": u}
+    assert d.terms == {("e", 1, u): 1} and type(d.terms[("e", 1, u)]) is int
     with pytest.raises(TypeError):
         x - 1
 
@@ -346,7 +349,7 @@ def test_bracket_outside_span_raises():
 def single_terms(x):
     """x as a list of one-term elements: each e- and f-entry and each
     Cartan coordinate on its own."""
-    return [MElement({k: c}, x.symbols) for k, c in x.terms.items()]
+    return [MElement({k: c}) for k, c in x.terms.items()]
 
 
 def test_bracket_is_bilinear_on_multi_term_elements():
@@ -399,8 +402,12 @@ def test_bracket_against_unpaired_symbol_names_both_labels():
 
 
 def test_bracket_without_symbol_names_the_label():
-    with pytest.raises(UnsupportedBracketError, match=r"no symbol for label 'u'"):
-        bracket(MElement({("e", 1, "u"): 1}), MElement({("f", 1, "u"): 1}))
+    # a term key names its symbol, not a label: a label-keyed term (the
+    # shape before symbols moved into the keys) is refused, naming the key
+    for key in (("e", 1, "u"), ("f", 1, None), ("e", 1)):
+        message = re.escape(f"term key {key!r} does not name a FormalNaturalVector")
+        with pytest.raises(Gl2ValidationError, match=message):
+            MElement({key: 1})
 
 
 def lattice_ratio(state, base):
@@ -460,41 +467,32 @@ def test_bracket_builds_one_melement(monkeypatch):
         assert len(calls) == 1, (left, right)
 
 
-def test_gl2_elements_share_one_read_only_symbol_table():
+def test_gl2_elements_carry_their_symbols_in_their_keys():
     gens = make_gl2(2, *primary_pair(2, norm=3))
     e, f = gens.e, gens.f
-    assert e.symbols is f.symbols
-    with pytest.raises(TypeError):
-        e.symbols["u"] = vacuum_vector()
-    assert dict(e.symbols) == {"u": gens.u}
-    # brackets, sums and scalar multiples pass the one table on
-    assert bracket(e, f).symbols is e.symbols
-    assert bracket(gens.h1, e).symbols is e.symbols
-    assert bracket(f, gens.h2).symbols is e.symbols
-    assert (e + 3 * f).symbols is e.symbols
-    assert (e - Fraction(1, 2) * e).symbols is e.symbols
-    assert (-1 * f).symbols is e.symbols
+    assert gens.v.scale == Fraction(1, 3)
+    assert e.terms == {("e", 2, gens.u): 1} and f.terms == {("f", 2, gens.v.base()): Fraction(1, 3)}
+    (e_key,), (f_key,) = e.terms, f.terms
+    assert e_key[2] == f_key[2] == gens.u and f_key[2].scale == 1
+    # brackets, sums and scalar multiples keep each term's symbol
+    assert bracket(gens.h1, e) == e and bracket(f, gens.h2) == 2 * f
+    assert set((e + 3 * f).terms) == {e_key, f_key}
+    assert (e - Fraction(1, 2) * e).terms == {e_key: Fraction(1, 2)}
     assert 1 * e is e and e * 1 is e
-    # h1 and h2 carry no symbols; the table of the other side is kept
-    assert (gens.h1 + e).symbols is e.symbols and not gens.h1.symbols
-    # two different tables meet in a new read-only table holding both
+    # a cross-relation reads no pairing, whatever the labels
     real = make_gl2(-1, vacuum_vector(), vacuum_vector())
-    both = bracket(real.e, f).symbols
-    assert set(both) == {"1", "u"} and both is not e.symbols
-    with pytest.raises(TypeError):
-        both["w"] = vacuum_vector()
+    assert bracket(real.e, f).is_zero() and bracket(f, real.e).is_zero()
 
 
-def test_melement_copies_the_table_it_is_given():
+def test_melement_gates_the_keys_it_is_given():
     u = FormalNaturalVector("u", 2, pairings={("u", "u"): 1})
-    table = {"u": u}
-    x = MElement({("e", 1, "u"): 1}, table)
-    table["u"] = FormalNaturalVector("u", 2, pairings={("u", "u"): 4})
-    table["w"] = u
-    assert dict(x.symbols) == {"u": u}
-    with pytest.raises(TypeError):
-        x.symbols["u"] = u
-    assert dict(MElement({("h", 0): 1}).symbols) == {}
+    # each symbol is stored at scale 1, and keys that then coincide merge
+    x = MElement({("e", 1, u.rescaled(5)): 1, ("e", 1, u): Fraction(1, 2), ("h", 0): 0})
+    assert x.terms == {("e", 1, u): Fraction(3, 2)}
+    (key,) = x.terms
+    assert key[2].scale == 1 and type(key[2].scale) is int
+    assert MElement({("e", 1, u): 1, ("e", 1, u.rescaled(-1)): -1}).is_zero()
+    assert MElement({("h", 0): 1}).terms == {("h", 0): 1}
 
 
 def test_antisymmetry_on_computable_pairs():
@@ -546,7 +544,7 @@ def test_bracket_scales_with_pairing_value():
     w = FormalNaturalVector("w", 2, True, 1, {("w", "w"): 1})
     gens_u = make_gl2(j, u, normalize_partner(j, u, 1))
     e_u = gens_u.e
-    f_w = MElement({("f", j, "w"): Fraction(-1)}, {"w": w, "u": u})
+    f_w = MElement({("f", j, w): Fraction(-1)})
     got = bracket(e_u, f_w)
     assert got == 2 * bracket(gens_u.e, gens_u.f)
 
@@ -648,7 +646,10 @@ def test_gl2_values_are_in_coefficient_form():
 
 TERM_SUM_KEYS = {
     "FockState": (FockState, (((), (1, 0)), (((0, 1),), (0, 1)), (((0, 1), (1, 2)), (1, 1)))),
-    "MElement": (MElement, (("e", 1, "u"), ("f", 1, "u"), ("h", 0))),
+    "MElement": (
+        MElement,
+        (("e", 1, FormalNaturalVector("u", 2)), ("f", 1, FormalNaturalVector("u", 2)), ("h", 0)),
+    ),
 }
 
 
@@ -866,4 +867,4 @@ def test_golden_bracket_digest():
     assert digest == GOLDEN_BRACKET_DIGEST
 
 
-GOLDEN_BRACKET_DIGEST = "9ea9d6108c796eff4e49f0dea49a04822ef4a3383f45b42ae0ba37f275ee5581"
+GOLDEN_BRACKET_DIGEST = "5cdd5d7bc920315203e3ffe0a76325bf23db766c20187c334b1ec859c599d23a"

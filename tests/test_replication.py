@@ -15,15 +15,19 @@ from monsterlie.dataset import (
 )
 from monsterlie.qseries import (
     IntegralityError,
+    _primary_dims,
+    euler_product,
     j_series,
     mckay_thompson,
     primary_dim_series,
 )
 from monsterlie.replication import (
+    CoefficientTable,
     multiplicity,
     nontriviality_report,
     replicate_extend,
 )
+from test_acceptance import DIM_MULT_TABLE
 
 
 def two_class_dataset(seeds_b, power2_b="2Z"):
@@ -49,6 +53,8 @@ Z2_CHARACTERS = {"2": {"1A": 1, "2B": -1}}
 # g^3, squares to 2B); character 2 sends g to -1
 Z4_CLASSES = [("1A", 1, "1A"), ("2B", 1, "1A"), ("4C", 2, "2B")]
 Z4_CHARACTERS = {"2": {"1A": 1, "2B": 1, "4C": -1}}
+# the sign character and the two-dimensional irreducible of S3
+S3_CHARACTERS = {"2": {"1A": 1, "2B": -1, "3B": 1}, "3": {"1A": 2, "2B": 0, "3B": -1}}
 
 
 def group_object(classes, traces, characters=None):
@@ -367,10 +373,85 @@ def test_nontriviality_report_on_trivial_group():
     table = replicate_extend(d, 10)
     for row in rows:
         assert row.trivial_multiplicity == table.value("1A", row.j)
-        # the trace coefficient exceeds the primary dimension here, so the
-        # sufficient criterion cannot fire on the trivial group
-        assert row.verdict == "inconclusive"
+        # the trivial group fixes every primary vector
+        assert row.dim_fixed == row.dim_primary
+        assert row.verdict == "trivial"
         assert not row.holds
+
+
+def seeded_dataset(classes, characters=None):
+    """A group dataset whose classes take their seeds from the series of J
+    (1A) and of the eta-quotient classes."""
+    traces = {name: j_series(5) if name == "1A" else mckay_thompson(name, 5) for name, _, _ in classes}
+    return group_dataset(classes, traces, characters)
+
+
+def test_the_monster_fixes_no_primary_vector_of_weight_below_twelve():
+    # the report's map on the Monster's trivial-multiplicity column
+    assert [j for j, _, _ in DIM_MULT_TABLE] == list(range(1, 44))
+    fixed = _primary_dims([1, 0, *(mult for _, _, mult in DIM_MULT_TABLE)], 44)
+    column = [fixed.coeff(j) for j in range(1, 44)]
+    assert column[:10] == [0] * 10
+    assert column[10] == 1 and column[42] == 63
+    assert min(column) == 0
+
+
+def primary_table(d, order):
+    """Oracle: every class row mapped to its traces on primaries, one
+    `_primary_dims` per class, as a table `multiplicity` reads unchanged."""
+    table = replicate_extend(d, order)
+    rows = {}
+    for name, row in table.rows.items():
+        series = _primary_dims([1, 0, *row], order + 1)
+        rows[name] = [series.coeff(j) for j in range(1, order + 1)]
+    return CoefficientTable(order, rows)
+
+
+@pytest.mark.parametrize(
+    "classes, characters",
+    [(Z2_CLASSES, Z2_CHARACTERS), (Z4_CLASSES, None), (S3_CLASSES, S3_CHARACTERS)],
+    ids=["Z2", "Z4", "S3"],
+)
+def test_report_is_non_trivial_and_matches_the_per_class_route(classes, characters):
+    order = 400
+    d = seeded_dataset(classes, characters)
+    rows = nontriviality_report(d, order)
+    assert all(row.verdict == "non-trivial" and row.holds for row in rows)
+    primaries = primary_table(d, order)
+    degrees = {1: 1, **{int(k): chi["1A"] for k, chi in (characters or {}).items()}}
+    for row in rows:
+        assert row.dim_fixed == multiplicity(d, primaries, 1, row.j)
+        assert row.dim_fixed < row.dim_primary
+        if characters:
+            parts = [deg * multiplicity(d, primaries, k, row.j) for k, deg in degrees.items()]
+            assert sum(parts) == row.dim_primary, row.j
+    if classes is S3_CLASSES:
+        assert rows[0][1:] == (196883, 32970, "non-trivial", 32969)
+        assert [multiplicity(d, primaries, k, 1) for k in (1, 2, 3)] == [32969, 32694, 65610]
+
+
+@pytest.mark.parametrize("name", ["2B", "3B", "5B", "7B", "13B"])
+def test_cyclic_fixed_dimensions_average_the_traces(name):
+    # Z/p through 1A and the class pB of its p - 1 generators: the fixed
+    # primaries are (d + (p - 1) t) / p, with t = tr(g | P) read off
+    # T_g * prod(1 - q**n) + 1 by the generic series product
+    order = 400
+    p = int(name[:-1])
+    d = seeded_dataset([("1A", 1, "1A"), (name, p - 1, "1A" if p == 2 else name)])
+    traces = mckay_thompson(name, order) * euler_product(order + 2) + 1
+    for row in nontriviality_report(d, order):
+        assert p * row.dim_fixed == row.dim_primary + (p - 1) * traces.coeff(row.j)
+
+
+def test_report_refuses_a_negative_fixed_dimension():
+    # a 2B row whose trace at index 1 is -196884 makes the weight-2 space
+    # G-fixed-free, so the fixed primaries at index 1 would be -1
+    j = j_series(5)
+    seeds = {k: (-1) ** k * j.coeff(k) for k in (1, 2, 3, 5)}
+    obj = group_object(Z2_CLASSES, {"1A": j, "2B": j})
+    obj["classes"][1]["seeds"].update({str(k): str(v) for k, v in seeds.items()})
+    with pytest.raises(IntegralityError, match="fixed primary dimension at index 1 is negative"):
+        nontriviality_report(parse_dataset(obj), 3)
 
 
 def test_nontriviality_report_needs_a_positive_max_j():
