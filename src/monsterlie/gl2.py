@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .lattice import (
     _AXIS_VECTORS,
     FockState,
-    _add,
+    _Terms,
     _exact,
     _pairing,
     is_primary,
@@ -126,13 +126,22 @@ def vacuum_vector():
 
 
 def _table_pairing(u, v):
-    """The unscaled (u, v) recorded in either symbol's table, else None."""
+    """The unscaled (u, v) recorded in either symbol's table, else None;
+    `Gl2ValidationError` when the two tables record different values."""
     key = _pair_key(u.label, v.label)
-    return u.pairings.get(key, v.pairings.get(key))
+    value, other = u.pairings.get(key), v.pairings.get(key)
+    if value is None:
+        return other
+    if other is not None and other != value:
+        raise Gl2ValidationError(
+            f"pairing ({u.label}, {v.label}) is {value} in {u.label}'s table "
+            f"and {other} in {v.label}'s"
+        )
+    return value
 
 
 def pairing_value(u, v):
-    """(u, v) from either symbol's table; raises when the entry is missing."""
+    """(u, v) from either symbol's table; raises when it is missing or the tables disagree."""
     value = _table_pairing(u, v)
     if value is None:
         raise PairingNormalizationError(
@@ -215,34 +224,24 @@ def cartan_block_size(i):
 # -- normal-form elements --------------------------------------------------
 
 
-class MElement:
+class MElement(_Terms):
     """Element of the modeled slice: one exact term dict over the generator
     keys ("e", root index, symbol) and ("f", root index, symbol), each
     symbol at scale 1 as the scale lives in the coefficient, and the Cartan
-    coordinates ("h", axis) on the Fock axes u1 = (1, 0) and u2 = (0, 1).
-
-    `_key` checks each outside key and stores its symbol at scale 1, keys
-    that then coincide merge, and `_exact` puts every coefficient in
-    coefficient form.  Terms in coefficient form with keys built here pass
-    the private `_gated=True` and are stored as they are."""
+    coordinates ("h", axis) on the Fock axes u1 = (1, 0) and u2 = (0, 1);
+    a `lattice._Terms`."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None, *, _gated=False):
-        if terms and not _gated:
-            merged = {}
-            for key, c in terms.items():
-                key = _key(key)
-                merged[key] = merged.get(key, 0) + _coeff(c)
-            terms = _exact(merged)
-        object.__setattr__(self, "terms", terms or {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MElement is immutable")
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    @staticmethod
+    def _key(key):
+        """An outside term key in kernel form, a generator's symbol at scale
+        1; `Gl2ValidationError` when its third entry is not a symbol."""
+        if key[0] == "h":
+            return key
+        if len(key) != 3 or not isinstance(key[2], FormalNaturalVector):
+            raise Gl2ValidationError(f"term key {key!r} does not name a FormalNaturalVector")
+        return key[0], key[1], key[2].base()
 
     @classmethod
     def cartan_vector(cls, m, n):
@@ -254,38 +253,6 @@ class MElement:
         """The Cartan part as a coordinate pair (m, n), read off `terms`."""
         return self.terms.get(("h", 0), 0), self.terms.get(("h", 1), 0)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, MElement) and self.terms == other.terms
-
-    def __add__(self, other):
-        if not isinstance(other, MElement):
-            return NotImplemented
-        terms = dict(self.terms)
-        _add(terms, other.terms)
-        return MElement(_exact(terms), _gated=True)
-
-    def __sub__(self, other):
-        if not isinstance(other, MElement):
-            return NotImplemented
-        terms = dict(self.terms)
-        _add(terms, other.terms, -1)
-        return MElement(_exact(terms), _gated=True)
-
-    def __rmul__(self, scalar):
-        c = _coeff(scalar)
-        if c == 1:
-            return self
-        if c == -1:  # negation keeps coefficient form
-            terms = {k: -v for k, v in self.terms.items()}
-        else:
-            terms = _exact({k: c * v for k, v in self.terms.items()})
-        return MElement(terms, _gated=True)
-
-    __mul__ = __rmul__
-
     def __repr__(self):
         terms = [(key, c) for key, c in self.terms.items() if key[0] != "h"]
         terms.sort(key=lambda term: (term[0][0], term[0][1], term[0][2].label))
@@ -293,16 +260,6 @@ class MElement:
         if any(self.cartan):
             parts.append("cartan({},{})".format(*self.cartan))
         return "MElement(" + (" + ".join(parts) if parts else "0") + ")"
-
-
-def _key(key):
-    """A term key from outside in kernel form: a generator key's symbol at
-    scale 1; `Gl2ValidationError` when its third entry is not a symbol."""
-    if key[0] == "h":
-        return key
-    if len(key) != 3 or not isinstance(key[2], FormalNaturalVector):
-        raise Gl2ValidationError(f"term key {key!r} does not name a FormalNaturalVector")
-    return key[0], key[1], key[2].base()
 
 
 class Gl2Generators(NamedTuple):

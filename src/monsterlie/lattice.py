@@ -40,10 +40,9 @@ and one `FockState`.  Both Schur users merge through `_schur_terms`.
 Schur terms are carried as q_k = k! p_k, built term by term from the
 cycle-type formula k! p_k = sum_{mu |- k} (k!/z_mu) p_mu on each axis:
 k!/z_mu counts permutations, so a lattice point lam never sees a
-fraction.  `_add` and `_exact` (coefficient form, zeros dropped) serve
-only the arithmetic of states and of `gl2.MElement`: sums, differences
-and scalar multiples; `_exact` also gates the outside terms a
-`FockState` takes, whose keys `_key` checks.
+fraction.  `_Terms`, the immutable term dict of states and of
+`gl2.MElement`, owns their outside-term gate, equality, sums,
+differences and scalar multiples, through `_exact` and `_add`.
 
 Virasoro modes act through the commutation rules
 
@@ -147,107 +146,12 @@ def section(m, n, sign=1):
     return HatLatticeElement((m, n), sign)
 
 
-# -- Fock states --------------------------------------------------------
-
-# A term key is (mono, abar) with mono a sorted tuple of (axis, n) pairs
-# (axis 0 for u1 = (1,0), axis 1 for u2 = (0,1); n >= 1 the mode depth)
-# and abar the integer coordinate pair under the covering element, whose
-# sign is folded into the coefficient.
-
-_AXIS_VECTORS = ((1, 0), (0, 1))
-_AXIS_NAMES = ("u1", "u2")
-
-
-class FockState:
-    """Finite exact-rational combination of creation monomials on iota vectors.
-
-    Creation modes commute, so each key's monomial is sorted and keys that
-    then coincide merge; `_key` checks each outside key's creation factors
-    and point, and `_exact` puts every coefficient in coefficient form and
-    drops the zeros.  Terms with kernel keys that are in that form already
-    pass the private `_gated=True` and are stored as they are: a kernel's
-    `_over` result, or terms a caller has put through `_exact` itself."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None, *, _gated=False):
-        if terms and not _gated:
-            merged = {}
-            for key, c in terms.items():
-                key = _key(key)
-                merged[key] = merged.get(key, 0) + _coeff(c)
-            terms = _exact(merged)
-        object.__setattr__(self, "terms", terms or {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FockState is immutable")
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def iota(cls, a):
-        """State iota(a) for a double-cover element; kappa acts as -1."""
-        return cls({((), a.vector): a.sign}, _gated=True)
-
-    @classmethod
-    def vacuum(cls):
-        return cls.iota(HAT_IDENTITY)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, FockState) and self.terms == other.terms
-
-    def __add__(self, other):
-        if not isinstance(other, FockState):
-            return NotImplemented
-        out = dict(self.terms)
-        _add(out, other.terms)
-        return FockState(_exact(out), _gated=True)
-
-    def __sub__(self, other):
-        if not isinstance(other, FockState):
-            return NotImplemented
-        out = dict(self.terms)
-        _add(out, other.terms, -1)
-        return FockState(_exact(out), _gated=True)
-
-    def __neg__(self):
-        return FockState({k: -c for k, c in self.terms.items()}, _gated=True)
-
-    def __rmul__(self, scalar):
-        c = _coeff(scalar)
-        return FockState(_exact({k: c * v for k, v in self.terms.items()}), _gated=True)
-
-    __mul__ = __rmul__
-
-    def __repr__(self):
-        if not self.terms:
-            return "FockState(0)"
-        parts = []
-        for (mono, abar), c in sorted(self.terms.items()):
-            ops = "".join(f"{_AXIS_NAMES[a]}(-{n})" for a, n in mono)
-            parts.append(f"{c}*{ops}iota{abar}")
-        return "FockState(" + " + ".join(parts) + ")"
-
-
-def _key(key):
-    """A term key from outside in kernel form: each creation factor an
-    `int` pair (axis, depth) with axis 0 or 1 and depth >= 1, the factors
-    sorted, the point an `int` pair; `ValueError` otherwise."""
-    mono, abar = key
-    for axis, depth in mono:
-        if {type(axis), type(depth)} != {int} or axis not in (0, 1) or depth < 1:
-            raise ValueError(f"creation factor {(axis, depth)} needs axis 0 or 1, depth >= 1")
-    return tuple(sorted(mono)), _point(abar)
+# -- exact term dicts -----------------------------------------------------
 
 
 def _exact(terms):
     """The terms with every coefficient in coefficient form and the zeros
-    dropped: the one exactness gate of `FockState` and `gl2.MElement`."""
+    dropped: the one exactness gate of `_Terms`."""
     if not terms:
         return {}
     return {key: c for key, coeff in terms.items() if (c := _coeff(coeff))}
@@ -261,6 +165,115 @@ def _add(out, terms, scale=1):
         if scale != 1:
             c = scale * c
         out[key] = out[key] + c if key in out else c
+
+
+class _Terms:
+    """One immutable exact term dict {key: coeff}: `FockState` and
+    `gl2.MElement`, each with a `terms` slot and a static `_key` gate.
+    Outside terms pass `_key` and `_exact`, and keys that then coincide
+    merge; terms already in that form pass the private `_gated=True`.
+    Arithmetic stays within one type, and `1 * x` is x itself."""
+
+    __slots__ = ()
+
+    def __init__(self, terms=None, *, _gated=False):
+        if terms and not _gated:
+            merged = {}
+            for key, c in terms.items():
+                key = self._key(key)
+                merged[key] = merged.get(key, 0) + _coeff(c)
+            terms = _exact(merged)
+        object.__setattr__(self, "terms", terms or {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self.terms)
+        _add(out, other.terms)
+        return type(self)(_exact(out), _gated=True)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self.terms)
+        _add(out, other.terms, -1)
+        return type(self)(_exact(out), _gated=True)
+
+    def __rmul__(self, scalar):
+        c = _coeff(scalar)
+        if c == 1:
+            return self
+        if c == -1:  # negation keeps coefficient form
+            terms = {k: -v for k, v in self.terms.items()}
+        else:
+            terms = _exact({k: c * v for k, v in self.terms.items()})
+        return type(self)(terms, _gated=True)
+
+    __mul__ = __rmul__
+
+
+# -- Fock states --------------------------------------------------------
+
+# A term key is (mono, abar) with mono a sorted tuple of (axis, n) pairs
+# (axis 0 for u1 = (1,0), axis 1 for u2 = (0,1); n >= 1 the mode depth)
+# and abar the integer coordinate pair under the covering element, whose
+# sign is folded into the coefficient.
+
+_AXIS_VECTORS = ((1, 0), (0, 1))
+_AXIS_NAMES = ("u1", "u2")
+
+
+class FockState(_Terms):
+    """Finite exact-rational combination of creation monomials on iota
+    vectors, a `_Terms`; creation modes commute, so `_key` sorts each
+    outside key's monomial."""
+
+    __slots__ = ("terms",)
+
+    @staticmethod
+    def _key(key):
+        """A term key from outside in kernel form: each creation factor an
+        `int` pair (axis, depth) with axis 0 or 1 and depth >= 1, the
+        factors sorted, the point an `int` pair; `ValueError` otherwise."""
+        mono, abar = key
+        for axis, depth in mono:
+            if {type(axis), type(depth)} != {int} or axis not in (0, 1) or depth < 1:
+                raise ValueError(f"creation factor {(axis, depth)} needs axis 0 or 1, depth >= 1")
+        return tuple(sorted(mono)), _point(abar)
+
+    @classmethod
+    def iota(cls, a):
+        """State iota(a) for a double-cover element; kappa acts as -1."""
+        return cls({((), a.vector): a.sign}, _gated=True)
+
+    @classmethod
+    def vacuum(cls):
+        return cls.iota(HAT_IDENTITY)
+
+    def __neg__(self):
+        return -1 * self
+
+    def __repr__(self):
+        if not self.terms:
+            return "FockState(0)"
+        parts = []
+        for (mono, abar), c in sorted(self.terms.items()):
+            ops = "".join(f"{_AXIS_NAMES[a]}(-{n})" for a, n in mono)
+            parts.append(f"{c}*{ops}iota{abar}")
+        return "FockState(" + " + ".join(parts) + ")"
 
 
 def _numerators(terms):

@@ -224,6 +224,39 @@ def test_melement_equality_compares_the_symbols_its_terms_name():
     assert MElement({("e", 1, w): 1}) != a.e
 
 
+def test_tables_that_disagree_on_a_pairing_raise_in_either_order():
+    def symbols(u_entry, w_entry):
+        u = FormalNaturalVector("u", 2, pairings={("u", "u"): 1, ("u", "w"): u_entry})
+        w = FormalNaturalVector("w", 2, pairings={("w", "w"): 1, ("u", "w"): w_entry})
+        return u, w
+
+    def e_f(u, w):
+        return MElement({("e", 1, u): 1}), MElement({("f", 1, w): 1})
+
+    u, w = symbols(-2, 5)
+    e_u, f_w = e_f(u, w)
+    forward = r"pairing \(u, w\) is -2 in u's table and 5 in w's"
+    backward = r"pairing \(w, u\) is 5 in w's table and -2 in u's"
+    with pytest.raises(Gl2ValidationError, match=forward):
+        bracket(e_u, f_w)
+    with pytest.raises(Gl2ValidationError, match=backward):
+        bracket(f_w, e_u)
+    with pytest.raises(Gl2ValidationError, match=forward):
+        pairing_value(u, w)
+    with pytest.raises(Gl2ValidationError, match=backward):
+        pairing_value(w, u)
+    # agreeing tables give the two bracket orders as negatives
+    u, w = symbols(-2, -2)
+    e_u, f_w = e_f(u, w)
+    assert bracket(e_u, f_w) == MElement.cartan_vector(-2, -2)
+    assert bracket(f_w, e_u) == MElement.cartan_vector(2, 2)
+    assert pairing_value(u, w) == pairing_value(w, u) == -2
+    # an entry in one table alone serves both orders
+    w = FormalNaturalVector("w", 2, pairings={("w", "w"): 1})
+    assert pairing_value(u, w) == pairing_value(w, u) == -2
+    assert bracket(*e_f(u, w)) == MElement.cartan_vector(-2, -2)
+
+
 def test_symbol_equality_includes_the_pairing_table():
     u = FormalNaturalVector("u", 2, pairings={("u", "u"): 1})
     assert u != FormalNaturalVector("u", 2, pairings={("u", "u"): 4})
@@ -312,6 +345,29 @@ def test_root_bookkeeping():
     e_root = (1, j)
     f_root = (-1, -j)
     assert pairing(e_root, f_root) == 2 * j
+
+
+CHEVALLEY_LABELS = (-1, *range(1, 41))
+
+
+def test_chevalley_relations_across_simple_roots():
+    """[h_i, e_k] = A(i,k) e_k, [h_i, f_k] = -A(i,k) f_k with h_i = [e_i, f_i],
+    and [e_i, f_k] = 0 for i != k: each simple root under its own label."""
+    gens = {i: make_gl2(i, *primary_pair(i, label=f"u{i}")) for i in CHEVALLEY_LABELS}
+    h = {i: bracket(g.e, g.f) for i, g in gens.items()}
+    zero = MElement.zero()
+    for i, k in itertools.product(CHEVALLEY_LABELS, repeat=2):
+        a, e, f = cartan_entry(i, k), gens[k].e, gens[k].f
+        assert bracket(h[i], e) == a * e, (i, k)
+        assert bracket(h[i], f) == -a * f, (i, k)
+        if i != k:
+            assert bracket(gens[i].e, f) == zero, (i, k)
+    # two primaries of one weight that the form makes orthogonal
+    for j in (1, 2, 5):
+        table = {("u", "u"): 1, ("w", "w"): 1, ("u", "w"): 0}
+        u = FormalNaturalVector("u", j + 1, pairings=table)
+        w = FormalNaturalVector("w", j + 1, pairings=table)
+        assert bracket(MElement({("e", j, u): 1}), MElement({("f", j, w): 1})) == zero
 
 
 def test_cross_brackets_with_real_generators_vanish():

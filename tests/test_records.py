@@ -16,7 +16,7 @@ import monsterlie
 import monsterlie.cli  # imports every submodule, so each is a package attribute
 from monsterlie.dataset import ClassRecord, Dataset, trivial_dataset
 from monsterlie.gl2 import FormalNaturalVector, MElement
-from monsterlie.lattice import FockState, HatLatticeElement
+from monsterlie.lattice import FockState, HatLatticeElement, _Terms
 from monsterlie.output import OutputTable
 from monsterlie.qseries import QSeries
 
@@ -67,7 +67,7 @@ def test_removed_names_are_gone():
     assert not hasattr(OutputTable, "parse_csv")
     # __eq__ without __hash__ leaves __hash__ None: unhashable by default
     assert QSeries.__dict__["__hash__"] is None
-    assert FockState.__dict__["__hash__"] is None
+    assert FockState.__hash__ is None and MElement.__hash__ is None
 
 
 def test_cli_import_is_lean():
@@ -173,3 +173,27 @@ def test_value_classes_are_named_tuples(cls):
     assert tuple(HatLatticeElement((1, -1), -1)) == ((1, -1), -1)
     label, weight, primary, scale, pairings = FormalNaturalVector("u", 2, scale=3)
     assert (label, weight, primary, scale, dict(pairings)) == ("u", 2, True, 3, {})
+
+
+@pytest.mark.parametrize("cls", [FockState, MElement])
+def test_term_arithmetic_has_one_home(cls):
+    """Both term dicts take their gate, arithmetic and equality from
+    `lattice._Terms` and keep only their own keys, constructors and repr;
+    the two types never mix."""
+    assert cls.__bases__ == (_Terms,) and cls.__slots__ == ("terms",)
+    shared = ("__init__", "__setattr__", "__eq__", "__add__", "__sub__",
+              "__rmul__", "__mul__", "zero", "is_zero")
+    for name in shared:
+        assert name not in cls.__dict__, f"{cls.__name__}.{name}"
+    x = VALUES[cls.__name__][0]()
+    other = VALUES["MElement" if cls is FockState else "FockState"][0]()
+    assert FockState.zero() != MElement.zero()
+    with pytest.raises(TypeError):
+        x + other
+    with pytest.raises(TypeError):
+        x - other
+    assert 1 * x is x and x * 1 is x
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        x.terms = {}
+    with pytest.raises(TypeError):
+        hash(x)
