@@ -29,6 +29,7 @@ from .gl2 import (
     UnsupportedBracketError,
     cartan_block_sizes,
     cartan_entry,
+    pairing_value,
     primary_pair,
     verify_relations,
 )
@@ -134,12 +135,12 @@ def _cmd_check_nontrivial(args):
 
 def _cmd_verify_gl2(args):
     j = args.j
-    u, v = primary_pair(j)  # (u, v) = (-1)**j
+    u, v = primary_pair(j)  # a matched pair, so (u, v) = +-1
     if args.pairing_sign != "auto":
         sign = int(args.pairing_sign)
         if j == -1 and sign == 1:
             raise Gl2ValidationError("the vacuum pair has pairing -1")
-        v = v.rescaled(sign * (-1) ** (j % 2))  # (u, v) = sign; make_gl2 checks it
+        v = v.rescaled(sign * pairing_value(u, v))  # (u, v) = sign; make_gl2 checks it
     report = verify_relations(j, u, v)
     lines = []
     for check in report.checks:

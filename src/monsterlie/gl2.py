@@ -90,7 +90,11 @@ class FormalNaturalVector(
         table = {}
         if pairings:
             for (la, lb), value in pairings.items():
-                table[_pair_key(la, lb)] = _coeff(value)
+                key, value = _pair_key(la, lb), _coeff(value)
+                if table.setdefault(key, value) != value:
+                    raise Gl2ValidationError(
+                        f"pairing ({la}, {lb}) is given as {table[key]} and as {value}"
+                    )
         return super().__new__(
             cls, label, weight, bool(primary), _coeff(scale), MappingProxyType(table)
         )
@@ -150,23 +154,19 @@ def pairing_value(u, v):
     return value * u.scale * v.scale
 
 
-def normalize_partner(j, u, uu_pairing):
+def normalize_partner(j, u):
     """Partner v = (-1)**j u / (u,u) so that the contraction of u against v
     is exactly the vacuum.
 
-    Requires (u,u) > 0 (positive-definite normalization of the form on the
-    nonvacuum part) and equal to the (u,u) of u's table, which must record
-    it (`PairingNormalizationError` otherwise); the table is only read.
-    The resulting pair always satisfies the pairing condition of `make_gl2`.
+    Reads (u,u) from u's table, which must record it
+    (`PairingNormalizationError` otherwise) and is only read, and requires
+    (u,u) > 0 (positive-definite normalization of the form on the nonvacuum
+    part).  The resulting pair always satisfies the pairing condition of `make_gl2`.
     """
-    uu = _coeff(uu_pairing)
+    uu = pairing_value(u, u)
     if uu <= 0:
         raise Gl2ValidationError(
             f"(u,u) must be positive for a positive-definite form, got {uu}"
-        )
-    if pairing_value(u, u) != uu:
-        raise Gl2ValidationError(
-            f"(u,u) = {uu} contradicts the recorded pairing table"
         )
     return u.rescaled(Fraction((-1) ** (j % 2)) / uu)
 
@@ -182,7 +182,7 @@ def primary_pair(j, norm=1, label="u"):
         vac = vacuum_vector()
         return vac, vac
     u = FormalNaturalVector(label, j + 1, True, 1, {(label, label): norm})
-    return u, normalize_partner(j, u, norm)
+    return u, normalize_partner(j, u)
 
 
 def _check_root_index(j):
@@ -235,13 +235,18 @@ class MElement(_Terms):
 
     @staticmethod
     def _key(key):
-        """An outside term key in kernel form, a generator's symbol at scale
-        1; `Gl2ValidationError` when its third entry is not a symbol."""
+        """An outside term key, unchanged; `Gl2ValidationError` when its
+        third entry is not a symbol, or is one at a scale other than 1."""
         if key[0] == "h":
             return key
         if len(key) != 3 or not isinstance(key[2], FormalNaturalVector):
             raise Gl2ValidationError(f"term key {key!r} does not name a FormalNaturalVector")
-        return key[0], key[1], key[2].base()
+        if key[2].scale != 1:
+            raise Gl2ValidationError(
+                f"term key {key!r} names a symbol at scale {key[2].scale}: "
+                "the coefficient carries the scale"
+            )
+        return key
 
     @classmethod
     def cartan_vector(cls, m, n):

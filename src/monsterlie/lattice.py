@@ -65,11 +65,6 @@ from typing import NamedTuple
 from .qseries import _coeff, _int
 
 
-class UnsupportedStateError(ValueError):
-    """A vertex-operator coefficient was requested on a state shape the
-    expansion does not cover."""
-
-
 def _vector(pair):
     """A vector (m, n) of the rational span, both coordinates in the
     coefficient form of `_coeff`; `TypeError` on an inexact coordinate."""
@@ -419,7 +414,7 @@ def vertex_iota_coeff(a, b_state, power):
     the Schur term p_r at x**(r + <abar,bbar> - contracted depth).
     """
     if not isinstance(a, HatLatticeElement):
-        raise UnsupportedStateError("the operator argument must cover a lattice point")
+        raise TypeError("the operator argument must be a HatLatticeElement")
     _int(power, "power")
     point = a.vector
     d, terms = _numerators(b_state.terms)

@@ -86,10 +86,8 @@ class QSeries:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def monomial(cls, exponent, coefficient=1, order=None):
+    def monomial(cls, exponent, coefficient, order):
         """c * q**exponent, exact through q**(order-1)."""
-        if order is None:
-            order = exponent + 1
         if order <= exponent:
             raise PrecisionError(f"q^{exponent} lies beyond the precision window")
         return cls(exponent, [coefficient] + [0] * (order - exponent - 1))

@@ -76,15 +76,10 @@ class CoefficientTable(NamedTuple):
             return 0
         if j == -1:
             return 1
-        return self._at(name, j)
-
-    def _at(self, name, j):
-        if j < 1:
-            raise IndexError(f"recursions never reference index {j}")
         row = self.rows.get(name, ())
-        if j > len(row):
+        if not 1 <= j <= len(row):
             raise IndexError(
-                f"index {j} of class {name} beyond the order {len(row)} it was filled to"
+                f"index {j} of class {name} is outside the order {len(row)} it was filled to"
             )
         return row[j - 1]
 

@@ -107,10 +107,10 @@ def test_primary_pair_satisfies_construction():
 
 def test_normalize_partner_examples():
     u, _ = primary_pair(2)  # (u,u) = 1, j even
-    v = normalize_partner(2, u, 1)
+    v = normalize_partner(2, u)
     assert v == u
     w = FormalNaturalVector("w", 2, True, 1, {("w", "w"): Fraction(4)})
-    partner = normalize_partner(1, w, 4)
+    partner = normalize_partner(1, w)
     assert partner.label == "w"
     assert partner.scale == Fraction(-1, 4)
     assert pairing_value(w, partner) == -1
@@ -119,23 +119,20 @@ def test_normalize_partner_examples():
 def test_normalize_partner_only_reads_the_pairing_table():
     w = FormalNaturalVector("w", 2, True, 1, {("w", "w"): 4})
     before = dict(w.pairings)
-    normalize_partner(1, w, 4)
+    assert normalize_partner(1, w).scale == Fraction(-1, 4)
     assert dict(w.pairings) == before
-    with pytest.raises(Gl2ValidationError, match="contradicts"):
-        normalize_partner(1, w, 3)
-    assert dict(w.pairings) == before
-    unrecorded = FormalNaturalVector("x", 2)
+    # (u,u) comes from the table alone: a table without it raises
+    unrecorded = FormalNaturalVector("x", 2, pairings={("x", "y"): 1})
     with pytest.raises(PairingNormalizationError, match=r"pairing \(x, x\) is not defined"):
-        normalize_partner(1, unrecorded, 1)
-    assert dict(unrecorded.pairings) == {}
+        normalize_partner(1, unrecorded)
+    assert dict(unrecorded.pairings) == {("x", "y"): 1}
 
 
 def test_normalize_partner_rejects_nonpositive_norm():
-    w = FormalNaturalVector("w", 2, True)
-    with pytest.raises(Gl2ValidationError):
-        normalize_partner(1, w, 0)
-    with pytest.raises(Gl2ValidationError):
-        normalize_partner(1, w, Fraction(-3, 2))
+    for norm in (0, Fraction(-3, 2)):
+        w = FormalNaturalVector("w", 2, True, pairings={("w", "w"): norm})
+        with pytest.raises(Gl2ValidationError, match=f"\\(u,u\\) must be positive .*, got {norm}"):
+            normalize_partner(1, w)
 
 
 def test_normalize_partner_random_norms_validate():
@@ -144,9 +141,10 @@ def test_normalize_partner_random_norms_validate():
     rng = random.Random(41)
     for _ in range(30):
         j = rng.choice((1, 2, 3, 7))
-        norm = Fraction(rng.randint(1, 40), rng.randint(1, 7))
+        norm = rng.choice((rng.randint(1, 40), Fraction(rng.randint(1, 40), rng.randint(1, 7))))
         u = FormalNaturalVector("u", j + 1, True, 1, {("u", "u"): norm})
-        v = normalize_partner(j, u, norm)
+        v = normalize_partner(j, u)
+        assert v == u.rescaled(Fraction((-1) ** j) / norm)
         make_gl2(j, u, v)  # must not raise
 
 
@@ -212,12 +210,12 @@ def test_melement_equality_compares_the_symbols_its_terms_name():
     # the Cartan part names no symbol
     assert bracket(a.e, a.f) == bracket(b.e, b.f) == MElement.cartan_vector(1, 1)
     assert 0 * a.e == MElement.zero() == 0 * b.e
-    # a symbol built apart with the same table, or a rescaled symbol (its
-    # scale is not part of the key), still compares equal
+    # a symbol built apart with the same table still compares equal, and a
+    # rescaled symbol is its scale-1 symbol with the scale in the coefficient
     u, v = primary_pair(1, norm=1)
     c = make_gl2(1, u, v)
     assert a.e == c.e
-    assert MElement({("e", 1, u.rescaled(5)): 1}) == MElement({("e", 1, u): 1}) == a.e
+    assert MElement({("e", 1, u.rescaled(5).base()): 5}) == 5 * a.e
     assert a.e + c.e == 2 * a.e
     # a symbol under another label is another symbol
     w = FormalNaturalVector("w", 2, pairings={("w", "w"): 1})
@@ -255,6 +253,15 @@ def test_tables_that_disagree_on_a_pairing_raise_in_either_order():
     w = FormalNaturalVector("w", 2, pairings={("w", "w"): 1})
     assert pairing_value(u, w) == pairing_value(w, u) == -2
     assert bracket(*e_f(u, w)) == MElement.cartan_vector(-2, -2)
+
+
+def test_a_table_giving_one_pair_twice_must_agree_with_itself():
+    pairings = {("u", "w"): 3, ("w", "u"): 5, ("u", "u"): 1}
+    with pytest.raises(Gl2ValidationError, match=r"pairing \(w, u\) is given as 3 and as 5"):
+        FormalNaturalVector("u", 2, pairings=pairings)
+    # equal values in both orientations are one entry
+    u = FormalNaturalVector("u", 2, pairings={("u", "w"): 3, ("w", "u"): Fraction(6, 2)})
+    assert dict(u.pairings) == {("u", "w"): 3}
 
 
 def test_symbol_equality_includes_the_pairing_table():
@@ -542,13 +549,36 @@ def test_gl2_elements_carry_their_symbols_in_their_keys():
 
 def test_melement_gates_the_keys_it_is_given():
     u = FormalNaturalVector("u", 2, pairings={("u", "u"): 1})
-    # each symbol is stored at scale 1, and keys that then coincide merge
-    x = MElement({("e", 1, u.rescaled(5)): 1, ("e", 1, u): Fraction(1, 2), ("h", 0): 0})
-    assert x.terms == {("e", 1, u): Fraction(3, 2)}
+    # a key holds its symbol at scale 1, unchanged; a scaled symbol is
+    # refused, naming the key, as the coefficient carries the scale
+    x = MElement({("e", 1, u.rescaled(5).base()): 1, ("h", 0): 0})
+    assert x.terms == {("e", 1, u): 1}
     (key,) = x.terms
-    assert key[2].scale == 1 and type(key[2].scale) is int
-    assert MElement({("e", 1, u): 1, ("e", 1, u.rescaled(-1)): -1}).is_zero()
+    assert type(key[2].scale) is int
     assert MElement({("h", 0): 1}).terms == {("h", 0): 1}
+    for scale in (5, -1, Fraction(1, 2)):
+        key = ("e", 1, u.rescaled(scale))
+        message = re.escape(f"term key {key!r} names a symbol at scale {scale}: ")
+        with pytest.raises(Gl2ValidationError, match=message + "the coefficient carries the scale"):
+            MElement({key: 1})
+    # the partner of a norm-4 symbol is that symbol at scale 1/4
+    u, v = primary_pair(2, 4)
+    assert make_gl2(2, u, v).f == MElement({("f", 2, v.base()): Fraction(1, 4)})
+    with pytest.raises(Gl2ValidationError, match="scale 1/4"):
+        MElement({("f", 2, v): 1})
+
+
+@pytest.mark.parametrize("j", [-1, 1, 2, 3])
+@pytest.mark.parametrize("section_sign", [1, -1])
+def test_gl2_generators_carry_the_scales_in_their_coefficients(j, section_sign):
+    # the e and f of make_gl2 are the scale-1 generator keys times the
+    # scales of u and v, up to the signs of the chosen section
+    for norm in (1, 3, Fraction(2, 5)):
+        u, v = primary_pair(j, norm)
+        gens = make_gl2(j, u, v, section_sign)
+        assert gens.e == section_sign * u.scale * MElement({("e", j, u.base()): 1})
+        f_sign = section_sign * (-1) ** (j % 2)
+        assert gens.f == f_sign * v.scale * MElement({("f", j, v.base()): 1})
 
 
 def test_antisymmetry_on_computable_pairs():
@@ -598,7 +628,7 @@ def test_bracket_scales_with_pairing_value():
     j = 1
     u = FormalNaturalVector("u", 2, True, 1, {("u", "u"): 1, ("u", "w"): -2})
     w = FormalNaturalVector("w", 2, True, 1, {("w", "w"): 1})
-    gens_u = make_gl2(j, u, normalize_partner(j, u, 1))
+    gens_u = make_gl2(j, u, normalize_partner(j, u))
     e_u = gens_u.e
     f_w = MElement({("f", j, w): Fraction(-1)})
     got = bracket(e_u, f_w)
@@ -622,7 +652,7 @@ EXACT_ENTRY_POINTS = {
     "FormalNaturalVector": lambda x: FormalNaturalVector("u", 2, scale=x),
     "FormalNaturalVector.rescaled": lambda x: FormalNaturalVector("u", 2).rescaled(x),
     "normalize_partner": lambda x: normalize_partner(
-        1, FormalNaturalVector("u", 2, pairings={("u", "u"): 3}), x
+        1, FormalNaturalVector("u", 2, pairings={("u", "u"): x})
     ),
     "MElement.__rmul__": lambda x: x * MElement.cartan_vector(1, 2),
 }
@@ -750,7 +780,7 @@ def test_base_of_negated_symbol_is_exact():
 
 def test_normalize_partner_with_int_scale():
     u = FormalNaturalVector("u", 3, scale=2, pairings={("u", "u"): 1})  # (u,u) = 4
-    v = normalize_partner(2, u, 4)
+    v = normalize_partner(2, u)
     assert v.scale == Fraction(1, 2)
     assert pairing_value(u, v) == 1
 

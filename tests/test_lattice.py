@@ -12,7 +12,6 @@ from monsterlie.lattice import (
     FockState,
     HAT_IDENTITY,
     HatLatticeElement,
-    UnsupportedStateError,
     cocycle_sign,
     conformal_vector,
     hat_inverse,
@@ -549,7 +548,7 @@ def test_vertex_coeff_rejects_keys_off_the_lattice(abar):
 
 
 def test_vertex_coeff_needs_a_double_cover_element():
-    with pytest.raises(UnsupportedStateError):
+    with pytest.raises(TypeError, match="the operator argument must be a HatLatticeElement"):
         vertex_iota_coeff((1, 0), FockState.vacuum(), 0)
 
 

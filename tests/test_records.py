@@ -39,10 +39,11 @@ PUBLIC = [
 # names that nothing in the package, its CLI or its benchmark used; the E4
 # and partition series live on as oracles in tests/test_qseries.py and
 # `parse_csv` as a helper in tests/test_cli.py; `LatticeVector` gave way to
-# coordinate pairs (m, n)
+# coordinate pairs (m, n), and `UnsupportedStateError` to the `TypeError`
+# of every other type gate
 REMOVED = {
     "qseries": ["sigma3", "eisenstein_e4", "partition_series", "_frac"],
-    "lattice": ["weyl_reflect", "LatticeVector"],
+    "lattice": ["weyl_reflect", "LatticeVector", "UnsupportedStateError"],
 }
 REMOVED_METHODS = {
     QSeries: ["is_integral", "coefficients"],

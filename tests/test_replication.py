@@ -158,9 +158,9 @@ def test_lookups_outside_the_filled_rows_name_the_class():
     traces = {"1A": j_series(50), "2B": mckay_thompson("2B", 50), "3B": mckay_thompson("3B", 50)}
     table = replicate_extend(group_dataset(S3_CLASSES, traces), 40, ["2B"])
     assert table.value("1A", 20) == traces["1A"].coeff(20)
-    with pytest.raises(IndexError, match="index 21 of class 1A beyond the order 20"):
+    with pytest.raises(IndexError, match="index 21 of class 1A is outside the order 20"):
         table.value("1A", 21)
-    with pytest.raises(IndexError, match="index 1 of class 3B beyond the order 0"):
+    with pytest.raises(IndexError, match="index 1 of class 3B is outside the order 0"):
         table.value("3B", 1)
 
 
@@ -294,8 +294,8 @@ def test_convention_values_at_low_indices():
     table = replicate_extend(trivial_dataset(), 5)
     assert table.value("1A", 0) == 0
     assert table.value("1A", -1) == 1
-    with pytest.raises(IndexError):
-        table._at("1A", 0)
+    with pytest.raises(IndexError, match="index -2 of class 1A is outside the order 5"):
+        table.value("1A", -2)
 
 
 def test_order_below_five_rejected():
