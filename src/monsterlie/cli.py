@@ -138,8 +138,6 @@ def _cmd_verify_gl2(args):
     u, v = primary_pair(j)  # a matched pair, so (u, v) = +-1
     if args.pairing_sign != "auto":
         sign = int(args.pairing_sign)
-        if j == -1 and sign == 1:
-            raise Gl2ValidationError("the vacuum pair has pairing -1")
         v = v.rescaled(sign * pairing_value(u, v))  # (u, v) = sign; make_gl2 checks it
     report = verify_relations(j, u, v)
     lines = []

@@ -55,10 +55,18 @@ class ClassRecord(NamedTuple):
     seeds: dict  # index in SEED_INDICES -> exact integer
 
 
-class Dataset(NamedTuple):
-    classes: list
-    group_order: int
-    characters: dict | None = None  # irreducible index -> {class name -> int}
+class Dataset(NamedTuple("Dataset", [("classes", list), ("group_order", int), ("characters", dict)])):
+    """Class records, the group order and the optional characters {irreducible
+    index: {class name: int}}; the constructor raises DatasetError with the
+    `validate_dataset` list (`_make` and `_replace` skip the check)."""
+
+    __slots__ = ()
+
+    def __new__(cls, classes, group_order, characters=None):
+        dataset = super().__new__(cls, classes, group_order, characters)
+        if violations := validate_dataset(dataset):
+            raise DatasetError(violations)
+        return dataset
 
     @property
     def by_name(self):
@@ -126,8 +134,8 @@ def _identity_seed_expectations():
 
 
 def parse_dataset(obj):
-    """Build a Dataset from decoded JSON, then validate it; raises
-    DatasetError listing every violation found."""
+    """Build a Dataset from decoded JSON; raises DatasetError listing every
+    violation found, in the fields or by the `Dataset` constructor."""
     if not isinstance(obj, dict) or "classes" not in obj:
         raise DatasetError("top-level object must contain a 'classes' array")
     records = []
@@ -181,11 +189,7 @@ def parse_dataset(obj):
             }
     if problems:
         raise DatasetError(problems)
-    dataset = Dataset(records, group_order, characters)
-    violations = validate_dataset(dataset)
-    if violations:
-        raise DatasetError(violations)
-    return dataset
+    return Dataset(records, group_order, characters)
 
 
 def validate_dataset(dataset):

@@ -131,7 +131,11 @@ def vacuum_vector():
 
 def _table_pairing(u, v):
     """The unscaled (u, v) recorded in either symbol's table, else None;
-    `Gl2ValidationError` when the two tables record different values."""
+    `Gl2ValidationError` when one label names two symbols that differ in
+    more than scale, or when the two tables record different values."""
+    if u.label == v.label and (u.weight, u.primary, u.pairings) != (
+            v.weight, v.primary, v.pairings):
+        raise Gl2ValidationError(f"conflicting symbols for label {u.label!r}")
     key = _pair_key(u.label, v.label)
     value, other = u.pairings.get(key), v.pairings.get(key)
     if value is None:
@@ -343,20 +347,6 @@ def _root_of(key):
     return (1, key[1]) if key[0] == "e" else (-1, -key[1])
 
 
-def _natural_contraction(u, v, j):
-    """The scalar s with u_{2j+1} v = s * vacuum for weight-(j+1) symbols.
-    Two different symbols under one label are never paired through that
-    label's table entry: `Gl2ValidationError`."""
-    if u.label == v.label and u != v:
-        raise Gl2ValidationError(f"conflicting symbols for label {u.label!r}")
-    value = _table_pairing(u, v)
-    if value is None:
-        raise UnsupportedBracketError(
-            f"pairing ({u.label}, {v.label}) is not defined"
-        )
-    return (-1) ** (j % 2) * value
-
-
 def bracket(x, y):
     """Lie bracket on the modeled slice.
 
@@ -405,7 +395,10 @@ def _generator_bracket(out, kx, cx, ky, cy):
     a, b = _root_of(kx), _root_of(ky)
     m, n = a[0] + b[0], a[1] + b[1]
     if m == n == 0:
-        scale = _coeff(_natural_contraction(kx[2], ky[2], kx[1]) * cx * cy)
+        # u_{2j+1} v = (-1)**j (u, v) * vacuum for weight-(j+1) symbols
+        if (value := _table_pairing(kx[2], ky[2])) is None:
+            raise UnsupportedBracketError(f"pairing ({kx[2].label}, {ky[2].label}) is not defined")
+        scale = _coeff((-1) ** (kx[1] % 2) * value * cx * cy)
         power = _pairing(a, b) + 1  # Schur order r = 1
         iota_b = FockState({((), b): 1}, _gated=True)
         state = vertex_iota_coeff(section(*a), iota_b, power)
@@ -515,8 +508,9 @@ def primality_of_representatives(j, u):
     """Check that the tensor representative of e(j,u) is primary of weight 1.
 
     L(n)(x (x) y) = L(n)x (x) y + x (x) L(n)y: the first summand vanishes
-    by the primality flag of u, the second by the Fock-space Virasoro
-    action on iota(1, j), and the weights sum to (j + 1) + (-j) = 1, as
+    by the primality flag of u, the second as iota(1, j) is primary (for a
+    bare iota vector `is_primary` decides by its depth bound, 0, and applies
+    no Virasoro mode), and the weights sum to (j + 1) + (-j) = 1, as
     iota(1, j) has weight <(1,j),(1,j)>/2 = -j for every j.
     """
     _check_root_index(j)

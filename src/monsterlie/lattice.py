@@ -27,8 +27,10 @@ coefficient form of `qseries._coeff`: a plain `int` where integral, a
 `Fraction` otherwise; `_vector` and `_point` gate the pairs that come from
 outside, and inside the module the form and the cocycle are the bare
 `_pairing` and `_cocycle` on pairs already in that form.  States are
-plain term dictionaries {(mono, abar): coeff}, which accumulate by the
-one rule out[key] = out.get(key, 0) + c.
+plain term dictionaries {(mono, abar): coeff}, which accumulate by one
+rule in two spellings: out.get(key, 0) + c in the kernels, on integer
+numerators, and out[key] + c if key in out else c in `_add` and the gl2
+bracket, on `Fraction` parts, where a new key then costs no `0 + c`.
 
 The four mode actions `heisenberg_apply`, `virasoro_apply`, `schur_apply`
 and `vertex_iota_coeff` are linear and share one kernel shape:
@@ -153,9 +155,9 @@ def _exact(terms):
 
 
 def _add(out, terms, scale=1):
-    """Add scale * terms into the term dict out: the one term accumulator.
-    A new key takes its part as it is and the default scale multiplies
-    nothing, so a `Fraction` part costs no `0 + c` or `1 * c`."""
+    """Add scale * terms into the term dict out (the `Fraction`-part spelling
+    of the accumulation rule): a new key takes its part as it is and the
+    default scale multiplies nothing, so no `0 + c` or `1 * c` is formed."""
     for key, c in terms.items():
         if scale != 1:
             c = scale * c

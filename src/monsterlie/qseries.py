@@ -364,7 +364,9 @@ def mckay_thompson(name, order):
     if _int(order, "order") < 0:
         raise ValueError("order must be nonnegative")
     exponents = _MCKAY_THOMPSON[name]
-    return eta_quotient(exponents, order + 2).shift(-1) + exponents[1]
+    coeffs = _eta_times([1] + [0] * (order + 1), exponents)
+    coeffs[1] += exponents[1]
+    return QSeries(-1, coeffs)
 
 
 def j_series(order):
@@ -412,9 +414,9 @@ def _primary_dims(j_coeffs, order):
     """J * prod(1 - q**n) + 1 below q**order, from J's coefficients
     [1, 0, c(1), ...] from q**-1 on, at least order + 1 of them: one Euler
     pass (`_eta_times`), integrality-checked, with weight-1 coefficient 0."""
-    series = QSeries(-1, _eta_times(j_coeffs, {1: 1})) + 1
-    series = series.truncate(order)
-    series.require_integral("primary_dim_series")
-    if order > 0 and series.coeff(0) != 0:
-        raise IntegralityError("primary_dim_series: weight-1 coefficient must vanish")
-    return series
+    coeffs = _eta_times(j_coeffs, {1: 1})[: order + 1]
+    if order > 0:
+        coeffs[1] += 1
+        if coeffs[1]:
+            raise IntegralityError("primary_dim_series: weight-1 coefficient must vanish")
+    return QSeries(-1, coeffs).require_integral("primary_dim_series")

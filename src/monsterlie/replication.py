@@ -58,7 +58,6 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
-from .dataset import DatasetError, validate_dataset
 from .qseries import IntegralityError, _int, _primary_dims
 
 
@@ -240,15 +239,12 @@ def nontriviality_report(dataset, max_j):
     for a perfect group such as the Monster, that moves a gl2 subalgebra.
 
     Both dimension columns come from one linear map, times prod(1 - q**n)
-    plus 1: dim_primary from the identity row, exact since
-    `validate_dataset` runs first (the identity seeds are J's), and
-    dim_fixed from the trivial-multiplicity column.  A dataset with
-    violations raises DatasetError and returns no rows.
+    plus 1: dim_primary from the identity row, exact since a `Dataset` is
+    validated where it is built (the identity seeds are J's), and dim_fixed
+    from the trivial-multiplicity column.
     """
     if _int(max_j, "max_j") < 1:
         raise ValueError("max_j must be at least 1")
-    if violations := validate_dataset(dataset):
-        raise DatasetError(violations)
     table = replicate_extend(dataset, max(max_j, 5))
     identity = table.rows[dataset.identity_class().name]
     dims = _primary_dims([1, 0, *identity[:max_j]], max_j + 1)

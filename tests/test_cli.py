@@ -81,6 +81,11 @@ def test_dims_table_row_44(capsys):
     assert by_weight["44"] == "12113398911563006366044489650277199"
 
 
+def test_dims_at_max_zero_is_the_vacuum_line(capsys):
+    assert run(["dims", "--max", "0"]) == 0
+    assert capsys.readouterr().out == "weight  dim_primary\n     0            1\n"
+
+
 def test_eta_prefix(capsys):
     assert run(["eta", "--max", "7"]) == 0
     _, rows = table_from(capsys)
@@ -181,6 +186,10 @@ def test_validate_data_validates_once(monkeypatch, capsys, toy_data):
     assert run(["validate-data", "--data", toy_data]) == 0
     assert "dataset valid" in capsys.readouterr().out
     assert len(calls) == 1
+    # the report reads a Dataset already checked where it was built
+    assert run(["check-nontrivial", "--data", toy_data, "--max", "3"]) == 4
+    capsys.readouterr()
+    assert len(calls) == 2
 
 
 def test_abelian_dataset_loads(tmp_path, capsys):
@@ -371,10 +380,12 @@ def test_out_of_range_argument_is_usage_error(capsys, argv, message):
 
 
 def test_verify_gl2_vacuum_pair_sign(capsys):
+    # the vacuum pairs with itself to -1, so make_gl2 refuses +1 as it
+    # refuses every wrong sign
     assert run(["verify-gl2", "--j", "-1", "--pairing-sign", "+1"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "verification error: the vacuum pair has pairing -1\n"
+    assert captured.err == "verification error: (u,v) must be -1 for root index -1, got 1\n"
     assert run(["verify-gl2", "--j", "-1", "--pairing-sign", "-1"]) == 0
     assert "6/6 relations pass" in capsys.readouterr().out
 

@@ -86,7 +86,7 @@ GOLDEN = {
     "verify-gl2 --j -1":
         "a32c82c5934cde5a61de740825ccbd509bed42c6a21eb6cde882c0622491ccdc",
     "verify-gl2 --j -1 --pairing-sign +1":
-        "fcda9a80004b597fadd3b1d03c77d36762628c5065969fc33224e779901488f0",
+        "2f68f4e492015dbab2126a3fcee8fb966ec528190a448b0e49a6afbc461f8b51",
     "verify-gl2 --j -1 --pairing-sign -1":
         "a32c82c5934cde5a61de740825ccbd509bed42c6a21eb6cde882c0622491ccdc",
     "verify-gl2 --j 0":

@@ -33,26 +33,44 @@ def test_trivial_dataset_is_valid():
     assert d.identity_class().seeds[5] == 333202640600
 
 
+def built_violations(classes, group_order):
+    """The violations the Dataset constructor raises for these fields."""
+    with pytest.raises(DatasetError) as err:
+        Dataset(classes, group_order)
+    return err.value.violations
+
+
 def test_datasets_built_in_code_get_the_record_checks():
     identity = trivial_dataset().classes[0]
     short = ClassRecord("2B", 1, "1A", {-1: 1, 1: 276})
-    assert validate_dataset(Dataset([identity, short], 2)) == [
+    assert built_violations([identity, short], 2) == [
         f"class 2B: missing seed index {k}" for k in (2, 3, 5)
     ]
     negative = ClassRecord("2B", -1, "1A", identity.seeds)
     # record violations come alone: no identity or group-order line after them
-    assert validate_dataset(Dataset([identity, identity, negative], 5)) == [
+    assert built_violations([identity, identity, negative], 5) == [
         "classes[1]: duplicate class name '1A'",
         "class 2B: negative class size",
     ]
     no_identity_seed = ClassRecord("1A", 1, "1A", {-1: 1, 1: 196884})
-    assert validate_dataset(Dataset([no_identity_seed], 1)) == [
+    assert built_violations([no_identity_seed], 1) == [
         f"class 1A: missing seed index {k}" for k in (2, 3, 5)
     ]
     # a group order off the sum comes next, alone: no identity line after it
-    assert validate_dataset(Dataset([identity._replace(class_size=2)], 1)) == [
+    assert built_violations([identity._replace(class_size=2)], 1) == [
         "declared group_order 1 does not equal the sum of class sizes 2"
     ]
+    # read unchecked, a group order off the sum would give a wrong
+    # multiplicity, and a square class that names no class a bare KeyError
+    assert built_violations([identity], 2) == [
+        "declared group_order 2 does not equal the sum of class sizes 1"
+    ]
+    assert built_violations([identity, identity._replace(name="2B", power2="9Z")], 2) == [
+        "class 2B: unknown square class '9Z'"
+    ]
+    # _replace skips the check, as for every named tuple
+    unchecked = trivial_dataset()._replace(group_order=2)
+    assert validate_dataset(unchecked) == built_violations([identity], 2)
     # in a file, the shape of every class and of the characters is checked
     # first, and alone: a missing seed or an off group order waits for it
     obj = to_jsonable(trivial_dataset())
@@ -286,9 +304,9 @@ def test_an_empty_class_is_a_violation():
     # a class of size 0 would drop out of every multiplicity unseen
     identity = trivial_dataset().classes[0]
     empty = ClassRecord("2B", 0, "1A", identity.seeds)
-    assert validate_dataset(Dataset([identity, empty], 1)) == ["class 2B: empty class (size 0)"]
+    assert built_violations([identity, empty], 1) == ["class 2B: empty class (size 0)"]
     negative = empty._replace(class_size=-3)
-    assert validate_dataset(Dataset([identity, negative], -2)) == ["class 2B: negative class size"]
+    assert built_violations([identity, negative], -2) == ["class 2B: negative class size"]
     obj = toy_object()
     obj["classes"].append({**obj["classes"][0], "name": "2B", "class_size": "0"})
     with pytest.raises(DatasetError) as err:

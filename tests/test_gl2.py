@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from monsterlie import gl2
 from monsterlie.gl2 import (
     FormalNaturalVector,
     Gl2ValidationError,
@@ -198,6 +199,37 @@ def test_symbols_with_one_label_and_two_pairing_tables_conflict():
     c = make_gl2(1, *primary_pair(1, norm=1))
     assert bracket(a.e, c.f) == MElement.cartan_vector(1, 1)
     assert a.e + 2 * c.e == 3 * a.e
+
+
+def test_one_label_over_two_symbols_is_refused_by_every_read_of_the_form(monkeypatch):
+    # equal (u,u), but the tables differ; the scales make (u,v) = -1 through
+    # the label's entry, so only the one-label rule can refuse the pair
+    u = FormalNaturalVector("u", 2, pairings={("u", "u"): 1})
+    v = FormalNaturalVector("u", 2, scale=-1, pairings={("u", "u"): 1, ("u", "w"): 0})
+    monkeypatch.setattr(gl2, "bracket", lambda x, y: pytest.fail("a bracket ran"))
+    conflict = "conflicting symbols for label 'u'"
+    for read in (make_gl2, verify_relations):
+        with pytest.raises(Gl2ValidationError, match=conflict):
+            read(1, u, v)
+    for x, y in ((u, v), (v, u)):
+        with pytest.raises(Gl2ValidationError, match=conflict):
+            pairing_value(x, y)
+    # a weight or a primality flag of its own is another symbol too
+    for other in (u._replace(weight=3), u._replace(primary=False)):
+        with pytest.raises(Gl2ValidationError, match=conflict):
+            pairing_value(u, other)
+    monkeypatch.undo()
+    # one symbol at two scales is one symbol: every primary_pair
+    for j, norm in itertools.product((1, 2, 5), (1, 4, Fraction(3, 2))):
+        u, v = primary_pair(j, norm)
+        assert v.base() == u
+        assert pairing_value(u, v) == (-1) ** j
+        assert verify_relations(j, u, v).all_passed
+    # a pair under two labels reads the entry from either table
+    u = FormalNaturalVector("u", 2, pairings={("u", "u"): 1, ("u", "w"): -1})
+    w = FormalNaturalVector("w", 2, pairings={("w", "w"): 1})
+    assert pairing_value(u, w) == pairing_value(w, u) == -1
+    assert verify_relations(1, u, w).all_passed and verify_relations(1, w, u).all_passed
 
 
 def test_melement_equality_compares_the_symbols_its_terms_name():

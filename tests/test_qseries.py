@@ -452,6 +452,15 @@ def test_primary_dim_series_small_values():
     assert dims.coeff(2) == 21296876
 
 
+def test_named_series_at_the_lowest_orders():
+    # at order 0 the window holds q**-1 alone, so the plus one at q**0 lies
+    # beyond it; the McKay-Thompson series always reach q**0
+    assert repr(primary_dim_series(0)) == "QSeries(1*q^-1 + O(q^0))"
+    assert repr(primary_dim_series(1)) == "QSeries(1*q^-1 + O(q^1))"
+    assert repr(mckay_thompson("2B", 0)) == "QSeries(1*q^-1 + O(q^1))"
+    assert repr(mckay_thompson("3B", 1)) == "QSeries(1*q^-1 + 54*q^1 + O(q^2))"
+
+
 def test_primary_dim_series_matches_expanded_route():
     # Independent expansion: q**-1 E4**3 P(q)**23 - 744 prod(1-q**j) + 1,
     # with P the partition series; equivalent after clearing eta powers.

@@ -324,7 +324,7 @@ def test_multiplicity_index_must_lie_in_the_table():
 
 
 def test_negative_multiplicity_is_an_error():
-    # a Dataset built in code skips file validation: sizes 1 and 1 with
+    # the Dataset checks read no trace of a class but the identity: sizes 1 and 1 with
     # C(2Z, 1) = -196886 put -2 / 2 = -1 copies of the trivial character at j = 1
     identity = trivial_dataset().classes[0]
     seeds = {**identity.seeds, 1: -196886}
@@ -496,7 +496,8 @@ def test_replication_integers_must_be_ints(entry, value):
 def test_report_dimensions_match_the_series_route(monkeypatch):
     # the dimension column comes from the identity row; primary_dim_series
     # reaches the same numbers from j_series, so each checks the other,
-    # and the report expands J only for the seed check (order 5)
+    # and the report expands J not at all: the seeds were checked against J
+    # where the Dataset was built
     import monsterlie.dataset
     import monsterlie.qseries
 
@@ -520,22 +521,19 @@ def test_report_dimensions_match_the_series_route(monkeypatch):
         for d in datasets:
             orders.clear()
             rows = nontriviality_report(d, max_j)
-            assert orders == [5], (max_j, orders)
+            assert orders == [], (max_j, orders)
             assert [row.j for row in rows] == list(range(1, max_j + 1))
             for row in rows:
                 assert row.dim_primary == dims.coeff(row.j), (max_j, row.j)
 
 
 def test_report_refuses_an_identity_seed_off_by_one():
-    # a Dataset built in code skips file validation; the report runs it,
-    # since a wrong identity row would give wrong dimensions
+    # a wrong identity row would give the report wrong dimensions, so a
+    # Dataset built in code is refused where it is built, before any report
     record = trivial_dataset().classes[0]
     seeds = {**record.seeds, 2: record.seeds[2] + 1}
-    d = Dataset([record._replace(seeds=seeds)], 1)
-    rows = None
     with pytest.raises(DatasetError) as err:
-        rows = nontriviality_report(d, 10)
+        Dataset([record._replace(seeds=seeds)], 1)
     assert err.value.violations == [
         "identity class 1A: seed 2 is 21493761, expected 21493760"
     ]
-    assert rows is None
