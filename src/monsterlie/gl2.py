@@ -34,7 +34,6 @@ from .lattice import (
     _AXIS_VECTORS,
     FockState,
     _Terms,
-    _exact,
     _pairing,
     is_primary,
     section,
@@ -235,7 +234,7 @@ class MElement(_Terms):
     coordinates ("h", axis) on the Fock axes u1 = (1, 0) and u2 = (0, 1);
     a `lattice._Terms`."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("numer", "den")
 
     @staticmethod
     def _key(key):
@@ -325,8 +324,8 @@ def make_gl2(j, u, v, section_sign=1):
         )
     e_scale = u.scale if section_sign == 1 else -u.scale
     f_scale = v.scale if section_sign == (-1) ** (j % 2) else -v.scale
-    e = MElement({("e", j, u.base()): e_scale}, _gated=True)
-    f = MElement({("f", j, v.base()): f_scale}, _gated=True)
+    e = MElement({("e", j, u.base()): e_scale.numerator}, den=e_scale.denominator)
+    f = MElement({("f", j, v.base()): f_scale.numerator}, den=f_scale.denominator)
     return Gl2Generators(e, f, _H1, _H2, j, u, v)
 
 
@@ -362,27 +361,28 @@ def bracket(x, y):
     root space, or raises UnsupportedBracketError when it lands in a
     nonzero root space outside the e/f/Cartan span (for instance two
     raising generators over imaginary roots); never returns a silently
-    wrong answer.  Each pair of terms passes its coefficients on to
+    wrong answer.  Each pair of terms passes its numerators on to
     `_generator_bracket`, which forms their product only for a nonzero
-    bracket, so a vanishing pair costs no multiplication.
+    bracket, so a vanishing pair costs no multiplication; the sum is over
+    the denominator x.den * y.den.
     """
     if not isinstance(x, MElement) or not isinstance(y, MElement):
         raise TypeError("bracket expects MElement arguments")
     out = {}
-    for kx, cx in x.terms.items():
-        for ky, cy in y.terms.items():
+    for kx, cx in x.numer.items():
+        for ky, cy in y.numer.items():
             _generator_bracket(out, kx, cx, ky, cy)
-    return MElement(_exact(out), _gated=True)
+    return MElement(out, den=x.den * y.den)
 
 
 def _generator_bracket(out, kx, cx, ky, cy):
-    """Add [cx kx, cy ky], for two generator keys of `MElement.terms` and
-    their coefficients, into the call's one term dict out, the kernel shape
-    of the lattice mode actions.  Each scalar is formed once, integer
-    factors first: the pairing <lam, root> times cx * cy for a Cartan
-    vector, and for a raising-lowering pair the contraction scalar times
-    cx * cy through `_coeff`, so the Fock-state coordinates meet an `int`
-    wherever that product is one."""
+    """Add [cx kx, cy ky], for two generator keys of an `MElement` and
+    their numerators, into the call's one term dict out, the kernel shape
+    of the lattice mode actions.  Each scalar is formed once: the pairing
+    <lam, root> times cx * cy for a Cartan vector, and for a
+    raising-lowering pair the contraction scalar times cx * cy, a
+    `Fraction` only where a pairing-table value or a Fock coordinate is
+    one."""
     if kx[0] == "h" or ky[0] == "h":
         if kx[0] == ky[0]:
             return  # two Cartan vectors commute
@@ -390,7 +390,7 @@ def _generator_bracket(out, kx, cx, ky, cy):
             key, c = ky, _pairing(_AXIS_VECTORS[kx[1]], _root_of(ky)) * cx * cy
         else:
             key, c = kx, -_pairing(_AXIS_VECTORS[ky[1]], _root_of(kx)) * cx * cy
-        out[key] = out[key] + c if key in out else c
+        out[key] = out.get(key, 0) + c
         return
     a, b = _root_of(kx), _root_of(ky)
     m, n = a[0] + b[0], a[1] + b[1]
@@ -398,9 +398,9 @@ def _generator_bracket(out, kx, cx, ky, cy):
         # u_{2j+1} v = (-1)**j (u, v) * vacuum for weight-(j+1) symbols
         if (value := _table_pairing(kx[2], ky[2])) is None:
             raise UnsupportedBracketError(f"pairing ({kx[2].label}, {ky[2].label}) is not defined")
-        scale = _coeff((-1) ** (kx[1] % 2) * value * cx * cy)
+        scale = (-1) ** (kx[1] % 2) * value * cx * cy
         power = _pairing(a, b) + 1  # Schur order r = 1
-        iota_b = FockState({((), b): 1}, _gated=True)
+        iota_b = FockState({((), b): 1}, den=1)
         state = vertex_iota_coeff(section(*a), iota_b, power)
         for (mono, abar), c in state.terms.items():
             if abar != (0, 0) or len(mono) != 1 or mono[0][1] != 1:
@@ -410,7 +410,7 @@ def _generator_bracket(out, kx, cx, ky, cy):
             # the coefficients of u1(-1) iota(1) and u2(-1) iota(1) are the
             # Cartan coordinates on those axes
             key, c = ("h", mono[0][0]), scale * c
-            out[key] = out[key] + c if key in out else c
+            out[key] = out.get(key, 0) + c
         return
     if m * n == -1 or m * n >= 1:
         # away from the origin a root space is zero exactly when the

@@ -26,25 +26,25 @@ A vector is a coordinate pair (m, n) and a lattice point a pair of
 coefficient form of `qseries._coeff`: a plain `int` where integral, a
 `Fraction` otherwise; `_vector` and `_point` gate the pairs that come from
 outside, and inside the module the form and the cocycle are the bare
-`_pairing` and `_cocycle` on pairs already in that form.  States are
-plain term dictionaries {(mono, abar): coeff}, which accumulate by one
-rule in two spellings: out.get(key, 0) + c in the kernels, on integer
-numerators, and out[key] + c if key in out else c in `_add` and the gl2
-bracket, on `Fraction` parts, where a new key then costs no `0 + c`.
+`_pairing` and `_cocycle` on pairs already in that form.  A state stores
+its terms {(mono, abar): coeff} as integer numerators over one positive
+denominator, in lowest terms (`_Terms`); its `terms` are the coefficient
+form, built on each read.  Terms accumulate by one rule,
+out[key] = out.get(key, 0) + c, in the kernels, the sums of `_Terms` and
+the gl2 bracket.
 
 The four mode actions `heisenberg_apply`, `virasoro_apply`, `schur_apply`
-and `vertex_iota_coeff` are linear and share one kernel shape:
-`_numerators` scales the input by d, the lcm of its coefficient
-denominators; the kernel writes the rule out key by key into one dict per
-call on those integer numerators; and `_over` divides the result by d
-(times top! for a Schur merge) in one step, straight into coefficient form
-and one `FockState`.  Both Schur users merge through `_schur_terms`.
+and `vertex_iota_coeff` are linear and share one kernel shape: the kernel
+reads the input's numerators and denominator d, writes the rule out key
+by key into one dict per call, and hands it to one `FockState` over d
+(times top! for a Schur merge), whose constructor reduces it.  Both Schur
+users merge through `_schur_terms`.
 Schur terms are carried as q_k = k! p_k, built term by term from the
 cycle-type formula k! p_k = sum_{mu |- k} (k!/z_mu) p_mu on each axis:
 k!/z_mu counts permutations, so a lattice point lam never sees a
 fraction.  `_Terms`, the immutable term dict of states and of
-`gl2.MElement`, owns their outside-term gate, equality, sums,
-differences and scalar multiples, through `_exact` and `_add`.
+`gl2.MElement`, owns their outside-term gate, normal form, equality,
+sums, differences and scalar multiples.
 
 Virasoro modes act through the commutation rules
 
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby, product
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, gcd, lcm, perm
 from typing import NamedTuple
 
 from .qseries import _coeff, _int
@@ -146,78 +146,89 @@ def section(m, n, sign=1):
 # -- exact term dicts -----------------------------------------------------
 
 
-def _exact(terms):
-    """The terms with every coefficient in coefficient form and the zeros
-    dropped: the one exactness gate of `_Terms`."""
-    if not terms:
-        return {}
-    return {key: c for key, coeff in terms.items() if (c := _coeff(coeff))}
-
-
-def _add(out, terms, scale=1):
-    """Add scale * terms into the term dict out (the `Fraction`-part spelling
-    of the accumulation rule): a new key takes its part as it is and the
-    default scale multiplies nothing, so no `0 + c` or `1 * c` is formed."""
-    for key, c in terms.items():
-        if scale != 1:
-            c = scale * c
-        out[key] = out[key] + c if key in out else c
-
-
 class _Terms:
-    """One immutable exact term dict {key: coeff}: `FockState` and
-    `gl2.MElement`, each with a `terms` slot and a static `_key` gate.
-    Outside terms pass `_key` and `_exact`, and keys that then coincide
-    merge; terms already in that form pass the private `_gated=True`.
-    Arithmetic stays within one type, and `1 * x` is x itself."""
+    """One immutable exact term dict: `FockState` and `gl2.MElement`, each
+    with the slots `numer` and `den` and a static `_key` gate.  The terms
+    are numer[key] / den, every numerator a nonzero `int` and den a positive
+    `int`, in lowest terms, so equal elements store equal `(den, numer)`.
+
+    The constructor is the one normaliser.  Outside terms {key: coeff}
+    pass `_key` and `_coeff`, and keys that then coincide merge; kernel
+    output comes in as numerators over `den=d`.  Either way zero entries
+    are dropped, a `Fraction` numerator has its denominator cleared into
+    den, and the gcd of den and the numerators is divided out.  Sums and
+    differences are integer dict operations over the lcm of the two
+    denominators, arithmetic stays within one type, and `1 * x` is x
+    itself."""
 
     __slots__ = ()
 
-    def __init__(self, terms=None, *, _gated=False):
-        if terms and not _gated:
-            merged = {}
-            for key, c in terms.items():
-                key = self._key(key)
-                merged[key] = merged.get(key, 0) + _coeff(c)
-            terms = _exact(merged)
-        object.__setattr__(self, "terms", terms or {})
+    def __init__(self, terms=None, *, den=None):
+        if den is None:
+            numer = {}
+            if terms:
+                for key, c in terms.items():
+                    key = self._key(key)
+                    numer[key] = numer.get(key, 0) + _coeff(c)
+            terms, den = numer, 1
+        if 0 in terms.values():  # a rebuild re-hashes every key, so only on need
+            terms = {key: c for key, c in terms.items() if c}
+        try:
+            g = gcd(den, *terms.values())
+        except TypeError:  # a rational numerator: clear its denominator into den
+            d = lcm(*(c.denominator for c in terms.values()))
+            terms = {key: c.numerator * (d // c.denominator) for key, c in terms.items()}
+            den *= d
+            g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {key: c // g for key, c in terms.items()}
+            den //= g
+        object.__setattr__(self, "numer", terms)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def terms(self):
+        """{key: coeff} in the coefficient form of `_coeff`, built on each read."""
+        den = self.den
+        if den == 1:
+            return dict(self.numer)
+        return {k: c // den if c % den == 0 else Fraction(c, den) for k, c in self.numer.items()}
 
     @classmethod
     def zero(cls):
         return cls()
 
     def is_zero(self):
-        return not self.terms
+        return not self.numer
 
     def __eq__(self, other):
-        return type(other) is type(self) and self.terms == other.terms
+        return type(other) is type(self) and self.den == other.den and self.numer == other.numer
+
+    def _combine(self, other, sign):
+        if type(other) is not type(self):
+            return NotImplemented
+        den = lcm(self.den, other.den)
+        scale, other_scale = den // self.den, sign * (den // other.den)
+        out = dict(self.numer) if scale == 1 else {k: scale * c for k, c in self.numer.items()}
+        for key, c in other.numer.items():
+            out[key] = out.get(key, 0) + other_scale * c
+        return type(self)(out, den=den)
 
     def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        out = dict(self.terms)
-        _add(out, other.terms)
-        return type(self)(_exact(out), _gated=True)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        out = dict(self.terms)
-        _add(out, other.terms, -1)
-        return type(self)(_exact(out), _gated=True)
+        return self._combine(other, -1)
 
     def __rmul__(self, scalar):
         c = _coeff(scalar)
         if c == 1:
             return self
-        if c == -1:  # negation keeps coefficient form
-            terms = {k: -v for k, v in self.terms.items()}
-        else:
-            terms = _exact({k: c * v for k, v in self.terms.items()})
-        return type(self)(terms, _gated=True)
+        p = c.numerator
+        return type(self)({k: p * v for k, v in self.numer.items()}, den=self.den * c.denominator)
 
     __mul__ = __rmul__
 
@@ -238,7 +249,7 @@ class FockState(_Terms):
     vectors, a `_Terms`; creation modes commute, so `_key` sorts each
     outside key's monomial."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("numer", "den")
 
     @staticmethod
     def _key(key):
@@ -254,7 +265,7 @@ class FockState(_Terms):
     @classmethod
     def iota(cls, a):
         """State iota(a) for a double-cover element; kappa acts as -1."""
-        return cls({((), a.vector): a.sign}, _gated=True)
+        return cls({((), a.vector): a.sign}, den=1)
 
     @classmethod
     def vacuum(cls):
@@ -264,30 +275,13 @@ class FockState(_Terms):
         return -1 * self
 
     def __repr__(self):
-        if not self.terms:
+        if not self.numer:
             return "FockState(0)"
         parts = []
         for (mono, abar), c in sorted(self.terms.items()):
             ops = "".join(f"{_AXIS_NAMES[a]}(-{n})" for a, n in mono)
             parts.append(f"{c}*{ops}iota{abar}")
         return "FockState(" + " + ".join(parts) + ")"
-
-
-def _numerators(terms):
-    """(d, terms * d) with d the lcm of the coefficient denominators, so
-    every scaled coefficient is an `int`: the input of the linear kernels."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    return d, {key: c.numerator * (d // c.denominator) for key, c in terms.items()}
-
-
-def _over(terms, d):
-    """The state terms / d: the one division of a kernel call, straight
-    into coefficient form (`c // d` where d divides c); zeros are dropped,
-    so the result passes no second `_exact`."""
-    return FockState(
-        {key: c // d if c % d == 0 else Fraction(c, d) for key, c in terms.items() if c},
-        _gated=True,
-    )
 
 
 def heisenberg_apply(lam, n, state):
@@ -300,9 +294,8 @@ def heisenberg_apply(lam, n, state):
     """
     lam = _vector(lam)
     _int(n, "n")
-    d, terms = _numerators(state.terms)
     out = {}
-    for (mono, abar), c in terms.items():
+    for (mono, abar), c in state.numer.items():
         if n == 0:
             key = (mono, abar)
             out[key] = out.get(key, 0) + c * _pairing(lam, abar)
@@ -319,7 +312,7 @@ def heisenberg_apply(lam, n, state):
                     key = (mono[:i] + mono[i + 1 :], abar)
                     scale = _pairing(lam, _AXIS_VECTORS[axis]) * n
                     out[key] = out.get(key, 0) + scale * c
-    return _over(out, d)
+    return FockState(out, den=state.den)
 
 
 def schur_apply(lam, r, state):
@@ -331,26 +324,26 @@ def schur_apply(lam, r, state):
     """
     if _int(r, "r") < 0:
         raise ValueError("Schur index must be nonnegative")
-    d, terms = _numerators(state.terms)
-    return _schur_terms(_vector(lam), [(r, mono, abar, c) for (mono, abar), c in terms.items()], d)
+    targets = {(r, mono, abar): c for (mono, abar), c in state.numer.items()}
+    return _schur_terms(_vector(lam), targets, state.den)
 
 
 def _schur_terms(lam, targets, d):
     """The state sum of c p_r(lam(-1), lam(-2), ...) mono iota(abar) over
-    the targets (r, mono, abar, c), divided by d: the one Schur merge.
+    the targets {(r, mono, abar): c}, divided by d: the one Schur merge.
 
     r! p_r is expanded once per order the targets carry and every order is
     merged over the one denominator d top!; its keys come sorted, so a bare
     iota target takes them as they are."""
-    levels = _schur_numerators(lam, {target[0] for target in targets})
+    levels = _schur_numerators(lam, {r for r, _, _ in targets})
     top = len(levels) - 1
     out = {}
-    for r, mono, abar, c in targets:
+    for (r, mono, abar), c in targets.items():
         weight = c * perm(top, top - r)  # p_r = q_r top!/r! over top!
         for extra, q in levels[r].items():
             key = (tuple(sorted(mono + extra)) if mono else extra, abar)
             out[key] = out.get(key, 0) + weight * q
-    return _over(out, d * factorial(top))
+    return FockState(out, den=d * factorial(top))
 
 
 def _schur_numerators(lam, orders):
@@ -419,9 +412,8 @@ def vertex_iota_coeff(a, b_state, power):
         raise TypeError("the operator argument must be a HatLatticeElement")
     _int(power, "power")
     point = a.vector
-    d, terms = _numerators(b_state.terms)
-    targets = []  # (Schur order, remaining factors, lattice point, numerator)
-    for (mono, abar), c in terms.items():
+    targets = {}  # (Schur order, remaining factors, lattice point): numerator
+    for (mono, abar), c in b_state.numer.items():
         m, n = abar
         # a times the sign-1 lift of abar, as in the group law `hat_multiply`
         sign = a.sign * _cocycle(point, abar)
@@ -440,8 +432,11 @@ def vertex_iota_coeff(a, b_state, power):
                 remaining.extend([(axis, mode)] * (count - s))
             r = power - base + depth
             if factor and r >= 0:
-                targets.append((r, tuple(remaining), target, factor))
-    return _schur_terms(point, targets, d)
+                key = (r, tuple(remaining), target)
+                targets[key] = targets.get(key, 0) + factor
+    if 0 in targets.values():
+        targets = {key: c for key, c in targets.items() if c}
+    return _schur_terms(point, targets, b_state.den)
 
 
 # -- Virasoro action -----------------------------------------------------
@@ -462,9 +457,8 @@ def virasoro_apply(n, state):
     quadratic tail in the dual coordinate modes.
     """
     _int(n, "n")
-    d, terms = _numerators(state.terms)
     out = {}
-    for (mono, abar), c in terms.items():
+    for (mono, abar), c in state.numer.items():
         for i, (axis, k) in enumerate(mono):
             p = n - k
             rest = mono[:i] + mono[i + 1 :]
@@ -497,7 +491,7 @@ def virasoro_apply(n, state):
             for k in range(n + 1, 0):
                 key = (tuple(sorted(mono + ((0, -k), (1, k - n)))), abar)
                 out[key] = out.get(key, 0) - c
-    return _over(out, d)
+    return FockState(out, den=state.den)
 
 
 def conformal_vector():
@@ -517,7 +511,7 @@ def weight_of(state):
     None when the state is zero or mixes weights (inhomogeneous).
     """
     weights = set()
-    for mono, abar in state.terms:
+    for mono, abar in state.numer:
         weights.add(_pairing(abar, abar) // 2 + sum(n for _, n in mono))
     if len(weights) != 1:
         return None
@@ -531,5 +525,5 @@ def is_primary(state):
     of every term by exactly n, so all modes beyond the largest depth d of
     a term vanish and checking L(1) ... L(d) decides primality.
     """
-    top = max((sum(n for _, n in mono) for mono, _ in state.terms), default=0)
+    top = max((sum(n for _, n in mono) for mono, _ in state.numer), default=0)
     return all(virasoro_apply(n, state).is_zero() for n in range(1, top + 1))

@@ -316,7 +316,7 @@ def test_rescaling_shares_the_validated_pairing_table():
 def test_melement_is_one_term_dict():
     gens = make_gl2(2, *primary_pair(2))
     x = gens.e + 3 * gens.f + gens.h1 - 2 * gens.h2
-    assert MElement.__slots__ == ("terms",)
+    assert MElement.__slots__ == ("numer", "den")
     u = gens.u
     assert x.terms == {("e", 2, u): 1, ("f", 2, u): 3, ("h", 0): 2, ("h", 1): -1}
     assert x.cartan == (2, -1)

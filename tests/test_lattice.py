@@ -4,7 +4,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -57,12 +57,17 @@ def rand_state(rng, max_degree=5):
 
 
 def assert_exact_nonzero(state):
-    """Every stored coefficient is nonzero and in coefficient form (a plain
-    int, or a Fraction that is not integral), so structural equality is
-    equality of states."""
+    """Every coefficient is nonzero and in coefficient form (a plain int, or
+    a Fraction that is not integral), and the stored numerators are nonzero
+    ints over a positive denominator in lowest terms, so structural equality
+    is equality of states."""
     for key, c in state.terms.items():
         assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (key, c)
         assert c != 0, key
+    assert type(state.den) is int and state.den >= 1
+    for key, c in state.numer.items():
+        assert type(c) is int and c != 0, (key, c)
+    assert gcd(state.den, *state.numer.values()) == 1
 
 
 def test_fock_state_stores_integral_coefficients_as_int():
@@ -84,6 +89,24 @@ def test_fock_state_sorts_outside_monomials_and_merges_keys():
     moved = virasoro_apply(-1, FockState({swapped: 1}))
     assert not moved.is_zero()
     assert moved == virasoro_apply(-1, FockState({ordered: 1}))
+
+
+def test_two_routes_to_one_state_store_one_form():
+    """A kernel's output over a common denominator and the same state built
+    by hand reduce to equal (den, numer), as do s and s/2 + s/2."""
+    k1, k2 = (((0, 1),), (1, 0)), (((1, 2),), (0, 1))
+    s = FockState({k1: Fraction(1, 4), k2: Fraction(5, 6)})
+    assert (s.den, s.numer) == (12, {k1: 3, k2: 10})
+    got = heisenberg_apply((2, 0), -1, s)
+    k1x, k2x = (((0, 1), (0, 1)), (1, 0)), (((0, 1), (1, 2)), (0, 1))
+    by_hand = FockState({k1x: Fraction(1, 2), k2x: Fraction(5, 3)})
+    assert (got.den, got.numer) == (by_hand.den, by_hand.numer) == (6, {k1x: 3, k2x: 10})
+    assert got == by_hand
+    assert_exact_nonzero(got)
+    half = Fraction(1, 2) * s + Fraction(1, 2) * s
+    assert (half.den, half.numer) == (s.den, s.numer) and half == s
+    gone = s - s
+    assert (gone.den, gone.numer) == (1, {}) and gone == FockState.zero()
 
 
 @pytest.mark.parametrize(

@@ -163,6 +163,21 @@ def test_values_are_immutable_and_hash_by_value(name):
             hash(value)
 
 
+@pytest.mark.parametrize("cls", [FockState, MElement])
+def test_term_dicts_refuse_floats(cls):
+    """A float coefficient or scalar raises `TypeError`: the numerators
+    stay exact integers."""
+    x = VALUES[cls.__name__][0]()
+    key = next(iter(x.terms))
+    with pytest.raises(TypeError, match="exact rational"):
+        cls({key: 0.5})
+    for scalar in (0.5, 1.0):
+        with pytest.raises(TypeError, match="exact rational"):
+            scalar * x
+        with pytest.raises(TypeError, match="exact rational"):
+            x * scalar
+
+
 @pytest.mark.parametrize("cls", [HatLatticeElement, FormalNaturalVector])
 def test_value_classes_are_named_tuples(cls):
     """The checks live in `__new__`; the tuple gives the rest, except the
@@ -181,7 +196,7 @@ def test_term_arithmetic_has_one_home(cls):
     """Both term dicts take their gate, arithmetic and equality from
     `lattice._Terms` and keep only their own keys, constructors and repr;
     the two types never mix."""
-    assert cls.__bases__ == (_Terms,) and cls.__slots__ == ("terms",)
+    assert cls.__bases__ == (_Terms,) and cls.__slots__ == ("numer", "den")
     shared = ("__init__", "__setattr__", "__eq__", "__add__", "__sub__",
               "__rmul__", "__mul__", "zero", "is_zero")
     for name in shared:
