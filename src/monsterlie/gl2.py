@@ -34,12 +34,13 @@ from .lattice import (
     _AXIS_VECTORS,
     FockState,
     _Terms,
+    _coeff,
     _pairing,
     is_primary,
     section,
     vertex_iota_coeff,
 )
-from .qseries import _coeff, _int, j_series
+from .qseries import _int, j_series
 
 
 class Gl2ValidationError(ValueError):

@@ -23,7 +23,7 @@ downstream are checked to be invariant under the flip.
 
 A vector is a coordinate pair (m, n) and a lattice point a pair of
 `int`s.  Coefficients and coordinates are exact rationals in the
-coefficient form of `qseries._coeff`: a plain `int` where integral, a
+coefficient form of `_coeff`: a plain `int` where integral, a
 `Fraction` otherwise; `_vector` and `_point` gate the pairs that come from
 outside, and inside the module the form and the cocycle are the bare
 `_pairing` and `_cocycle` on pairs already in that form.  A state stores
@@ -64,7 +64,19 @@ from itertools import groupby, product
 from math import comb, factorial, gcd, lcm, perm
 from typing import NamedTuple
 
-from .qseries import _coeff, _int
+from .qseries import _int
+
+
+def _coeff(value):
+    """An exact rational in coefficient form: a plain `int` where integral,
+    a `Fraction` otherwise; `TypeError` on anything else (`bool` included)."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 def _vector(pair):

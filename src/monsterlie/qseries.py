@@ -1,15 +1,13 @@
-"""Exact truncated Laurent series in q and the named modular series.
+"""Exact truncated Laurent series in q with integer coefficients, and the
+named modular series.
 
-Coefficients are exact rationals, stored as plain `int` where integral and
-as `fractions.Fraction` otherwise; the integer-valued named series (the
-normalized modular invariant, the Euler product, the primary-subspace
-dimensions) stay in `int` throughout and are
-integrality-checked at their boundary.  A series is an immutable value:
-its `valuation` (lowest represented exponent) and a tuple of `coeffs`, from
-which the exclusive precision bound `order` = valuation + len(coeffs)
-follows.  The coefficient of q**n is exact for valuation <= n < order, and
-arithmetic never claims precision the operands cannot support; a scalar is
-added as the constant series of the other operand's order.
+A series is an immutable value: its `valuation` (lowest represented
+exponent) and a tuple of `int` `coeffs`, from which the exclusive
+precision bound `order` = valuation + len(coeffs) follows.  The
+coefficient of q**n is exact for valuation <= n < order, and a product
+never claims precision its factors cannot support.  Every series the
+package builds is integral and is built on plain `int` lists; the named
+series end in exact integer checks.
 
 The fractional power q**(1/24) of the Dedekind eta function is never
 materialized: `euler_product` is q**(-1/24) * eta(q) = prod_{j>=1}
@@ -24,13 +22,12 @@ and the primary-dimension series is J * prod(1-q**n) + 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count
 from operator import itemgetter, mul
 
 
 class NotInvertibleError(ValueError):
-    """Series has no inverse at this precision (zero leading coefficient)."""
+    """Series has no inverse over the integers (leading coefficient not +-1)."""
 
 
 class PrecisionError(ValueError):
@@ -41,21 +38,12 @@ class IntegralityError(ArithmeticError):
     """An exactness tripwire fired: a value that must be an integer is not."""
 
 
-def _coeff(value):
-    """An exact rational in coefficient form: a plain `int` where integral,
-    a `Fraction` otherwise; `TypeError` on anything else (`bool` included)."""
+def _int(value, name):
+    """value as a plain `int`, an `int` subclass read as the `int` it equals
+    and `bool` refused: the gate of exponents, mode indices and series
+    coefficients; `TypeError` naming the argument."""
     if type(value) is int:
         return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
-def _int(value, name):
-    """value as a plain `int`, read as `_coeff` reads it (`bool` refused): the
-    gate of exponents and mode indices; `TypeError` naming the argument."""
     if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     raise TypeError(f"{name} must be an int, got {type(value).__name__}")
@@ -64,17 +52,17 @@ def _int(value, name):
 class QSeries:
     """Truncated Laurent series sum of coeffs[i] * q**(valuation + i).
 
-    `coeffs` is a tuple; `order` = valuation + len(coeffs) is the exclusive
-    precision bound.  Coefficients of q**n for n < valuation are exactly
-    zero; coefficients for n >= order are undetermined and requesting one
-    raises PrecisionError.  A series is immutable.
+    `coeffs` is a tuple of `int`s; `order` = valuation + len(coeffs) is the
+    exclusive precision bound.  Coefficients of q**n for n < valuation are
+    exactly zero; coefficients for n >= order are undetermined and
+    requesting one raises PrecisionError.  A series is immutable.
     """
 
     __slots__ = ("valuation", "coeffs")
 
     def __init__(self, valuation, coeffs):
         object.__setattr__(self, "valuation", _int(valuation, "valuation"))
-        object.__setattr__(self, "coeffs", tuple([_coeff(c) for c in coeffs]))
+        object.__setattr__(self, "coeffs", tuple([_int(c, "coefficient") for c in coeffs]))
 
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
@@ -82,21 +70,6 @@ class QSeries:
     @property
     def order(self):
         return self.valuation + len(self.coeffs)
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def monomial(cls, exponent, coefficient, order):
-        """c * q**exponent, exact through q**(order-1)."""
-        if order <= exponent:
-            raise PrecisionError(f"q^{exponent} lies beyond the precision window")
-        return cls(exponent, [coefficient] + [0] * (order - exponent - 1))
-
-    @classmethod
-    def one(cls, order):
-        return cls.monomial(0, 1, order)
-
-    # -- accessors ----------------------------------------------------
 
     def coeff(self, n):
         """Exact coefficient of q**n; raises beyond the precision window."""
@@ -108,60 +81,11 @@ class QSeries:
             return 0
         return self.coeffs[n - self.valuation]
 
-    def require_integral(self, name):
-        """Hard integrality tripwire for the named series."""
-        for i, c in enumerate(self.coeffs):
-            if c.denominator != 1:
-                raise IntegralityError(
-                    f"{name}: coefficient of q^{self.valuation + i} is "
-                    f"non-integral ({c}); this signals an arithmetic bug"
-                )
-        return self
-
-    # -- structural helpers -------------------------------------------
-
-    def shift(self, k):
-        """Multiply by the exact monomial q**k."""
-        return QSeries(self.valuation + _int(k, "k"), self.coeffs)
-
-    def truncate(self, new_order):
-        if _int(new_order, "new_order") > self.order:
-            raise PrecisionError(
-                f"cannot extend precision from order {self.order} to {new_order}"
-            )
-        if new_order < self.valuation:
-            raise ValueError("truncation below the valuation leaves no window")
-        return QSeries(self.valuation, self.coeffs[: new_order - self.valuation])
-
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QSeries.monomial(0, _coeff(other), self.order)
-        elif not isinstance(other, QSeries):
-            return NotImplemented
-        val = min(self.valuation, other.valuation)
-        order = min(self.order, other.order)
-        return QSeries(val, [self.coeff(n) + other.coeff(n) for n in range(val, order)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QSeries(self.valuation, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _coeff(other)  # rejects bool before it is negated
-        elif not isinstance(other, QSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
+        if isinstance(other, int):
+            c = _int(other, "scalar")
             return QSeries(self.valuation, [c * a for a in self.coeffs])
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -196,7 +120,7 @@ class QSeries:
         if exponent < 0:
             return self.invert() ** (-exponent)
         if exponent == 0:
-            return QSeries.one(max(self.order - self.valuation, 1))
+            return QSeries(0, [1] + [0] * (len(self.coeffs) - 1))
         result = None
         base = self
         e = exponent
@@ -208,39 +132,29 @@ class QSeries:
                 base = base * base
         return result
 
-    def __truediv__(self, other):
-        """Exact quotient by back-substitution on the window both operands
-        determine; the divisor needs a nonzero leading coefficient."""
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        b = other.coeffs
-        if not b or b[0] == 0:
-            raise NotInvertibleError(
-                "series is not invertible: zero series or zero leading coefficient"
-            )
-        a = self.coeffs
-        # an int when b[0] is +-1, so unit divisors never leave int
-        inv0 = _coeff(Fraction(1) / b[0])
-        x = []
-        for k in range(min(len(a), len(b))):
-            # a[k] - sum_{m=1..k} b[m] * x[k - m]
-            x.append((a[k] - sum(map(mul, b[1 : k + 1], reversed(x)))) * inv0)
-        val = self.valuation - other.valuation
-        return QSeries(val, x)
-
     def invert(self):
-        """Multiplicative inverse: self * invert(self) = 1 + O(q**precision)."""
-        return QSeries.one(max(len(self.coeffs), 1)) / self
+        """Multiplicative inverse on the same number of coefficients, by
+        back-substitution: self * invert(self) = 1 + O(q**len(coeffs)).  The
+        leading coefficient must be +-1, so the inverse stays integral."""
+        b = self.coeffs
+        if not b or b[0] not in (1, -1):
+            raise NotInvertibleError(
+                "series is not invertible over the integers: it is empty or "
+                "its leading coefficient is not +-1"
+            )
+        lead = b[0]  # its own inverse
+        x = [lead]
+        for k in range(1, len(b)):
+            # -lead * sum_{m=1..k} b[m] * x[k - m]
+            x.append(-lead * sum(map(mul, b[1 : k + 1], reversed(x))))
+        return QSeries(-self.valuation, x)
 
     # -- comparison / display -----------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        lo = min(self.valuation, other.valuation)
-        return all(self.coeff(n) == other.coeff(n) for n in range(lo, self.order))
+        return self.valuation == other.valuation and self.coeffs == other.coeffs
 
     def __repr__(self):
         shown = []
@@ -391,11 +305,9 @@ def j_series(order):
                 "this signals an arithmetic bug"
             )
     qj[1] -= 744
-    series = QSeries(-1, qj)
-    series.require_integral("j_series")
-    if series.coeff(-1) != 1 or series.coeff(0) != 0:
+    if qj[:2] != [1, 0]:
         raise IntegralityError("j_series: leading terms are inconsistent")
-    return series
+    return QSeries(-1, qj)
 
 
 def primary_dim_series(order):
@@ -413,10 +325,10 @@ def primary_dim_series(order):
 def _primary_dims(j_coeffs, order):
     """J * prod(1 - q**n) + 1 below q**order, from J's coefficients
     [1, 0, c(1), ...] from q**-1 on, at least order + 1 of them: one Euler
-    pass (`_eta_times`), integrality-checked, with weight-1 coefficient 0."""
+    pass (`_eta_times`), whose weight-1 coefficient must vanish."""
     coeffs = _eta_times(j_coeffs, {1: 1})[: order + 1]
     if order > 0:
         coeffs[1] += 1
         if coeffs[1]:
             raise IntegralityError("primary_dim_series: weight-1 coefficient must vanish")
-    return QSeries(-1, coeffs).require_integral("primary_dim_series")
+    return QSeries(-1, coeffs)

@@ -194,14 +194,16 @@ def test_validate_data_validates_once(monkeypatch, capsys, toy_data):
 
 def test_abelian_dataset_loads(tmp_path, capsys):
     # Z/2: both classes have size 1, only 1A squares to itself
-    t2b = eta_quotient({1: 24, 2: -24}, 7).shift(-1) + 24
+    # T_2B = q**-1 prod(1-q**n)**24 / prod(1-q**2n)**24 + 24, whose + 24
+    # sits at q**0, outside the seeds: seed k is the quotient's q**(k+1)
+    eta = eta_quotient({1: 24, 2: -24}, 7).coeffs
     obj = to_jsonable(trivial_dataset())
     obj["classes"].append(
         {
             "name": "2B",
             "class_size": "1",
             "power2": "1A",
-            "seeds": {str(k): str(t2b.coeff(k)) for k in (-1, 1, 2, 3, 5)},
+            "seeds": {str(k): str(eta[k + 1]) for k in (-1, 1, 2, 3, 5)},
         }
     )
     obj["group_order"] = "2"

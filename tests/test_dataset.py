@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from monsterlie.cli import run
 from monsterlie.dataset import (
+    IDENTITY_SEEDS,
     SEED_INDICES,
     ClassRecord,
     Dataset,
@@ -18,6 +19,7 @@ from monsterlie.dataset import (
     trivial_dataset,
     validate_dataset,
 )
+from monsterlie.qseries import j_series
 
 
 def toy_object():
@@ -31,6 +33,13 @@ def test_trivial_dataset_is_valid():
     assert d.identity_class().name == "1A"
     assert d.identity_class().seeds[1] == 196884
     assert d.identity_class().seeds[5] == 333202640600
+
+
+def test_identity_seeds_are_the_coefficients_of_j():
+    # the constant the dataset checks against, pinned to the one J
+    j = j_series(5)
+    assert IDENTITY_SEEDS == {k: j.coeff(k) for k in SEED_INDICES}
+    assert list(IDENTITY_SEEDS) == list(SEED_INDICES)
 
 
 def built_violations(classes, group_order):

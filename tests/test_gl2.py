@@ -38,7 +38,7 @@ from monsterlie.lattice import (
     section,
     vertex_iota_coeff,
 )
-from monsterlie.qseries import QSeries
+from monsterlie.qseries import NotInvertibleError, QSeries
 
 
 # -- Cartan matrix -------------------------------------------------------
@@ -671,7 +671,6 @@ def test_bracket_scales_with_pairing_value():
 
 
 EXACT_ENTRY_POINTS = {
-    "QSeries": lambda x: QSeries(0, [1, x]),
     "section": lambda x: section(x, 0),
     "HatLatticeElement": lambda x: HatLatticeElement((x, 0)),
     "pairing": lambda x: pairing((x, 0), (0, 1)),
@@ -698,6 +697,24 @@ def test_exact_entry_points_reject_inexact_numbers(entry, value):
         EXACT_ENTRY_POINTS[entry](value)
 
 
+def series_entry_point(x):
+    """A q-series coefficient: the integer gate `_int`, not the rational one."""
+    return QSeries(0, [1, x])
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, 0.1, "1/2", True])
+def test_series_coefficients_must_be_ints(value):
+    message = f"coefficient must be an int, got {type(value).__name__}"
+    with pytest.raises(TypeError, match=message):
+        series_entry_point(value)
+
+
+def test_series_inverse_needs_a_unit_leading_coefficient():
+    # over the integers 1 / (2 + q) does not exist
+    with pytest.raises(NotInvertibleError):
+        QSeries(0, [2, 1]).invert()
+
+
 def test_readme_lists_only_gated_pair_entry_points():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     text = readme.read_text()
@@ -717,9 +734,12 @@ class Int(int):
     """An int subclass other than bool: read as the plain int it equals."""
 
 
-@pytest.mark.parametrize("entry", sorted(EXACT_ENTRY_POINTS))
+INT_ENTRY_POINTS = {**EXACT_ENTRY_POINTS, "QSeries": series_entry_point}
+
+
+@pytest.mark.parametrize("entry", sorted(INT_ENTRY_POINTS))
 def test_exact_entry_points_read_int_subclasses_as_int(entry):
-    assert EXACT_ENTRY_POINTS[entry](Int(3)) == EXACT_ENTRY_POINTS[entry](3)
+    assert INT_ENTRY_POINTS[entry](Int(3)) == INT_ENTRY_POINTS[entry](3)
 
 
 def test_symbol_weight_reads_an_int_subclass_as_int():

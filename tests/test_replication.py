@@ -28,6 +28,7 @@ from monsterlie.replication import (
     replicate_extend,
 )
 from test_acceptance import DIM_MULT_TABLE
+from test_qseries import times
 
 
 def two_class_dataset(seeds_b, power2_b="2Z"):
@@ -434,13 +435,15 @@ def test_report_is_non_trivial_and_matches_the_per_class_route(classes, characte
 def test_cyclic_fixed_dimensions_average_the_traces(name):
     # Z/p through 1A and the class pB of its p - 1 generators: the fixed
     # primaries are (d + (p - 1) t) / p, with t = tr(g | P) read off
-    # T_g * prod(1 - q**n) + 1 by the generic series product
+    # T_g * prod(1 - q**n) + 1 by the generic product of the coefficient
+    # lists from q**-1 on: q**j sits at index j + 1, and the + 1 at q**0
+    # reaches no row
     order = 400
     p = int(name[:-1])
     d = seeded_dataset([("1A", 1, "1A"), (name, p - 1, "1A" if p == 2 else name)])
-    traces = mckay_thompson(name, order) * euler_product(order + 2) + 1
+    traces = times(mckay_thompson(name, order).coeffs, euler_product(order + 2).coeffs)
     for row in nontriviality_report(d, order):
-        assert p * row.dim_fixed == row.dim_primary + (p - 1) * traces.coeff(row.j)
+        assert p * row.dim_fixed == row.dim_primary + (p - 1) * traces[row.j + 1]
 
 
 def test_report_refuses_a_negative_fixed_dimension():
@@ -496,9 +499,8 @@ def test_replication_integers_must_be_ints(entry, value):
 def test_report_dimensions_match_the_series_route(monkeypatch):
     # the dimension column comes from the identity row; primary_dim_series
     # reaches the same numbers from j_series, so each checks the other,
-    # and the report expands J not at all: the seeds were checked against J
-    # where the Dataset was built
-    import monsterlie.dataset
+    # and the report expands J not at all: the seeds were checked against
+    # `IDENTITY_SEEDS` where the Dataset was built
     import monsterlie.qseries
 
     seeds = {name: mckay_thompson(name, 5) for name in ("2B", "4C")}
@@ -514,8 +516,7 @@ def test_report_dimensions_match_the_series_route(monkeypatch):
         orders.append(order)
         return j_series(order)
 
-    for module in (monsterlie.qseries, monsterlie.dataset):
-        monkeypatch.setattr(module, "j_series", spy)
+    monkeypatch.setattr(monsterlie.qseries, "j_series", spy)
     for max_j in (1, 4, 5, 6, 80, 400):
         dims = primary_dim_series(max_j + 1)
         for d in datasets:

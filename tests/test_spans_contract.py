@@ -1,6 +1,7 @@
 """What the benchmark's span tracer (`perfbench/spans.py`) assumes of the
-package: the names it wraps exist, and its halving counter matches the
-recursions.  The module is read, never installed."""
+package: the names it wraps exist, its halving counter matches the
+recursions, and its series counter reads the coefficients a series holds.
+The module is read, never installed."""
 
 import importlib
 import importlib.util
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import monsterlie.replication
 from monsterlie.dataset import trivial_dataset
+from monsterlie.qseries import j_series
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -41,3 +43,11 @@ def test_halving_counter_matches_the_recursions(monkeypatch):
     monsterlie.replication.replicate_extend(trivial_dataset(), 40)
     halvings = _spans()._HALVINGS
     assert len(calls) == sum(halvings[n % 4] for n in [4, *range(6, 41)])
+
+
+def test_series_counter_reads_integer_coefficients():
+    # J through q**5: seven coefficients, the largest c(5) = 333202640600
+    tracer = _spans().Tracer()
+    tracer._count_series((), j_series(5), None)
+    assert tracer.counts["qseries.coeffs_out"] == 7
+    assert tracer.counts["qseries.max_coeff_digits"] == len("333202640600")
