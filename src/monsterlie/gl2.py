@@ -403,7 +403,9 @@ def _generator_bracket(out, kx, cx, ky, cy):
         power = _pairing(a, b) + 1  # Schur order r = 1
         iota_b = FockState({((), b): 1}, den=1)
         state = vertex_iota_coeff(section(*a), iota_b, power)
-        for (mono, abar), c in state.terms.items():
+        if state.den != 1:  # a lattice point at Schur order 1 gives den 1
+            scale = Fraction(scale, state.den)
+        for (mono, abar), c in state.numer.items():
             if abar != (0, 0) or len(mono) != 1 or mono[0][1] != 1:
                 raise UnsupportedBracketError(
                     f"state {state!r} is not a Cartan representative"

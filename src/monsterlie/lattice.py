@@ -39,12 +39,15 @@ reads the input's numerators and denominator d, writes the rule out key
 by key into one dict per call, and hands it to one `FockState` over d
 (times top! for a Schur merge), whose constructor reduces it.  Both Schur
 users merge through `_schur_terms`.
-Schur terms are carried as q_k = k! p_k, built term by term from the
-cycle-type formula k! p_k = sum_{mu |- k} (k!/z_mu) p_mu on each axis:
-k!/z_mu counts permutations, so a lattice point lam never sees a
-fraction.  `_Terms`, the immutable term dict of states and of
-`gl2.MElement`, owns their outside-term gate, normal form, equality,
-sums, differences and scalar multiples.
+Schur terms are carried as q_k = k! p_k, from the cycle-type formula
+k! p_k = sum_{mu |- k} (k!/z_mu) p_mu on each axis: k!/z_mu counts
+permutations, so a lattice point lam never sees a fraction.  The terms of
+q_k depend on lam only through powers of its coordinates, so each order
+k has one immutable level free of coordinates, built once per process
+on first use (`_schur_level`) and evaluated at lam on each call.
+`_Terms`, the immutable term dict of states and of `gl2.MElement`, owns
+their outside-term gate, normal form, equality, sums, differences and
+scalar multiples.
 
 Virasoro modes act through the commutation rules
 
@@ -331,8 +334,8 @@ def schur_apply(lam, r, state):
     """Apply the r-th Schur polynomial p_r(lam(-1), lam(-2), ...).
 
     The p_r are defined by exp(sum_n x_n y**n / n) = sum_r p_r y**r; the
-    modes lam(-n) commute, so r! p_r is expanded once on the empty monomial
-    (`_schur_numerators`) and multiplied onto each term of the state.
+    modes lam(-n) commute, so r! p_r is evaluated once at lam from its
+    level (`_schur_level`) and multiplied onto each term of the state.
     """
     if _int(r, "r") < 0:
         raise ValueError("Schur index must be nonnegative")
@@ -344,66 +347,71 @@ def _schur_terms(lam, targets, d):
     """The state sum of c p_r(lam(-1), lam(-2), ...) mono iota(abar) over
     the targets {(r, mono, abar): c}, divided by d: the one Schur merge.
 
-    r! p_r is expanded once per order the targets carry and every order is
-    merged over the one denominator d top!; its keys come sorted, so a bare
-    iota target takes them as they are."""
-    levels = _schur_numerators(lam, {r for r, _, _ in targets})
-    top = len(levels) - 1
-    out = {}
+    r! p_r is evaluated at lam = (x, y) once per order the targets carry:
+    each entry of the order's level times x**len(mu) y**len(nu), read from
+    two power lists, a zero product dropping its term.  Every order is
+    merged over the one denominator d top!; the keys come sorted, so a
+    bare iota target takes them as they are."""
+    top = max([r for r, _, _ in targets], default=0)
+    x, y = lam
+    xs = [x**k for k in range(top + 1)]
+    ys = [y**k for k in range(top + 1)]
+    levels, out = {}, {}
     for (r, mono, abar), c in targets.items():
+        level = levels.get(r)
+        if level is None:
+            level = levels[r] = [
+                (key, q * p) for key, q, i, j in _schur_level(r) if (p := xs[i] * ys[j])
+            ]
         weight = c * perm(top, top - r)  # p_r = q_r top!/r! over top!
-        for extra, q in levels[r].items():
+        for extra, q in level:
             key = (tuple(sorted(mono + extra)) if mono else extra, abar)
             out[key] = out.get(key, 0) + weight * q
     return FockState(out, den=d * factorial(top))
 
 
-def _schur_numerators(lam, orders):
-    """[q_0, ..., q_top], q_r = r! p_r(lam(-1), lam(-2), ...) as a dict
-    {monomial: coefficient} for r in orders and None for the other r.
-
-    exp(sum_n lam(-n) y**n / n) factors over the two axes, so
-    q_r = sum_i C(r, i) A_i B_{r-i} with A and B from `_cycle_types`;
-    axis-0 factors sort first, so each key comes out sorted and once."""
-    top = max(orders) if orders else 0
-    first, second = _cycle_types(0, lam[0], top), _cycle_types(1, lam[1], top)
-    levels = [None] * (top + 1)
-    for r in orders:
-        # i = r and i = 0 hold one axis alone, since A_0 = B_0 = 1
-        level = levels[r] = dict(first[r])
-        level.update(second[r])
-        for i in range(1, r):
-            if first[i] and second[r - i]:
-                binom = comb(r, i)
-                for a, ca in first[i]:
-                    ca *= binom
-                    for b, cb in second[r - i]:
-                        level[a + b] = ca * cb
-    return levels
+# order r: its level, built on the first call that asks for r.  A level is
+# combinatorics of r alone, so it cannot go stale and no input is kept.
+_SCHUR_LEVELS = {}
 
 
-def _cycle_types(axis, x, top):
-    """[A_0, ..., A_top], A_i = [(u(-mu), x**len(mu) i!/z_mu) for mu |- i]
-    = i! p_i(x u(-1), x u(-2), ...), u the generator of `axis`, by the
+def _schur_level(r):
+    """The level of r! p_r, free of coordinates: a tuple of entries
+    (key, weight, len(mu), len(nu)) for every partition mu of i on u1 and
+    nu of r - i on u2, key u1(-mu) u2(-nu) and weight
+    C(r, i) (i!/z_mu) ((r-i)!/z_nu), so that
+    r! p_r(lam(-1), ...) = sum weight x**len(mu) y**len(nu) key at lam = (x, y).
+    exp(sum_n lam(-n) y**n / n) factors over the axes, which gives the
+    binomial; axis-0 factors sort first, so each key comes out sorted and
+    once."""
+    level = _SCHUR_LEVELS.get(r)
+    if level is None:
+        first, second = _cycle_types(0, r), _cycle_types(1, r)
+        level = _SCHUR_LEVELS[r] = tuple(
+            (a + b, comb(r, i) * ca * cb, len(a), len(b))
+            for i in range(r + 1) for a, ca in first[i] for b, cb in second[r - i]
+        )
+    return level
+
+
+def _cycle_types(axis, top):
+    """[A_0, ..., A_top], A_i = [(u(-mu), i!/z_mu) for mu |- i], u the
+    generator of `axis`: the terms of i! p_i(u(-1), u(-2), ...) by the
     cycle-type formula, z_mu = prod_n n**m_n m_n!.  The lists start from
     mu = 1**i (i!/z_mu = 1); m parts n >= 2 added to a partition of j then
-    multiply its coefficient by x**m (j+nm)!/(j! n**m m!), an integer times
-    x**m.  Parts grow, so each monomial comes out sorted."""
-    if not x:
-        return [[((), 1)]] + [[]] * top
-    tables, mono, c = [], (), 1
+    multiply its coefficient by the integer (j+nm)!/(j! n**m m!).  Parts
+    grow, so each monomial comes out sorted."""
+    tables, mono = [], ()
     for _ in range(top + 1):
-        tables.append([(mono, c)])
+        tables.append([(mono, 1)])
         mono += ((axis, 1),)
-        c *= x
     for n in range(2, top + 1):
         part = ((axis, n),)
         for j in range(top - n, -1, -1):  # the partitions of j into parts below n
-            steps, ratio, power = [], 1, 1
+            steps, ratio = [], 1
             for m in range(1, (top - j) // n + 1):
                 ratio = ratio * perm(j + n * m, n) // (n * m)
-                power *= x
-                steps.append((tables[j + n * m], ratio * power))
+                steps.append((tables[j + n * m], ratio))
             for mono, c in tables[j]:
                 for target, step in steps:
                     mono += part

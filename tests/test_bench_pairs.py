@@ -33,7 +33,7 @@ def test_summary_holds_medians_quartiles_and_pairs_won():
     summary = bench_pairs.summarize(runs, END_TO_END)
     assert set(summary) == set(names)
     keys = {"unit", "better", "parent_median", "parent_q1", "parent_q3", "change_median",
-            "change_q1", "change_q3", "ratio", "pairs_won", "pairs"}
+            "change_q1", "change_q3", "ratio", "outside_bound", "pairs_won", "pairs"}
     for name, entry in summary.items():
         assert set(entry) == keys, name
         assert entry["pairs"] == 5
@@ -43,6 +43,23 @@ def test_summary_holds_medians_quartiles_and_pairs_won():
     assert summary["setup_s"]["pairs_won"] == 0 and summary["setup_s"]["ratio"] == 1.0
     assert summary["peak_rss_mb"]["pairs_won"] == 0
     assert (summary["job2_s"]["parent_q1"], summary["job2_s"]["parent_q3"]) == (10.5, 13.5)
+
+
+def test_outside_bound_compares_the_medians_with_the_metric_bound():
+    # parent median 100 on every metric; the bounds are 0.25 for times and
+    # 0.1 for peak_rss_mb, read either way as a fraction of that median
+    bounds = {spec["name"]: spec["bound"] for spec in END_TO_END}
+    assert (bounds["job1_s"], bounds["peak_rss_mb"]) == (0.25, 0.1)
+    change = {"run_s": 100.0, "setup_s": 74.99, "peak_rss_mb": 110.01,
+              "job1_s": 124.99, "job2_s": 125.01, "job3_s": 75.01}
+    runs = [{"seed": i, "parent": _result(**dict.fromkeys(bounds, 100.0)),
+             "change": _result(**change)} for i in range(3)]
+    summary = bench_pairs.summarize(runs, END_TO_END)
+    outside = {name for name, entry in summary.items() if entry["outside_bound"]}
+    assert outside == {"setup_s", "peak_rss_mb", "job2_s"}
+    # two identical trees: no metric is outside, so the A/A check passes
+    same = [{"seed": i, "parent": run["parent"], "change": run["parent"]} for i, run in enumerate(runs)]
+    assert not any(entry["outside_bound"] for entry in bench_pairs.summarize(same, END_TO_END).values())
 
 
 def _git(cwd, *args):

@@ -8,6 +8,7 @@ from math import comb, factorial, gcd
 
 import pytest
 
+from monsterlie import lattice
 from monsterlie.lattice import (
     FockState,
     HAT_IDENTITY,
@@ -20,7 +21,7 @@ from monsterlie.lattice import (
     is_primary,
     pairing,
     schur_apply,
-    _schur_numerators,
+    _schur_level,
     section,
     vertex_iota_coeff,
     virasoro_apply,
@@ -351,12 +352,37 @@ SCHUR_POINTS = [(0, 0), (1, 0), (0, -2), (1, -1), (2, 3), (-3, 1)]
 SCHUR_POINTS += [(Fraction(1, 2), 0), (Fraction(-2, 3), Fraction(5, 4)), (3, Fraction(1, 3))]
 
 
+def schur_numerators(lam, orders):
+    """[q_0, ..., q_top], q_r = r! p_r(lam(-1), lam(-2), ...) as a dict
+    {monomial: coefficient} for r in orders and None for the other r: the
+    shared level of each order evaluated at lam = (x, y), each weight times
+    x**len(mu) y**len(nu), zero products dropped, a key at most once."""
+    x, y = lam
+    levels = [None] * (max(orders, default=0) + 1)
+    for r in orders:
+        level = levels[r] = {}
+        for key, weight, i, j in _schur_level(r):
+            c = weight * (x**i if i else 1) * (y**j if j else 1)
+            assert key not in level, (r, key)
+            if c:
+                level[key] = c
+    return levels
+
+
+@pytest.fixture
+def fresh_schur_table(monkeypatch):
+    """An empty shared Schur table for the test, the process's own restored after."""
+    table = {}
+    monkeypatch.setattr(lattice, "_SCHUR_LEVELS", table)
+    return table
+
+
 def test_schur_numerators_match_the_recurrence():
     # equal dicts and equal coefficient types: int on the axis-integral
     # terms, exact Fraction wherever a rational coordinate enters
     for lam in SCHUR_POINTS:
         expected = schur_recurrence(lam, 10)
-        levels = _schur_numerators(lam, range(11))
+        levels = schur_numerators(lam, range(11))
         assert len(levels) == 11
         for r in range(11):
             assert levels[r] == expected[r], (lam, r)
@@ -364,8 +390,9 @@ def test_schur_numerators_match_the_recurrence():
             assert types == {mono: type(c) for mono, c in expected[r].items()}, (lam, r)
 
 
-def test_schur_numerators_build_only_the_orders_asked_for():
-    levels = _schur_numerators((2, -1), {3, 7})
+def test_schur_numerators_build_only_the_orders_asked_for(fresh_schur_table):
+    levels = schur_numerators((2, -1), {3, 7})
+    assert sorted(fresh_schur_table) == [3, 7]
     assert [r for r, level in enumerate(levels) if level is not None] == [3, 7]
     expected = schur_recurrence((2, -1), 7)
     assert levels[3] == expected[3] and levels[7] == expected[7]
@@ -375,7 +402,7 @@ def test_schur_numerators_of_lattice_points_are_integers():
     # q_k = k! p_k has integer coefficients on a lattice point
     vac = FockState.vacuum()
     for lam in ((1, -1), (2, 3), (-3, 0)):
-        levels = _schur_numerators(lam, range(9))
+        levels = schur_numerators(lam, range(9))
         for k, level in enumerate(levels):
             assert all(type(c) is int for c in level.values()), (lam, k)
             q_k = FockState({(mono, (0, 0)): c for mono, c in level.items()})
@@ -417,7 +444,7 @@ def schur_closed_form(lam, r):
 
 def test_schur_numerators_match_the_cycle_type_formula():
     for lam in SCHUR_POINTS:
-        levels = _schur_numerators(lam, range(9))
+        levels = schur_numerators(lam, range(9))
         assert len(levels) == 9
         for r, level in enumerate(levels):
             assert level == schur_closed_form(lam, r), (lam, r)
@@ -430,8 +457,8 @@ def partition_count(r):
 def test_schur_numerators_hold_one_term_per_coloured_partition():
     # on (1, -2) each pair of partitions (of i on u1, of 14 - i on u2) is one
     # term, on (0, 3) each partition of 14 on u2; none cancels
-    both = _schur_numerators((1, -2), {14})[14]
-    one = _schur_numerators((0, 3), {14})[14]
+    both = schur_numerators((1, -2), {14})[14]
+    one = schur_numerators((0, 3), {14})[14]
     assert len(both) == sum(partition_count(i) * partition_count(14 - i) for i in range(15)) == 2665
     assert len(one) == partition_count(14) == 135
     for level in (both, one):
@@ -439,6 +466,67 @@ def test_schur_numerators_hold_one_term_per_coloured_partition():
         assert all(list(mono) == sorted(mono) for mono in level)
     vac = FockState.vacuum()
     assert schur_apply((1, -2), 10, vac) == schur_oracle((1, -2), 10, vac)
+
+
+def test_schur_table_holds_only_the_orders_asked_for(fresh_schur_table):
+    state = FockState({(((0, 1),), (1, 2)): 3})
+    schur_apply((2, -1), 4, state)
+    assert sorted(fresh_schur_table) == [4]
+    # <(1,1), (1,2)> = -3, so powers -3 and -1 ask for orders 0 and 2
+    vertex_iota_coeff(section(1, 1), FockState.iota(section(1, 2)), -3)
+    vertex_iota_coeff(section(1, 1), FockState.iota(section(1, 2)), -1)
+    assert sorted(fresh_schur_table) == [0, 2, 4]
+
+
+def test_schur_table_does_not_grow_over_a_sweep_of_vectors(fresh_schur_table):
+    # the levels are keyed by order alone: 200 distinct lattice vectors at
+    # the orders 0..3 leave the table as the first vector left it
+    vectors = [(m, n) for m in range(-10, 10) for n in range(1, 11)]
+    assert len(set(vectors)) == 200
+    kept = None
+    for m, n in vectors:
+        b = FockState({(((0, 1),), (n, m)): 1})
+        base = pairing((m, n), (n, m))
+        for r in range(4):
+            vertex_iota_coeff(section(m, n), b, base - 1 + r)
+        if kept is None:
+            kept = dict(fresh_schur_table)
+        assert fresh_schur_table.keys() == kept.keys()
+        assert all(fresh_schur_table[r] is level for r, level in kept.items())
+    assert sorted(kept) == [0, 1, 2, 3]
+
+
+def test_schur_levels_are_immutable():
+    for r in (0, 1, 5):
+        level = _schur_level(r)
+        assert level is _schur_level(r) is lattice._SCHUR_LEVELS[r]
+        assert type(level) is tuple and all(type(entry) is tuple for entry in level)
+        hash(level)  # tuples of ints and int tuples all the way down
+        with pytest.raises(TypeError):
+            level[0] = ((), 0, 0, 0)
+
+
+def test_schur_levels_do_not_depend_on_the_order_they_are_built_in(monkeypatch):
+    state = FockState({(((0, 1), (1, 2)), (1, -1)): Fraction(1, 6), ((), (2, 0)): 5})
+    a = section(2, -1)
+    results = []
+    for orders in ((7, 3), (3, 7)):
+        monkeypatch.setattr(lattice, "_SCHUR_LEVELS", {})
+        results.append({
+            r: (schur_apply((3, -2), r, state), vertex_iota_coeff(a, state, r - 3))
+            for r in orders
+        })
+    assert results[0] == results[1]
+    assert results[0][7][0] == schur_oracle((3, -2), 7, state)
+
+
+def test_schur_apply_at_a_zero_coordinate_matches_the_oracle():
+    rng = random.Random(59)
+    vac = FockState.vacuum()
+    for lam in ((0, 0), (0, 3), (-2, 0), (Fraction(1, 2), 0), (0, Fraction(-4, 3))):
+        for state in (vac, rand_state(rng, max_degree=3)):
+            for r in range(7):
+                assert schur_apply(lam, r, state) == schur_oracle(lam, r, state), (lam, r)
 
 
 def brute_vertex_coeff(a, b_state, power, r_max=8):

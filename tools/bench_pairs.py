@@ -19,7 +19,11 @@ the output file records: `PYTHONDONTWRITEBYTECODE` and
 first pair.  The file holds, per end-to-end metric of `BENCHMARK.json`,
 each side's median and quartiles and the number of pairs the change won,
 with both commit ids, the environment and the time of a bare `python -c
-pass` measured during the same run.
+pass` measured during the same run.  Each metric also records
+`outside_bound`: whether the medians differ, either way, by more than the
+metric's `bound` in `BENCHMARK.json`, read as a fraction of the parent
+median.  A run of one tree against itself (an A/A check) passes when no
+metric is outside its bound.
 """
 
 from __future__ import annotations
@@ -167,7 +171,9 @@ def run_once(tree, env, workload, seed, seconds):
 def summarize(runs, end_to_end):
     """Per metric of `end_to_end` (the BENCHMARK.json entries): each side's
     median and quartiles over the pairs, the change/parent ratio of the
-    medians, and the pairs the change won (ties count for neither side)."""
+    medians, whether they differ by more than the metric's bound times the
+    parent median, and the pairs the change won (ties count for neither
+    side)."""
     summary = {}
     for spec in end_to_end:
         name = spec["name"]
@@ -182,6 +188,7 @@ def summarize(runs, end_to_end):
             entry.update({f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3})
         base = entry["parent_median"]
         entry["ratio"] = entry["change_median"] / base if base else None
+        entry["outside_bound"] = abs(entry["change_median"] - base) > spec["bound"] * abs(base)
         entry["pairs_won"] = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
         entry["pairs"] = len(runs)
         summary[name] = entry
