@@ -40,7 +40,7 @@ from .lattice import (
     section,
     vertex_iota_coeff,
 )
-from .qseries import _int, j_series
+from .qseries import _as_int, _int, j_series
 
 
 class Gl2ValidationError(ValueError):
@@ -167,6 +167,7 @@ def normalize_partner(j, u):
     (u,u) > 0 (positive-definite normalization of the form on the nonvacuum
     part).  The resulting pair always satisfies the pairing condition of `make_gl2`.
     """
+    j = _check_root_index(j)
     uu = pairing_value(u, u)
     if uu <= 0:
         raise Gl2ValidationError(
@@ -181,8 +182,7 @@ def primary_pair(j, norm=1, label="u"):
     For j = -1 both members degenerate to the vacuum symbol; otherwise u
     is a fresh symbol with (u,u) = norm > 0 and v its normalized partner.
     """
-    _check_root_index(j)
-    if j == -1:
+    if (j := _check_root_index(j)) == -1:
         vac = vacuum_vector()
         return vac, vac
     u = FormalNaturalVector(label, j + 1, True, 1, {(label, label): norm})
@@ -190,8 +190,12 @@ def primary_pair(j, norm=1, label="u"):
 
 
 def _check_root_index(j):
-    if type(j) is not int or j == 0 or j < -1:
+    """j as a plain `int` by `_as_int` when it is -1 or a positive integer;
+    `Gl2ValidationError` otherwise."""
+    index = j if type(j) is int else _as_int(j)
+    if index is None or index == 0 or index < -1:
         raise Gl2ValidationError(f"root index must be -1 or a positive integer, got {j}")
+    return index
 
 
 # -- Cartan matrix -------------------------------------------------------
@@ -239,18 +243,35 @@ class MElement(_Terms):
 
     @staticmethod
     def _key(key):
-        """An outside term key, unchanged; `Gl2ValidationError` when its
-        third entry is not a symbol, or is one at a scale other than 1."""
-        if key[0] == "h":
+        """An outside term key in kernel form: ("h", 0) or ("h", 1), or
+        (kind, j, symbol) with kind "e" or "f", j a root index read by
+        `_check_root_index` and the symbol of weight j + 1 at scale 1;
+        `Gl2ValidationError` naming the key otherwise (`WeightMismatchError`
+        for a symbol of another weight)."""
+        kind = key[0] if type(key) is tuple and key else None
+        if kind == "h":
+            if len(key) != 2 or type(key[1]) is not int or key[1] not in (0, 1):
+                raise Gl2ValidationError(f"term key {key!r} is not ('h', 0) or ('h', 1)")
             return key
+        if kind not in ("e", "f"):
+            raise Gl2ValidationError(f"term key {key!r} is not of kind 'e', 'f' or 'h'")
         if len(key) != 3 or not isinstance(key[2], FormalNaturalVector):
             raise Gl2ValidationError(f"term key {key!r} does not name a FormalNaturalVector")
-        if key[2].scale != 1:
+        _, j, symbol = key
+        try:
+            j = _check_root_index(j)
+        except Gl2ValidationError as err:
+            raise Gl2ValidationError(f"term key {key!r}: {err}") from None
+        if symbol.weight != j + 1:
+            raise WeightMismatchError(
+                f"term key {key!r}: root index {j} needs a weight {j + 1} symbol"
+            )
+        if symbol.scale != 1:
             raise Gl2ValidationError(
-                f"term key {key!r} names a symbol at scale {key[2].scale}: "
+                f"term key {key!r} names a symbol at scale {symbol.scale}: "
                 "the coefficient carries the scale"
             )
-        return key
+        return kind, j, symbol
 
     @classmethod
     def cartan_vector(cls, m, n):
@@ -305,8 +326,10 @@ def make_gl2(j, u, v, section_sign=1):
     keys carry u and v at scale 1, and h1, h2 are the shared immutable
     Cartan vectors `_H1`, `_H2`.
     """
-    _check_root_index(j)
-    if type(section_sign) is not int or section_sign not in (1, -1):
+    j = _check_root_index(j)
+    if type(section_sign) is not int:
+        section_sign = _as_int(section_sign)
+    if section_sign not in (1, -1):
         raise Gl2ValidationError("section_sign must be +1 or -1")
     if not u.primary:
         raise NotPrimaryError(f"{u!r} is not primary")

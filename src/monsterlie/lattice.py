@@ -39,12 +39,12 @@ reads the input's numerators and denominator d, writes the rule out key
 by key into one dict per call, and hands it to one `FockState` over d
 (times top! for a Schur merge), whose constructor reduces it.  Both Schur
 users merge through `_schur_terms`.
-Schur terms are carried as q_k = k! p_k, from the cycle-type formula
-k! p_k = sum_{mu |- k} (k!/z_mu) p_mu on each axis: k!/z_mu counts
-permutations, so a lattice point lam never sees a fraction.  The terms of
-q_k depend on lam only through powers of its coordinates, so each order
-k has one immutable level free of coordinates, built once per process
-on first use (`_schur_level`) and evaluated at lam on each call.
+Schur terms are carried as q_k = k! p_k: by the cycle-type formula its
+term u1(-mu) u2(-nu) at lam = (x, y) is k!/(z_mu z_nu) x**len(mu)
+y**len(nu), the weight an integer, so a lattice point lam never sees a
+fraction.  The terms of q_k depend on lam only through those powers, so
+each order k has one immutable level free of coordinates, built once per
+process on first use (`_schur_level`) and evaluated at lam on each call.
 `_Terms`, the immutable term dict of states and of `gl2.MElement`, owns
 their outside-term gate, normal form, equality, sums, differences and
 scalar multiples.
@@ -67,7 +67,7 @@ from itertools import groupby, product
 from math import comb, factorial, gcd, lcm, perm
 from typing import NamedTuple
 
-from .qseries import _int
+from .qseries import _as_int, _int
 
 
 def _coeff(value):
@@ -128,7 +128,9 @@ class HatLatticeElement(NamedTuple("HatLatticeElement", [("vector", tuple), ("si
     __slots__ = ()
 
     def __new__(cls, vector, sign=1):
-        if type(sign) is not int or sign not in (1, -1):
+        if type(sign) is not int:
+            sign = _as_int(sign)
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         return super().__new__(cls, _point(vector), sign)
 
@@ -169,11 +171,11 @@ class _Terms:
 
     The constructor is the one normaliser.  Outside terms {key: coeff}
     pass `_key` and `_coeff`, and keys that then coincide merge; kernel
-    output comes in as numerators over `den=d`.  Either way zero entries
-    are dropped, a `Fraction` numerator has its denominator cleared into
-    den, and the gcd of den and the numerators is divided out.  Sums and
-    differences are integer dict operations over the lcm of the two
-    denominators, arithmetic stays within one type, and `1 * x` is x
+    output comes in as numerators over `den=d`.  Either way a `Fraction`
+    numerator has its denominator cleared into den, and one rebuild
+    divides out the gcd of den and the numerators and drops zero entries.
+    Sums and differences are integer dict operations over the lcm of the
+    two denominators, arithmetic stays within one type, and `1 * x` is x
     itself."""
 
     __slots__ = ()
@@ -186,8 +188,6 @@ class _Terms:
                     key = self._key(key)
                     numer[key] = numer.get(key, 0) + _coeff(c)
             terms, den = numer, 1
-        if 0 in terms.values():  # a rebuild re-hashes every key, so only on need
-            terms = {key: c for key, c in terms.items() if c}
         try:
             g = gcd(den, *terms.values())
         except TypeError:  # a rational numerator: clear its denominator into den
@@ -195,8 +195,8 @@ class _Terms:
             terms = {key: c.numerator * (d // c.denominator) for key, c in terms.items()}
             den *= d
             g = gcd(den, *terms.values())
-        if g != 1:
-            terms = {key: c // g for key, c in terms.items()}
+        if g != 1 or 0 in terms.values():  # a rebuild re-hashes every key, so only on need
+            terms = {key: c // g for key, c in terms.items() if c}
             den //= g
         object.__setattr__(self, "numer", terms)
         object.__setattr__(self, "den", den)
@@ -269,13 +269,19 @@ class FockState(_Terms):
     @staticmethod
     def _key(key):
         """A term key from outside in kernel form: each creation factor an
-        `int` pair (axis, depth) with axis 0 or 1 and depth >= 1, the
-        factors sorted, the point an `int` pair; `ValueError` otherwise."""
+        `int` pair (axis, depth) with axis 0 or 1 and depth >= 1, read by
+        `_as_int`, the factors sorted, the point an `int` pair; `ValueError`
+        otherwise."""
         mono, abar = key
+        factors = []
         for axis, depth in mono:
-            if {type(axis), type(depth)} != {int} or axis not in (0, 1) or depth < 1:
+            factor = (axis, depth)
+            if type(axis) is not int or type(depth) is not int:
+                factor = _as_int(axis), _as_int(depth)
+            if factor[0] not in (0, 1) or factor[1] is None or factor[1] < 1:
                 raise ValueError(f"creation factor {(axis, depth)} needs axis 0 or 1, depth >= 1")
-        return tuple(sorted(mono)), _point(abar)
+            factors.append(factor)
+        return tuple(sorted(factors)), _point(abar)
 
     @classmethod
     def iota(cls, a):
@@ -377,45 +383,36 @@ _SCHUR_LEVELS = {}
 
 def _schur_level(r):
     """The level of r! p_r, free of coordinates: a tuple of entries
-    (key, weight, len(mu), len(nu)) for every partition mu of i on u1 and
-    nu of r - i on u2, key u1(-mu) u2(-nu) and weight
-    C(r, i) (i!/z_mu) ((r-i)!/z_nu), so that
-    r! p_r(lam(-1), ...) = sum weight x**len(mu) y**len(nu) key at lam = (x, y).
-    exp(sum_n lam(-n) y**n / n) factors over the axes, which gives the
-    binomial; axis-0 factors sort first, so each key comes out sorted and
-    once."""
+    (key, weight, len(mu), len(nu)) for every partition mu on u1 and nu on
+    u2 with |mu| + |nu| = r, key u1(-mu) u2(-nu) and weight r!/(z_mu z_nu),
+    so that r! p_r(lam(-1), ...) = sum weight x**len(mu) y**len(nu) key at
+    lam = (x, y).  exp(sum_n lam(-n) y**n / n) factors over the axes, each
+    by the cycle-type formula, so the weight is
+    C(r, |mu|) (|mu|!/z_mu) (|nu|!/z_nu) = r!/(z_mu z_nu); axis-0 factors
+    sort first, so each key comes out sorted and once."""
     level = _SCHUR_LEVELS.get(r)
     if level is None:
-        first, second = _cycle_types(0, r), _cycle_types(1, r)
+        first, second, size = _cycle_types(0, r), _cycle_types(1, r), factorial(r)
         level = _SCHUR_LEVELS[r] = tuple(
-            (a + b, comb(r, i) * ca * cb, len(a), len(b))
-            for i in range(r + 1) for a, ca in first[i] for b, cb in second[r - i]
+            (a + b, size // (za * zb), len(a), len(b))
+            for i in range(r + 1) for a, za in first[i] for b, zb in second[r - i]
         )
     return level
 
 
 def _cycle_types(axis, top):
-    """[A_0, ..., A_top], A_i = [(u(-mu), i!/z_mu) for mu |- i], u the
-    generator of `axis`: the terms of i! p_i(u(-1), u(-2), ...) by the
-    cycle-type formula, z_mu = prod_n n**m_n m_n!.  The lists start from
-    mu = 1**i (i!/z_mu = 1); m parts n >= 2 added to a partition of j then
-    multiply its coefficient by the integer (j+nm)!/(j! n**m m!).  Parts
-    grow, so each monomial comes out sorted."""
-    tables, mono = [], ()
-    for _ in range(top + 1):
-        tables.append([(mono, 1)])
-        mono += ((axis, 1),)
-    for n in range(2, top + 1):
-        part = ((axis, n),)
-        for j in range(top - n, -1, -1):  # the partitions of j into parts below n
-            steps, ratio = [], 1
-            for m in range(1, (top - j) // n + 1):
-                ratio = ratio * perm(j + n * m, n) // (n * m)
-                steps.append((tables[j + n * m], ratio))
-            for mono, c in tables[j]:
-                for target, step in steps:
-                    mono += part
-                    target.append((mono, c * step))
+    """[A_0, ..., A_top], A_i = [(u(-mu), z_mu) for mu |- i], u the
+    generator of `axis` and z_mu = prod_n n**m_n m_n! (Macdonald, I.2),
+    from one walk over nondecreasing parts: the m-th part n multiplies z
+    by n m.  Parts grow, so each monomial comes out sorted."""
+    tables = [[] for _ in range(top + 1)]
+    stack = [((), 0, 1, 1, 0)]  # monomial, size, z, last part, its count
+    while stack:
+        mono, size, z, last, m = stack.pop()
+        tables[size].append((mono, z))
+        for n in range(last, top - size + 1):
+            k = m + 1 if n == last else 1
+            stack.append((mono + ((axis, n),), size + n, z * n * k, n, k))
     return tables
 
 

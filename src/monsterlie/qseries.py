@@ -38,15 +38,21 @@ class IntegralityError(ArithmeticError):
     """An exactness tripwire fired: a value that must be an integer is not."""
 
 
+def _as_int(value):
+    """value as a plain `int`, an `int` subclass read as the `int` it
+    equals; None for anything else, `bool` included.  The integer gates
+    test `type(value) is int` first and call this only off that path."""
+    return int(value) if isinstance(value, int) and not isinstance(value, bool) else None
+
+
 def _int(value, name):
-    """value as a plain `int`, an `int` subclass read as the `int` it equals
-    and `bool` refused: the gate of exponents, mode indices and series
-    coefficients; `TypeError` naming the argument."""
+    """value as a plain `int` by `_as_int`: the gate of exponents, mode
+    indices and series coefficients; `TypeError` naming the argument."""
     if type(value) is int:
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int(value)
-    raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if (plain := _as_int(value)) is None:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    return plain
 
 
 class QSeries:

@@ -505,6 +505,32 @@ def test_bracket_without_symbol_names_the_label():
             MElement({key: 1})
 
 
+U1 = FormalNaturalVector("u", 2, pairings={("u", "u"): 1})
+BAD_KEYS = {
+    "h-negative-axis": (("h", -1), Gl2ValidationError),
+    "h-axis-5": (("h", 5), Gl2ValidationError),
+    "h-no-axis": (("h",), Gl2ValidationError),
+    "h-bool-axis": (("h", True), Gl2ValidationError),
+    "h-float-axis": (("h", 1.0), Gl2ValidationError),
+    "unknown-kind": (("x", 1, U1), Gl2ValidationError),
+    "empty-key": ((), Gl2ValidationError),
+    "string-key": ("e", Gl2ValidationError),
+    "root-index-0": (("e", 0, U1), Gl2ValidationError),
+    "root-index-minus-3": (("f", -3, U1), Gl2ValidationError),
+    "float-root-index": (("e", 1.5, U1), Gl2ValidationError),
+    "bool-root-index": (("e", True, U1), Gl2ValidationError),
+    "weight-mismatch": (("e", 2, U1), WeightMismatchError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_KEYS))
+def test_melement_refuses_malformed_keys(name):
+    # a key is ("h", 0), ("h", 1) or (e or f, root index j, weight j + 1 symbol)
+    key, error = BAD_KEYS[name]
+    with pytest.raises(error, match=re.escape(f"term key {key!r}")):
+        MElement({key: 1})
+
+
 def lattice_ratio(state, base):
     """The rational r with state == r * base (0 for the zero state)."""
     if state.is_zero():
@@ -740,6 +766,31 @@ INT_ENTRY_POINTS = {**EXACT_ENTRY_POINTS, "QSeries": series_entry_point}
 @pytest.mark.parametrize("entry", sorted(INT_ENTRY_POINTS))
 def test_exact_entry_points_read_int_subclasses_as_int(entry):
     assert INT_ENTRY_POINTS[entry](Int(3)) == INT_ENTRY_POINTS[entry](3)
+
+
+def test_integer_gates_read_int_subclasses_as_int():
+    # the root index, the two signs and the creation factors are stored as
+    # the plain ints they equal
+    assert primary_pair(Int(2)) == primary_pair(2)
+    gens = make_gl2(Int(1), *primary_pair(1), section_sign=Int(-1))
+    assert gens == make_gl2(1, *primary_pair(1), section_sign=-1) and type(gens.j) is int
+    assert cartan_entry(Int(1), Int(2)) == -3
+    assert normalize_partner(Int(1), U1) == normalize_partner(1, U1)
+    a = section(1, 0, Int(-1))
+    assert a == section(1, 0, -1) and type(a.sign) is int
+    state = FockState({(((Int(0), Int(1)),), (0, 0)): 1})
+    assert state == FockState({(((0, 1),), (0, 0)): 1})
+    (((factor,), _),) = state.numer
+    assert all(type(x) is int for x in factor)
+    (key,) = MElement({("e", Int(1), U1): 1}).numer
+    assert key == ("e", 1, U1) and type(key[1]) is int
+
+
+@pytest.mark.parametrize("j", [0, True, -7, 1.5])
+def test_normalize_partner_needs_a_root_index(j):
+    message = f"root index must be -1 or a positive integer, got {j}"
+    with pytest.raises(Gl2ValidationError, match=re.escape(message)):
+        normalize_partner(j, U1)
 
 
 def test_symbol_weight_reads_an_int_subclass_as_int():

@@ -110,6 +110,32 @@ def test_two_routes_to_one_state_store_one_form():
     assert (gone.den, gone.numer) == (1, {}) and gone == FockState.zero()
 
 
+def test_constructor_divides_the_gcd_and_drops_zeros_in_one_pass():
+    # kernel output over den= needs both halves of the one normalising pass,
+    # the gcd of den and the numerators divided out and cancelled numerators
+    # dropped; outside Fraction terms need the drop once cleared into den
+    k1, k2, k3 = (((0, 1),), (1, 0)), (((1, 2),), (0, 1)), ((), (2, -1))
+    swapped, ordered = (((1, 1), (0, 1)), (0, 0)), (((0, 1), (1, 1)), (0, 0))
+    cases = [
+        (FockState({k1: 2, k2: 0, k3: 4}, den=6), (3, {k1: 1, k3: 2})),
+        (FockState({k1: 0, k2: 5}, den=2), (2, {k2: 5})),
+        (FockState({k1: 4, k2: -6}, den=8), (4, {k1: 2, k2: -3})),
+        (FockState({k1: 0, k2: 0}, den=4), (1, {})),
+        (
+            FockState({k1: Fraction(3, 2), k2: Fraction(0), k3: Fraction(9, 4)}, den=3),
+            (4, {k1: 2, k3: 3}),
+        ),
+        (
+            FockState({swapped: Fraction(1, 2), ordered: Fraction(-1, 2), k3: Fraction(2, 3)}),
+            (3, {k3: 2}),
+        ),
+        (FockState({k1: Fraction(5, 6), k2: 0, k3: Fraction(1, 4)}), (12, {k1: 10, k3: 3})),
+    ]
+    for state, (den, numer) in cases:
+        assert (state.den, state.numer) == (den, numer)
+        assert_exact_nonzero(state)
+
+
 @pytest.mark.parametrize(
     "factor",
     [(0, 0), (0, -2), (5, 1), (2, 1), (0, 1.5), (0, Fraction(1)), (0, True), (True, 1)],
@@ -518,6 +544,27 @@ def test_schur_levels_do_not_depend_on_the_order_they_are_built_in(monkeypatch):
         })
     assert results[0] == results[1]
     assert results[0][7][0] == schur_oracle((3, -2), 7, state)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_cycle_types_list_each_partition_once_with_its_z(axis):
+    # z_mu = prod_n n**m_n m_n!, counted here from the parts of mu
+    for top in range(13):
+        tables = lattice._cycle_types(axis, top)
+        assert len(tables) == top + 1
+        for i, table in enumerate(tables):
+            monos = [mono for mono, _ in table]
+            assert len(set(monos)) == len(monos), (top, i)
+            assert all(list(mono) == sorted(mono) for mono in monos)
+            assert all(a == axis for mono in monos for a, _ in mono)
+            parts = {tuple(sorted((n for _, n in mono), reverse=True)) for mono in monos}
+            assert parts == set(partitions(i)), (top, i)
+            for mono, z in table:
+                counts = Counter(n for _, n in mono)
+                expected = 1
+                for n, m in counts.items():
+                    expected *= n**m * factorial(m)
+                assert type(z) is int and z == expected, (mono, z)
 
 
 def test_schur_apply_at_a_zero_coordinate_matches_the_oracle():
