@@ -33,6 +33,8 @@ import json
 import sys
 from typing import NamedTuple
 
+from .qseries import _as_int
+
 SEED_INDICES = (-1, 1, 2, 3, 5)
 # the identity class's seeds: the coefficients of J = q**-1 + 196884 q + ...
 # at SEED_INDICES (pinned to `qseries.j_series` by the tests)
@@ -117,8 +119,8 @@ def decimal_int(text):
 
 
 def _parse_int(value, where):
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+    if (number := _as_int(value)) is not None:
+        return number
     if isinstance(value, str):
         try:
             number = decimal_int(value.replace("−", "-"))

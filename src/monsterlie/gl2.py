@@ -85,18 +85,26 @@ class FormalNaturalVector(
     __slots__ = ()
 
     def __new__(cls, label, weight, primary=True, scale=1, pairings=None):
+        if not isinstance(label, str):
+            raise TypeError(f"label must be a str, got {type(label).__name__}")
         if (weight := _int(weight, "weight")) < 0:
             raise ValueError("weights are nonnegative")
+        if type(primary) is not bool:
+            raise TypeError(f"primary must be a bool, got {type(primary).__name__}")
         table = {}
         if pairings:
-            for (la, lb), value in pairings.items():
+            for pair, value in pairings.items():
+                if type(pair) is not tuple or len(pair) != 2 or not all(
+                        isinstance(la, str) for la in pair):
+                    raise Gl2ValidationError(f"pairing key {pair!r} is not a pair of str labels")
+                la, lb = pair
                 key, value = _pair_key(la, lb), _coeff(value)
                 if table.setdefault(key, value) != value:
                     raise Gl2ValidationError(
                         f"pairing ({la}, {lb}) is given as {table[key]} and as {value}"
                     )
         return super().__new__(
-            cls, label, weight, bool(primary), _coeff(scale), MappingProxyType(table)
+            cls, label, weight, primary, _coeff(scale), MappingProxyType(table)
         )
 
     def rescaled(self, factor):
@@ -243,16 +251,16 @@ class MElement(_Terms):
 
     @staticmethod
     def _key(key):
-        """An outside term key in kernel form: ("h", 0) or ("h", 1), or
-        (kind, j, symbol) with kind "e" or "f", j a root index read by
-        `_check_root_index` and the symbol of weight j + 1 at scale 1;
+        """An outside term key in kernel form: ("h", 0) or ("h", 1), the axis
+        read by `_as_int`, or (kind, j, symbol) with kind "e" or "f", j a root
+        index read by `_check_root_index` and the symbol of weight j + 1 at scale 1;
         `Gl2ValidationError` naming the key otherwise (`WeightMismatchError`
         for a symbol of another weight)."""
         kind = key[0] if type(key) is tuple and key else None
         if kind == "h":
-            if len(key) != 2 or type(key[1]) is not int or key[1] not in (0, 1):
+            if len(key) != 2 or (axis := _as_int(key[1])) not in (0, 1):
                 raise Gl2ValidationError(f"term key {key!r} is not ('h', 0) or ('h', 1)")
-            return key
+            return kind, axis
         if kind not in ("e", "f"):
             raise Gl2ValidationError(f"term key {key!r} is not of kind 'e', 'f' or 'h'")
         if len(key) != 3 or not isinstance(key[2], FormalNaturalVector):

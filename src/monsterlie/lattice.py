@@ -77,8 +77,8 @@ def _coeff(value):
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int(value)
+    if (plain := _as_int(value)) is not None:
+        return plain
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -314,7 +314,7 @@ def heisenberg_apply(lam, n, state):
     term by <lam, abar>.
     """
     lam = _vector(lam)
-    _int(n, "n")
+    n = _int(n, "n")
     out = {}
     for (mono, abar), c in state.numer.items():
         if n == 0:
@@ -343,7 +343,7 @@ def schur_apply(lam, r, state):
     modes lam(-n) commute, so r! p_r is evaluated once at lam from its
     level (`_schur_level`) and multiplied onto each term of the state.
     """
-    if _int(r, "r") < 0:
+    if (r := _int(r, "r")) < 0:
         raise ValueError("Schur index must be nonnegative")
     targets = {(r, mono, abar): c for (mono, abar), c in state.numer.items()}
     return _schur_terms(_vector(lam), targets, state.den)
@@ -356,8 +356,8 @@ def _schur_terms(lam, targets, d):
     r! p_r is evaluated at lam = (x, y) once per order the targets carry:
     each entry of the order's level times x**len(mu) y**len(nu), read from
     two power lists, a zero product dropping its term.  Every order is
-    merged over the one denominator d top!; the keys come sorted, so a
-    bare iota target takes them as they are."""
+    merged over one denominator d top!, the keys come sorted (a bare iota
+    target takes them as is) and `FockState` drops a zero target's entries."""
     top = max([r for r, _, _ in targets], default=0)
     x, y = lam
     xs = [x**k for k in range(top + 1)]
@@ -427,7 +427,7 @@ def vertex_iota_coeff(a, b_state, power):
     """
     if not isinstance(a, HatLatticeElement):
         raise TypeError("the operator argument must be a HatLatticeElement")
-    _int(power, "power")
+    power = _int(power, "power")
     point = a.vector
     targets = {}  # (Schur order, remaining factors, lattice point): numerator
     for (mono, abar), c in b_state.numer.items():
@@ -451,8 +451,6 @@ def vertex_iota_coeff(a, b_state, power):
             if factor and r >= 0:
                 key = (r, tuple(remaining), target)
                 targets[key] = targets.get(key, 0) + factor
-    if 0 in targets.values():
-        targets = {key: c for key, c in targets.items() if c}
     return _schur_terms(point, targets, b_state.den)
 
 
@@ -473,7 +471,7 @@ def virasoro_apply(n, state):
     n <= -1 contributes abar(n) plus (for n <= -2) the normal-ordered
     quadratic tail in the dual coordinate modes.
     """
-    _int(n, "n")
+    n = _int(n, "n")
     out = {}
     for (mono, abar), c in state.numer.items():
         for i, (axis, k) in enumerate(mono):

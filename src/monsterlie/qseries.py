@@ -40,8 +40,8 @@ class IntegralityError(ArithmeticError):
 
 def _as_int(value):
     """value as a plain `int`, an `int` subclass read as the `int` it
-    equals; None for anything else, `bool` included.  The integer gates
-    test `type(value) is int` first and call this only off that path."""
+    equals; None for anything else, `bool` included.  The one reader of the
+    integer rule; hot gates test `type(value) is int` before calling it."""
     return int(value) if isinstance(value, int) and not isinstance(value, bool) else None
 
 
@@ -79,7 +79,7 @@ class QSeries:
 
     def coeff(self, n):
         """Exact coefficient of q**n; raises beyond the precision window."""
-        if _int(n, "n") >= self.order:
+        if (n := _int(n, "n")) >= self.order:
             raise PrecisionError(
                 f"coefficient of q^{n} is not determined (order {self.order})"
             )
@@ -120,9 +120,8 @@ class QSeries:
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int) or isinstance(exponent, bool):
+        if (exponent := _as_int(exponent)) is None:
             raise TypeError("series powers must be integers")
-        exponent = int(exponent)
         if exponent < 0:
             return self.invert() ** (-exponent)
         if exponent == 0:
@@ -233,7 +232,7 @@ def _eta_times(coeffs, exponents):
 def euler_product(order):
     """prod_{j>=1} (1 - q**j) = q**(-1/24) * eta(q): -1, 0 or 1 on the
     generalized pentagonal numbers j(3j +- 1)/2 (`_sparse_factor`), else 0."""
-    if _int(order, "order") < 1:
+    if (order := _int(order, "order")) < 1:
         raise ValueError("order must be at least 1")
     coeffs = [1] + [0] * (order - 1)
     for e, s in _sparse_factor(order, False):
@@ -244,18 +243,14 @@ def euler_product(order):
 def eta_quotient(exponents, order):
     """prod_d prod_{k>=1} (1 - q**(d*k))**r_d for exponents {d: r_d}, exact
     below q**order (the eta quotient prod eta(d*t)**r_d without its power of
-    q**(1/24)); d and r_d are read as `_int` reads them."""
-    if _int(order, "order") < 1:
+    q**(1/24)); d and r_d are read by `_as_int`."""
+    if (order := _int(order, "order")) < 1:
         raise ValueError("order must be at least 1")
     for d, r in exponents.items():
-        try:
-            if _int(d, "d") >= 1 and _int(r, "r") == r:  # each gate raises TypeError
-                continue
-        except TypeError:
-            pass
-        raise ValueError(
-            f"eta_quotient: exponent {d!r}: {r!r} needs int d >= 1 and int r"
-        )
+        if _as_int(d) is None or d < 1 or _as_int(r) is None:
+            raise ValueError(
+                f"eta_quotient: exponent {d!r}: {r!r} needs int d >= 1 and int r"
+            )
     return QSeries(0, _eta_times([1] + [0] * (order - 1), exponents))
 
 
@@ -281,7 +276,7 @@ def mckay_thompson(name, order):
             f"no eta-quotient McKay-Thompson series for class {name!r}; "
             f"known: {', '.join(_MCKAY_THOMPSON)}"
         )
-    if _int(order, "order") < 0:
+    if (order := _int(order, "order")) < 0:
         raise ValueError("order must be nonnegative")
     exponents = _MCKAY_THOMPSON[name]
     coeffs = _eta_times([1] + [0] * (order + 1), exponents)
@@ -298,7 +293,7 @@ def j_series(order):
     691 + 65520 * sum sigma11(k) q**k divided by eight Jacobi cubes
     (`_eta_times`); every division by 691 is checked.
     """
-    if _int(order, "order") < 0:
+    if (order := _int(order, "order")) < 0:
         raise ValueError("order must be nonnegative")
     work = order + 2
     qj = _eta_times([691] + [65520 * s for s in _divisor_sums(work, 11)[1:]], {1: -24})
@@ -323,7 +318,7 @@ def primary_dim_series(order):
     The q**0 coefficient (weight-1 subspace) is zero; every other
     represented coefficient is a nonnegative integer.
     """
-    if _int(order, "order") < 0:
+    if (order := _int(order, "order")) < 0:
         raise ValueError("order must be nonnegative")
     return _primary_dims(j_series(order).coeffs, order)
 

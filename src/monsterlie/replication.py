@@ -96,12 +96,15 @@ def _fill_orders(dataset, order, classes):
     """{class name: the order its row is filled to}.  Each class in `classes`
     is filled to `order`; the square class of a class filled to k is filled
     to max(5, k // 2), along the power2 chains until no order grows (an
-    order only grows, up to `order`, so cycles end)."""
+    order only grows, up to `order`, so cycles end); `KeyError` naming a
+    class the dataset does not have."""
     by_name = dataset.by_name
     fill = {}
     pending = [(name, order) for name in classes]
     while pending:
         name, k = pending.pop()
+        if name not in by_name:
+            raise KeyError(f"unknown class {name!r}")
         if fill.get(name, 0) < k:
             fill[name] = k
             pending.append((by_name[name].power2, max(5, k // 2)))
@@ -196,8 +199,8 @@ def multiplicity(dataset, table, k, j):
     none for k).  The orthogonality sum must land on a nonnegative integer
     or the dataset is inconsistent.
     """
-    _int(k, "k")
-    if not 1 <= _int(j, "j") <= table.order:
+    k = _int(k, "k")
+    if not 1 <= (j := _int(j, "j")) <= table.order:
         raise IndexError(f"index {j} outside the computed order {table.order}")
     chi = character(dataset, k)
     total = 0
@@ -243,7 +246,7 @@ def nontriviality_report(dataset, max_j):
     validated where it is built (the identity seeds are J's), and dim_fixed
     from the trivial-multiplicity column.
     """
-    if _int(max_j, "max_j") < 1:
+    if (max_j := _int(max_j, "max_j")) < 1:
         raise ValueError("max_j must be at least 1")
     table = replicate_extend(dataset, max(max_j, 5))
     identity = table.rows[dataset.identity_class().name]

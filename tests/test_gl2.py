@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from monsterlie import gl2
+from monsterlie import gl2, lattice
+from monsterlie.dataset import DatasetError, parse_dataset, to_jsonable, trivial_dataset
 from monsterlie.gl2 import (
     FormalNaturalVector,
     Gl2ValidationError,
@@ -38,7 +39,7 @@ from monsterlie.lattice import (
     section,
     vertex_iota_coeff,
 )
-from monsterlie.qseries import NotInvertibleError, QSeries
+from monsterlie.qseries import NotInvertibleError, QSeries, eta_quotient
 
 
 # -- Cartan matrix -------------------------------------------------------
@@ -176,6 +177,50 @@ def test_symbol_inputs_are_checked():
     e2 = make_gl2(2, *primary_pair(2, label="u")).e
     assert len((e1 + e2).terms) == 2
     assert repr(e1 + e2) == "MElement(1*e(1,u) + 1*e(2,u))"
+
+
+BAD_SYMBOLS = {
+    "int-label": (lambda: FormalNaturalVector(3, 2), TypeError, "label must be a str, got int"),
+    "none-label": (
+        lambda: FormalNaturalVector(None, 2),
+        TypeError,
+        "label must be a str, got NoneType",
+    ),
+    "str-primary": (
+        lambda: FormalNaturalVector("u", 2, primary="no"),
+        TypeError,
+        "primary must be a bool, got str",
+    ),
+    "int-primary": (
+        lambda: FormalNaturalVector("u", 2, primary=1),
+        TypeError,
+        "primary must be a bool, got int",
+    ),
+    "str-pairing-key": (
+        lambda: FormalNaturalVector("u", 2, pairings={"uv": 1}),
+        Gl2ValidationError,
+        "pairing key 'uv' is not a pair of str labels",
+    ),
+    "short-pairing-key": (
+        lambda: FormalNaturalVector("u", 2, pairings={("u",): 1}),
+        Gl2ValidationError,
+        "pairing key ('u',) is not a pair of str labels",
+    ),
+    "int-label-pairing-key": (
+        lambda: FormalNaturalVector("u", 2, pairings={(1, "u"): 1}),
+        Gl2ValidationError,
+        "pairing key (1, 'u') is not a pair of str labels",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SYMBOLS))
+def test_symbol_refuses_what_it_cannot_use(name):
+    # a label is a str, primary a bool, and a pairing key a pair of labels
+    call, error, message = BAD_SYMBOLS[name]
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_symbols_with_one_label_and_two_pairing_tables_conflict():
@@ -784,6 +829,89 @@ def test_integer_gates_read_int_subclasses_as_int():
     assert all(type(x) is int for x in factor)
     (key,) = MElement({("e", Int(1), U1): 1}).numer
     assert key == ("e", 1, U1) and type(key[1]) is int
+
+
+def dataset_object(**fields):
+    """The trivial dataset as Python objects, its one class's fields replaced."""
+    obj = to_jsonable(trivial_dataset())
+    obj["classes"][0].update(fields)
+    return obj
+
+
+# the Cartan axis, a parsed dataset's integers and a Schur order are stored
+# as the plain ints they equal, not as the subclass given
+
+
+def test_the_cartan_axis_is_stored_as_a_plain_int():
+    element = MElement({("h", Int(0)): 1})
+    assert element == MElement({("h", 0): 1})
+    ((_, axis),) = element.numer
+    assert type(axis) is int
+
+
+def test_a_parsed_dataset_stores_plain_ints():
+    seeds = {Int(k): Int(c) for k, c in trivial_dataset().classes[0].seeds.items()}
+    obj = dataset_object(class_size=Int(1), seeds=seeds)
+    obj["group_order"] = Int(1)
+    dataset = parse_dataset(obj)
+    assert dataset == trivial_dataset()
+    (record,) = dataset.classes
+    assert type(dataset.group_order) is int and type(record.class_size) is int
+    assert all(type(k) is int and type(c) is int for k, c in record.seeds.items())
+
+
+def test_the_schur_levels_are_keyed_by_plain_ints(monkeypatch):
+    monkeypatch.setattr(lattice, "_SCHUR_LEVELS", {})
+    vac = FockState.vacuum()
+    assert schur_apply((1, 0), Int(3), vac) == schur_apply((1, 0), 3, vac)
+    assert lattice._SCHUR_LEVELS and all(type(r) is int for r in lattice._SCHUR_LEVELS)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: MElement({("h", True): 1}),
+            Gl2ValidationError,
+            "term key ('h', True) is not ('h', 0) or ('h', 1)",
+        ),
+        (
+            lambda: parse_dataset(dataset_object(class_size=True)),
+            DatasetError,
+            "classes[0].class_size: expected a decimal integer, got True",
+        ),
+        (
+            lambda: parse_dataset(
+                dataset_object(seeds={**dataset_object()["classes"][0]["seeds"], "2": True})
+            ),
+            DatasetError,
+            "class 1A seed 2: expected a decimal integer, got True",
+        ),
+        (
+            lambda: schur_apply((1, 0), True, FockState.vacuum()),
+            TypeError,
+            "r must be an int, got bool",
+        ),
+        (lambda: QSeries(0, [1, 1]) ** True, TypeError, "series powers must be integers"),
+        (
+            lambda: eta_quotient({True: 1}, 3),
+            ValueError,
+            "eta_quotient: exponent True: 1 needs int d >= 1 and int r",
+        ),
+        (
+            lambda: eta_quotient({1: True}, 3),
+            ValueError,
+            "eta_quotient: exponent 1: True needs int d >= 1 and int r",
+        ),
+        (lambda: pairing((True, 0), (0, 1)), TypeError, "expected an exact rational, got bool"),
+    ],
+    ids=["cartan-axis", "class-size", "seed", "schur-order", "series-power",
+         "eta-d", "eta-r", "coefficient"],
+)
+def test_integer_gates_still_refuse_bool(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("j", [0, True, -7, 1.5])

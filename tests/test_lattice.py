@@ -699,6 +699,21 @@ def test_vertex_coeff_on_single_creation_target():
     assert vertex_iota_coeff(a, target, -2).is_zero()
 
 
+def test_vertex_coeff_merges_cancelling_contractions_in_lowest_terms():
+    # a = (1, 1) pairs to -1 with u1 and with u2, so in u1(-1)iota(0) -
+    # u2(-1)iota(0) both full contractions land on one target, at +1 and -1
+    a = section(1, 1)
+    vac = FockState.vacuum()
+    b1, b2 = heisenberg_apply((1, 0), -1, vac), heisenberg_apply((0, 1), -1, vac)
+    b = b1 - b2
+    assert vertex_iota_coeff(a, b1, -1) == vertex_iota_coeff(a, b2, -1) == FockState.iota(a)
+    assert vertex_iota_coeff(a, b, -1) == FockState.zero()
+    for power in range(-2, 6):
+        got = vertex_iota_coeff(a, b, power)
+        expected = vertex_iota_coeff(a, b1, power) - vertex_iota_coeff(a, b2, power)
+        assert (got.den, got.numer) == (expected.den, expected.numer), power
+
+
 @pytest.mark.parametrize("abar", [(Fraction(1, 2), 0), (0, Fraction(1, 2))])
 def test_vertex_coeff_rejects_keys_off_the_lattice(abar):
     with pytest.raises(ValueError, match="double-cover elements sit over lattice points"):
@@ -1108,6 +1123,28 @@ def test_is_primary_checks_every_mode_up_to_the_creation_depth():
     assert not is_primary(omega)
     assert not is_primary(state)
     assert is_primary(FockState.zero())
+
+
+def test_is_primary_checks_l1_where_every_higher_mode_vanishes():
+    # L(1) lam(-2)|0> = 2 lam(-1)|0>, while L(2) lam(-2)|0> = 2 <lam, 0>|0> = 0
+    lam = (3, -2)
+    state = heisenberg_apply(lam, -2, FockState.vacuum())
+    assert virasoro_apply(1, state) == 2 * heisenberg_apply(lam, -1, FockState.vacuum())
+    assert all(virasoro_apply(n, state).is_zero() for n in range(2, 6))
+    assert not is_primary(state)
+
+
+def test_is_primary_agrees_with_every_mode_up_to_two_past_the_depth():
+    rng = random.Random(79)
+    seen = Counter()
+    for _ in range(200):
+        s = rand_state(rng, max_degree=rng.randint(1, 4))
+        top = max((sum(n for _, n in mono) for mono, _ in s.terms), default=0)
+        modes = [virasoro_apply(n, s).is_zero() for n in range(1, top + 3)]
+        assert is_primary(s) == all(modes), s
+        seen[all(modes), not modes[0] and all(modes[1:])] += 1
+    # both verdicts occur, and some states fail at L(1) alone
+    assert seen[True, False] and seen[False, True], seen
 
 
 def test_modes_above_the_creation_depth_vanish():

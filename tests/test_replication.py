@@ -304,6 +304,12 @@ def test_order_below_five_rejected():
         replicate_extend(trivial_dataset(), 4)
 
 
+def test_an_unknown_class_is_named():
+    with pytest.raises(KeyError) as err:
+        replicate_extend(trivial_dataset(), 10, ["9Z"])
+    assert err.value.args == ("unknown class '9Z'",)
+
+
 def test_odd_halving_names_class_and_index():
     # seeds engineered so C(g,1)^2 - C(g^2,1) is odd at the first halving:
     # class 2Z squares to 1A, C(2Z,1)=2, C(1A,1)=196884 -> 4 - 196884 even;
