@@ -193,30 +193,44 @@ def parse_dataset(obj):
 def validate_dataset(dataset):
     """Check every schema invariant; returns the list of violations (empty
     when the dataset is consistent).  Violations within the records (a
-    duplicate name, a negative or zero size, a missing seed) come alone,
-    since the checks after them read the records; a group order that is not
-    the sum of the class sizes comes next, also alone."""
+    duplicate name, a negative or zero size, a missing seed, a class size,
+    seed or character value or group order that `_as_int` does not read, a
+    character that is not a dict) come alone, since the checks after them
+    read the records; a group order that is not the sum of the class sizes
+    comes next, also alone."""
     out = []
     names = set()
     for idx, record in enumerate(dataset.classes):
         if record.name in names:
             out.append(f"classes[{idx}]: duplicate class name {record.name!r}")
         names.add(record.name)
-        if record.class_size < 0:
+        if (size := _as_int(record.class_size)) is None:
+            out.append(f"class {record.name}: class_size is {record.class_size!r}, not an int")
+        elif size < 0:
             out.append(f"class {record.name}: negative class size")
-        elif record.class_size == 0:
+        elif size == 0:
             out.append(f"class {record.name}: empty class (size 0)")
         for k in SEED_INDICES:
             if k not in record.seeds:
                 out.append(f"class {record.name}: missing seed index {k}")
-    total = sum(r.class_size for r in dataset.classes)
-    if not out and dataset.group_order != total:
-        out.append(
-            f"declared group_order {dataset.group_order} does not equal the sum "
-            f"of class sizes {total}"
-        )
+            elif _as_int(value := record.seeds[k]) is None:
+                out.append(f"class {record.name}: seed {k} is {value!r}, not an int")
+    for k, per_class in (dataset.characters or {}).items():
+        if not isinstance(per_class, dict):
+            out.append(f"character {k}: {per_class!r} is not a dict of class values")
+            continue
+        for name, value in per_class.items():
+            if _as_int(value) is None:
+                out.append(f"class {name}: character {k} is {value!r}, not an int")
+    if _as_int(dataset.group_order) is None:
+        out.append(f"group_order is {dataset.group_order!r}, not an int")
     if out:
         return out
+    if dataset.group_order != (total := sum(r.class_size for r in dataset.classes)):
+        return [
+            f"declared group_order {dataset.group_order} does not equal the sum "
+            f"of class sizes {total}"
+        ]
     try:
         identity = dataset.identity_class()
     except DatasetError as exc:

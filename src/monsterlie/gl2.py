@@ -253,9 +253,9 @@ class MElement(_Terms):
     def _key(key):
         """An outside term key in kernel form: ("h", 0) or ("h", 1), the axis
         read by `_as_int`, or (kind, j, symbol) with kind "e" or "f", j a root
-        index read by `_check_root_index` and the symbol of weight j + 1 at scale 1;
-        `Gl2ValidationError` naming the key otherwise (`WeightMismatchError`
-        for a symbol of another weight)."""
+        index read by `_check_root_index` and a primary symbol of weight j + 1
+        at scale 1; `Gl2ValidationError` naming the key otherwise (its
+        subclasses `WeightMismatchError` and `NotPrimaryError` for the last two)."""
         kind = key[0] if type(key) is tuple and key else None
         if kind == "h":
             if len(key) != 2 or (axis := _as_int(key[1])) not in (0, 1):
@@ -279,6 +279,8 @@ class MElement(_Terms):
                 f"term key {key!r} names a symbol at scale {symbol.scale}: "
                 "the coefficient carries the scale"
             )
+        if not symbol.primary:
+            raise NotPrimaryError(f"term key {key!r}: {symbol!r} is not primary")
         return kind, j, symbol
 
     @classmethod
@@ -324,30 +326,22 @@ def make_gl2(j, u, v, section_sign=1):
     """Generators e(j,u), f(j,v), h1, h2 of the gl2 subalgebra attached to
     the simple root (1, j) and a matched primary pair.
 
-    Requires u, v primary of weight j+1 with (u, v) = (-1)**j, equivalent
-    to the contraction of u against v being exactly the vacuum.  For
-    j = -1 the symbols degenerate to the vacuum and the construction
-    recovers the subalgebra over the real simple root.  `section_sign`
-    picks the lift of (1, j) in the double cover; flipping it negates e
-    and f and must leave every bracket of interest unchanged.  The
-    coefficients of e and f are the scales of u and v up to a sign, their
-    keys carry u and v at scale 1, and h1, h2 are the shared immutable
-    Cartan vectors `_H1`, `_H2`.
+    Requires u, v primary of weight j+1 (`MElement._key` gates both keys)
+    with (u, v) = (-1)**j, equivalent to the contraction of u against v
+    being exactly the vacuum.  For j = -1 the symbols degenerate to the
+    vacuum and the construction recovers the subalgebra over the real
+    simple root.  `section_sign` picks the lift of (1, j) in the double
+    cover; flipping it negates e and f and must leave every bracket of
+    interest unchanged.  The coefficients of e and f are the scales of u
+    and v up to a sign, their keys carry u and v at scale 1, and h1, h2
+    are the shared immutable Cartan vectors `_H1`, `_H2`.
     """
     j = _check_root_index(j)
     if type(section_sign) is not int:
         section_sign = _as_int(section_sign)
     if section_sign not in (1, -1):
         raise Gl2ValidationError("section_sign must be +1 or -1")
-    if not u.primary:
-        raise NotPrimaryError(f"{u!r} is not primary")
-    if not v.primary:
-        raise NotPrimaryError(f"{v!r} is not primary")
-    if u.weight != j + 1 or v.weight != j + 1:
-        raise WeightMismatchError(
-            f"root index {j} needs weight {j + 1} symbols, got "
-            f"{u.weight} and {v.weight}"
-        )
+    e_key, f_key = MElement._key(("e", j, u.base())), MElement._key(("f", j, v.base()))
     value = pairing_value(u, v)
     expected = (-1) ** (j % 2)
     if value != expected:
@@ -356,8 +350,8 @@ def make_gl2(j, u, v, section_sign=1):
         )
     e_scale = u.scale if section_sign == 1 else -u.scale
     f_scale = v.scale if section_sign == (-1) ** (j % 2) else -v.scale
-    e = MElement({("e", j, u.base()): e_scale.numerator}, den=e_scale.denominator)
-    f = MElement({("f", j, v.base()): f_scale.numerator}, den=f_scale.denominator)
+    e = MElement({e_key: e_scale.numerator}, den=e_scale.denominator)
+    f = MElement({f_key: f_scale.numerator}, den=f_scale.denominator)
     return Gl2Generators(e, f, _H1, _H2, j, u, v)
 
 

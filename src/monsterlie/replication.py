@@ -70,8 +70,8 @@ class CoefficientTable(NamedTuple):
 
     def value(self, name, j):
         """C(name, j); index 0 is 0 by convention (zero constant term) and
-        index -1 is 1 (normalized leading coefficient)."""
-        if j == 0:
+        index -1 is 1 (normalized leading coefficient); j is read by `_int`."""
+        if (j := _int(j, "j")) == 0:
             return 0
         if j == -1:
             return 1
@@ -96,14 +96,14 @@ def _fill_orders(dataset, order, classes):
     """{class name: the order its row is filled to}.  Each class in `classes`
     is filled to `order`; the square class of a class filled to k is filled
     to max(5, k // 2), along the power2 chains until no order grows (an
-    order only grows, up to `order`, so cycles end); `KeyError` naming a
-    class the dataset does not have."""
+    order only grows, up to `order`, so cycles end); `KeyError` naming an
+    entry that is not the str name of a class the dataset has."""
     by_name = dataset.by_name
     fill = {}
     pending = [(name, order) for name in classes]
     while pending:
         name, k = pending.pop()
-        if name not in by_name:
+        if not isinstance(name, str) or name not in by_name:
             raise KeyError(f"unknown class {name!r}")
         if fill.get(name, 0) < k:
             fill[name] = k
@@ -128,7 +128,8 @@ def _symmetric_square(r, s, k, name, n, pairs):
 def replicate_extend(dataset, order, classes=None):
     """Fill class rows through the given order using the recursions.
 
-    `classes` names the rows the caller reads (None: every class).  Those
+    `classes` names the rows the caller reads (None: every class; a bare
+    str is a `TypeError`, not a list of one-letter names).  Those
     are filled to `order` and their square chains as far as they are read
     (see `_fill_orders`); the table holds only the filled rows.  Rows are
     filled in lockstep across classes in increasing index, so the
@@ -140,6 +141,8 @@ def replicate_extend(dataset, order, classes=None):
         raise ValueError("order must be at least 5 (indices 1,2,3,5 are seeds)")
     if classes is None:
         classes = [record.name for record in dataset.classes]
+    elif isinstance(classes, str):
+        raise TypeError(f"classes must be a collection of class names, got the str {classes!r}")
     fill = _fill_orders(dataset, order, classes)
     rows, square, pair_sums = {}, {}, {}
     for record in dataset.classes:

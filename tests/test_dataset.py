@@ -96,6 +96,43 @@ def test_datasets_built_in_code_get_the_record_checks():
     assert exc.value.violations == ["characters['2']: expected an object, got []"]
 
 
+IDENTITY = trivial_dataset().classes[0]
+TWO_A = ClassRecord("2A", 1, "1A", {-1: 1, 1: 4372, 2: 96256, 3: 1240002, 5: 74428120})
+NON_INT_FIELDS = {
+    "float-seed": (
+        ([IDENTITY, TWO_A._replace(seeds={**TWO_A.seeds, 1: 4372.0})], 2, None),
+        ["class 2A: seed 1 is 4372.0, not an int"],
+    ),
+    "str-class-size": (
+        ([IDENTITY._replace(class_size="1")], 1, None),
+        ["class 1A: class_size is '1', not an int"],
+    ),
+    "bool-class-size": (
+        ([IDENTITY._replace(class_size=True)], 1, None),
+        ["class 1A: class_size is True, not an int"],
+    ),
+    "str-group-order": (([IDENTITY], "1", None), ["group_order is '1', not an int"]),
+    "float-character": (
+        ([IDENTITY, TWO_A], 2, {1: {"1A": 1, "2A": 1}, 2: {"1A": 1, "2A": -1.0}}),
+        ["class 2A: character 2 is -1.0, not an int"],
+    ),
+    "list-character": (
+        ([IDENTITY], 1, {2: ["1A"]}),
+        ["character 2: ['1A'] is not a dict of class values"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INT_FIELDS))
+def test_datasets_built_in_code_refuse_non_integer_integers(name):
+    # nothing is floated: a float, str or bool in an integer field is named,
+    # never carried into the recursions or compared against an int
+    fields, violations = NON_INT_FIELDS[name]
+    with pytest.raises(DatasetError) as err:
+        Dataset(*fields)
+    assert err.value.violations == violations
+
+
 def test_round_trip_through_json(tmp_path):
     d = trivial_dataset()
     path = tmp_path / "classes.json"

@@ -565,12 +565,16 @@ BAD_KEYS = {
     "float-root-index": (("e", 1.5, U1), Gl2ValidationError),
     "bool-root-index": (("e", True, U1), Gl2ValidationError),
     "weight-mismatch": (("e", 2, U1), WeightMismatchError),
+    "not-primary": (
+        ("e", 1, FormalNaturalVector("u", 2, primary=False, pairings={("u", "u"): 1})),
+        NotPrimaryError,
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_KEYS))
 def test_melement_refuses_malformed_keys(name):
-    # a key is ("h", 0), ("h", 1) or (e or f, root index j, weight j + 1 symbol)
+    # a key is ("h", 0), ("h", 1) or (e or f, root index j, primary weight j + 1 symbol)
     key, error = BAD_KEYS[name]
     with pytest.raises(error, match=re.escape(f"term key {key!r}")):
         MElement({key: 1})

@@ -310,6 +310,25 @@ def test_an_unknown_class_is_named():
     assert err.value.args == ("unknown class '9Z'",)
 
 
+def test_classes_is_a_collection_of_str_names():
+    # a bare str would be read letter by letter, and an entry that is not a
+    # str, such as an unhashable list, is an unknown class
+    with pytest.raises(TypeError, match="classes must be a collection of class names"):
+        replicate_extend(trivial_dataset(), 10, "1A")
+    with pytest.raises(KeyError) as err:
+        replicate_extend(trivial_dataset(), 10, [["1A"]])
+    assert err.value.args == ("unknown class ['1A']",)
+
+
+@pytest.mark.parametrize("j", [True, 1.0, "1"])
+def test_table_value_reads_j_as_an_int(j):
+    # True is not C(1), and a float index is named rather than ending in a
+    # bare list-index error
+    table = replicate_extend(trivial_dataset(), 5)
+    with pytest.raises(TypeError, match=f"j must be an int, got {type(j).__name__}"):
+        table.value("1A", j)
+
+
 def test_odd_halving_names_class_and_index():
     # seeds engineered so C(g,1)^2 - C(g^2,1) is odd at the first halving:
     # class 2Z squares to 1A, C(2Z,1)=2, C(1A,1)=196884 -> 4 - 196884 even;
