@@ -36,9 +36,9 @@ from .lattice import (
     _Terms,
     _coeff,
     _pairing,
+    _vertex_iota,
     is_primary,
     section,
-    vertex_iota_coeff,
 )
 from .qseries import _as_int, _int, j_series
 
@@ -110,11 +110,15 @@ class FormalNaturalVector(
     def rescaled(self, factor):
         """The symbol with its scale times factor; the validated read-only
         pairing table is shared, not rebuilt."""
-        return self._replace(scale=_coeff(self.scale * _coeff(factor)))
+        return self._at(_coeff(self.scale * _coeff(factor)))
 
     def base(self):
         """The symbol at scale 1: itself when it is unscaled."""
-        return self if self.scale == 1 else self._replace(scale=1)
+        return self if self.scale == 1 else self._at(1)
+
+    def _at(self, scale):
+        """This symbol at a scale in coefficient form: `_make` without `_replace`'s walk."""
+        return tuple.__new__(type(self), (*self[:3], scale, self.pairings))
 
     def __hash__(self):
         # the read-only pairing table does not hash; equal symbols agree on
@@ -355,7 +359,7 @@ def make_gl2(j, u, v, section_sign=1):
     return Gl2Generators(e, f, _H1, _H2, j, u, v)
 
 
-# every gl2 shares h1, h2, every relation report compares against one zero,
+# every gl2 shares h1, h2, every bracket with no term returns one zero,
 # and every j >= 1 is checked against the real-root subalgebra; MElement is
 # immutable
 _H1 = MElement.cartan_vector(0, -1)
@@ -390,7 +394,8 @@ def bracket(x, y):
     wrong answer.  Each pair of terms passes its numerators on to
     `_generator_bracket`, which forms their product only for a nonzero
     bracket, so a vanishing pair costs no multiplication; the sum is over
-    the denominator x.den * y.den.
+    the denominator x.den * y.den, and a bracket with no term is the
+    shared immutable zero `_ZERO`, equal to `MElement()`.
     """
     if not isinstance(x, MElement) or not isinstance(y, MElement):
         raise TypeError("bracket expects MElement arguments")
@@ -398,7 +403,7 @@ def bracket(x, y):
     for kx, cx in x.numer.items():
         for ky, cy in y.numer.items():
             _generator_bracket(out, kx, cx, ky, cy)
-    return MElement(out, den=x.den * y.den)
+    return MElement(out, den=x.den * y.den) if out else _ZERO
 
 
 def _generator_bracket(out, kx, cx, ky, cy):
@@ -408,7 +413,9 @@ def _generator_bracket(out, kx, cx, ky, cy):
     <lam, root> times cx * cy for a Cartan vector, and for a
     raising-lowering pair the contraction scalar times cx * cy, a
     `Fraction` only where a pairing-table value or a Fock coordinate is
-    one."""
+    one.  The contraction calls the vertex-operator kernel
+    `lattice._vertex_iota` on the bare root points, which `_key` has
+    already gated, so it builds no double-cover element or input state."""
     if kx[0] == "h" or ky[0] == "h":
         if kx[0] == ky[0]:
             return  # two Cartan vectors commute
@@ -426,8 +433,7 @@ def _generator_bracket(out, kx, cx, ky, cy):
             raise UnsupportedBracketError(f"pairing ({kx[2].label}, {ky[2].label}) is not defined")
         scale = (-1) ** (kx[1] % 2) * value * cx * cy
         power = _pairing(a, b) + 1  # Schur order r = 1
-        iota_b = FockState({((), b): 1}, den=1)
-        state = vertex_iota_coeff(section(*a), iota_b, power)
+        state = _vertex_iota(a, 1, {((), b): 1}, 1, power)  # iota(a) on iota(b)
         if state.den != 1:  # a lattice point at Schur order 1 gives den 1
             scale = Fraction(scale, state.den)
         for (mono, abar), c in state.numer.items():
@@ -511,7 +517,7 @@ def verify_relations(j, u, v, section_sign=1):
             f"[e, f] == -({j}*h1 + h2)",
             "core",
             bracket(e, f),
-            -1 * (j * h1 + h2),
+            MElement.cartan_vector(1, j),  # -(j h1 + h2), as h1 = (0, -1), h2 = (-1, 0)
         ),
     ]
     if j == -1:

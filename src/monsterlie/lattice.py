@@ -38,7 +38,10 @@ and `vertex_iota_coeff` are linear and share one kernel shape: the kernel
 reads the input's numerators and denominator d, writes the rule out key
 by key into one dict per call, and hands it to one `FockState` over d
 (times top! for a Schur merge), whose constructor reduces it.  Both Schur
-users merge through `_schur_terms`.
+users merge through `_schur_terms`.  `vertex_iota_coeff` is a gate plus
+the kernel `_vertex_iota` on bare `int`s and a numerator dict, which the
+gl2 bracket calls directly, as `pairing` and `cocycle_sign` gate
+`_pairing` and `_cocycle`.
 Schur terms are carried as q_k = k! p_k: by the cycle-type formula its
 term u1(-mu) u2(-nu) at lam = (x, y) is k!/(z_mu z_nu) x**len(mu)
 y**len(nu), the weight an integer, so a lattice point lam never sees a
@@ -357,8 +360,9 @@ def _schur_terms(lam, targets, d):
     each entry of the order's level times x**len(mu) y**len(nu), read from
     two power lists, a zero product dropping its term.  Every order is
     merged over one denominator d top!, the keys come sorted (a bare iota
-    target takes them as is) and `FockState` drops a zero target's entries."""
-    top = max([r for r, _, _ in targets], default=0)
+    target takes them as is), and every target numerator is nonzero, so
+    each order the targets carry is one the result needs."""
+    top = max(targets)[0] if targets else 0  # keys lead with their order
     x, y = lam
     xs = [x**k for k in range(top + 1)]
     ys = [y**k for k in range(top + 1)]
@@ -427,19 +431,23 @@ def vertex_iota_coeff(a, b_state, power):
     """
     if not isinstance(a, HatLatticeElement):
         raise TypeError("the operator argument must be a HatLatticeElement")
-    power = _int(power, "power")
-    point = a.vector
+    return _vertex_iota(a.vector, a.sign, b_state.numer, b_state.den, _int(power, "power"))
+
+
+def _vertex_iota(point, sign, numer, den, power):
+    """`vertex_iota_coeff` of (point, sign) on the state numer / den, all bare
+    `int`s; a target whose contractions cancel is dropped before the merge."""
     targets = {}  # (Schur order, remaining factors, lattice point): numerator
-    for (mono, abar), c in b_state.numer.items():
+    for (mono, abar), c in numer.items():
         m, n = abar
         # a times the sign-1 lift of abar, as in the group law `hat_multiply`
-        sign = a.sign * _cocycle(point, abar)
+        c *= sign * _cocycle(point, abar)
         target = (point[0] + m, point[1] + n)
         base = _pairing(point, abar)
         entries = [(pair, len(list(run))) for pair, run in groupby(mono)]
         ranges = [range(count + 1) for _, count in entries]
         for chosen in product(*ranges):
-            factor = c * sign
+            factor = c
             depth = 0
             remaining = []
             for ((axis, mode), count), s in zip(entries, chosen):
@@ -451,7 +459,9 @@ def vertex_iota_coeff(a, b_state, power):
             if factor and r >= 0:
                 key = (r, tuple(remaining), target)
                 targets[key] = targets.get(key, 0) + factor
-    return _schur_terms(point, targets, b_state.den)
+    if 0 in targets.values():
+        targets = {key: c for key, c in targets.items() if c}
+    return _schur_terms(point, targets, den)
 
 
 # -- Virasoro action -----------------------------------------------------

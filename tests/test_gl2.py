@@ -358,6 +358,44 @@ def test_rescaling_shares_the_validated_pairing_table():
         u.rescaled(0.5)
 
 
+def test_rescaling_builds_what_replace_builds():
+    u = FormalNaturalVector("u", 2, pairings={("u", "u"): 3, ("1", "u"): 0})
+    for scale in (Fraction(-1, 3), -1, 5):
+        v = u.rescaled(scale)
+        assert v == u._replace(scale=scale) and v.pairings is u.pairings
+        assert type(v) is FormalNaturalVector and type(v.scale) is type(scale)
+        for got, want in ((v.base(), v._replace(scale=1)), (v.rescaled(7), v._replace(scale=7 * scale))):
+            assert got == want and type(got) is FormalNaturalVector, (scale, got)
+            assert got.pairings is u.pairings and type(got.scale) is type(want.scale)
+        assert v.base() == u and hash(v.base()) == hash(v) == hash(u)
+        assert repr(v.base()) == "u[wt 2]"
+
+
+def test_a_bracket_with_no_term_is_the_shared_zero():
+    gens = make_gl2(2, *primary_pair(2))
+    real = make_gl2(-1, vacuum_vector(), vacuum_vector())
+    pairs = [(gens.h1, gens.h2), (real.e, gens.f), (gens.e, real.f), (real.f, gens.e)]
+    pairs += [(gens.f, real.e), (gens.h1, MElement()), (MElement(), gens.e)]
+    for x, y in pairs:
+        z = bracket(x, y)
+        assert z == MElement() and z.is_zero() and (z.den, z.numer) == (1, {}), (x, y)
+        assert z == MElement({}, den=7) and repr(z) == "MElement(0)"
+        with pytest.raises(AttributeError, match="MElement is immutable"):
+            z.numer = {("h", 0): 1}
+    assert bracket(gens.h1, gens.h2) is bracket(real.e, gens.f)
+    # <(1, -2), (1, 2)> = 0: two term pairs that cancel still reduce to zero
+    assert bracket(MElement.cartan_vector(1, -2), gens.e) == MElement()
+
+
+def test_the_expected_e_f_bracket_is_the_cartan_vector_over_the_root():
+    h1, h2 = gl2._H1, gl2._H2
+    for j in (-1, *range(1, 51)):
+        want = -1 * (j * h1 + h2)
+        got = MElement.cartan_vector(1, j)
+        assert got == want and (got.den, got.numer) == (want.den, want.numer), j
+        assert repr(got) == repr(want)
+
+
 def test_melement_is_one_term_dict():
     gens = make_gl2(2, *primary_pair(2))
     x = gens.e + 3 * gens.f + gens.h1 - 2 * gens.h2

@@ -714,6 +714,52 @@ def test_vertex_coeff_merges_cancelling_contractions_in_lowest_terms():
         assert (got.den, got.numer) == (expected.den, expected.numer), power
 
 
+def test_cancelling_contractions_reach_the_schur_merge_as_no_target(monkeypatch):
+    # the state of the test above: its two full contractions meet on one
+    # target and cancel, and that target must not reach `_schur_terms`
+    a = section(1, 1)
+    vac = FockState.vacuum()
+    b1, b2 = heisenberg_apply((1, 0), -1, vac), heisenberg_apply((0, 1), -1, vac)
+    b = b1 - b2
+    merge = lattice._schur_terms
+    seen = []
+
+    def recording(lam, targets, d):
+        seen.append(dict(targets))
+        return merge(lam, targets, d)
+
+    monkeypatch.setattr(lattice, "_schur_terms", recording)
+    for power in range(-2, 6):
+        seen.clear()
+        got = vertex_iota_coeff(a, b, power)
+        assert seen and all(0 not in targets.values() for targets in seen), (power, seen)
+        expected = vertex_iota_coeff(a, b1, power) - vertex_iota_coeff(a, b2, power)
+        assert (got.den, got.numer) == (expected.den, expected.numer), power
+
+
+def test_the_vertex_kernel_is_the_public_coefficient_on_bare_ints():
+    rng = random.Random(41)
+    states = [FockState.vacuum(), FockState.iota(section(1, 1, -1))]
+    states += [rand_state(rng, 3) for _ in range(6)]
+    for (m, n), sign in itertools.product([(1, 0), (1, 1), (-1, 2), (3, -1)], (1, -1)):
+        a = section(m, n, sign)
+        for state in states:
+            for p in range(-4, 4):
+                got = lattice._vertex_iota(a.vector, a.sign, state.numer, state.den, p)
+                want = vertex_iota_coeff(a, state, p)
+                assert (got.den, got.numer) == (want.den, want.numer), (a, state, p)
+                # the kernel reads the sign: -a acts as minus a
+                negated = lattice._vertex_iota(a.vector, -a.sign, state.numer, state.den, p)
+                assert negated == -got, (a, state, p)
+        # on a bare iota(b) the lowest coefficient is iota(a b), the cocycle
+        # included, so a kernel that drops it fails for odd m and odd n
+        for bbar in ((0, 1), (2, -1), (1, 3)):
+            b = section(*bbar)
+            lowest = pairing(a.vector, bbar)
+            got = lattice._vertex_iota(a.vector, a.sign, {((), bbar): 1}, 1, lowest)
+            assert got == FockState.iota(hat_multiply(a, b)), (a, b)
+
+
 @pytest.mark.parametrize("abar", [(Fraction(1, 2), 0), (0, Fraction(1, 2))])
 def test_vertex_coeff_rejects_keys_off_the_lattice(abar):
     with pytest.raises(ValueError, match="double-cover elements sit over lattice points"):
