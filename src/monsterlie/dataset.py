@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .qseries import _as_int
@@ -60,8 +61,8 @@ class ClassRecord(NamedTuple):
 
 class Dataset(NamedTuple("Dataset", [("classes", list), ("group_order", int), ("characters", dict)])):
     """Class records, the group order and the optional characters {irreducible
-    index: {class name: int}}; the constructor raises DatasetError with the
-    `validate_dataset` list (`_make` and `_replace` skip the check)."""
+    index: {class name: int}}; the constructor, the one judge of a field, raises
+    DatasetError with the `validate_dataset` list (`_make`, `_replace` skip it)."""
 
     __slots__ = ()
 
@@ -88,17 +89,6 @@ class Dataset(NamedTuple("Dataset", [("classes", list), ("group_order", int), ("
         return hits[0]
 
 
-_SHAPES = {str: "a string", dict: "an object", list: "an array"}
-
-
-def _expect(value, shape, where):
-    """`value` if it is a `shape` (str, dict or list), else a DatasetError
-    naming the field."""
-    if not isinstance(value, shape):
-        raise DatasetError(f"{where}: expected {_SHAPES[shape]}, got {value!r}")
-    return value
-
-
 def decimal_int(text):
     """The integer `text` spells as an optional sign and ASCII digits (blanks
     around allowed), else None: the one integer rule of dataset files and CLI
@@ -118,104 +108,126 @@ def decimal_int(text):
         ) from None
 
 
-def _parse_int(value, where):
+def _decoded(value, where, problems):
+    """The `int` a decimal string (U+2212 read as a minus) or an `int`
+    subclass spells; any other value unchanged, for `validate_dataset` to
+    judge.  A string that spells no decimal integer goes to `problems`."""
     if (number := _as_int(value)) is not None:
         return number
     if isinstance(value, str):
         try:
-            number = decimal_int(value.replace("−", "-"))
+            if (number := decimal_int(value.replace("−", "-"))) is not None:
+                return number
+            problems.append(f"{where}: expected a decimal integer, got {value!r}")
         except ValueError as exc:  # past the digit limit
-            raise DatasetError(f"{where}: {exc}") from None
-        if number is not None:
-            return number
-    raise DatasetError(f"{where}: expected a decimal integer, got {value!r}")
+            problems.append(f"{where}: {exc}")
+    return value
+
+
+def _indexed(block, where, label, problems):
+    """{decoded key: value} of `block`; a key that spells no integer, or an
+    index spelled twice, goes to `problems`."""
+    out, spelled = {}, {}
+    for raw, value in block.items():
+        if isinstance(k := _decoded(raw, where, problems), str):
+            continue  # spells no integer
+        if k in spelled:
+            problems.append(f"{label} {k} given twice: {spelled[k]!r} and {raw!r}")
+        spelled[k], out[k] = raw, value
+    return out
 
 
 def parse_dataset(obj):
-    """Build a Dataset from decoded JSON; raises DatasetError listing every
-    violation found, in the fields or by the `Dataset` constructor."""
+    """Build a Dataset from decoded JSON, reading only the file's spelling:
+    decimal strings and `int` subclasses become `int`s, each seed and
+    character index key is decoded once, and every other value goes as it
+    is to the `Dataset` constructor, which judges every field.  Raises
+    DatasetError listing every spelling problem, missing field, record that
+    is not an object or `classes` that is not an array, else the
+    constructor's violations."""
     if not isinstance(obj, dict) or "classes" not in obj:
         raise DatasetError("top-level object must contain a 'classes' array")
-    records = []
-    problems = []
-    for idx, raw in enumerate(_expect(obj["classes"], list, "classes")):
-        where = f"classes[{idx}]"
+    if not isinstance(obj["classes"], list):
+        raise DatasetError(f"classes: expected an array, got {obj['classes']!r}")
+    records, problems = [], []
+    for idx, raw in enumerate(obj["classes"]):
+        if not isinstance(raw, dict):
+            problems.append(f"classes[{idx}]: expected an object, got {raw!r}")
+            continue
         try:
-            _expect(raw, dict, where)
-            name = _expect(raw["name"], str, f"{where}.name")
-            size = _parse_int(raw["class_size"], f"{where}.class_size")
-            power2 = _expect(raw["power2"], str, f"{where}.power2")
-            seeds_raw = _expect(raw["seeds"], dict, f"{where}.seeds")
+            name, size, power2, seeds = (raw[f] for f in ClassRecord._fields)
         except KeyError as exc:
-            problems.append(f"{where}: missing field {exc}")
+            problems.append(f"classes[{idx}]: missing field {exc}")
             continue
-        except DatasetError as exc:
-            problems.extend(exc.violations)
-            continue
-        seeds, spelled = {}, {}
-        for k_raw, value in seeds_raw.items():
-            k = _parse_int(k_raw, f"class {name} seed index")
-            if k not in SEED_INDICES:
-                problems.append(
-                    f"class {name}: seed key {k_raw!r} is not a seed index {SEED_INDICES}"
-                )
-            elif k in spelled:
-                problems.append(
-                    f"class {name}: seed index {k} given twice: {spelled[k]!r} and {k_raw!r}"
-                )
-            else:
-                spelled[k] = k_raw
-                seeds[k] = _parse_int(value, f"class {name} seed {k}")
+        size = _decoded(size, f"classes[{idx}].class_size", problems)
+        if isinstance(seeds, dict):
+            label = f"class {name}: seed index"
+            seeds = _indexed(seeds, f"class {name} seed index", label, problems)
+            seeds = {k: _decoded(v, f"class {name} seed {k}", problems) for k, v in seeds.items()}
         records.append(ClassRecord(name, size, power2, seeds))
-    if problems:
-        raise DatasetError(problems)
-
-    group_order = sum(r.class_size for r in records)
+    # a size that is not an int is refused alone, so it may drop from the sum
+    group_order = sum(r.class_size for r in records if isinstance(r.class_size, int))
     if obj.get("group_order") is not None:
-        group_order = _parse_int(obj["group_order"], "group_order")
-    characters = None
-    if obj.get("characters") is not None:
-        characters, spelled = {}, {}
-        for k_raw, per_class in _expect(obj["characters"], dict, "characters").items():
-            k = _parse_int(k_raw, "character index")
-            if k in spelled:
-                problems.append(f"character index {k} given twice: {spelled[k]!r} and {k_raw!r}")
-            spelled[k] = k_raw
-            characters[k] = {
-                cls: _parse_int(val, f"character {k} on class {cls}")
-                for cls, val in _expect(per_class, dict, f"characters[{k_raw!r}]").items()
-            }
+        group_order = _decoded(obj["group_order"], "group_order", problems)
+    if isinstance(characters := obj.get("characters"), dict):
+        characters = _indexed(characters, "character index", "character index", problems)
+        for k, per_class in characters.items():
+            if isinstance(per_class, dict):
+                characters[k] = {
+                    cls: _decoded(v, f"character {k} on class {cls}", problems)
+                    for cls, v in per_class.items()
+                }
     if problems:
         raise DatasetError(problems)
     return Dataset(records, group_order, characters)
 
 
 def validate_dataset(dataset):
-    """Check every schema invariant; returns the list of violations (empty
-    when the dataset is consistent).  Violations within the records (a
-    duplicate name, a negative or zero size, a missing seed, a class size,
-    seed or character value or group order that `_as_int` does not read, a
-    character that is not a dict) come alone, since the checks after them
-    read the records; a group order that is not the sum of the class sizes
-    comes next, also alone."""
-    out = []
-    names = set()
+    """The one judge of a dataset's fields; returns the list of violations,
+    empty when the dataset is consistent.  The fields come first, and alone:
+    a `str` name (unique) and `power2`, a positive class size, `seeds` a
+    dict keyed by SEED_INDICES, `characters` a dict keyed by positive
+    indices of dicts, every integer an `int` by `_as_int`.  Next, also alone,
+    a group order off the sum of the class sizes.  Then the identity seeds,
+    seed -1, the square classes, each character block's classes, and
+    orthonormality: for every pair k <= l of complete blocks, the trivial
+    character included as index 1, sum_C |C| chi_k(C) chi_l(C) = |G| delta_kl,
+    so a given block 1 passes only when it is all ones; a partial block is
+    allowed.  Cost: k(k+1)/2 sums of `classes` integer products for k blocks."""
+    out, names = [], set()
     for idx, record in enumerate(dataset.classes):
-        if record.name in names:
-            out.append(f"classes[{idx}]: duplicate class name {record.name!r}")
-        names.add(record.name)
+        name, seeds = record.name, record.seeds
+        if not isinstance(name, str):
+            out.append(f"classes[{idx}]: name is {name!r}, not a str")
+        elif name in names:
+            out.append(f"classes[{idx}]: duplicate class name {name!r}")
+        else:
+            names.add(name)
         if (size := _as_int(record.class_size)) is None:
-            out.append(f"class {record.name}: class_size is {record.class_size!r}, not an int")
+            out.append(f"class {name}: class_size is {record.class_size!r}, not an int")
         elif size < 0:
-            out.append(f"class {record.name}: negative class size")
+            out.append(f"class {name}: negative class size")
         elif size == 0:
-            out.append(f"class {record.name}: empty class (size 0)")
+            out.append(f"class {name}: empty class (size 0)")
+        if not isinstance(record.power2, str):
+            out.append(f"class {name}: power2 is {record.power2!r}, not a str")
+        if not isinstance(seeds, dict):
+            out.append(f"class {name}: seeds is {seeds!r}, not a dict")
+            continue
+        bad = [k for k in seeds if _as_int(k) not in SEED_INDICES]
+        out += [f"class {name}: seed key {k!r} is not a seed index {SEED_INDICES}" for k in bad]
         for k in SEED_INDICES:
-            if k not in record.seeds:
-                out.append(f"class {record.name}: missing seed index {k}")
-            elif _as_int(value := record.seeds[k]) is None:
-                out.append(f"class {record.name}: seed {k} is {value!r}, not an int")
-    for k, per_class in (dataset.characters or {}).items():
+            if k not in seeds:
+                out.append(f"class {name}: missing seed index {k}")
+            elif _as_int(value := seeds[k]) is None:
+                out.append(f"class {name}: seed {k} is {value!r}, not an int")
+    characters = {} if dataset.characters is None else dataset.characters
+    if not isinstance(characters, dict):
+        out.append(f"characters is {characters!r}, not a dict")
+        characters = {}
+    for k, per_class in characters.items():
+        if (_as_int(k) or 0) < 1:
+            out.append(f"character index {k!r} is not a positive int")
         if not isinstance(per_class, dict):
             out.append(f"character {k}: {per_class!r} is not a dict of class values")
             continue
@@ -227,48 +239,34 @@ def validate_dataset(dataset):
     if out:
         return out
     if dataset.group_order != (total := sum(r.class_size for r in dataset.classes)):
-        return [
-            f"declared group_order {dataset.group_order} does not equal the sum "
-            f"of class sizes {total}"
-        ]
+        order = dataset.group_order
+        return [f"declared group_order {order} does not equal the sum of class sizes {total}"]
     try:
         identity = dataset.identity_class()
     except DatasetError as exc:
         out.extend(exc.violations)
     else:
         for k in SEED_INDICES:
-            if identity.seeds[k] != IDENTITY_SEEDS[k]:
-                out.append(
-                    f"identity class {identity.name}: seed {k} is "
-                    f"{identity.seeds[k]}, expected {IDENTITY_SEEDS[k]}"
-                )
-
+            if (seed := identity.seeds[k]) != (want := IDENTITY_SEEDS[k]):
+                out.append(f"identity class {identity.name}: seed {k} is {seed}, expected {want}")
     for record in dataset.classes:
-        if record.seeds[-1] != 1:
-            out.append(
-                f"class {record.name}: seed -1 must be 1 (normalized series), "
-                f"got {record.seeds[-1]}"
-            )
+        if (seed := record.seeds[-1]) != 1:
+            out.append(f"class {record.name}: seed -1 must be 1 (normalized series), got {seed}")
         if record.power2 not in names:
-            out.append(
-                f"class {record.name}: unknown square class {record.power2!r}"
-            )
-
-    if dataset.characters is not None:
-        for k, per_class in dataset.characters.items():
-            missing = names - set(per_class)
-            if missing:
-                out.append(
-                    f"character {k}: missing values for classes "
-                    f"{sorted(missing)}"
-                )
-            unknown = set(per_class) - names
-            if unknown:
-                out.append(
-                    f"character {k}: values for unknown classes {sorted(unknown)}"
-                )
-            if k == 1 and any(v != 1 for v in per_class.values()):
-                out.append("character 1 must be identically 1")
+            out.append(f"class {record.name}: unknown square class {record.power2!r}")
+    blocks = [(1, dict.fromkeys(names, 1))]
+    for k, per_class in characters.items():
+        if missing := sorted(names - set(per_class)):
+            out.append(f"character {k}: missing values for classes {missing}")
+        if unknown := sorted(set(per_class) - names, key=str):
+            out.append(f"character {k}: values for unknown classes {unknown}")
+        if not (missing or unknown):
+            blocks.append((k, per_class))
+    for (k, chi), (l, psi) in combinations_with_replacement(blocks, 2):
+        inner = sum(r.class_size * chi[r.name] * psi[r.name] for r in dataset.classes)
+        if inner != (expected := dataset.group_order if k == l else 0):
+            rule = f"sum of class_size * chi_{k} * chi_{l} is {inner}, expected {expected}"
+            out.append(f"characters {k} and {l} are not orthonormal: {rule}")
     return out
 
 

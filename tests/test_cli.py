@@ -281,7 +281,7 @@ def test_validate_data_rejects_malformed_shape(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     assert run(["validate-data", "--data", str(path)]) == 3
     assert capsys.readouterr().err == (
-        "dataset error: classes[0].seeds: expected an object, got '12345'\n"
+        "dataset error: class 1A: seeds is '12345', not a dict\n"
     )
 
 

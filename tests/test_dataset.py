@@ -1,10 +1,13 @@
 import json
+import re
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monsterlie import dataset as dataset_module
 from monsterlie.cli import run
 from monsterlie.dataset import (
     IDENTITY_SEEDS,
@@ -80,8 +83,9 @@ def test_datasets_built_in_code_get_the_record_checks():
     # _replace skips the check, as for every named tuple
     unchecked = trivial_dataset()._replace(group_order=2)
     assert validate_dataset(unchecked) == built_violations([identity], 2)
-    # in a file, the shape of every class and of the characters is checked
-    # first, and alone: a missing seed or an off group order waits for it
+    # in a file, a spelling problem is reported first, and alone: a missing
+    # seed waits for it, and a character that is not a dict of class values
+    # is judged by the constructor, before an off group order
     obj = to_jsonable(trivial_dataset())
     del obj["classes"][0]["seeds"]["2"]
     obj["classes"].append({**obj["classes"][0], "name": "2B", "class_size": "x"})
@@ -93,7 +97,7 @@ def test_datasets_built_in_code_get_the_record_checks():
     obj = {**to_jsonable(trivial_dataset()), "group_order": "7", "characters": {"2": []}}
     with pytest.raises(DatasetError) as exc:
         parse_dataset(obj)
-    assert exc.value.violations == ["characters['2']: expected an object, got []"]
+    assert exc.value.violations == ["character 2: [] is not a dict of class values"]
 
 
 IDENTITY = trivial_dataset().classes[0]
@@ -120,6 +124,15 @@ NON_INT_FIELDS = {
         ([IDENTITY], 1, {2: ["1A"]}),
         ["character 2: ['1A'] is not a dict of class values"],
     ),
+    # a str index used to load and then read as no block at all
+    "str-character-index": (
+        ([IDENTITY], 1, {"2": {"1A": 1}}),
+        ["character index '2' is not a positive int"],
+    ),
+    "int-name-and-power2": (
+        ([IDENTITY._replace(name=1, power2=1)], 1, None),
+        ["classes[0]: name is 1, not a str", "class 1: power2 is 1, not a str"],
+    ),
 }
 
 
@@ -131,6 +144,73 @@ def test_datasets_built_in_code_refuse_non_integer_integers(name):
     with pytest.raises(DatasetError) as err:
         Dataset(*fields)
     assert err.value.violations == violations
+
+
+# one field of the trivial group's dataset replaced: the violation a
+# Dataset built in code gets, and the one a file gets where JSON cannot
+# spell the value (None when the file gets the same violation)
+FIELD_FAULTS = {
+    "name-list": ({"name": ["1A"]}, "classes[0]: name is ['1A'], not a str", None),
+    "power2-dict": ({"power2": {"1A": 1}}, "class 1A: power2 is {'1A': 1}, not a str", None),
+    "seeds-list": ({"seeds": [1, 196884]}, "class 1A: seeds is [1, 196884], not a dict", None),
+    "seed-index-4": (
+        {"seeds": {**IDENTITY_SEEDS, 4: 999}},
+        "class 1A: seed key 4 is not a seed index (-1, 1, 2, 3, 5)",
+        None,
+    ),
+    "characters-list": ({"characters": [{"1A": 1}]}, "characters is [{'1A': 1}], not a dict", None),
+    "character-index-bool": (
+        {"characters": {True: {"1A": 1}}},
+        "character index True is not a positive int",
+        "character index: expected a decimal integer, got 'true'",
+    ),
+    "character-index-str": (
+        {"characters": {"one": {"1A": 1}}},
+        "character index 'one' is not a positive int",
+        "character index: expected a decimal integer, got 'one'",
+    ),
+    "character-index-zero": (
+        {"characters": {0: {"1A": 1}}}, "character index 0 is not a positive int", None
+    ),
+    "character-index-negative": (
+        {"characters": {-3: {"1A": 1}}}, "character index -3 is not a positive int", None
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_FAULTS))
+def test_a_field_fault_is_one_violation_in_code_and_in_a_file(tmp_path, name):
+    # these used to raise TypeError, IndexError or AttributeError in code,
+    # or to load; a field is judged by the constructor alone, so a file and
+    # a Dataset built in code get one message
+    replaced, message, spelled = FIELD_FAULTS[name]
+    fields = {**IDENTITY._asdict(), "characters": None, **replaced}
+    characters = fields.pop("characters")
+    with pytest.raises(DatasetError) as err:
+        Dataset([ClassRecord(**fields)], 1, characters)
+    assert err.value.violations == [message]
+    path = tmp_path / "fault.json"
+    path.write_text(json.dumps({"classes": [fields], "characters": characters}))
+    with pytest.raises(DatasetError) as err:
+        load_dataset(path)
+    assert err.value.violations == [spelled or message]
+
+
+def test_parse_judges_no_field(monkeypatch):
+    # with the constructor's judge silenced, every value a file cannot
+    # misspell reaches the Dataset as it is; only the spelling is read
+    monkeypatch.setattr(dataset_module, "validate_dataset", lambda dataset: [])
+    odd = {"name": 7, "class_size": 2.0, "power2": None, "seeds": "12345"}
+    obj = {
+        "classes": [{"name": ["1A"], "class_size": True, "power2": {}, "seeds": {"+4": []}}, odd],
+        "group_order": False,
+        "characters": {"-3": [], "02": {"1A": 1.5, "2B": "−7"}},
+    }
+    assert parse_dataset(obj) == (
+        [ClassRecord(["1A"], True, {}, {4: []}), ClassRecord(**odd)],
+        False,
+        {-3: [], 2: {"1A": 1.5, "2B": -7}},
+    )
 
 
 def test_round_trip_through_json(tmp_path):
@@ -253,10 +333,16 @@ def test_unknown_square_class_is_the_one_violation(tmp_path, capsys):
 
 
 def test_trivial_character_must_be_one():
+    # a given block 1 is held to orthonormality against the trivial
+    # character and itself, which only an all-ones block meets
     obj = toy_object()
     obj["characters"] = {"1": {"1A": "3"}}
-    with pytest.raises(DatasetError, match="character 1"):
+    with pytest.raises(DatasetError) as err:
         parse_dataset(obj)
+    rule = "characters 1 and 1 are not orthonormal: sum of class_size * chi_1 * chi_1"
+    assert err.value.violations == [f"{rule} is 3, expected 1", f"{rule} is 9, expected 1"]
+    obj["characters"] = {"1": {"1A": "1"}}
+    assert parse_dataset(obj).characters == {1: {"1A": 1}}
 
 
 def test_character_block_must_cover_all_classes():
@@ -301,8 +387,8 @@ def test_a_character_index_given_twice_is_named(tmp_path, capsys, spelling):
 @pytest.mark.parametrize(
     "extra, message",
     [
-        ({"4": "999"}, "class 1A: seed key '4' is not a seed index (-1, 1, 2, 3, 5)"),
-        ({"0": "0"}, "class 1A: seed key '0' is not a seed index (-1, 1, 2, 3, 5)"),
+        ({"4": "999"}, "class 1A: seed key 4 is not a seed index (-1, 1, 2, 3, 5)"),
+        ({"0": "0"}, "class 1A: seed key 0 is not a seed index (-1, 1, 2, 3, 5)"),
         ({"seven": "abc"}, "class 1A seed index: expected a decimal integer, got 'seven'"),
         ({"01": "196884"}, "class 1A: seed index 1 given twice: '1' and '01'"),
         ({"−1": "1"}, "class 1A: seed index -1 given twice: '-1' and '−1'"),
@@ -338,11 +424,16 @@ def test_every_class_names_its_own_seed_problems():
     obj["classes"][0]["seeds"]["4"] = "1"
     obj["classes"][1]["seeds"]["2 "] = "0"
     obj.pop("group_order")
+    # a spelling problem comes alone; the constructor judges the keys after
+    with pytest.raises(DatasetError) as err:
+        parse_dataset(obj)
+    assert err.value.violations == ["class 2Z: seed index 2 given twice: '2' and '2 '"]
+    obj["classes"][1]["seeds"]["0"] = obj["classes"][1]["seeds"].pop("2 ")
     with pytest.raises(DatasetError) as err:
         parse_dataset(obj)
     assert err.value.violations == [
-        "class 1A: seed key '4' is not a seed index (-1, 1, 2, 3, 5)",
-        "class 2Z: seed index 2 given twice: '2' and '2 '",
+        "class 1A: seed key 4 is not a seed index (-1, 1, 2, 3, 5)",
+        "class 2Z: seed key 0 is not a seed index (-1, 1, 2, 3, 5)",
     ]
 
 
@@ -424,27 +515,27 @@ def _set_class_field(field, value):
     [
         (
             lambda obj: obj.update(characters={"2": "oops"}),
-            "characters['2']: expected an object, got 'oops'",
+            "character 2: 'oops' is not a dict of class values",
         ),
         (
             lambda obj: obj.update(characters=["2"]),
-            "characters: expected an object, got ['2']",
+            "characters is ['2'], not a dict",
         ),
         (
             _set_class_field("seeds", "12345"),
-            "classes[0].seeds: expected an object, got '12345'",
+            "class 1A: seeds is '12345', not a dict",
         ),
         (
             _set_class_field("name", ["1A"]),
-            "classes[0].name: expected a string, got ['1A']",
+            "classes[0]: name is ['1A'], not a str",
         ),
         (
             _set_class_field("power2", {"1A": 1}),
-            "classes[0].power2: expected a string, got {'1A': 1}",
+            "class 1A: power2 is {'1A': 1}, not a str",
         ),
         (
             _set_class_field("class_size", True),
-            "classes[0].class_size: expected a decimal integer, got True",
+            "class 1A: class_size is True, not an int",
         ),
         (
             lambda obj: obj["classes"][0]["seeds"].update({"1": "196_884"}),
@@ -524,6 +615,13 @@ def class_records(draw):
     return record
 
 
+# the only violations `parse_dataset` raises itself
+SPELLING = re.compile(
+    r"expected a decimal integer|given twice|missing field|expected an object"
+    r"|^classes: expected an array|^top-level object must contain"
+)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     record=class_records() | JSON_VALUES,
@@ -544,3 +642,10 @@ def test_fuzzed_class_records_raise_only_dataset_error(
         parse_dataset(obj)
     except DatasetError:
         pass
+    # with the constructor's judge silenced, only a spelling, a missing
+    # field or a container that is not an array or object stops the parse
+    with mock.patch.object(dataset_module, "validate_dataset", lambda dataset: []):
+        try:
+            parse_dataset(obj)
+        except DatasetError as exc:
+            assert all(SPELLING.search(v) for v in exc.violations), exc.violations

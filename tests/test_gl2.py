@@ -920,14 +920,14 @@ def test_the_schur_levels_are_keyed_by_plain_ints(monkeypatch):
         (
             lambda: parse_dataset(dataset_object(class_size=True)),
             DatasetError,
-            "classes[0].class_size: expected a decimal integer, got True",
+            "class 1A: class_size is True, not an int",
         ),
         (
             lambda: parse_dataset(
                 dataset_object(seeds={**dataset_object()["classes"][0]["seeds"], "2": True})
             ),
             DatasetError,
-            "class 1A seed 2: expected a decimal integer, got True",
+            "class 1A: seed 2 is True, not an int",
         ),
         (
             lambda: schur_apply((1, 0), True, FockState.vacuum()),

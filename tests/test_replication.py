@@ -385,11 +385,12 @@ def test_multiplicity_requires_character_block_beyond_trivial():
 
 
 def test_multiplicity_with_character_block():
-    obj = json.loads(json.dumps(to_jsonable(trivial_dataset())))
-    obj["characters"] = {"1": {"1A": "1"}, "2": {"1A": "196883"}}
-    d = parse_dataset(obj)
+    # Z/2's sign character: mult_2 = (C(1A, j) - C(2B, j)) / 2
+    d = seeded_dataset(Z2_CLASSES, {"1": {"1A": "1", "2B": "1"}, **Z2_CHARACTERS})
     table = replicate_extend(d, 6)
-    assert multiplicity(d, table, 2, 1) == 196883 * table.value("1A", 1)
+    for j in range(1, 7):
+        difference = table.value("1A", j) - table.value("2B", j)
+        assert 2 * multiplicity(d, table, 2, j) == difference
 
 
 def test_nontriviality_report_on_trivial_group():
@@ -405,11 +406,15 @@ def test_nontriviality_report_on_trivial_group():
         assert not row.holds
 
 
-def seeded_dataset(classes, characters=None):
-    """A group dataset whose classes take their seeds from the series of J
-    (1A) and of the eta-quotient classes."""
+def seeded_object(classes, characters=None):
+    """Group dataset JSON whose classes take their seeds from the series of
+    J (1A) and of the eta-quotient classes."""
     traces = {name: j_series(5) if name == "1A" else mckay_thompson(name, 5) for name, _, _ in classes}
-    return group_dataset(classes, traces, characters)
+    return group_object(classes, traces, characters)
+
+
+def seeded_dataset(classes, characters=None):
+    return parse_dataset(seeded_object(classes, characters))
 
 
 def test_the_monster_fixes_no_primary_vector_of_weight_below_twelve():
@@ -456,6 +461,39 @@ def test_report_is_non_trivial_and_matches_the_per_class_route(classes, characte
         assert [multiplicity(d, primaries, k, 1) for k in (1, 2, 3)] == [32969, 32694, 65610]
 
 
+@pytest.mark.parametrize(
+    "block, sums",
+    [
+        ({"1A": 3, "2B": 1, "3B": 0}, [(1, 6, 0), (2, 12, 6)]),
+        ({"1A": 1, "2B": -1, "3B": -1}, [(1, -4, 0)]),
+    ],
+    ids=["trivial-plus-standard", "sign-with-one-value-flipped"],
+)
+def test_a_character_block_that_is_not_irreducible_is_refused(tmp_path, capsys, block, sums):
+    # the permutation character of S3 on three points (trivial plus
+    # standard) used to load, and `mult --k 2` printed mult_1 +
+    # mult_standard as the multiplicity of one irreducible; orthonormality
+    # against the trivial character and itself refuses it, and a sign
+    # character with one value flipped
+    from monsterlie.cli import run
+
+    violations = [
+        f"characters {k} and 2 are not orthonormal: sum of class_size * chi_{k} * chi_2 "
+        f"is {inner}, expected {expected}"
+        for k, inner, expected in sums
+    ]
+    with pytest.raises(DatasetError) as err:
+        seeded_dataset(S3_CLASSES, {"2": block})
+    assert err.value.violations == violations
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(seeded_object(S3_CLASSES, {"2": block})))
+    for argv in (["validate-data"], ["mult", "--k", "2", "--max", "3"]):
+        assert run([*argv, "--data", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dataset error: {'; '.join(violations)}\n"
+
+
 @pytest.mark.parametrize("name", ["2B", "3B", "5B", "7B", "13B"])
 def test_cyclic_fixed_dimensions_average_the_traces(name):
     # Z/p through 1A and the class pB of its p - 1 generators: the fixed
@@ -492,11 +530,9 @@ class Int(int):
 
 
 def sixth_character_dataset():
-    """The trivial group with a sixth 'irreducible' of value 2, so an
-    irreducible index 6 has a character."""
-    obj = json.loads(json.dumps(to_jsonable(trivial_dataset())))
-    obj["characters"] = {"1": {"1A": "1"}, "6": {"1A": "2"}}
-    return parse_dataset(obj)
+    """Z/2 with its sign character under index 6, so an irreducible index
+    6 has a character."""
+    return seeded_dataset(Z2_CLASSES, {"1": {"1A": 1, "2B": 1}, "6": Z2_CHARACTERS["2"]})
 
 
 def multiplicity_at(k, j):
