@@ -35,7 +35,7 @@ from .gl2 import (
 )
 from .output import FORMATS, OutputTable
 from .qseries import IntegralityError, euler_product, j_series, primary_dim_series
-from .replication import character, multiplicity, nontriviality_report, replicate_extend
+from .replication import _multiplicities, character, nontriviality_report, replicate_extend
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -102,9 +102,9 @@ def _cmd_replicate(args):
         names = [args.only_class]
     table = replicate_extend(dataset, max(args.max, 5), names)
     rows = [
-        (name, j, table.value(name, j))
+        (name, j, value)
         for name in names
-        for j in range(1, args.max + 1)
+        for j, value in enumerate(table.rows[name][: args.max], 1)
     ]
     return OutputTable.build(["class", "j", "C(class,j)"], rows), EXIT_OK
 
@@ -116,9 +116,7 @@ def _cmd_mult(args):
     except KeyError as exc:
         raise DatasetError(exc.args[0]) from exc
     table = replicate_extend(dataset, max(args.max, 5))
-    rows = [
-        (j, multiplicity(dataset, table, args.k, j)) for j in range(1, args.max + 1)
-    ]
+    rows = enumerate(_multiplicities(dataset, table, args.k, 1, args.max), 1)
     return OutputTable.build(["j", f"mult_{args.k}(j+1)"], rows), EXIT_OK
 
 

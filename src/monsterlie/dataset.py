@@ -185,17 +185,21 @@ def parse_dataset(obj):
 def validate_dataset(dataset):
     """The one judge of a dataset's fields; returns the list of violations,
     empty when the dataset is consistent.  The fields come first, and alone:
-    a `str` name (unique) and `power2`, a positive class size, `seeds` a
-    dict keyed by SEED_INDICES, `characters` a dict keyed by positive
-    indices of dicts, every integer an `int` by `_as_int`.  Next, also alone,
-    a group order off the sum of the class sizes.  Then the identity seeds,
-    seed -1, the square classes, each character block's classes, and
-    orthonormality: for every pair k <= l of complete blocks, the trivial
-    character included as index 1, sum_C |C| chi_k(C) chi_l(C) = |G| delta_kl,
-    so a given block 1 passes only when it is all ones; a partial block is
-    allowed.  Cost: k(k+1)/2 sums of `classes` integer products for k blocks."""
+    each class a `ClassRecord` with a `str` name (unique) and `power2`, a
+    positive class size, `seeds` a dict keyed by SEED_INDICES, `characters` a
+    dict keyed by positive indices of dicts, every integer an `int` by
+    `_as_int`.  Next, also alone, a group order off the sum of the class
+    sizes.  Then the identity seeds, seed -1, the square classes, each
+    character block's classes, and orthonormality: for every pair k <= l of
+    complete blocks, the trivial character included as index 1,
+    sum_C |C| chi_k(C) chi_l(C) = |G| delta_kl, so a given block 1 passes only
+    when it is all ones; a partial block is allowed.  Cost: k(k+1)/2 sums of
+    `classes` integer products for k blocks."""
     out, names = [], set()
     for idx, record in enumerate(dataset.classes):
+        if not isinstance(record, ClassRecord):
+            out.append(f"classes[{idx}] is {record!r}, not a ClassRecord")
+            continue
         name, seeds = record.name, record.seeds
         if not isinstance(name, str):
             out.append(f"classes[{idx}]: name is {name!r}, not a str")

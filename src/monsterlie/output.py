@@ -21,7 +21,12 @@ class OutputTable(NamedTuple):
 
     @classmethod
     def build(cls, columns, rows):
-        return cls([str(c) for c in columns], [[str(cell) for cell in r] for r in rows])
+        """Cells as str; a row not as wide as the header is a ValueError."""
+        columns, rows = list(map(str, columns)), [list(map(str, row)) for row in rows]
+        for i, row in enumerate(rows):
+            if len(row) != len(columns):
+                raise ValueError(f"row {i} has {len(row)} cells for {len(columns)} columns")
+        return cls(columns, rows)
 
     def render(self, fmt):
         if fmt == "table":
@@ -33,17 +38,9 @@ class OutputTable(NamedTuple):
         raise ValueError(f"unknown format {fmt!r}")
 
     def render_text(self):
-        widths = [len(c) for c in self.columns]
-        for row in self.rows:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-        lines = [
-            "  ".join(c.ljust(widths[i]) for i, c in enumerate(self.columns)).rstrip()
-        ]
-        for row in self.rows:
-            lines.append(
-                "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)).rstrip()
-            )
+        widths = [max(map(len, column)) for column in zip(self.columns, *self.rows)]
+        lines = ["  ".join(map(str.ljust, self.columns, widths)).rstrip()]
+        lines += ["  ".join(map(str.rjust, row, widths)).rstrip() for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def render_csv(self):

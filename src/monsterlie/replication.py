@@ -119,7 +119,7 @@ def _symmetric_square(r, s, k, name, n, pairs):
     h = (k - 1) // 2
     total = pairs.get(k)
     if total is None:
-        total = pairs[k] = sum(map(mul, r[:h], reversed(r[k - h - 1 : k - 1])))
+        total = pairs[k] = sum(map(mul, r[:h], r[k - 2 : k - h - 2 : -1]))
     if k % 2 == 0:
         total += _halve(r[h] ** 2 - s[h], name, n)
     return total
@@ -144,30 +144,29 @@ def replicate_extend(dataset, order, classes=None):
     elif isinstance(classes, str):
         raise TypeError(f"classes must be a collection of class names, got the str {classes!r}")
     fill = _fill_orders(dataset, order, classes)
-    rows, square, pair_sums = {}, {}, {}
+    rows, square = {}, {}
     for record in dataset.classes:
         if record.name in fill:
             row = rows[record.name] = [None] * fill[record.name]
             for k in (1, 2, 3, 5):
                 row[k - 1] = record.seeds[k]
             square[record.name] = record.power2
-            pair_sums[record.name] = {}
+    # per class, read once per call: name, row, square class and row, P(k) store
+    state = [(name, r, square[name], rows[square[name]], {}) for name, r in rows.items()]
 
     # n = 2m reads r up to index m+1, and n = 2m+1 (m >= 3, as 5 is a seed)
     # up to max(m+3, 2m-1): always below n.  An entry not yet filled is
     # None, so a read out of order fails loudly.
     for n in [4, *range(6, order + 1)]:
         m, odd = divmod(n, 2)
-        for name, r in rows.items():
+        for name, r, power2, s, pairs in state:  # r[i-1] is C(g,i), s[i-1] is C(g^2,i)
             if n > len(r):
                 continue
-            s = rows[square[name]]  # r[i-1] is C(g,i), s[i-1] is C(g^2,i)
-            pairs = pair_sums[name]
             if (n - 1) // 2 > len(s):
                 # a slice past the end would truncate a sum silently
                 raise IndexError(
                     f"class {name} reads index {(n - 1) // 2} of square class "
-                    f"{square[name]}, filled only to {len(s)}"
+                    f"{power2}, filled only to {len(s)}"
                 )
             if not odd:
                 total = r[m] + _symmetric_square(r, s, m, name, n, pairs)
@@ -177,10 +176,11 @@ def replicate_extend(dataset, order, classes=None):
                 total += _halve((-1) ** m * r[m - 1] ** 2 + s[m - 1], name, n)
                 h = (m - 1) // 2  # sum C(g^2,i) C(g,2m-4i) over 1 <= i < m/2
                 total += sum(map(mul, s[:h], r[2 * m - 5 : 2 * m - 4 * h - 2 : -4]))
-                p = list(map(mul, r[: m - 1], reversed(r[m : 2 * m - 1])))
-                odd_i, even_i = sum(p[0::2]), sum(p[1::2])
+                # C(g,i) C(g,2m-i) over odd and even i < m; together P(2m)
+                odd_i = sum(map(mul, r[0 : m - 1 : 2], r[2 * m - 2 : m - 1 : -2]))
+                even_i = sum(map(mul, r[1 : m - 1 : 2], r[2 * m - 3 : m - 1 : -2]))
                 total += even_i - odd_i
-                pairs[2 * m] = odd_i + even_i  # P(2m), the same products
+                pairs[2 * m] = odd_i + even_i
             r[n - 1] = total
     return CoefficientTable(order, rows)
 
@@ -195,31 +195,39 @@ def character(dataset, k):
     return dataset.characters[k]
 
 
-def multiplicity(dataset, table, k, j):
-    """Multiplicity of the k-th irreducible in the weight-(j+1) piece.
+def _multiplicities(dataset, table, k, lo, hi):
+    """[multiplicity of the k-th irreducible at j for lo <= j <= hi]: per j,
+    sum_C |C| chi_k(C) C(C, j) / |G|, which must be a nonnegative integer or
+    the dataset is inconsistent.  Each class row is read once, by position."""
+    chi = character(dataset, k)
+    for record in dataset.classes:  # a row short of hi raises, naming its class
+        table.value(record.name, hi)
+    weights = [record.class_size * chi[record.name] for record in dataset.classes]
+    rows = [table.rows[record.name][lo - 1 : hi] for record in dataset.classes]
+    out = []
+    for j, values in enumerate(zip(*rows), lo):
+        mult, remainder = divmod(sum(map(mul, weights, values)), dataset.group_order)
+        if remainder:
+            raise IntegralityError(
+                f"multiplicity of irreducible {k} at index {j} is not integral; "
+                f"the dataset is inconsistent"
+            )
+        if mult < 0:
+            raise IntegralityError(
+                f"multiplicity of irreducible {k} at index {j} is negative"
+            )
+        out.append(mult)
+    return out
 
-    The character comes from `character` (KeyError when the dataset has
-    none for k).  The orthogonality sum must land on a nonnegative integer
-    or the dataset is inconsistent.
-    """
+
+def multiplicity(dataset, table, k, j):
+    """Multiplicity of the k-th irreducible in the weight-(j+1) piece, by
+    `_multiplicities`; the character comes from `character` (KeyError when
+    the dataset has none for k)."""
     k = _int(k, "k")
     if not 1 <= (j := _int(j, "j")) <= table.order:
         raise IndexError(f"index {j} outside the computed order {table.order}")
-    chi = character(dataset, k)
-    total = 0
-    for record in dataset.classes:
-        total += record.class_size * chi[record.name] * table.value(record.name, j)
-    mult, remainder = divmod(total, dataset.group_order)
-    if remainder:
-        raise IntegralityError(
-            f"multiplicity of irreducible {k} at index {j} is not integral; "
-            f"the dataset is inconsistent"
-        )
-    if mult < 0:
-        raise IntegralityError(
-            f"multiplicity of irreducible {k} at index {j} is negative"
-        )
-    return mult
+    return _multiplicities(dataset, table, k, j, j)[0]
 
 
 class NontrivialityRow(NamedTuple):
@@ -254,7 +262,7 @@ def nontriviality_report(dataset, max_j):
     table = replicate_extend(dataset, max(max_j, 5))
     identity = table.rows[dataset.identity_class().name]
     dims = _primary_dims([1, 0, *identity[:max_j]], max_j + 1)
-    mults = [multiplicity(dataset, table, 1, j) for j in range(1, max_j + 1)]
+    mults = _multiplicities(dataset, table, 1, 1, max_j)
     fixed = _primary_dims([1, 0, *mults], max_j + 1)
     out = []
     for j, mult in enumerate(mults, 1):

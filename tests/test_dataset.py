@@ -52,6 +52,18 @@ def built_violations(classes, group_order):
     return err.value.violations
 
 
+def test_datasets_built_in_code_refuse_entries_that_are_not_records():
+    # a tuple or a str in `classes` used to raise AttributeError on `.name`
+    as_tuple = ("1A", 1, "1A", dict(IDENTITY_SEEDS))
+    assert built_violations([as_tuple], 1) == [
+        f"classes[0] is {as_tuple!r}, not a ClassRecord"
+    ]
+    identity = trivial_dataset().classes[0]
+    assert built_violations([identity, "2B"], 2) == [
+        "classes[1] is '2B', not a ClassRecord"
+    ]
+
+
 def test_datasets_built_in_code_get_the_record_checks():
     identity = trivial_dataset().classes[0]
     short = ClassRecord("2B", 1, "1A", {-1: 1, 1: 276})

@@ -84,30 +84,42 @@ def group_dataset(classes, traces, characters=None):
 
 def test_cross_class_rows_match_eta_quotients():
     # in S3, 2B squares into another class and 3B into itself, so both the
-    # stride-4 C(g^2, i) sums and the alternating sums see real data; the
-    # Z/p datasets run the recursions on every other eta-quotient class
-    order = 300
+    # stride-4 C(g^2, i) sums and the alternating sums see real data; Z/2
+    # adds a second class of size 1, Z/4 a class whose square chain is two
+    # steps long, and the Z/p datasets run the recursions on every other
+    # eta-quotient class.  At order 600 a reversed slice whose stop fell to
+    # -1 would read an empty or a wrapped range long before the last index
+    order = 600
     traces = {
         "1A": j_series(order),
         "2B": mckay_thompson("2B", order),
         "3B": mckay_thompson("3B", order),
+        "4C": mckay_thompson("4C", order),
     }
     assert [traces["2B"].coeff(n) for n in (-1, 0, 1, 2)] == [1, 0, 276, -2048]
     assert [traces["3B"].coeff(n) for n in (-1, 0, 1, 2)] == [1, 0, 54, -76]
-    cases = [(group_dataset(S3_CLASSES, traces), traces, order)]
+    cases = [
+        (group_dataset(classes, traces, characters), characters)
+        for classes, characters in (
+            (S3_CLASSES, S3_CHARACTERS),
+            (Z2_CLASSES, Z2_CHARACTERS),
+            (Z4_CLASSES, Z4_CHARACTERS),
+        )
+    ]
     for name in ("3B", "5B", "7B", "13B"):
         # Z/p acting through 1A and the class pB of its p - 1 generators
-        cyclic = {"1A": j_series(400), name: mckay_thompson(name, 400)}
+        traces.setdefault(name, mckay_thompson(name, order))
         p = int(name[:-1])
         classes = [("1A", 1, "1A"), (name, p - 1, name)]
-        cases.append((group_dataset(classes, cyclic), cyclic, 400))
-    for d, expected, top in cases:
-        table = replicate_extend(d, top)
-        for name, series in expected.items():
-            row = [series.coeff(n) for n in range(1, top + 1)]
-            assert table.rows[name] == row, f"class {name} differs from its series"
-        for j in range(1, top + 1):
-            assert multiplicity(d, table, 1, j) >= 0
+        cases.append((group_dataset(classes, traces), {}))
+    for d, characters in cases:
+        table = replicate_extend(d, order)
+        for record in d.classes:
+            row = [traces[record.name].coeff(n) for n in range(1, order + 1)]
+            assert table.rows[record.name] == row, f"class {record.name} differs from its series"
+        for k in (1, *map(int, characters)):
+            mults = [multiplicity(d, table, k, j) for j in range(1, order + 1)]
+            assert min(mults) >= 0
 
 
 def test_cyclic_group_of_order_four_fills_its_square_chain():
