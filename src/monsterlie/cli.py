@@ -95,12 +95,8 @@ def _cmd_cartan(args):
 
 def _cmd_replicate(args):
     dataset = load_dataset(args.data)
-    names = [r.name for r in dataset.classes]
-    if args.only_class is not None:
-        if args.only_class not in dataset.by_name:
-            raise DatasetError(f"unknown class {args.only_class!r}")
-        names = [args.only_class]
-    table = replicate_extend(dataset, max(args.max, 5), names)
+    names = [r.name for r in dataset.classes] if args.only_class is None else [args.only_class]
+    table = replicate_extend(dataset, args.max, names)
     rows = [
         (name, j, value)
         for name in names
@@ -111,11 +107,8 @@ def _cmd_replicate(args):
 
 def _cmd_mult(args):
     dataset = load_dataset(args.data)
-    try:
-        character(dataset, args.k)
-    except KeyError as exc:
-        raise DatasetError(exc.args[0]) from exc
-    table = replicate_extend(dataset, max(args.max, 5))
+    character(dataset, args.k)  # a missing irreducible raises before the fill
+    table = replicate_extend(dataset, args.max)
     rows = enumerate(_multiplicities(dataset, table, args.k, 1, args.max), 1)
     return OutputTable.build(["j", f"mult_{args.k}(j+1)"], rows), EXIT_OK
 

@@ -26,6 +26,7 @@ answer.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
@@ -91,6 +92,8 @@ class FormalNaturalVector(
             raise ValueError("weights are nonnegative")
         if type(primary) is not bool:
             raise TypeError(f"primary must be a bool, got {type(primary).__name__}")
+        if not isinstance(pairings, (Mapping, type(None))):
+            raise TypeError(f"pairings must be a mapping, got {type(pairings).__name__}")
         table = {}
         if pairings:
             for pair, value in pairings.items():
@@ -134,6 +137,12 @@ def _pair_key(la, lb):
     return (la, lb) if la <= lb else (lb, la)
 
 
+def _check_symbol(name, symbol):
+    """`TypeError` naming the argument `name` unless `symbol` is a `FormalNaturalVector`."""
+    if not isinstance(symbol, FormalNaturalVector):
+        raise TypeError(f"{name} must be a FormalNaturalVector, got {type(symbol).__name__}")
+
+
 def vacuum_vector():
     """The vacuum symbol: weight 0, primary, and (1, 1) = -1."""
     return FormalNaturalVector(
@@ -162,6 +171,8 @@ def _table_pairing(u, v):
 
 def pairing_value(u, v):
     """(u, v) from either symbol's table; raises when it is missing or the tables disagree."""
+    _check_symbol("u", u)
+    _check_symbol("v", v)
     value = _table_pairing(u, v)
     if value is None:
         raise PairingNormalizationError(
@@ -345,6 +356,8 @@ def make_gl2(j, u, v, section_sign=1):
         section_sign = _as_int(section_sign)
     if section_sign not in (1, -1):
         raise Gl2ValidationError("section_sign must be +1 or -1")
+    _check_symbol("u", u)
+    _check_symbol("v", v)
     e_key, f_key = MElement._key(("e", j, u.base())), MElement._key(("f", j, v.base()))
     value = pairing_value(u, v)
     expected = (-1) ** (j % 2)
@@ -548,6 +561,7 @@ def primality_of_representatives(j, u):
     iota(1, j) has weight <(1,j),(1,j)>/2 = -j for every j.
     """
     _check_root_index(j)
+    _check_symbol("u", u)
     if not u.primary:
         return False
     if u.weight != j + 1:

@@ -58,6 +58,7 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
+from .dataset import DatasetError
 from .qseries import IntegralityError, _int, _primary_dims
 
 
@@ -96,7 +97,7 @@ def _fill_orders(dataset, order, classes):
     """{class name: the order its row is filled to}.  Each class in `classes`
     is filled to `order`; the square class of a class filled to k is filled
     to max(5, k // 2), along the power2 chains until no order grows (an
-    order only grows, up to `order`, so cycles end); `KeyError` naming an
+    order only grows, up to `order`, so cycles end); `DatasetError` naming an
     entry that is not the str name of a class the dataset has."""
     by_name = dataset.by_name
     fill = {}
@@ -104,7 +105,7 @@ def _fill_orders(dataset, order, classes):
     while pending:
         name, k = pending.pop()
         if not isinstance(name, str) or name not in by_name:
-            raise KeyError(f"unknown class {name!r}")
+            raise DatasetError(f"unknown class {name!r}")
         if fill.get(name, 0) < k:
             fill[name] = k
             pending.append((by_name[name].power2, max(5, k // 2)))
@@ -126,7 +127,8 @@ def _symmetric_square(r, s, k, name, n, pairs):
 
 
 def replicate_extend(dataset, order, classes=None):
-    """Fill class rows through the given order using the recursions.
+    """Fill class rows through max(order, 5), for an order of at least 1
+    (the seeds reach index 5), using the recursions.
 
     `classes` names the rows the caller reads (None: every class; a bare
     str is a `TypeError`, not a list of one-letter names).  Those
@@ -136,9 +138,9 @@ def replicate_extend(dataset, order, classes=None):
     squared-class references (which only reach strictly smaller indices)
     are always available.
     """
-    order = _int(order, "order")
-    if order < 5:
-        raise ValueError("order must be at least 5 (indices 1,2,3,5 are seeds)")
+    if (order := _int(order, "order")) < 1:
+        raise ValueError("order must be at least 1")
+    order = max(order, 5)
     if classes is None:
         classes = [record.name for record in dataset.classes]
     elif isinstance(classes, str):
@@ -187,11 +189,12 @@ def replicate_extend(dataset, order, classes=None):
 
 def character(dataset, k):
     """{class name: value} of the k-th irreducible; k = 1 (the trivial
-    character) always exists, others only in the dataset's character block."""
+    character) always exists, others only in the dataset's character block
+    (`DatasetError` naming k otherwise)."""
     if k == 1:
         return {record.name: 1 for record in dataset.classes}
     if k not in (dataset.characters or {}):
-        raise KeyError(f"character values for irreducible {k} are not in the dataset")
+        raise DatasetError(f"character values for irreducible {k} are not in the dataset")
     return dataset.characters[k]
 
 
@@ -222,8 +225,8 @@ def _multiplicities(dataset, table, k, lo, hi):
 
 def multiplicity(dataset, table, k, j):
     """Multiplicity of the k-th irreducible in the weight-(j+1) piece, by
-    `_multiplicities`; the character comes from `character` (KeyError when
-    the dataset has none for k)."""
+    `_multiplicities`; the character comes from `character` (`DatasetError`
+    when the dataset has none for k)."""
     k = _int(k, "k")
     if not 1 <= (j := _int(j, "j")) <= table.order:
         raise IndexError(f"index {j} outside the computed order {table.order}")
@@ -259,7 +262,7 @@ def nontriviality_report(dataset, max_j):
     """
     if (max_j := _int(max_j, "max_j")) < 1:
         raise ValueError("max_j must be at least 1")
-    table = replicate_extend(dataset, max(max_j, 5))
+    table = replicate_extend(dataset, max_j)
     identity = table.rows[dataset.identity_class().name]
     dims = _primary_dims([1, 0, *identity[:max_j]], max_j + 1)
     mults = _multiplicities(dataset, table, 1, 1, max_j)

@@ -125,8 +125,8 @@ def _never_build_the_table(*args):
 
 
 def test_replicate_unknown_class(monkeypatch, capsys, toy_data):
-    # the class is checked before the (here costly) table is built
-    monkeypatch.setattr("monsterlie.cli.replicate_extend", _never_build_the_table)
+    # the library judges the class before the (here costly) rows are filled
+    monkeypatch.setattr("monsterlie.replication._symmetric_square", _never_build_the_table)
     for name in ("9Z", ""):
         argv = ["replicate", "--data", toy_data, "--class", name, "--max", "4000"]
         assert run(argv) == 3

@@ -211,15 +211,56 @@ BAD_SYMBOLS = {
         Gl2ValidationError,
         "pairing key (1, 'u') is not a pair of str labels",
     ),
+    "list-pairings": (
+        lambda: FormalNaturalVector("u", 2, pairings=[1]),
+        TypeError,
+        "pairings must be a mapping, got list",
+    ),
+    "str-pairings": (
+        lambda: FormalNaturalVector("u", 2, pairings="ab"),
+        TypeError,
+        "pairings must be a mapping, got str",
+    ),
+    "int-pairings": (
+        lambda: FormalNaturalVector("u", 2, pairings=5),
+        TypeError,
+        "pairings must be a mapping, got int",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_SYMBOLS))
 def test_symbol_refuses_what_it_cannot_use(name):
-    # a label is a str, primary a bool, and a pairing key a pair of labels
+    # a label is a str, primary a bool, the pairing table a mapping and
+    # each of its keys a pair of labels
     call, error, message = BAD_SYMBOLS[name]
     with pytest.raises(error) as err:
         call()
+    assert str(err.value) == message
+
+
+_U, _V = primary_pair(1)
+SYMBOL_ENTRY_POINTS = {  # a call with one symbol argument replaced, and its name
+    "make_gl2 u": (lambda x: make_gl2(1, x, _V), "u"),
+    "make_gl2 v": (lambda x: make_gl2(1, _U, x), "v"),
+    "verify_relations u": (lambda x: verify_relations(1, x, _V), "u"),
+    "verify_relations v": (lambda x: verify_relations(1, _U, x), "v"),
+    "normalize_partner": (lambda x: normalize_partner(1, x), "u"),
+    "pairing_value u": (lambda x: pairing_value(x, _V), "u"),
+    "pairing_value v": (lambda x: pairing_value(_U, x), "v"),
+    "primality_of_representatives": (lambda x: primality_of_representatives(1, x), "u"),
+}
+
+
+@pytest.mark.parametrize("value", [3, None, "u", ("u", 2)])
+@pytest.mark.parametrize("entry", sorted(SYMBOL_ENTRY_POINTS))
+def test_symbol_arguments_must_be_symbols(entry, value):
+    # as `bracket` refuses what is not an MElement, each entry point that
+    # reads a symbol names the argument that is not one
+    call, name = SYMBOL_ENTRY_POINTS[entry]
+    message = f"{name} must be a FormalNaturalVector, got {type(value).__name__}"
+    with pytest.raises(TypeError) as err:
+        call(value)
     assert str(err.value) == message
 
 

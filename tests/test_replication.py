@@ -312,12 +312,21 @@ def test_convention_values_at_low_indices():
 
 
 def test_order_below_five_rejected():
-    with pytest.raises(ValueError):
-        replicate_extend(trivial_dataset(), 4)
+    # the seeds reach index 5, so an order of 1 to 4 fills every row to 5;
+    # an order below 1 asks for no row
+    d = seeded_dataset(Z2_CLASSES)
+    five = replicate_extend(d, 5)
+    for order in range(1, 5):
+        table = replicate_extend(d, order)
+        assert table.order == 5 and table.rows == five.rows
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            replicate_extend(d, order)
 
 
 def test_an_unknown_class_is_named():
-    with pytest.raises(KeyError) as err:
+    # a class the dataset lacks is a dataset problem, judged before any row is filled
+    with pytest.raises(DatasetError) as err:
         replicate_extend(trivial_dataset(), 10, ["9Z"])
     assert err.value.args == ("unknown class '9Z'",)
 
@@ -327,7 +336,7 @@ def test_classes_is_a_collection_of_str_names():
     # str, such as an unhashable list, is an unknown class
     with pytest.raises(TypeError, match="classes must be a collection of class names"):
         replicate_extend(trivial_dataset(), 10, "1A")
-    with pytest.raises(KeyError) as err:
+    with pytest.raises(DatasetError) as err:
         replicate_extend(trivial_dataset(), 10, [["1A"]])
     assert err.value.args == ("unknown class ['1A']",)
 
@@ -392,8 +401,9 @@ def test_multiplicity_integrality_tripwire():
 def test_multiplicity_requires_character_block_beyond_trivial():
     d = trivial_dataset()
     table = replicate_extend(d, 6)
-    with pytest.raises(KeyError):
+    with pytest.raises(DatasetError) as err:
         multiplicity(d, table, 2, 1)
+    assert err.value.args == ("character values for irreducible 2 are not in the dataset",)
 
 
 def test_multiplicity_with_character_block():
