@@ -88,8 +88,7 @@ class FormalNaturalVector(
     def __new__(cls, label, weight, primary=True, scale=1, pairings=None):
         if not isinstance(label, str):
             raise TypeError(f"label must be a str, got {type(label).__name__}")
-        if (weight := _int(weight, "weight")) < 0:
-            raise ValueError("weights are nonnegative")
+        weight = _int(weight, "weight", 0)
         if type(primary) is not bool:
             raise TypeError(f"primary must be a bool, got {type(primary).__name__}")
         if not isinstance(pairings, (Mapping, type(None))):
@@ -215,6 +214,7 @@ def primary_pair(j, norm=1, label="u"):
 def _check_root_index(j):
     """j as a plain `int` by `_as_int` when it is -1 or a positive integer;
     `Gl2ValidationError` otherwise."""
+    # fast path: the `cartan` table reads two root indices per `cartan_entry`
     index = j if type(j) is int else _as_int(j)
     if index is None or index == 0 or index < -1:
         raise Gl2ValidationError(f"root index must be -1 or a positive integer, got {j}")
@@ -231,17 +231,14 @@ def cartan_entry(i, j):
     label i has multiplicity c(i)); the entry depends only on the labels:
     A(i, j) = -(i + j).
     """
-    _check_root_index(i)
-    _check_root_index(j)
-    return -(i + j)
+    return -(_check_root_index(i) + _check_root_index(j))
 
 
 def cartan_block_sizes(labels):
     """Multiplicities of the blocks with the given labels, in order: 1 for
     the real label -1, otherwise the modular-invariant coefficient c(i).
     One expansion of the invariant, to the largest label, serves them all."""
-    for i in labels:
-        _check_root_index(i)
+    labels = [_check_root_index(i) for i in labels]
     top = max(labels, default=-1)
     j = j_series(top) if top > 0 else None
     return [1 if i == -1 else j.coeff(i) for i in labels]
@@ -352,9 +349,7 @@ def make_gl2(j, u, v, section_sign=1):
     are the shared immutable Cartan vectors `_H1`, `_H2`.
     """
     j = _check_root_index(j)
-    if type(section_sign) is not int:
-        section_sign = _as_int(section_sign)
-    if section_sign not in (1, -1):
+    if (section_sign := _as_int(section_sign)) not in (1, -1):
         raise Gl2ValidationError("section_sign must be +1 or -1")
     _check_symbol("u", u)
     _check_symbol("v", v)
@@ -560,7 +555,7 @@ def primality_of_representatives(j, u):
     no Virasoro mode), and the weights sum to (j + 1) + (-j) = 1, as
     iota(1, j) has weight <(1,j),(1,j)>/2 = -j for every j.
     """
-    _check_root_index(j)
+    j = _check_root_index(j)
     _check_symbol("u", u)
     if not u.primary:
         return False

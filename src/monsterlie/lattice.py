@@ -76,6 +76,7 @@ from .qseries import _as_int, _int
 def _coeff(value):
     """An exact rational in coefficient form: a plain `int` where integral,
     a `Fraction` otherwise; `TypeError` on anything else (`bool` included)."""
+    # fast path: `_Terms.__init__` reads every outside term's coefficient here
     if type(value) is int:
         return value
     if isinstance(value, Fraction):
@@ -131,9 +132,7 @@ class HatLatticeElement(NamedTuple("HatLatticeElement", [("vector", tuple), ("si
     __slots__ = ()
 
     def __new__(cls, vector, sign=1):
-        if type(sign) is not int:
-            sign = _as_int(sign)
-        if sign not in (1, -1):
+        if (sign := _as_int(sign)) not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         return super().__new__(cls, _point(vector), sign)
 
@@ -278,9 +277,7 @@ class FockState(_Terms):
         mono, abar = key
         factors = []
         for axis, depth in mono:
-            factor = (axis, depth)
-            if type(axis) is not int or type(depth) is not int:
-                factor = _as_int(axis), _as_int(depth)
+            factor = _as_int(axis), _as_int(depth)
             if factor[0] not in (0, 1) or factor[1] is None or factor[1] < 1:
                 raise ValueError(f"creation factor {(axis, depth)} needs axis 0 or 1, depth >= 1")
             factors.append(factor)
@@ -346,8 +343,7 @@ def schur_apply(lam, r, state):
     modes lam(-n) commute, so r! p_r is evaluated once at lam from its
     level (`_schur_level`) and multiplied onto each term of the state.
     """
-    if (r := _int(r, "r")) < 0:
-        raise ValueError("Schur index must be nonnegative")
+    r = _int(r, "r", 0)
     targets = {(r, mono, abar): c for (mono, abar), c in state.numer.items()}
     return _schur_terms(_vector(lam), targets, state.den)
 

@@ -45,13 +45,18 @@ def _as_int(value):
     return int(value) if isinstance(value, int) and not isinstance(value, bool) else None
 
 
-def _int(value, name):
+def _int(value, name, least=None):
     """value as a plain `int` by `_as_int`: the gate of exponents, mode
-    indices and series coefficients; `TypeError` naming the argument."""
-    if type(value) is int:
+    indices and series coefficients; `TypeError` naming the argument, and
+    `ValueError` when it is below `least` (when given)."""
+    # fast path: `QSeries.__init__` reads every coefficient through here
+    if type(value) is int and least is None:
         return value
     if (plain := _as_int(value)) is None:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if least is not None and plain < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}")
     return plain
 
 
@@ -232,8 +237,7 @@ def _eta_times(coeffs, exponents):
 def euler_product(order):
     """prod_{j>=1} (1 - q**j) = q**(-1/24) * eta(q): -1, 0 or 1 on the
     generalized pentagonal numbers j(3j +- 1)/2 (`_sparse_factor`), else 0."""
-    if (order := _int(order, "order")) < 1:
-        raise ValueError("order must be at least 1")
+    order = _int(order, "order", 1)
     coeffs = [1] + [0] * (order - 1)
     for e, s in _sparse_factor(order, False):
         coeffs[e] = s
@@ -244,14 +248,15 @@ def eta_quotient(exponents, order):
     """prod_d prod_{k>=1} (1 - q**(d*k))**r_d for exponents {d: r_d}, exact
     below q**order (the eta quotient prod eta(d*t)**r_d without its power of
     q**(1/24)); d and r_d are read by `_as_int`."""
-    if (order := _int(order, "order")) < 1:
-        raise ValueError("order must be at least 1")
+    order = _int(order, "order", 1)
+    plain = {}
     for d, r in exponents.items():
-        if _as_int(d) is None or d < 1 or _as_int(r) is None:
+        if (pd := _as_int(d)) is None or pd < 1 or (pr := _as_int(r)) is None:
             raise ValueError(
                 f"eta_quotient: exponent {d!r}: {r!r} needs int d >= 1 and int r"
             )
-    return QSeries(0, _eta_times([1] + [0] * (order - 1), exponents))
+        plain[pd] = pr
+    return QSeries(0, _eta_times([1] + [0] * (order - 1), plain))
 
 
 # Eta-quotient McKay-Thompson series T_g = q**-1 prod_d prod_k
@@ -276,8 +281,7 @@ def mckay_thompson(name, order):
             f"no eta-quotient McKay-Thompson series for class {name!r}; "
             f"known: {', '.join(_MCKAY_THOMPSON)}"
         )
-    if (order := _int(order, "order")) < 0:
-        raise ValueError("order must be nonnegative")
+    order = _int(order, "order", 0)
     exponents = _MCKAY_THOMPSON[name]
     coeffs = _eta_times([1] + [0] * (order + 1), exponents)
     coeffs[1] += exponents[1]
@@ -293,8 +297,7 @@ def j_series(order):
     691 + 65520 * sum sigma11(k) q**k divided by eight Jacobi cubes
     (`_eta_times`); every division by 691 is checked.
     """
-    if (order := _int(order, "order")) < 0:
-        raise ValueError("order must be nonnegative")
+    order = _int(order, "order", 0)
     work = order + 2
     qj = _eta_times([691] + [65520 * s for s in _divisor_sums(work, 11)[1:]], {1: -24})
     qj[1] += 432000
@@ -318,8 +321,7 @@ def primary_dim_series(order):
     The q**0 coefficient (weight-1 subspace) is zero; every other
     represented coefficient is a nonnegative integer.
     """
-    if (order := _int(order, "order")) < 0:
-        raise ValueError("order must be nonnegative")
+    order = _int(order, "order", 0)
     return _primary_dims(j_series(order).coeffs, order)
 
 

@@ -138,9 +138,7 @@ def replicate_extend(dataset, order, classes=None):
     squared-class references (which only reach strictly smaller indices)
     are always available.
     """
-    if (order := _int(order, "order")) < 1:
-        raise ValueError("order must be at least 1")
-    order = max(order, 5)
+    order = max(_int(order, "order", 1), 5)
     if classes is None:
         classes = [record.name for record in dataset.classes]
     elif isinstance(classes, str):
@@ -260,8 +258,7 @@ def nontriviality_report(dataset, max_j):
     validated where it is built (the identity seeds are J's), and dim_fixed
     from the trivial-multiplicity column.
     """
-    if (max_j := _int(max_j, "max_j")) < 1:
-        raise ValueError("max_j must be at least 1")
+    max_j = _int(max_j, "max_j", 1)
     table = replicate_extend(dataset, max_j)
     identity = table.rows[dataset.identity_class().name]
     dims = _primary_dims([1, 0, *identity[:max_j]], max_j + 1)

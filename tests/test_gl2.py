@@ -97,6 +97,13 @@ def test_cartan_block_sizes():
     assert cartan_block_size(2) == 21493760
 
 
+def test_cartan_block_sizes_read_an_iterator_once():
+    # the labels are gated and read in one pass, so a one-shot iterable
+    # reaches the expansion and the result whole
+    assert cartan_block_sizes(iter([-1, 2])) == [1, 21493760]
+    assert cartan_block_sizes(i for i in (-1, 2)) == [1, 21493760]
+
+
 # -- pairs and validation ---------------------------------------------------
 
 
@@ -170,8 +177,9 @@ def test_make_gl2_validation_errors_are_distinct():
 
 
 def test_symbol_inputs_are_checked():
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^weight must be nonnegative$"):
         FormalNaturalVector("u", -1)
+    assert FormalNaturalVector("u", 0).weight == 0
     # one label naming symbols of two weights makes two terms of one element
     e1 = make_gl2(1, *primary_pair(1, label="u")).e
     e2 = make_gl2(2, *primary_pair(2, label="u")).e
@@ -903,6 +911,9 @@ def test_integer_gates_read_int_subclasses_as_int():
     gens = make_gl2(Int(1), *primary_pair(1), section_sign=Int(-1))
     assert gens == make_gl2(1, *primary_pair(1), section_sign=-1) and type(gens.j) is int
     assert cartan_entry(Int(1), Int(2)) == -3
+    assert type(cartan_entry(Int(2), Int(3))) is int
+    (size,) = cartan_block_sizes([Int(2)])
+    assert size == 21493760 and type(size) is int
     assert normalize_partner(Int(1), U1) == normalize_partner(1, U1)
     a = section(1, 0, Int(-1))
     assert a == section(1, 0, -1) and type(a.sign) is int

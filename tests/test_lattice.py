@@ -316,7 +316,7 @@ def test_heisenberg_bracket_identity():
 def test_schur_small_orders():
     lam = (1, 2)
     vac = FockState.vacuum()
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^r must be nonnegative$"):
         schur_apply(lam, -1, vac)
     assert schur_apply(lam, 0, vac) == vac
     assert schur_apply(lam, 1, vac) == heisenberg_apply(lam, -1, vac)

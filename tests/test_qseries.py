@@ -556,22 +556,45 @@ def test_series_integrity_tripwire_message():
         _primary_dims([1, 1, 196884, 21493760], 2)
 
 
-EXPONENT_ENTRY_POINTS = {  # a call taking one exponent, and the name it reports
-    "QSeries": (lambda k: QSeries(k, [1]), "valuation"),
-    "coeff": (lambda k: j_series(5).coeff(k), "n"),
-    "j_series": (j_series, "order"),
-    "primary_dim_series": (primary_dim_series, "order"),
-    "euler_product": (euler_product, "order"),
-    "eta_quotient": (lambda k: eta_quotient({1: 24}, k), "order"),
-    "mckay_thompson": (lambda k: mckay_thompson("2B", k), "order"),
+# a call taking one exponent, the name it reports and its least value (None: unbounded)
+EXPONENT_ENTRY_POINTS = {
+    "QSeries": (lambda k: QSeries(k, [1]), "valuation", None),
+    "coeff": (lambda k: j_series(5).coeff(k), "n", None),
+    "j_series": (j_series, "order", 0),
+    "primary_dim_series": (primary_dim_series, "order", 0),
+    "euler_product": (euler_product, "order", 1),
+    "eta_quotient": (lambda k: eta_quotient({1: 24}, k), "order", 1),
+    "mckay_thompson": (lambda k: mckay_thompson("2B", k), "order", 0),
 }
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(3), 0.5, 3.0, True])
 @pytest.mark.parametrize("entry", sorted(EXPONENT_ENTRY_POINTS))
 def test_exponents_must_be_ints(entry, value):
-    call, name = EXPONENT_ENTRY_POINTS[entry]
+    call, name, _ = EXPONENT_ENTRY_POINTS[entry]
     with pytest.raises(TypeError, match=f"{name} must be an int, got {type(value).__name__}"):
         call(value)
     assert call(3) is not None
     assert call(Int(3)) == call(3)  # an int subclass reads as the int it equals
+
+
+def check_least_value(call, name, least):
+    """call refuses one below its least value, as an int or an int
+    subclass, with the exact `ValueError`, and takes the least value."""
+    bound = "nonnegative" if least == 0 else f"at least {least}"
+    for below in (least - 1, Int(least - 1)):
+        with pytest.raises(ValueError) as err:
+            call(below)
+        assert str(err.value) == f"{name} must be {bound}"
+    assert call(least) == call(Int(least))
+
+
+@pytest.mark.parametrize(
+    "entry", sorted(k for k, (_, _, least) in EXPONENT_ENTRY_POINTS.items() if least is not None)
+)
+def test_exponents_have_a_least_value(entry):
+    check_least_value(*EXPONENT_ENTRY_POINTS[entry])
+
+
+def test_eta_quotient_reads_int_subclass_exponents_as_int():
+    assert eta_quotient({Int(1): Int(24)}, 10) == eta_quotient({1: 24}, 10)

@@ -28,7 +28,7 @@ from monsterlie.replication import (
     replicate_extend,
 )
 from test_acceptance import DIM_MULT_TABLE
-from test_qseries import times
+from test_qseries import check_least_value, times
 
 
 def two_class_dataset(seeds_b, power2_b="2Z"):
@@ -562,21 +562,30 @@ def multiplicity_at(k, j):
     return multiplicity(d, replicate_extend(d, 6), k, j)
 
 
-INTEGER_ENTRY_POINTS = {  # a call taking one integer, and the name it reports
-    "replicate_extend": (lambda n: replicate_extend(trivial_dataset(), n), "order"),
-    "nontriviality_report": (lambda n: nontriviality_report(trivial_dataset(), n), "max_j"),
-    "multiplicity k": (lambda n: multiplicity_at(n, 1), "k"),
-    "multiplicity j": (lambda n: multiplicity_at(1, n), "j"),
+# a call taking one integer, the name it reports and its least value
+# (None: no `ValueError` bound; `multiplicity` checks j against the table)
+INTEGER_ENTRY_POINTS = {
+    "replicate_extend": (lambda n: replicate_extend(trivial_dataset(), n), "order", 1),
+    "nontriviality_report": (lambda n: nontriviality_report(trivial_dataset(), n), "max_j", 1),
+    "multiplicity k": (lambda n: multiplicity_at(n, 1), "k", None),
+    "multiplicity j": (lambda n: multiplicity_at(1, n), "j", None),
 }
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(3), 0.5, 3.0, True])
 @pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
 def test_replication_integers_must_be_ints(entry, value):
-    call, name = INTEGER_ENTRY_POINTS[entry]
+    call, name, _ = INTEGER_ENTRY_POINTS[entry]
     with pytest.raises(TypeError, match=f"{name} must be an int, got {type(value).__name__}"):
         call(value)
     assert call(Int(6)) == call(6)  # an int subclass reads as the int it equals
+
+
+@pytest.mark.parametrize(
+    "entry", sorted(k for k, (_, _, least) in INTEGER_ENTRY_POINTS.items() if least is not None)
+)
+def test_replication_integers_have_a_least_value(entry):
+    check_least_value(*INTEGER_ENTRY_POINTS[entry])
 
 
 def test_report_dimensions_match_the_series_route(monkeypatch):
