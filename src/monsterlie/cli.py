@@ -116,7 +116,7 @@ def _cmd_mult(args):
 def _cmd_check_nontrivial(args):
     """The table, and a verdict note that `run` writes after it."""
     dataset = load_dataset(args.data)
-    report = nontriviality_report(dataset, args.max)
+    report = nontriviality_report(dataset, replicate_extend(dataset, args.max), args.max)
     rows = [(r.j, r.dim_primary, r.trivial_multiplicity, r.verdict) for r in report]
     table = OutputTable.build(["j", "dim_primary(j+1)", "mult_1(j+1)", "verdict"], rows)
     failures = sum(not r.holds for r in report)

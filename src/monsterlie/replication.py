@@ -44,8 +44,8 @@ the k-th irreducible in the weight-(j+1) piece is
 (1/|G|) sum over classes of size * chi_k * C(class, j), which must be a
 nonnegative integer.  The trivial character needs no character table.
 
-The non-triviality report's primary dimensions are the identity row (J
-exactly: validated seeds, and the recursions fix the rest) times
+The non-triviality report reads the table its caller built.  Its primary
+dimensions are the identity row (J exactly, from validated seeds) times
 prod(1 - q**n) plus 1, the map of `primary_dim_series`.  The moonshine
 module is the vacuum module plus P_h (x) M(24, h) over h >= 2, and G
 commutes with the Virasoro action, so the same linear map sends any
@@ -243,9 +243,10 @@ class NontrivialityRow(NamedTuple):
         return self.verdict == "non-trivial"
 
 
-def nontriviality_report(dataset, max_j):
+def nontriviality_report(dataset, table, max_j):
     """Rows (j, dim of weight-(j+1) primaries, trivial multiplicity,
-    verdict, dim of the G-fixed weight-(j+1) primaries) for 1 <= j <= max_j.
+    verdict, dim of the G-fixed weight-(j+1) primaries) for 1 <= j <= max_j,
+    read from the `table` it is given; a row short of max_j is an `IndexError`.
 
     The verdict is exact: "non-trivial" when dim_fixed < dim_primary, that
     is when G moves a primary vector of weight j+1, else "trivial".  Each
@@ -259,10 +260,9 @@ def nontriviality_report(dataset, max_j):
     from the trivial-multiplicity column.
     """
     max_j = _int(max_j, "max_j", 1)
-    table = replicate_extend(dataset, max_j)
+    mults = _multiplicities(dataset, table, 1, 1, max_j)  # gates every row first
     identity = table.rows[dataset.identity_class().name]
     dims = _primary_dims([1, 0, *identity[:max_j]], max_j + 1)
-    mults = _multiplicities(dataset, table, 1, 1, max_j)
     fixed = _primary_dims([1, 0, *mults], max_j + 1)
     out = []
     for j, mult in enumerate(mults, 1):

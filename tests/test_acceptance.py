@@ -144,7 +144,7 @@ def test_criterion_4_multiplicity_table_or_fallback():
         table = replicate_extend(dataset, 100)
         for j, _, mult in DIM_MULT_TABLE:
             ok = ok and multiplicity(dataset, table, 1, j) == mult
-        rows = nontriviality_report(dataset, 99)
+        rows = nontriviality_report(dataset, table, 99)
         ok = ok and all(row.holds for row in rows)
         _report(4, "194-class multiplicity table + strict inequality", ok)
         return

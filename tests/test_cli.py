@@ -164,6 +164,33 @@ def test_check_nontrivial_fails_on_trivial_group(capsys, toy_data):
     assert rows[0][3] == "trivial"
 
 
+@pytest.mark.parametrize(
+    "command, code", [("replicate", 0), ("mult", 0), ("check-nontrivial", 4)]
+)
+def test_each_dataset_command_builds_one_table(monkeypatch, capsys, toy_data, command, code):
+    # the command builds the one table it reads, and the library readers
+    # (the multiplicity column, the report) take it and build none
+    import monsterlie.cli
+    import monsterlie.replication
+
+    build = monsterlie.replication.replicate_extend
+    orders = {"cli": [], "replication": []}
+
+    def spy(caller):
+        def counting(dataset, order, *classes):
+            orders[caller].append(order)
+            return build(dataset, order, *classes)
+
+        return counting
+
+    monkeypatch.setattr(monsterlie.cli, "replicate_extend", spy("cli"))
+    monkeypatch.setattr(monsterlie.replication, "replicate_extend", spy("replication"))
+    assert run([command, "--data", toy_data, "--max", "7"]) == code
+    assert orders == {"cli": [7], "replication": []}
+    _, rows = table_from(capsys)
+    assert len(rows) == 7
+
+
 def test_validate_data_ok(capsys, toy_data):
     assert run(["validate-data", "--data", toy_data]) == 0
     assert "dataset valid" in capsys.readouterr().out

@@ -2,12 +2,16 @@
 the result records are named tuples (a cold CLI import loads neither
 `dataclasses` nor `inspect`, and a plain cold call not `locale`; fields
 cannot be assigned, and `by_name` is derived from `classes`), and the
-value classes are immutable and hash by value or not at all."""
+value classes are immutable and hash by value or not at all; the README's
+quick start runs and shows the values it computes."""
 
+import ast
 import importlib
+import io
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -219,3 +223,28 @@ def test_term_arithmetic_has_one_home(cls):
         x.terms = {}
     with pytest.raises(TypeError):
         hash(x)
+
+
+def test_readme_quick_start_shows_the_values_it_computes():
+    # the "Library quick start" block runs statement by statement, and each
+    # expression equals the literal in its `# ...` comment, so the calls
+    # and signatures the README shows cannot go stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    source = section.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {
+        token.start[0]: token.string[1:].strip()
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT
+    }
+    namespace = {}
+    checked = []
+    for statement in ast.parse(source).body:
+        if isinstance(statement, ast.Expr):
+            value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
+            expected = ast.literal_eval(comments[statement.end_lineno])
+            assert value == expected, ast.unparse(statement)
+            checked.append(ast.unparse(statement))
+        else:
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+    assert len(checked) == 6, checked

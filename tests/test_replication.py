@@ -417,9 +417,9 @@ def test_multiplicity_with_character_block():
 
 def test_nontriviality_report_on_trivial_group():
     d = trivial_dataset()
-    rows = nontriviality_report(d, 10)
-    assert [r.j for r in rows] == list(range(1, 11))
     table = replicate_extend(d, 10)
+    rows = nontriviality_report(d, table, 10)
+    assert [r.j for r in rows] == list(range(1, 11))
     for row in rows:
         assert row.trivial_multiplicity == table.value("1A", row.j)
         # the trivial group fixes every primary vector
@@ -449,15 +449,15 @@ def test_the_monster_fixes_no_primary_vector_of_weight_below_twelve():
     assert min(column) == 0
 
 
-def primary_table(d, order):
-    """Oracle: every class row mapped to its traces on primaries, one
-    `_primary_dims` per class, as a table `multiplicity` reads unchanged."""
-    table = replicate_extend(d, order)
+def primary_table(table):
+    """Oracle: every class row of `table` mapped to its traces on
+    primaries, one `_primary_dims` per class, as a table `multiplicity`
+    reads unchanged."""
     rows = {}
     for name, row in table.rows.items():
-        series = _primary_dims([1, 0, *row], order + 1)
-        rows[name] = [series.coeff(j) for j in range(1, order + 1)]
-    return CoefficientTable(order, rows)
+        series = _primary_dims([1, 0, *row], table.order + 1)
+        rows[name] = [series.coeff(j) for j in range(1, table.order + 1)]
+    return CoefficientTable(table.order, rows)
 
 
 @pytest.mark.parametrize(
@@ -468,9 +468,10 @@ def primary_table(d, order):
 def test_report_is_non_trivial_and_matches_the_per_class_route(classes, characters):
     order = 400
     d = seeded_dataset(classes, characters)
-    rows = nontriviality_report(d, order)
+    table = replicate_extend(d, order)
+    rows = nontriviality_report(d, table, order)
     assert all(row.verdict == "non-trivial" and row.holds for row in rows)
-    primaries = primary_table(d, order)
+    primaries = primary_table(table)
     degrees = {1: 1, **{int(k): chi["1A"] for k, chi in (characters or {}).items()}}
     for row in rows:
         assert row.dim_fixed == multiplicity(d, primaries, 1, row.j)
@@ -527,7 +528,7 @@ def test_cyclic_fixed_dimensions_average_the_traces(name):
     p = int(name[:-1])
     d = seeded_dataset([("1A", 1, "1A"), (name, p - 1, "1A" if p == 2 else name)])
     traces = times(mckay_thompson(name, order).coeffs, euler_product(order + 2).coeffs)
-    for row in nontriviality_report(d, order):
+    for row in nontriviality_report(d, replicate_extend(d, order), order):
         assert p * row.dim_fixed == row.dim_primary + (p - 1) * traces[row.j + 1]
 
 
@@ -538,13 +539,52 @@ def test_report_refuses_a_negative_fixed_dimension():
     seeds = {k: (-1) ** k * j.coeff(k) for k in (1, 2, 3, 5)}
     obj = group_object(Z2_CLASSES, {"1A": j, "2B": j})
     obj["classes"][1]["seeds"].update({str(k): str(v) for k, v in seeds.items()})
+    d = parse_dataset(obj)
     with pytest.raises(IntegralityError, match="fixed primary dimension at index 1 is negative"):
-        nontriviality_report(parse_dataset(obj), 3)
+        nontriviality_report(d, replicate_extend(d, 3), 3)
 
 
 def test_nontriviality_report_needs_a_positive_max_j():
     with pytest.raises(ValueError, match="max_j must be at least 1"):
-        nontriviality_report(trivial_dataset(), 0)
+        report_to(0)
+
+
+@pytest.mark.parametrize(
+    "classes, max_j, message",
+    [
+        (["2B"], 40, "index 40 of class 1A is outside the order 20"),
+        (["3B"], 40, "index 40 of class 1A is outside the order 0"),
+        (None, 41, "index 41 of class 1A is outside the order 40"),
+    ],
+    ids=["square-chain-only", "no-identity-row", "one-past-the-order"],
+)
+def test_a_partial_table_fails_through_its_own_gate(classes, max_j, message):
+    # a row short of max_j, or a class with no row, raises the table's
+    # IndexError naming the class and the order it was filled to, before
+    # the report maps any row
+    traces = {"1A": j_series(50), "2B": mckay_thompson("2B", 50), "3B": mckay_thompson("3B", 50)}
+    d = group_dataset(S3_CLASSES, traces)
+    table = replicate_extend(d, 40, classes)
+    with pytest.raises(IndexError, match=message):
+        nontriviality_report(d, table, max_j)
+
+
+def test_the_report_reads_the_table_it_is_given(monkeypatch):
+    # a hand-built table of J's coefficients on the trivial group is all
+    # the report reads: it builds no table of its own
+    def never(*args):
+        raise AssertionError("the report built a table")
+
+    monkeypatch.setattr("monsterlie.replication.replicate_extend", never)
+    series = j_series(12)
+    table = CoefficientTable(12, {"1A": [series.coeff(j) for j in range(1, 13)]})
+    rows = nontriviality_report(trivial_dataset(), table, 12)
+    dims = primary_dim_series(13)
+    assert [row.j for row in rows] == list(range(1, 13))
+    for row in rows:
+        assert row.dim_primary == row.dim_fixed == dims.coeff(row.j)
+        assert row.trivial_multiplicity == series.coeff(row.j)
+        assert row.verdict == "trivial"
 
 
 class Int(int):
@@ -562,11 +602,17 @@ def multiplicity_at(k, j):
     return multiplicity(d, replicate_extend(d, 6), k, j)
 
 
+def report_to(max_j):
+    """The report on the trivial group, read from one table of order 6."""
+    d = trivial_dataset()
+    return nontriviality_report(d, replicate_extend(d, 6), max_j)
+
+
 # a call taking one integer, the name it reports and its least value
 # (None: no `ValueError` bound; `multiplicity` checks j against the table)
 INTEGER_ENTRY_POINTS = {
     "replicate_extend": (lambda n: replicate_extend(trivial_dataset(), n), "order", 1),
-    "nontriviality_report": (lambda n: nontriviality_report(trivial_dataset(), n), "max_j", 1),
+    "nontriviality_report": (report_to, "max_j", 1),
     "multiplicity k": (lambda n: multiplicity_at(n, 1), "k", None),
     "multiplicity j": (lambda n: multiplicity_at(1, n), "j", None),
 }
@@ -613,7 +659,7 @@ def test_report_dimensions_match_the_series_route(monkeypatch):
         dims = primary_dim_series(max_j + 1)
         for d in datasets:
             orders.clear()
-            rows = nontriviality_report(d, max_j)
+            rows = nontriviality_report(d, replicate_extend(d, max_j), max_j)
             assert orders == [], (max_j, orders)
             assert [row.j for row in rows] == list(range(1, max_j + 1))
             for row in rows:
