@@ -100,7 +100,7 @@ def _cmd_replicate(args):
     rows = [
         (name, j, value)
         for name in names
-        for j, value in enumerate(table.rows[name][: args.max], 1)
+        for j, value in enumerate(table.rows[name].coeffs[2 : args.max + 2], 1)
     ]
     return OutputTable.build(["class", "j", "C(class,j)"], rows), EXIT_OK
 

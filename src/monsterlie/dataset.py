@@ -190,11 +190,11 @@ def validate_dataset(dataset):
     dict keyed by positive indices of dicts, every integer an `int` by
     `_as_int`.  Next, also alone, a group order off the sum of the class
     sizes.  Then the identity seeds, seed -1, the square classes, each
-    character block's classes, and orthonormality: for every pair k <= l of
-    complete blocks, the trivial character included as index 1,
-    sum_C |C| chi_k(C) chi_l(C) = |G| delta_kl, so a given block 1 passes only
-    when it is all ones; a partial block is allowed.  Cost: k(k+1)/2 sums of
-    `classes` integer products for k blocks."""
+    character block's classes (a block names every class), and orthonormality:
+    for every pair k <= l of blocks, the trivial character included as index
+    1, sum_C |C| chi_k(C) chi_l(C) = |G| delta_kl, so a given block 1 passes
+    only when it is all ones; only some irreducibles need a block.  Cost:
+    k(k+1)/2 sums of `classes` integer products for k blocks."""
     out, names = [], set()
     for idx, record in enumerate(dataset.classes):
         if not isinstance(record, ClassRecord):

@@ -26,7 +26,8 @@ new entry takes (1, 2, 0, 1) halvings for n mod 4 = 0, 1, 2, 3, and every
 halving must be exact; an odd numerator names the class and index and
 aborts, since it can only mean inconsistent seed data.
 
-Each class row is a list with row[i-1] = C(g,i).  Every sum above is one
+The kernel fills each class row as an int list, row[i-1] = C(g,i), and
+returns it as its series q**-1 + 0 + sum C(g,i) q**i.  Every sum above is one
 dot product of two row slices, the second one read backwards (with
 stride 4 against C(g^2,i)).  S(k) is read by n = 2k - 3 and by n = 2k, so
 its pair sum P(k) = sum_{1<=i<k/2} C(g,i) C(g,k-i) is formed once per
@@ -59,29 +60,27 @@ from operator import mul
 from typing import NamedTuple
 
 from .dataset import DatasetError
-from .qseries import IntegralityError, _int, _primary_dims
+from .qseries import IntegralityError, QSeries, _int, _primary_dims
+
+_UNFILLED = QSeries(-1, [1, 0])  # the series of a class with no row
 
 
 class CoefficientTable(NamedTuple):
-    """Per-class coefficient rows C(g, j), each for 1 <= j <= the length of
-    its row: `order` unless only some classes were asked for."""
+    """Per-class series q**-1 + 0 + sum C(g, j) q**j, each exact for
+    j <= `order` unless only some classes were asked for."""
 
     order: int
-    rows: dict  # class name -> list, index j-1
+    rows: dict  # class name -> QSeries, q**j at coeffs[j + 1]
 
     def value(self, name, j):
-        """C(name, j); index 0 is 0 by convention (zero constant term) and
-        index -1 is 1 (normalized leading coefficient); j is read by `_int`."""
-        if (j := _int(j, "j")) == 0:
-            return 0
-        if j == -1:
-            return 1
-        row = self.rows.get(name, ())
-        if not 1 <= j <= len(row):
+        """C(name, j), the q**j coefficient of its series, for -1 <= j <= the
+        order its row was filled to (1 at -1, 0 at 0); j is read by `_int`."""
+        row = self.rows.get(name, _UNFILLED)
+        if not -1 <= (j := _int(j, "j")) < row.order:
             raise IndexError(
-                f"index {j} of class {name} is outside the order {len(row)} it was filled to"
+                f"index {j} of class {name} is outside the order {row.order - 1} it was filled to"
             )
-        return row[j - 1]
+        return row.coeff(j)
 
 
 def _halve(numerator, name, j):
@@ -127,8 +126,8 @@ def _symmetric_square(r, s, k, name, n, pairs):
 
 
 def replicate_extend(dataset, order, classes=None):
-    """Fill class rows through max(order, 5), for an order of at least 1
-    (the seeds reach index 5), using the recursions.
+    """Class rows through max(order, 5), for an order of at least 1 (the
+    seeds reach index 5): the recursions fill int lists, returned as series.
 
     `classes` names the rows the caller reads (None: every class; a bare
     str is a `TypeError`, not a list of one-letter names).  Those
@@ -182,7 +181,7 @@ def replicate_extend(dataset, order, classes=None):
                 total += even_i - odd_i
                 pairs[2 * m] = odd_i + even_i
             r[n - 1] = total
-    return CoefficientTable(order, rows)
+    return CoefficientTable(order, {name: QSeries(-1, [1, 0, *r]) for name, r in rows.items()})
 
 
 def character(dataset, k):
@@ -204,7 +203,7 @@ def _multiplicities(dataset, table, k, lo, hi):
     for record in dataset.classes:  # a row short of hi raises, naming its class
         table.value(record.name, hi)
     weights = [record.class_size * chi[record.name] for record in dataset.classes]
-    rows = [table.rows[record.name][lo - 1 : hi] for record in dataset.classes]
+    rows = [table.rows[record.name].coeffs[lo + 1 : hi + 2] for record in dataset.classes]
     out = []
     for j, values in enumerate(zip(*rows), lo):
         mult, remainder = divmod(sum(map(mul, weights, values)), dataset.group_order)
@@ -262,7 +261,7 @@ def nontriviality_report(dataset, table, max_j):
     max_j = _int(max_j, "max_j", 1)
     mults = _multiplicities(dataset, table, 1, 1, max_j)  # gates every row first
     identity = table.rows[dataset.identity_class().name]
-    dims = _primary_dims([1, 0, *identity[:max_j]], max_j + 1)
+    dims = _primary_dims(identity.coeffs[: max_j + 2], max_j + 1)
     fixed = _primary_dims([1, 0, *mults], max_j + 1)
     out = []
     for j, mult in enumerate(mults, 1):

@@ -449,6 +449,20 @@ def test_console_entry_point():
     assert "root index must be -1 or a positive integer" in done.stderr
 
 
+def test_the_ci_workflow_expects_what_the_program_does(capsys):
+    # the workflow's console-script step and benchmark smoke loop run only in
+    # CI, so their expectations are read here as text (the `test` extra
+    # installs no YAML reader) and held against the code and BENCHMARK.json
+    root = Path(__file__).resolve().parents[1]
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    (printed,) = re.findall(r"<\(monsterlie jcoeffs --max 1\) <\(printf '([^']*)'\)", workflow)
+    assert run(["jcoeffs", "--max", "1"]) == 0
+    assert capsys.readouterr().out == printed.replace("\\n", "\n")
+    (loop,) = re.findall(r"for w in ([^;]*); do", workflow)
+    benchmark = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert sorted(loop.split()) == sorted(w["name"] for w in benchmark["workloads"])
+
+
 def _cut_stdout_run(argv, unbuffered, read=0):
     """Run the CLI for a reader that reads `read` characters and goes away;
     returns the exit code and standard error."""

@@ -247,4 +247,4 @@ def test_readme_quick_start_shows_the_values_it_computes():
             checked.append(ast.unparse(statement))
         else:
             exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
-    assert len(checked) == 6, checked
+    assert len(checked) == 7, checked

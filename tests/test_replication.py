@@ -115,8 +115,7 @@ def test_cross_class_rows_match_eta_quotients():
     for d, characters in cases:
         table = replicate_extend(d, order)
         for record in d.classes:
-            row = [traces[record.name].coeff(n) for n in range(1, order + 1)]
-            assert table.rows[record.name] == row, f"class {record.name} differs from its series"
+            assert table.rows[record.name] == traces[record.name], record.name
         for k in (1, *map(int, characters)):
             mults = [multiplicity(d, table, k, j) for j in range(1, order + 1)]
             assert min(mults) >= 0
@@ -133,21 +132,18 @@ def test_cyclic_group_of_order_four_fills_its_square_chain():
     }
     d = group_dataset(Z4_CLASSES, traces, Z4_CHARACTERS)
     table = replicate_extend(d, order)
-    for name, series in traces.items():
-        assert table.rows[name] == [series.coeff(n) for n in range(1, order + 1)], name
+    assert table.rows == traces
     for j in range(1, order + 1):
         dim, t2, t4 = (traces[name].coeff(j) for name in ("1A", "2B", "4C"))
         assert 4 * multiplicity(d, table, 1, j) == dim + t2 + 2 * t4
         assert 4 * multiplicity(d, table, 2, j) == dim + t2 - 2 * t4
 
     chain = replicate_extend(d, order, ["4C"])
-    assert {name: len(row) for name, row in chain.rows.items()} == {
-        "1A": 100,
-        "2B": 200,
-        "4C": 400,
+    assert chain.rows == {
+        "1A": j_series(100),
+        "2B": mckay_thompson("2B", 200),
+        "4C": traces["4C"],
     }
-    for name, row in chain.rows.items():
-        assert row == table.rows[name][: len(row)], name
 
 
 def test_class_subsets_match_the_full_table():
@@ -165,6 +161,19 @@ def test_class_subsets_match_the_full_table():
             assert table.rows[name] == full.rows[name], (name, order)
             for j in (1, order):
                 assert table.value(name, j) == full.value(name, j)
+
+
+def test_a_table_of_series_is_the_table_replication_fills():
+    # the eta-quotient route and the replication route return one value per
+    # class, so a table built from the series needs no conversion: it is the
+    # table `replicate_extend` returns, and the report reads the same from both
+    order = 300
+    traces = {"1A": j_series(order), "2B": mckay_thompson("2B", order), "3B": mckay_thompson("3B", order)}
+    d = group_dataset(S3_CLASSES, traces, S3_CHARACTERS)
+    table = replicate_extend(d, order)
+    built = CoefficientTable(order, traces)
+    assert built == table
+    assert nontriviality_report(d, built, order) == nontriviality_report(d, table, order)
 
 
 def test_lookups_outside_the_filled_rows_name_the_class():
@@ -207,8 +216,7 @@ def test_each_pair_sum_is_formed_once_per_class(monkeypatch):
     monkeypatch.setattr(monsterlie.replication, "mul", counted)
     table = replicate_extend(trivial_dataset(), 200)
     assert products == 8527
-    j = j_series(200)
-    assert table.rows["1A"] == [j.coeff(n) for n in range(1, 201)]
+    assert table.rows["1A"] == j_series(200)
 
 
 def test_cyclic_group_of_order_two_has_integral_multiplicities():
@@ -309,6 +317,9 @@ def test_convention_values_at_low_indices():
     assert table.value("1A", -1) == 1
     with pytest.raises(IndexError, match="index -2 of class 1A is outside the order 5"):
         table.value("1A", -2)
+    # a row is a value, so no edit in place reaches a later multiplicity
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        table.rows["1A"].coeffs[0] = 0
 
 
 def test_order_below_five_rejected():
@@ -453,10 +464,7 @@ def primary_table(table):
     """Oracle: every class row of `table` mapped to its traces on
     primaries, one `_primary_dims` per class, as a table `multiplicity`
     reads unchanged."""
-    rows = {}
-    for name, row in table.rows.items():
-        series = _primary_dims([1, 0, *row], table.order + 1)
-        rows[name] = [series.coeff(j) for j in range(1, table.order + 1)]
+    rows = {g: _primary_dims(row.coeffs, row.order) for g, row in table.rows.items()}
     return CoefficientTable(table.order, rows)
 
 
@@ -577,7 +585,7 @@ def test_the_report_reads_the_table_it_is_given(monkeypatch):
 
     monkeypatch.setattr("monsterlie.replication.replicate_extend", never)
     series = j_series(12)
-    table = CoefficientTable(12, {"1A": [series.coeff(j) for j in range(1, 13)]})
+    table = CoefficientTable(12, {"1A": series})
     rows = nontriviality_report(trivial_dataset(), table, 12)
     dims = primary_dim_series(13)
     assert [row.j for row in rows] == list(range(1, 13))
